@@ -17,7 +17,9 @@ converged but contradicts a property that must hold); 2 a numerical
 procedure did not converge; 3 bad usage.  Failures print one diagnostic
 JSON object ``{"error", "message", "context"}`` to stderr.  Gating
 subcommands (``sweep``, ``verify``) write their artifacts before raising,
-so the evidence is on disk even when the verdict is bad.
+so the evidence is on disk even when the verdict is bad; a sweep in which
+some points raise keeps the rows of the points that finished and exits
+with the first point's error.
 """
 
 from __future__ import annotations
@@ -168,6 +170,15 @@ def _sweep_point(task):
     return assemble_morse(profile, settings)
 
 
+def _sweep_point_or_error(task):
+    """A sweep point's report, or the package error it raised, so that one
+    failing alpha does not discard the points that finished."""
+    try:
+        return _sweep_point(task)
+    except HenonMorseError as exc:
+        return exc
+
+
 def _cmd_sweep(args) -> int:
     settings = _settings_from(args)
     alphas = _parse_alphas(args.alphas)
@@ -177,14 +188,20 @@ def _cmd_sweep(args) -> int:
     tasks = [(a, args.p, args.nodes, settings) for a in alphas]
     if args.jobs and args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(_sweep_point, tasks))
+            results = list(pool.map(_sweep_point_or_error, tasks))
     else:
-        reports = [_sweep_point(t) for t in tasks]
-    sweep = sweep_from_reports(reports)
+        results = [_sweep_point_or_error(t) for t in tasks]
+    errors = [r for r in results if isinstance(r, HenonMorseError)]
+    reports = [r for r in results if not isinstance(r, HenonMorseError)]
 
+    # A failed alpha = 0 point leaves no companion: the rows then skip the
+    # bounds that need one, and the run still exits with that point's error.
     companion = next((r for r in reports if r.params.alpha == 0.0), None)
-    if companion is None:
-        companion = _sweep_point((0.0, args.p, args.nodes, settings))
+    if 0.0 not in alphas:
+        companion = _sweep_point_or_error((0.0, args.p, args.nodes, settings))
+        if isinstance(companion, HenonMorseError):
+            errors.append(companion)
+            companion = None
     rows = []
     for report in reports:
         bounds = check_lower_bounds(report, companion)
@@ -195,12 +212,17 @@ def _cmd_sweep(args) -> int:
             "bounds_pass": all(b.satisfied for b in bounds),
         })
 
-    # Artifacts land on disk before any gating verdict is raised.
-    with open(args.csv, "w", encoding="utf-8", newline="") as fp:
-        fp.write(sweep_csv_text(rows))
-    if args.out is not None:
+    # Artifacts land on disk before any gating verdict is raised; a failed
+    # point leaves the rows of the points that finished.
+    if rows:
+        with open(args.csv, "w", encoding="utf-8", newline="") as fp:
+            fp.write(sweep_csv_text(rows))
+    sweep = sweep_from_reports(reports) if len(reports) >= 2 else None
+    if args.out is not None and sweep is not None:
         save_json(sweep.to_dict(), args.out)
 
+    if errors:
+        raise errors[0]
     if not sweep.monotone:
         raise VerificationError(
             "m_total is not nondecreasing along the alpha sweep",

@@ -17,7 +17,9 @@ from henon_morse import (
     DEFAULT,
     BoundCheck,
     HenonParams,
+    NonConvergenceError,
     SchemaError,
+    TwoRouteError,
     UsageError,
     assemble_morse,
     build_schrodinger,
@@ -308,6 +310,34 @@ class TestCliSweep:
         assert csv.exists()
         rows = csv.read_text().splitlines()
         assert len(rows) == 3 and rows[1].endswith("false")
+
+
+    def test_failing_points_keep_finished_rows(self, tmp_path, capsys,
+                                               monkeypatch):
+        real = cli._sweep_point
+        injected = {1.0: NonConvergenceError("injected", {"alpha": 1.0}),
+                    2.0: TwoRouteError("injected", {"alpha": 2.0})}
+
+        def flaky(task):
+            if task[0] in injected:
+                raise injected[task[0]]
+            return real(task)
+
+        monkeypatch.setattr(cli, "_sweep_point", flaky)
+        csv, out = tmp_path / "s.csv", tmp_path / "s.json"
+        code = cli.main(["sweep", "--p", "3", "--nodes", "1",
+                         "--alphas", "0,1,2,3", "--csv", str(csv),
+                         "--out", str(out)])
+        # the first failing alpha decides the error and its exit code
+        assert code == 2
+        diag = json.loads(capsys.readouterr().err)
+        assert diag["error"] == "NonConvergenceError"
+        assert diag["context"] == {"alpha": 1.0}
+        rows = csv.read_text().splitlines()
+        assert [r.split(",")[0] for r in rows[1:]] == ["0.0", "3.0"]
+        assert all(r.endswith("true") for r in rows[1:])
+        doc = load_json(out)
+        assert [t["alpha_lo"] for t in doc["transitions"]] == [0.0]
 
 
 class TestCliVerify:

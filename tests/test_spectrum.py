@@ -24,6 +24,7 @@ import math
 import numpy as np
 import pytest
 
+import henon_morse.spectrum as spectrum
 from henon_morse import HenonParams, evaluate_profile, solve_nodal
 from henon_morse.config import DEFAULT
 from henon_morse.errors import UsageError
@@ -45,6 +46,32 @@ _GX = 0.5 * (1.0 + np.array([-0.8611363115940526, -0.3399810435848563,
                              0.3399810435848563, 0.8611363115940526]))
 _GW = 0.5 * np.array([0.3478548451374538, 0.6521451548625461,
                       0.6521451548625461, 0.3478548451374538])
+
+
+def ldlt_negative_count(diag, off):
+    """Oracle: negative-eigenvalue count by a pure-Python LDL^T recursion.
+
+    The signs of the pivots d_i = a_i - b_{i-1}^2 / d_{i-1} count the
+    negative eigenvalues; a pivot within pivmin of zero is replaced by
+    +-pivmin in the next division.  An exact zero pivot is not counted but
+    divides as -pivmin, which miscounts it when a nonzero off-diagonal
+    follows (see ``test_exact_zero_pivot_counts_like_dense_solver``).
+    """
+    diag = np.asarray(diag, dtype=float)
+    off = np.asarray(off, dtype=float)
+    if diag.size == 0:
+        return 0
+    pivmin = 1e-30 * max(1.0, float(np.max(off**2))) if off.size else 1e-300
+    count = 0
+    d = float(diag[0])
+    if d < 0.0:
+        count += 1
+    for i in range(1, diag.size):
+        denom = d if abs(d) > pivmin else math.copysign(pivmin, d if d != 0.0 else -1.0)
+        d = float(diag[i]) - float(off[i - 1]) ** 2 / denom
+        if d < 0.0:
+            count += 1
+    return count
 
 
 def pencil_negative_eigenvalues(profile, ratio, rmin=1e-7):
@@ -203,6 +230,138 @@ class TestSquareWell:
             5.0, 64, lambda t: np.zeros_like(np.asarray(t, float)))
         spec = negative_spectrum(prob)
         assert spec.lambdas.size == 0
+
+
+def record_calls(monkeypatch, name):
+    """Replace ``spectrum.<name>`` by a wrapper that records the (diag, off)
+    pair of every call, so a test sees the matrices a route really builds."""
+    seen = []
+    real = getattr(spectrum, name)
+
+    def recorder(diag, off, *args, **kwargs):
+        seen.append((np.array(diag, dtype=float), np.array(off, dtype=float)))
+        return real(diag, off, *args, **kwargs)
+
+    monkeypatch.setattr(spectrum, name, recorder)
+    return seen
+
+
+class TestInertiaCount:
+    """``tridiagonal_negative_inertia`` against the LDL^T oracle."""
+
+    def test_random_matrices_of_mixed_scale(self):
+        rng = np.random.default_rng(20181207)
+        for _ in range(1000):
+            n = int(rng.integers(2, 61))
+            # one scale per matrix, times entry scales spanning 4 decades
+            scale = 10.0 ** rng.uniform(-3.0, 3.0)
+            diag = scale * rng.normal(size=n) * 10.0 ** rng.uniform(-2.0, 2.0, n)
+            off = scale * rng.normal(size=n - 1) * 10.0 ** rng.uniform(-2.0, 2.0, n - 1)
+            assert tridiagonal_negative_inertia(diag, off) == ldlt_negative_count(diag, off)
+
+    @pytest.mark.parametrize("diag,expected", [
+        ([], 0), ([-2.0], 1), ([0.0], 0), ([3.0], 0), ([-1e-300], 1),
+    ])
+    def test_sizes_zero_and_one(self, diag, expected):
+        off = np.zeros(max(len(diag) - 1, 0))
+        assert tridiagonal_negative_inertia(np.array(diag), off) == expected
+        assert ldlt_negative_count(diag, off) == expected
+
+    @pytest.mark.parametrize("diag,off,expected", [
+        ([1.0, 1.0], [1.0], 0),
+        ([1.0, 2.0, 1.0], [-1.0, -1.0], 0),
+        ([-1.0, -1.0], [1.0], 1),
+    ])
+    def test_exact_zero_eigenvalue_is_not_counted(self, diag, off, expected):
+        """Each matrix has 0 as an eigenvalue, which is not negative."""
+        dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        assert np.min(np.abs(np.linalg.eigvalsh(dense))) < 1e-15
+        assert tridiagonal_negative_inertia(diag, off) == expected
+        assert ldlt_negative_count(diag, off) == expected
+
+    def test_zero_off_diagonals_split_into_blocks(self):
+        diag = np.array([-1.0, 2.0, -3.0, 4.0, 0.0, -5.0])
+        assert tridiagonal_negative_inertia(diag, np.zeros(5)) == 3
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            n = int(rng.integers(2, 40))
+            diag = rng.normal(size=n)
+            off = rng.normal(size=n - 1)
+            off[rng.random(n - 1) < 0.3] = 0.0
+            assert tridiagonal_negative_inertia(diag, off) == ldlt_negative_count(diag, off)
+
+    @pytest.mark.parametrize("off0", [1.0, 1e-16])
+    def test_near_zero_pivots(self, off0):
+        """The second LDL^T pivot is made a few ulps of off0^2 / diag0 (with
+        off0 = 1e-16 it falls below the oracle's pivmin and gets clamped)."""
+        rng = np.random.default_rng(11)
+        for steps in (-3, -1, 1, 3):
+            for _ in range(25):
+                n = int(rng.integers(3, 30))
+                diag = rng.normal(size=n)
+                off = rng.normal(size=n - 1)
+                diag[0], off[0] = 1.0, off0
+                x = off0 * off0
+                for _ in range(abs(steps)):
+                    x = np.nextafter(x, math.copysign(np.inf, steps))
+                diag[1] = x
+                pivot = diag[1] - off[0] ** 2 / diag[0]
+                assert pivot != 0.0 and abs(pivot) < 1e-15 * off0**2 + 1e-300
+                dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+                expected = int(np.sum(np.linalg.eigvalsh(dense) < 0.0))
+                assert tridiagonal_negative_inertia(diag, off) == expected
+                assert ldlt_negative_count(diag, off) == expected
+
+    def test_exact_zero_pivot_counts_like_dense_solver(self):
+        """[[0, 1], [1, 1]] has eigenvalues (1 -+ sqrt 5) / 2, one negative.
+        The oracle divides by -pivmin at an exact zero pivot without
+        counting it, and so undercounts by one; the LAPACK count is right."""
+        assert tridiagonal_negative_inertia([0.0, 1.0], [1.0]) == 1
+        assert ldlt_negative_count([0.0, 1.0], [1.0]) == 0
+        rng = np.random.default_rng(13)
+        for _ in range(50):
+            n = int(rng.integers(3, 30))
+            diag = rng.normal(size=n)
+            off = rng.normal(size=n - 1)
+            diag[1] = off[0] ** 2 / diag[0]
+            assert diag[1] - off[0] ** 2 / diag[0] == 0.0
+            dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+            expected = int(np.sum(np.linalg.eigvalsh(dense) < 0.0))
+            assert tridiagonal_negative_inertia(diag, off) == expected
+            assert ldlt_negative_count(diag, off) == expected - 1
+
+    def test_route_a_matrices_of_profile_032(self, monkeypatch, profile_032):
+        seen = record_calls(monkeypatch, "eigh_tridiagonal")
+        located = []
+        real_fd = spectrum.fd_negative_eigenvalues
+
+        def fd(problem, M=None):
+            w = real_fd(problem, M)
+            located.append(w.size)
+            return w
+
+        monkeypatch.setattr(spectrum, "fd_negative_eigenvalues", fd)
+        spectrum.negative_spectrum(build_schrodinger(profile_032))
+        assert len(seen) == len(located) >= 3
+        for (diag, off), count in zip(seen, located):
+            assert count == 2
+            assert tridiagonal_negative_inertia(diag, off) == count
+            assert ldlt_negative_count(diag, off) == count
+
+    def test_route_b_matrices_of_profile_032(self, monkeypatch, profile_032):
+        seen = record_calls(monkeypatch, "tridiagonal_negative_inertia")
+        radial_morse_index(profile_032)
+        for k in range(1, 6):
+            mode_negative_count(profile_032, k)
+        assert len(seen) >= 12
+        for diag, off in seen:
+            assert tridiagonal_negative_inertia(diag, off) == ldlt_negative_count(diag, off)
+
+    def test_wrong_off_length_is_usage_error(self):
+        for diag, off in (([1.0, 2.0, 3.0], [1.0]), ([1.0, 2.0], [1.0, 2.0]),
+                          ([1.0], [0.5])):
+            with pytest.raises(UsageError):
+                tridiagonal_negative_inertia(diag, off)
 
 
 class TestPotentialConstruction:
