@@ -16,7 +16,7 @@ from .morse import (
     assemble_morse,
     check_lower_bounds,
     large_exponent_probe,
-    monotonicity_sweep,
+    solve_point,
     sweep_from_reports,
 )
 from .radial import (
@@ -39,12 +39,9 @@ from .spectrum import (
 )
 from .transform import (
     ComparisonReport,
-    KappaMap,
     TestFunction,
     default_battery,
-    dirichlet_energy,
     quadratic_form,
-    radial_map,
     transform_solution,
     verify_form_comparison,
 )

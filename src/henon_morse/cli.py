@@ -19,13 +19,13 @@ JSON object ``{"error", "message", "context"}`` to stderr.  Gating
 subcommands (``sweep``, ``verify``) write their artifacts before raising,
 so the evidence is on disk even when the verdict is bad; a sweep in which
 some points raise keeps the rows of the points that finished and exits
-with the first point's error.
+with the first point's error.  ``--jobs N`` (``sweep``, ``verify``) needs
+N >= 1 and starts no more worker processes than there are tasks.
 """
 
 from __future__ import annotations
 
 import argparse
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields, replace
 import json
 import sys
@@ -46,10 +46,10 @@ from .io import (
     spectrum_document,
     sweep_csv_text,
 )
-from .morse import assemble_morse, check_lower_bounds, sweep_from_reports
+from .morse import check_lower_bounds, solve_point, sweep_from_reports
 from .radial import HenonParams, solve_nodal
 from .spectrum import build_schrodinger, negative_spectrum
-from .verify import GRIDS, run_battery
+from .verify import GRIDS, _run_tasks, run_battery
 
 __all__ = ["main"]
 
@@ -143,19 +143,45 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
+def _report_or_error(task):
+    """A point's report, or the package error it raised, so that one
+    failing alpha does not discard the points that finished."""
+    alpha, p, n, settings = task
+    try:
+        return solve_point(alpha, p, n, settings)[1]
+    except HenonMorseError as exc:
+        return exc
+
+
+def _bounded_reports(alphas, p, n, settings, jobs=None):
+    """Reports at ``alphas`` with their lower-bound checks, and the errors
+    of the points that raised, in alpha order.
+
+    The alpha = 0 companion the bounds need is the point's own when alpha =
+    0 is asked for (none if that point failed), and is solved after the
+    points otherwise -- unless every point failed.  A companion that raises
+    adds its error last.
+    """
+    results = _run_tasks(_report_or_error,
+                         [(a, p, n, settings) for a in alphas], jobs)
+    errors = [r for r in results if isinstance(r, HenonMorseError)]
+    reports = [r for r in results if not isinstance(r, HenonMorseError)]
+    companion = next((r for r in reports if r.params.alpha == 0.0), None)
+    if reports and 0.0 not in alphas:
+        companion = _report_or_error((0.0, p, n, settings))
+        if isinstance(companion, HenonMorseError):
+            errors.append(companion)
+            companion = None
+    return reports, [check_lower_bounds(r, companion) for r in reports], errors
+
+
 def _cmd_morse(args) -> int:
-    settings = _settings_from(args)
-    profile = solve_nodal(
-        HenonParams(alpha=args.alpha, p=args.p, n_nodal=args.nodes), settings)
-    report = assemble_morse(profile, settings)
-    if args.alpha == 0.0:
-        companion = report
-    else:
-        companion_profile = solve_nodal(
-            HenonParams(alpha=0.0, p=args.p, n_nodal=args.nodes), settings)
-        companion = assemble_morse(companion_profile, settings)
-    bounds = check_lower_bounds(report, companion)
-    _emit(morse_document(report, bounds), args.out)
+    reports, checks, errors = _bounded_reports(
+        [args.alpha], args.p, args.nodes, _settings_from(args))
+    if errors:
+        raise errors[0]
+    bounds = checks[0]
+    _emit(morse_document(reports[0], bounds), args.out)
     if not all(b.satisfied for b in bounds):
         raise VerificationError(
             "a proved lower bound fails on the computed index",
@@ -164,53 +190,20 @@ def _cmd_morse(args) -> int:
     return 0
 
 
-def _sweep_point(task):
-    alpha, p, n, settings = task
-    profile = solve_nodal(HenonParams(alpha=alpha, p=p, n_nodal=n), settings)
-    return assemble_morse(profile, settings)
-
-
-def _sweep_point_or_error(task):
-    """A sweep point's report, or the package error it raised, so that one
-    failing alpha does not discard the points that finished."""
-    try:
-        return _sweep_point(task)
-    except HenonMorseError as exc:
-        return exc
-
-
 def _cmd_sweep(args) -> int:
     settings = _settings_from(args)
     alphas = _parse_alphas(args.alphas)
     if len(alphas) < 2:
         raise UsageError("a sweep needs at least two alpha values",
                          {"alphas": alphas})
-    tasks = [(a, args.p, args.nodes, settings) for a in alphas]
-    if args.jobs and args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_sweep_point_or_error, tasks))
-    else:
-        results = [_sweep_point_or_error(t) for t in tasks]
-    errors = [r for r in results if isinstance(r, HenonMorseError)]
-    reports = [r for r in results if not isinstance(r, HenonMorseError)]
-
-    # A failed alpha = 0 point leaves no companion: the rows then skip the
-    # bounds that need one, and the run still exits with that point's error.
-    companion = next((r for r in reports if r.params.alpha == 0.0), None)
-    if 0.0 not in alphas:
-        companion = _sweep_point_or_error((0.0, args.p, args.nodes, settings))
-        if isinstance(companion, HenonMorseError):
-            errors.append(companion)
-            companion = None
-    rows = []
-    for report in reports:
-        bounds = check_lower_bounds(report, companion)
-        rows.append({
-            "alpha": report.params.alpha, "p": args.p, "n": args.nodes,
-            "m_rad": report.m_rad, "m_total": report.m_total,
-            "lambdas": report.lambdas,
-            "bounds_pass": all(b.satisfied for b in bounds),
-        })
+    reports, bounds, errors = _bounded_reports(
+        alphas, args.p, args.nodes, settings, args.jobs)
+    rows = [{
+        "alpha": report.params.alpha, "p": args.p, "n": args.nodes,
+        "m_rad": report.m_rad, "m_total": report.m_total,
+        "lambdas": report.lambdas,
+        "bounds_pass": all(b.satisfied for b in checks),
+    } for report, checks in zip(reports, bounds)]
 
     # Artifacts land on disk before any gating verdict is raised; a failed
     # point leaves the rows of the points that finished.
@@ -295,8 +288,8 @@ def _build_parser() -> _Parser:
     sp.add_argument("--out", default=None, metavar="FILE",
                     help="optional JSON artifact with full reports")
     sp.add_argument("--jobs", type=int, default=None, metavar="N",
-                    help="parallel worker processes (output is identical "
-                         "for any N)")
+                    help="parallel worker processes, N >= 1, at most one "
+                         "per point (output is identical for any N)")
     _add_settings_flags(sp)
     sp.set_defaults(func=_cmd_sweep)
 
@@ -304,7 +297,9 @@ def _build_parser() -> _Parser:
     sp.add_argument("--grid", choices=sorted(GRIDS), default="default")
     sp.add_argument("--out", default=None, metavar="FILE",
                     help="write the battery summary JSON here")
-    sp.add_argument("--jobs", type=int, default=None, metavar="N")
+    sp.add_argument("--jobs", type=int, default=None, metavar="N",
+                    help="parallel worker processes, N >= 1, at most one "
+                         "per task (output is identical for any N)")
     _add_settings_flags(sp)
     sp.set_defaults(func=_cmd_verify)
 

@@ -15,14 +15,18 @@ independent route: finite-element inertia counts in r-coordinates
 discretization with the log-variable solver.  Disagreement raises
 ``TwoRouteError`` rather than returning a number.
 
-On top of the assembled indices this module checks the structural facts a
+``solve_point`` is the one point task of the command line, the battery and
+the probe: solve the nodal profile at (alpha, p, n), then assemble its
+index.
+
+On top of the assembled indices this module checks the structural facts an
 index computation can verify:
 
 * ``check_lower_bounds``: named integer inequalities relating m(u), the
   nodal count n, the weight exponent alpha, and the index of the
   unweighted (alpha = 0) solution with the same p and n;
-* ``monotonicity_sweep``: m(u) is nondecreasing along increasing alpha at
-  fixed p and n;
+* ``sweep_from_reports``: whether m(u) is nondecreasing along increasing
+  alpha at fixed p and n;
 * ``large_exponent_probe``: single-route decomposition for exponents p far
   beyond the comfort zone of the r-coordinate meshes (the profile then
   concentrates on scales the FEM mesh cannot see), reported as
@@ -51,8 +55,8 @@ __all__ = [
     "BoundCheck",
     "SweepResult",
     "assemble_morse",
+    "solve_point",
     "check_lower_bounds",
-    "monotonicity_sweep",
     "sweep_from_reports",
     "large_exponent_probe",
 ]
@@ -243,6 +247,14 @@ def assemble_morse(profile: RadialProfile, settings: Settings = DEFAULT,
     )
 
 
+def solve_point(alpha: float, p: float, n: int, settings: Settings = DEFAULT,
+                cross_check: bool = True) -> tuple:
+    """The nodal profile at (alpha, p, n) and its assembled
+    :class:`MorseReport`, as ``(profile, report)``."""
+    profile = solve_nodal(HenonParams(alpha=alpha, p=p, n_nodal=n), settings)
+    return profile, assemble_morse(profile, settings, cross_check)
+
+
 def _is_even_integer(alpha: float) -> bool:
     return abs(alpha - 2.0 * round(alpha / 2.0)) < 1e-12
 
@@ -323,7 +335,7 @@ class SweepResult:
 
 def sweep_from_reports(reports) -> SweepResult:
     """Build a :class:`SweepResult` from reports already computed along
-    increasing alpha (shared by the serial sweep and the parallel CLI)."""
+    increasing alpha."""
     reports = tuple(reports)
     if len(reports) < 2:
         raise UsageError("a sweep needs at least two alpha values",
@@ -337,45 +349,17 @@ def sweep_from_reports(reports) -> SweepResult:
     return SweepResult(reports=reports, transitions=transitions)
 
 
-def monotonicity_sweep(alphas, p: float, n: int,
-                       settings: Settings = DEFAULT) -> SweepResult:
-    """Assemble indices along increasing alpha and record whether m_total
-    is nondecreasing between consecutive grid points."""
-    alphas = sorted(float(a) for a in alphas)
-    if len(alphas) < 2:
-        raise UsageError("a sweep needs at least two alpha values",
-                         {"alphas": alphas})
-    reports = []
-    for alpha in alphas:
-        profile = solve_nodal(HenonParams(alpha=alpha, p=p, n_nodal=n), settings)
-        reports.append(assemble_morse(profile, settings))
-    return sweep_from_reports(reports)
-
-
 def large_exponent_probe(p_values, alpha: float = 0.0, n: int = 2,
                          settings: Settings = DEFAULT) -> list:
     """Decomposition-route-only indices for a sequence of growing exponents.
 
     For large p the solution concentrates an inner bubble on scales far
     below anything an r-coordinate mesh resolves, so the FEM cross-route is
-    structurally blind here and is not attempted: these rows are
-    observations of the single log-variable route (cross_checked=False in
-    each report).  Each row records the half-gap (m_total - m_rad) / 2 =
-    sum of the per-eigenvalue mode counts, whether it is even, and whether
-    it has reached 2(n - 1), the value the sign-changing asymptotic regime
-    suggests.
+    structurally blind here and is not attempted: these rows
+    ``{"p", "report"}`` are observations of the single log-variable route
+    (cross_checked=False in each report).
     """
-    rows = []
-    for p in p_values:
-        profile = solve_nodal(HenonParams(alpha=alpha, p=float(p), n_nodal=n),
-                              settings)
-        report = assemble_morse(profile, settings, cross_check=False)
-        half_gap = (report.m_total - report.m_rad) // 2
-        rows.append({
-            "p": float(p),
-            "report": report,
-            "half_gap": half_gap,
-            "half_gap_even": half_gap % 2 == 0,
-            "reaches_asymptotic_gap": half_gap >= 2 * (n - 1),
-        })
-    return rows
+    return [{"p": float(p),
+             "report": solve_point(alpha, float(p), n, settings,
+                                   cross_check=False)[1]}
+            for p in p_values]

@@ -56,13 +56,15 @@ __all__ = [
 # d - c r^(alpha+2) there, and its higher derivatives blow up at 0.
 _RESIDUAL_AUDIT_RMIN = 5e-3
 
-# 5-point Gauss-Legendre rule on [0, 1].
-_GAUSS_X = 0.5 * (1.0 + np.array(
-    [-0.9061798459386640, -0.5384693101056831, 0.0,
-     0.5384693101056831, 0.9061798459386640]))
-_GAUSS_W = 0.5 * np.array(
-    [0.2369268850561891, 0.4786286704993665, 0.5688888888888889,
-     0.4786286704993665, 0.2369268850561891])
+
+def gauss_legendre_01(points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the ``points``-point Gauss-Legendre rule on
+    [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(points)
+    return 0.5 * (1.0 + x), 0.5 * w
+
+
+_GAUSS_X, _GAUSS_W = gauss_legendre_01(5)
 
 
 def _power(u, p):
@@ -305,8 +307,23 @@ def _output_grid(nodal_radii: np.ndarray, settings: Settings) -> np.ndarray:
     n_geo = int(math.ceil(math.log(spacing / settings.grid_geo_rmin)
                           / settings.grid_geo_step))
     geo = settings.grid_geo_rmin * np.exp(settings.grid_geo_step * np.arange(n_geo))
-    pts = list(np.concatenate(([0.0], geo[geo < 0.75 * spacing], uniform[1:])))
-    for z in nodal_radii[:-1]:  # the last nodal radius is exactly 1.0
+    base = np.concatenate(([0.0], geo[geo < 0.75 * spacing], uniform[1:]))
+    return insert_nodes(base, nodal_radii[:-1])  # the last one is exactly 1.0
+
+
+def insert_nodes(base: np.ndarray, radii) -> np.ndarray:
+    """Make ``radii`` nodes of the increasing mesh ``base``.
+
+    A radius closer to an interior node than a quarter of the local gap
+    replaces that node; any other radius is inserted, so spacing never
+    degenerates.  Radii outside the open interval (base[0], base[-1]) are
+    skipped.
+    """
+    pts = list(base)
+    for z in radii:
+        z = float(z)
+        if z <= pts[0] or z >= pts[-1]:
+            continue
         i = int(np.searchsorted(pts, z))
         gap = pts[i] - pts[i - 1]
         if z - pts[i - 1] < 0.25 * gap and i - 1 > 0:

@@ -45,7 +45,12 @@ from scipy.linalg.lapack import dstebz
 
 from .config import DEFAULT, Settings
 from .errors import NonConvergenceError, UsageError
-from .radial import RadialProfile, evaluate_profile
+from .radial import (
+    RadialProfile,
+    evaluate_profile,
+    gauss_legendre_01,
+    insert_nodes,
+)
 
 __all__ = [
     "SchrodingerProblem",
@@ -66,10 +71,7 @@ _MAX_INERTIA_LEVELS = 4
 _TINY = float(np.finfo(float).tiny)
 
 # 4-point Gauss-Legendre rule on [0, 1], used for element integrals.
-_GX = 0.5 * (1.0 + np.array([-0.8611363115940526, -0.3399810435848563,
-                             0.3399810435848563, 0.8611363115940526]))
-_GW = 0.5 * np.array([0.3478548451374538, 0.6521451548625461,
-                      0.6521451548625461, 0.3478548451374538])
+_GX, _GW = gauss_legendre_01(4)
 
 
 @dataclass
@@ -292,25 +294,6 @@ def tridiagonal_negative_inertia(diag: np.ndarray, off: np.ndarray) -> int:
     return int(m)
 
 
-def _insert_points(base: np.ndarray, extra) -> np.ndarray:
-    """Insert radii into a mesh, replacing the nearest node when closer
-    than a quarter of the local gap (so spacing never degenerates)."""
-    pts = list(base)
-    for z in extra:
-        z = float(z)
-        if z <= pts[0] or z >= pts[-1]:
-            continue
-        i = int(np.searchsorted(pts, z))
-        gap = pts[i] - pts[i - 1]
-        if z - pts[i - 1] < 0.25 * gap and i - 1 > 0:
-            pts[i - 1] = z
-        elif pts[i] - z < 0.25 * gap and i < len(pts) - 1:
-            pts[i] = z
-        else:
-            pts.insert(i, z)
-    return np.asarray(pts)
-
-
 def _mode_form_tridiagonal(
     nodes: np.ndarray,
     profile: RadialProfile,
@@ -361,7 +344,7 @@ def radial_morse_index(profile: RadialProfile, settings: Settings = DEFAULT) -> 
     cells = settings.radial_mesh_cells
     for level in range(_MAX_INERTIA_LEVELS):
         base = np.linspace(0.0, 1.0, cells * 2**level + 1)
-        nodes = _insert_points(base, profile.nodal_radii[:-1])
+        nodes = insert_nodes(base, profile.nodal_radii[:-1])
         diag, off = _mode_form_tridiagonal(nodes, profile, k2=0.0)
         count = tridiagonal_negative_inertia(diag[:-1], off[:-1])
         counts.append(count)
@@ -393,7 +376,7 @@ def mode_negative_count(profile: RadialProfile, k: int, settings: Settings = DEF
         base = np.exp(-step * np.arange(n_geo + 1))[::-1]
         base[0] = settings.mode_mesh_rmin
         base[-1] = 1.0
-        nodes = _insert_points(base, profile.nodal_radii[:-1])
+        nodes = insert_nodes(base, profile.nodal_radii[:-1])
         diag, off = _mode_form_tridiagonal(nodes, profile, k2=float(k * k))
         count = tridiagonal_negative_inertia(diag[1:-1], off[1:-1])
         counts.append(count)

@@ -42,17 +42,13 @@ from .radial import (
 )
 
 __all__ = [
-    "KappaMap",
     "TestFunction",
     "ComparisonRow",
     "ComparisonReport",
-    "radial_map",
     "transform_solution",
     "quadratic_form",
-    "dirichlet_energy",
     "verify_form_comparison",
     "default_battery",
-    "first_nodal_truncation",
     "adaptive_quadrature",
 ]
 
@@ -60,30 +56,6 @@ __all__ = [
 # g^2/r has a removable singularity there (g(0) = 0), and the inset avoids
 # evaluating the limit.  The neglected mass is below inset * sup|integrand|.
 _QUAD_INSET = 1e-13
-
-
-@dataclass(frozen=True)
-class KappaMap:
-    """The radial power map r -> r^kappa on [0, 1]."""
-
-    kappa: float
-
-    def __post_init__(self):
-        if not (self.kappa > 0.0 and math.isfinite(self.kappa)):
-            raise UsageError(f"kappa must be finite and > 0, got {self.kappa}")
-
-    def __call__(self, r):
-        return np.asarray(r, dtype=float) ** self.kappa if np.ndim(r) else r**self.kappa
-
-    def inverse(self) -> "KappaMap":
-        return KappaMap(1.0 / self.kappa)
-
-
-def radial_map(kappa: float, r: float) -> float:
-    """Apply the radial power map: r -> r^kappa (0 maps to 0)."""
-    if r < 0.0:
-        raise UsageError(f"radius must be >= 0, got {r}")
-    return float(KappaMap(kappa)(r))
 
 
 @dataclass(frozen=True)
@@ -108,7 +80,6 @@ class TestFunction:
 
     def compose_radial(self, kappa: float) -> "TestFunction":
         """Radial composition with the power map: g(r) becomes g(r^kappa)."""
-        kmap = KappaMap(kappa)
         base_g, base_dg = self.g, self.dg
 
         def g(r):
@@ -155,28 +126,6 @@ def default_battery() -> list[TestFunction]:
                     dg=(lambda r, g=g, dg=dg: g(r) + r * dg(r)),
                 ))
     return battery
-
-
-def first_nodal_truncation(profile: RadialProfile) -> TestFunction:
-    """The profile's own restriction to its first nodal set, extended by 0.
-
-    A classical negative direction for the quadratic form: since the
-    restriction solves the equation on its nodal set, Q evaluates to
-    (1 - p) * p int r^(1+alpha) |u|^(p+1) < 0 for p > 1.
-    """
-    z1 = float(profile.nodal_radii[0])
-
-    def g(r):
-        r = np.asarray(r, dtype=float)
-        u, _ = evaluate_profile(profile, r)
-        return np.where(r < z1, u, 0.0)
-
-    def dg(r):
-        r = np.asarray(r, dtype=float)
-        _, du = evaluate_profile(profile, r)
-        return np.where(r < z1, du, 0.0)
-
-    return TestFunction(name="first_nodal_restriction", angular_mode=0, g=g, dg=dg)
 
 
 def adaptive_quadrature(
@@ -240,10 +189,9 @@ def adaptive_quadrature(
     )
 
 
-def _form_breakpoints(profile: RadialProfile | None) -> np.ndarray:
+def _form_breakpoints(profile: RadialProfile) -> np.ndarray:
     pts = [_QUAD_INSET]
-    if profile is not None:
-        pts.extend(float(z) for z in profile.nodal_radii[:-1] if z > _QUAD_INSET)
+    pts.extend(float(z) for z in profile.nodal_radii[:-1] if z > _QUAD_INSET)
     pts.append(1.0)
     return np.unique(np.asarray(pts))
 
@@ -281,23 +229,6 @@ def quadratic_form(
 
     return _angular_constant(k) * adaptive_quadrature(
         integrand, _form_breakpoints(profile), settings.quad_rel_tol)
-
-
-def dirichlet_energy(w: TestFunction, settings: Settings = DEFAULT) -> float:
-    """The Dirichlet energy of w = g(r) cos(k theta) over the unit disk."""
-    _check_test_function(w)
-    k2 = float(w.angular_mode**2)
-
-    def integrand(r):
-        dg = w.dg(r)
-        val = (dg * dg) * r
-        if k2:
-            g = w.g(r)
-            val = val + k2 * (g * g) / r
-        return val
-
-    return _angular_constant(w.angular_mode) * adaptive_quadrature(
-        integrand, _form_breakpoints(None), settings.quad_rel_tol)
 
 
 def transform_solution(

@@ -34,8 +34,13 @@ import numpy as np
 
 from .config import DEFAULT, Settings
 from .errors import UsageError
-from .morse import assemble_morse, check_lower_bounds, large_exponent_probe
-from .radial import HenonParams, evaluate_profile, solve_nodal
+from .morse import (
+    assemble_morse,
+    check_lower_bounds,
+    large_exponent_probe,
+    solve_point,
+)
+from .radial import evaluate_profile
 from .spectrum import SchrodingerProblem, fd_negative_eigenvalues, negative_spectrum
 from .transform import transform_solution, verify_form_comparison
 
@@ -110,8 +115,7 @@ class BatterySummary:
 
 def _companion_task(args):
     (p, n), settings = args
-    profile = solve_nodal(HenonParams(alpha=0.0, p=p, n_nodal=n), settings)
-    return (p, n), profile, assemble_morse(profile, settings)
+    return ((p, n), *solve_point(0.0, p, n, settings))
 
 
 def _point_task(args):
@@ -119,8 +123,7 @@ def _point_task(args):
     if alpha == 0.0:
         profile, report = companion_profile, companion_report
     else:
-        profile = solve_nodal(HenonParams(alpha=alpha, p=p, n_nodal=n), settings)
-        report = assemble_morse(profile, settings)
+        profile, report = solve_point(alpha, p, n, settings)
 
     transformed = transform_solution(companion_profile, alpha, settings)
     rs = np.linspace(0.0, 1.0, 4097)
@@ -146,9 +149,15 @@ def _point_task(args):
 
 
 def _run_tasks(fn, tasks, jobs):
-    if jobs is None or jobs <= 1 or len(tasks) <= 1:
+    """``[fn(task) for task in tasks]``, in order, on up to ``jobs`` worker
+    processes (None: serial).  No more workers start than there are
+    tasks."""
+    if jobs is not None and jobs < 1:
+        raise UsageError("jobs must be at least 1", {"jobs": jobs})
+    workers = min(jobs or 1, len(tasks))
+    if workers <= 1:
         return [fn(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks))
 
 

@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 import henon_morse.cli as cli
+import henon_morse.morse as morse_mod
+import henon_morse.verify as verify_mod
 from henon_morse import (
     DEFAULT,
     BoundCheck,
@@ -273,6 +275,102 @@ class TestCliExitCodes:
         assert doc["eig_tol"] == 1e-6
 
 
+class TestCliMorseWork:
+    """The solves one ``morse`` point costs: its own, then the alpha = 0
+    companion when alpha != 0, and nothing after a failed point."""
+
+    @pytest.fixture
+    def solved_alphas(self, monkeypatch):
+        alphas = []
+        real = morse_mod.solve_nodal
+
+        def spy(params, *args, **kwargs):
+            alphas.append(params.alpha)
+            return real(params, *args, **kwargs)
+
+        monkeypatch.setattr(morse_mod, "solve_nodal", spy)
+        return alphas
+
+    def test_unweighted_point_is_its_own_companion(self, solved_alphas, capsys):
+        assert cli.main(["morse", "--alpha", "0", "--p", "3",
+                         "--nodes", "1"]) == 0
+        assert solved_alphas == [0.0]
+
+    def test_weighted_point_solves_its_companion(self, solved_alphas, capsys):
+        assert cli.main(["morse", "--alpha", "1", "--p", "3",
+                         "--nodes", "1"]) == 0
+        assert solved_alphas == [1.0, 0.0]
+
+    def test_failed_point_solves_no_companion(self, solved_alphas, capsys,
+                                              monkeypatch):
+        def failing(profile, *args, **kwargs):
+            raise NonConvergenceError("injected", {"alpha": profile.params.alpha})
+
+        monkeypatch.setattr(morse_mod, "assemble_morse", failing)
+        assert cli.main(["morse", "--alpha", "1", "--p", "3",
+                         "--nodes", "1"]) == 2
+        assert solved_alphas == [1.0]
+        diag = json.loads(capsys.readouterr().err)
+        assert diag["error"] == "NonConvergenceError"
+        assert diag["context"] == {"alpha": 1.0}
+
+
+class TestWorkerPool:
+    """``--jobs`` bounds: never more workers than tasks, and N >= 1.  The
+    executor is replaced by a serial fake, so no process starts."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        sizes = []
+
+        class FakeExecutor:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", FakeExecutor)
+        return sizes
+
+    def test_workers_capped_at_task_count(self, pools):
+        assert verify_mod._run_tasks(abs, [-1, -2, -3, -4], 64) == [1, 2, 3, 4]
+        assert verify_mod._run_tasks(abs, [-1, -2, -3, -4], 2) == [1, 2, 3, 4]
+        assert pools == [4, 2]
+
+    def test_one_worker_or_one_task_runs_in_process(self, pools):
+        assert verify_mod._run_tasks(abs, [-1, -2], None) == [1, 2]
+        assert verify_mod._run_tasks(abs, [-1, -2], 1) == [1, 2]
+        assert verify_mod._run_tasks(abs, [-1], 8) == [1]
+        assert pools == []
+
+    def test_sweep_jobs_capped_at_point_count(self, pools, tmp_path, capsys):
+        assert cli.main(["sweep", "--p", "3", "--nodes", "1",
+                         "--alphas", "0,1,2", "--csv", str(tmp_path / "s.csv"),
+                         "--jobs", "64"]) == 0
+        assert pools == [3]
+
+    @pytest.mark.parametrize("command", [
+        ["sweep", "--p", "3", "--nodes", "1", "--alphas", "0,1",
+         "--csv", "unused.csv"],
+        ["verify", "--grid", "quick"],
+    ])
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_is_usage(self, pools, tmp_path, monkeypatch,
+                                     capsys, command, jobs):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(command + ["--jobs", jobs]) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "UsageError"
+        assert pools == []
+        assert not (tmp_path / "unused.csv").exists()
+
+
 class TestCliSweep:
     def test_artifacts_and_jobs_determinism(self, tmp_path, capsys):
         csv1, csv2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
@@ -314,16 +412,16 @@ class TestCliSweep:
 
     def test_failing_points_keep_finished_rows(self, tmp_path, capsys,
                                                monkeypatch):
-        real = cli._sweep_point
+        real = cli.solve_point
         injected = {1.0: NonConvergenceError("injected", {"alpha": 1.0}),
                     2.0: TwoRouteError("injected", {"alpha": 2.0})}
 
-        def flaky(task):
-            if task[0] in injected:
-                raise injected[task[0]]
-            return real(task)
+        def flaky(alpha, p, n, settings):
+            if alpha in injected:
+                raise injected[alpha]
+            return real(alpha, p, n, settings)
 
-        monkeypatch.setattr(cli, "_sweep_point", flaky)
+        monkeypatch.setattr(cli, "solve_point", flaky)
         csv, out = tmp_path / "s.csv", tmp_path / "s.json"
         code = cli.main(["sweep", "--p", "3", "--nodes", "1",
                          "--alphas", "0,1,2,3", "--csv", str(csv),
@@ -354,6 +452,14 @@ class TestCliVerify:
         doc = load_json(out)
         assert doc["pass"] is True
         assert [s["criterion"] for s in doc["sections"]] == list(range(1, 10))
+
+        # worker processes leave the document as it is, apart from timing
+        out2 = tmp_path / "battery2.json"
+        assert cli.main(["verify", "--grid", "quick", "--out", str(out2),
+                         "--jobs", "2"]) == 0
+        doc2 = load_json(out2)
+        del doc["elapsed_seconds"], doc2["elapsed_seconds"]
+        assert dumps_canonical(doc2) == dumps_canonical(doc)
 
     def test_unknown_grid_is_usage(self, capsys):
         assert cli.main(["verify", "--grid", "bogus"]) == 3

@@ -18,6 +18,7 @@ import math
 import numpy as np
 import pytest
 
+import henon_morse.cli as cli
 import henon_morse.morse as morse_mod
 from henon_morse import (
     HenonParams,
@@ -27,8 +28,9 @@ from henon_morse import (
     assemble_morse,
     check_lower_bounds,
     large_exponent_probe,
-    monotonicity_sweep,
     solve_nodal,
+    solve_point,
+    sweep_from_reports,
 )
 from henon_morse.spectrum import RadialSpectrum
 
@@ -161,8 +163,9 @@ class TestLowerBounds:
 
 
 class TestSweepAndProbe:
-    def test_monotone_sweep(self):
-        sweep = monotonicity_sweep([0.0, 1.0, 2.0], p=3.0, n=2)
+    def test_monotone_sweep(self, report_032, report_232):
+        _, report_132 = solve_point(1.0, 3.0, 2)
+        sweep = sweep_from_reports([report_032, report_132, report_232])
         assert [r.m_total for r in sweep.reports] == [8, 14, 18]
         assert sweep.monotone
         assert len(sweep.transitions) == 2
@@ -170,21 +173,24 @@ class TestSweepAndProbe:
         payload = json.dumps(sweep.to_dict())
         assert json.loads(payload)["monotone"] is True
 
-    def test_sweep_sorts_alphas(self):
-        sweep = monotonicity_sweep([2.0, 0.0], p=3.0, n=2)
-        assert [r.params.alpha for r in sweep.reports] == [0.0, 2.0]
+    def test_sweep_sorts_alphas(self, tmp_path, capsys):
+        csv = tmp_path / "s.csv"
+        assert cli.main(["sweep", "--p", "3", "--nodes", "2",
+                         "--alphas", "2,0", "--csv", str(csv)]) == 0
+        rows = csv.read_text().splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == ["0.0", "2.0"]
 
-    def test_sweep_needs_two_points(self):
+    def test_sweep_needs_two_points(self, report_032):
         with pytest.raises(UsageError):
-            monotonicity_sweep([1.0], p=3.0, n=2)
+            sweep_from_reports([report_032])
 
     def test_probe_is_single_route_and_consistent(self):
         rows = large_exponent_probe([5.0, 15.0], alpha=0.0, n=2)
         assert [row["report"].m_total for row in rows] == [10, 12]
-        for row in rows:
+        for p, row in zip([5.0, 15.0], rows):
+            assert row.keys() == {"p", "report"}
+            assert row["p"] == p
             rep = row["report"]
+            assert rep.params.p == p
             assert not rep.cross_checked
             assert rep.route_b_total is None
-            assert row["half_gap"] == (rep.m_total - rep.m_rad) // 2
-            assert row["half_gap_even"] == (row["half_gap"] % 2 == 0)
-            assert row["reaches_asymptotic_gap"] == (row["half_gap"] >= 2)

@@ -9,14 +9,10 @@ import pytest
 from henon_morse import HenonParams, UsageError, evaluate_profile, solve_nodal
 from henon_morse.config import DEFAULT
 from henon_morse.transform import (
-    KappaMap,
     TestFunction,
     adaptive_quadrature,
     default_battery,
-    dirichlet_energy,
-    first_nodal_truncation,
     quadratic_form,
-    radial_map,
     transform_solution,
     verify_form_comparison,
 )
@@ -24,26 +20,47 @@ from henon_morse.transform import (
 import dataclasses
 
 
+def dirichlet_energy(w):
+    """Oracle: the Dirichlet energy of w = g(r) cos(k theta) over the unit
+    disk, c_k int_0^1 [g'^2 + k^2 g^2 / r^2] r dr with c_0 = 2 pi and
+    c_k = pi for k >= 1."""
+    k2 = float(w.angular_mode**2)
+
+    def integrand(r):
+        dg = w.dg(r)
+        val = (dg * dg) * r
+        if k2:
+            g = w.g(r)
+            val = val + k2 * (g * g) / r
+        return val
+
+    c_k = 2.0 * np.pi if w.angular_mode == 0 else np.pi
+    return c_k * adaptive_quadrature(integrand, [1e-13, 1.0])
+
+
+def first_nodal_truncation(profile):
+    """Oracle: the profile's own restriction to its first nodal set,
+    extended by 0.  A classical negative direction for the quadratic form:
+    since the restriction solves the equation on its nodal set, Q evaluates
+    to 2 pi (1 - p) int r^(1+alpha) |u|^(p+1) < 0 for p > 1."""
+    z1 = float(profile.nodal_radii[0])
+
+    def g(r):
+        r = np.asarray(r, dtype=float)
+        u, _ = evaluate_profile(profile, r)
+        return np.where(r < z1, u, 0.0)
+
+    def dg(r):
+        r = np.asarray(r, dtype=float)
+        _, du = evaluate_profile(profile, r)
+        return np.where(r < z1, du, 0.0)
+
+    return TestFunction(name="first_nodal_restriction", angular_mode=0, g=g, dg=dg)
+
+
 @pytest.fixture(scope="module")
 def profile_032():
     return solve_nodal(HenonParams(0.0, 3.0, 2))
-
-
-def test_radial_map_basics():
-    assert radial_map(1.0, 0.7) == 0.7
-    assert radial_map(2.0, 0.5) == 0.25
-    assert radial_map(1.0 / 3.0, radial_map(3.0, 0.2)) == pytest.approx(0.2, rel=1e-15)
-    assert radial_map(2.5, 0.0) == 0.0
-    with pytest.raises(UsageError):
-        radial_map(0.0, 0.5)
-    with pytest.raises(UsageError):
-        radial_map(2.0, -0.1)
-
-
-def test_kappa_map_inverse_roundtrip():
-    m = KappaMap(1.7)
-    r = np.linspace(0.0, 1.0, 11)
-    assert np.allclose(m.inverse()(m(r)), r, atol=1e-15)
 
 
 def test_transform_identity_when_beta_equals_alpha(profile_032):
