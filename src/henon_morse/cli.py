@@ -34,7 +34,6 @@ from typing import get_type_hints
 from .config import DEFAULT, Settings
 from .errors import (
     HenonMorseError,
-    NonConvergenceError,
     UsageError,
     VerificationError,
 )
@@ -327,9 +326,6 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(_diagnostic(exc), file=sys.stderr)
         return 1
-    except NonConvergenceError as exc:
-        print(_diagnostic(exc), file=sys.stderr)
-        return 2
     except HenonMorseError as exc:
         print(_diagnostic(exc), file=sys.stderr)
         return 2

@@ -45,10 +45,9 @@ class Settings:
         Comparison tolerance for quadratic-form identities, relative to
         1 + |Q|.
     mode_mesh_ratio, mode_mesh_rmin:
-        Geometric mesh for the mode-wise finite element counts: node ratio
-        and innermost radius.
-    radial_mesh_cells:
-        Base cell count of the uniform mesh for the radial index count.
+        Geometric mesh for the r-coordinate finite element counts of every
+        angular mode k, the radial count k = 0 included: node ratio and
+        innermost radius.
     grid_geo_rmin, grid_geo_step:
         Geometric augmentation of the profile grid near the origin:
         innermost radius and log-spacing of the extra nodes.  These resolve
@@ -72,7 +71,6 @@ class Settings:
     form_tol: float = 1e-7
     mode_mesh_ratio: float = 1.02
     mode_mesh_rmin: float = 1e-8
-    radial_mesh_cells: int = 2048
     grid_geo_rmin: float = 1e-12
     grid_geo_step: float = 0.1
     shoot_tmax: float = 46.0

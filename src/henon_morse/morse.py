@@ -154,37 +154,33 @@ def assemble_morse(profile: RadialProfile, settings: Settings = DEFAULT,
     counts of the k-mode quadratic forms assembled in r-coordinates, one
     for k = 0 (the radial index) and one per k = 1..k_max.  Any mismatch
     raises TwoRouteError; a |lambda_j + k^2| too small to call at the
-    working tolerance triggers one recomputation at 100x tighter tolerance
+    working tolerance triggers one recomputation at 10x tighter tolerance
     before giving up.
     """
-    spectrum = negative_spectrum(build_schrodinger(profile, settings), settings)
-    lambdas = spectrum.lambdas
-    if lambdas.size == 0:
-        raise NonConvergenceError(
-            "no negative radial eigenvalues found for a nodal solution",
-            {"alpha": profile.params.alpha, "p": profile.params.p,
-             "n_nodal": profile.params.n_nodal},
-        )
-    k_max = math.ceil(math.sqrt(-float(lambdas[0])))
-    eig_tol = settings.eig_tol
-
-    if _tie_distance(lambdas, k_max) < 10.0 * eig_tol:
-        # A sign decision lambda_j + k^2 <> 0 sits within 10x the eigenvalue
-        # accuracy.  Tighten by one decade (more would chase the eigensolver's
-        # own roundoff floor) and insist the decision clears the new guard.
-        tightened = replace(settings, eig_tol=eig_tol / 10.0)
-        spectrum = negative_spectrum(build_schrodinger(profile, tightened), tightened)
+    # A sign decision lambda_j + k^2 <> 0 within 10x the eigenvalue accuracy
+    # gets one more pass, tightened by one decade (more would chase the
+    # eigensolver's own roundoff floor); the second pass must clear its guard.
+    for attempt in (settings, replace(settings, eig_tol=settings.eig_tol / 10.0)):
+        spectrum = negative_spectrum(build_schrodinger(profile, attempt), attempt)
         lambdas = spectrum.lambdas
-        k_max = math.ceil(math.sqrt(-float(lambdas[0])))
-        eig_tol = tightened.eig_tol
-        if _tie_distance(lambdas, k_max) < 10.0 * eig_tol:
+        if lambdas.size == 0:
             raise NonConvergenceError(
-                "an eigenvalue sits numerically on a -k^2 threshold; the "
-                "angular decomposition cannot be decided at this tolerance",
-                {"lambdas": [float(x) for x in lambdas],
-                 "scaled_tie_distance": _tie_distance(lambdas, k_max),
-                 "eig_tol": eig_tol},
+                "no negative radial eigenvalues found for a nodal solution",
+                {"alpha": profile.params.alpha, "p": profile.params.p,
+                 "n_nodal": profile.params.n_nodal},
             )
+        k_max = math.ceil(math.sqrt(-float(lambdas[0])))
+        tie_distance = _tie_distance(lambdas, k_max)
+        if tie_distance >= 10.0 * attempt.eig_tol:
+            break
+    else:
+        raise NonConvergenceError(
+            "an eigenvalue sits numerically on a -k^2 threshold; the "
+            "angular decomposition cannot be decided at this tolerance",
+            {"lambdas": [float(x) for x in lambdas],
+             "scaled_tie_distance": tie_distance,
+             "eig_tol": attempt.eig_tol},
+        )
 
     counts_per_k = _decomposition_counts(lambdas, k_max)
     negative_modes = tuple(
@@ -227,10 +223,10 @@ def assemble_morse(profile: RadialProfile, settings: Settings = DEFAULT,
     m_total = m_rad + 2 * sum(counts_per_k)
     tolerances = dict(profile.tolerances)
     tolerances.update({
-        "eig_tol": eig_tol,
+        "eig_tol": attempt.eig_tol,
         "spectrum_T": spectrum.T,
         "spectrum_M": spectrum.M,
-        "scaled_tie_distance": _tie_distance(lambdas, k_max),
+        "scaled_tie_distance": tie_distance,
     })
     return MorseReport(
         params=profile.params,

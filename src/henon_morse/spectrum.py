@@ -25,8 +25,11 @@ of the negative eigenvalues.  This module computes:
 
 * ``mode_negative_count``: for an angular mode k >= 1, the count of
   negative eigenvalues of the k-mode operator (the radial operator plus
-  k^2/r^2), again by inertia in r-coordinates on a geometric mesh.
+  k^2/r^2), again by inertia in r-coordinates.
 
+Both counts run on one mesh family, geometric toward the origin from
+``mode_mesh_rmin`` to 1, with Dirichlet at r = 1.  At ``mode_mesh_rmin``
+the k >= 1 modes are Dirichlet and k = 0 keeps its natural condition.
 Each inertia count is one LAPACK Sturm count, ``tridiagonal_negative_inertia``.
 The r-coordinate counts share no discretization machinery with the
 t-coordinate route, which is what makes the cross-validation in the Morse
@@ -330,45 +333,19 @@ def _mode_form_tridiagonal(
     return diag, off
 
 
-def radial_morse_index(profile: RadialProfile, settings: Settings = DEFAULT) -> int:
-    """Negative-eigenvalue count of the regular radial linearized operator.
+def _fem_negative_count(profile: RadialProfile, k: int, settings: Settings) -> int:
+    """Negative-eigenvalue count of the angular-mode-k form, by inertia.
 
-    Weak form int r psi' phi' - p int r^(1+alpha) |u|^(p-1) psi phi on
-    radial H^1 functions vanishing at r = 1 (natural condition at r = 0,
-    so the origin node is retained).  The count is the matrix inertia; the
-    positive-definite r-weighted mass never changes signs, so no pencil
-    solve is needed.  The mesh is uniform with the nodal radii inserted,
-    and the count must agree on two consecutive refinements.
+    The P1 form of ``_mode_form_tridiagonal`` is assembled on a mesh
+    geometric toward the origin: log step log(mode_mesh_ratio) / 2^level
+    from ``mode_mesh_rmin`` to 1, with the nodal radii inserted.  r = 1 is
+    Dirichlet.  At ``mode_mesh_rmin`` a mode k >= 1 is Dirichlet too (the
+    k^2/r^2 term forces decay at 0), while k = 0 keeps its natural
+    condition, so that node stays in the count.  The positive r-weighted
+    mass never changes signs, so the count is the matrix inertia; it must
+    agree on two consecutive levels.
     """
-    counts = []
-    cells = settings.radial_mesh_cells
-    for level in range(_MAX_INERTIA_LEVELS):
-        base = np.linspace(0.0, 1.0, cells * 2**level + 1)
-        nodes = insert_nodes(base, profile.nodal_radii[:-1])
-        diag, off = _mode_form_tridiagonal(nodes, profile, k2=0.0)
-        count = tridiagonal_negative_inertia(diag[:-1], off[:-1])
-        counts.append(count)
-        if len(counts) >= 2 and counts[-1] == counts[-2]:
-            return count
-    raise NonConvergenceError(
-        "radial inertia count did not stabilize under mesh refinement",
-        {"counts": counts, "alpha": profile.params.alpha,
-         "p": profile.params.p, "n_nodal": profile.params.n_nodal},
-    )
-
-
-def mode_negative_count(profile: RadialProfile, k: int, settings: Settings = DEFAULT) -> int:
-    """Negative-eigenvalue count of the angular-mode-k radial operator.
-
-    The k-mode operator adds k^2/r^2 to the radial operator; its form is
-    assembled in r-coordinates on a mesh geometric toward the origin
-    (nodes at ratio ``mode_mesh_ratio`` from 1 down to ``mode_mesh_rmin``,
-    Dirichlet at both ends -- the k^2/r^2 term forces decay at 0).  This
-    route shares nothing with the log-variable discretization, making it
-    an independent check on the eigenvalue decomposition.
-    """
-    if not (isinstance(k, int) and k >= 1):
-        raise UsageError(f"k must be an integer >= 1, got {k}")
+    first = 0 if k == 0 else 1
     counts = []
     for level in range(_MAX_INERTIA_LEVELS):
         step = math.log(settings.mode_mesh_ratio) / 2**level
@@ -378,7 +355,7 @@ def mode_negative_count(profile: RadialProfile, k: int, settings: Settings = DEF
         base[-1] = 1.0
         nodes = insert_nodes(base, profile.nodal_radii[:-1])
         diag, off = _mode_form_tridiagonal(nodes, profile, k2=float(k * k))
-        count = tridiagonal_negative_inertia(diag[1:-1], off[1:-1])
+        count = tridiagonal_negative_inertia(diag[first:-1], off[first:-1])
         counts.append(count)
         if len(counts) >= 2 and counts[-1] == counts[-2]:
             return count
@@ -387,3 +364,28 @@ def mode_negative_count(profile: RadialProfile, k: int, settings: Settings = DEF
         {"counts": counts, "k": k, "alpha": profile.params.alpha,
          "p": profile.params.p, "n_nodal": profile.params.n_nodal},
     )
+
+
+def radial_morse_index(profile: RadialProfile, settings: Settings = DEFAULT) -> int:
+    """Negative-eigenvalue count of the regular radial linearized operator.
+
+    Weak form int r psi' phi' - p int r^(1+alpha) |u|^(p-1) psi phi on
+    radial H^1 functions vanishing at r = 1: the k = 0 count of
+    ``_fem_negative_count``, on the geometric mesh from ``mode_mesh_rmin``
+    to 1 with the natural condition at ``mode_mesh_rmin``.
+    """
+    return _fem_negative_count(profile, 0, settings)
+
+
+def mode_negative_count(profile: RadialProfile, k: int, settings: Settings = DEFAULT) -> int:
+    """Negative-eigenvalue count of the angular-mode-k radial operator.
+
+    The k-mode operator adds k^2/r^2 to the radial operator; its form is
+    assembled in r-coordinates on the geometric mesh of
+    ``_fem_negative_count``, Dirichlet at both ends.  This route shares
+    nothing with the log-variable discretization, making it an independent
+    check on the eigenvalue decomposition.
+    """
+    if not (isinstance(k, int) and k >= 1):
+        raise UsageError(f"k must be an integer >= 1, got {k}")
+    return _fem_negative_count(profile, k, settings)

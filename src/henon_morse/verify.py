@@ -9,7 +9,9 @@ toleranced comparisons:
 3. two_route                decomposition total == r-coordinate FEM total
 4. transform_correspondence profile mapped from alpha=0 matches the direct
                             solve (sup-norm), with identical index integers
-5. eigenvalue_scaling       even alpha: lambda_j = ((alpha+2)/2)^2 lambda_j(0)
+5. eigenvalue_scaling       lambda_j = ((alpha+2)/2)^2 lambda_j(0); the law
+                            holds at every alpha, and the battery checks
+                            it at alpha = 2 and 4
 6. form_comparison          quadratic-form inequality/identity on a test
                             function battery for alpha <= beta pairs
 7. lower_bounds             named integer lower bounds for m_total
@@ -73,9 +75,12 @@ class SectionResult:
     name: str
     criterion: int
     gating: bool
-    passed: bool
     summary: str
     rows: tuple
+
+    @property
+    def passed(self) -> bool:
+        return all(row["pass"] for row in self.rows)
 
     def to_dict(self) -> dict:
         return {
@@ -201,9 +206,8 @@ def _section_radial_identity(points) -> SectionResult:
         m_rad = data["report"].m_rad
         rows.append({"alpha": alpha, "p": p, "n": n, "m_rad": m_rad,
                      "pass": m_rad == n})
-    passed = all(r["pass"] for r in rows)
     return SectionResult(
-        name="radial_identity", criterion=1, gating=True, passed=passed,
+        name="radial_identity", criterion=1, gating=True,
         summary=f"m_rad == n at {sum(r['pass'] for r in rows)}/{len(rows)} grid points",
         rows=tuple(rows))
 
@@ -216,9 +220,8 @@ def _section_monotonicity(points, alphas, ps, ns) -> SectionResult:
             ok = all(b >= a for a, b in zip(ms, ms[1:]))
             rows.append({"p": p, "n": n, "alphas": list(alphas),
                          "m_totals": ms, "pass": ok})
-    passed = all(r["pass"] for r in rows)
     return SectionResult(
-        name="monotonicity", criterion=2, gating=True, passed=passed,
+        name="monotonicity", criterion=2, gating=True,
         summary=f"alpha -> m_total nondecreasing for {sum(r['pass'] for r in rows)}/{len(rows)} (p, n) pairs",
         rows=tuple(rows))
 
@@ -230,9 +233,8 @@ def _section_two_route(points) -> SectionResult:
         ok = rep.cross_checked and rep.route_b_total == rep.m_total
         rows.append({"alpha": alpha, "p": p, "n": n, "m_total": rep.m_total,
                      "route_b_total": rep.route_b_total, "pass": ok})
-    passed = all(r["pass"] for r in rows)
     return SectionResult(
-        name="two_route", criterion=3, gating=True, passed=passed,
+        name="two_route", criterion=3, gating=True,
         summary=f"decomposition == FEM total at {sum(r['pass'] for r in rows)}/{len(rows)} grid points",
         rows=tuple(rows))
 
@@ -246,10 +248,9 @@ def _section_transform(points) -> SectionResult:
                      "sup_rel_error": data["sup_rel_error"],
                      "reports_identical": data["transform_reports_identical"],
                      "pass": ok})
-    passed = all(r["pass"] for r in rows)
     worst = max(r["sup_rel_error"] for r in rows)
     return SectionResult(
-        name="transform_correspondence", criterion=4, gating=True, passed=passed,
+        name="transform_correspondence", criterion=4, gating=True,
         summary=(f"mapped-vs-direct profiles agree at "
                  f"{sum(r['pass'] for r in rows)}/{len(rows)} points "
                  f"(worst sup-norm rel err {worst:.2e})"),
@@ -275,10 +276,9 @@ def _section_scaling(points, alphas, ps, ns) -> SectionResult:
                 rows.append({"alpha": alpha, "p": p, "n": n, "factor": factor,
                              "max_rel_error": rel,
                              "pass": rel <= _SCALING_RTOL})
-    passed = all(r["pass"] for r in rows)
     worst = max((r["max_rel_error"] for r in rows), default=0.0)
     return SectionResult(
-        name="eigenvalue_scaling", criterion=5, gating=True, passed=passed,
+        name="eigenvalue_scaling", criterion=5, gating=True,
         summary=(f"lambda scaling holds at {sum(r['pass'] for r in rows)}/"
                  f"{len(rows)} even-alpha points (worst rel err {worst:.2e})"),
         rows=tuple(rows))
@@ -296,9 +296,8 @@ def _section_forms(points, alphas, settings) -> SectionResult:
             for r in comparison.rows:
                 rows.append({"alpha": a, "beta": b, "g_name": r.g_name,
                              "k": r.k, "slack": r.slack, "pass": r.passed})
-    passed = all(r["pass"] for r in rows)
     return SectionResult(
-        name="form_comparison", criterion=6, gating=True, passed=passed,
+        name="form_comparison", criterion=6, gating=True,
         summary=(f"quadratic-form comparison holds for "
                  f"{sum(r['pass'] for r in rows)}/{len(rows)} "
                  f"(pair, test function) combinations at p={_FORM_P:g}, n={_FORM_N}"),
@@ -313,9 +312,8 @@ def _section_lower_bounds(points, companions) -> SectionResult:
             rows.append({"alpha": alpha, "p": p, "n": n, "name": c.name,
                          "actual": c.value, "required": c.required,
                          "pass": c.satisfied})
-    passed = all(r["pass"] for r in rows)
     return SectionResult(
-        name="lower_bounds", criterion=7, gating=True, passed=passed,
+        name="lower_bounds", criterion=7, gating=True,
         summary=f"{sum(r['pass'] for r in rows)}/{len(rows)} bound instances hold",
         rows=tuple(rows))
 
@@ -353,9 +351,8 @@ def _section_square_well(settings) -> SectionResult:
                  "tolerance": _SQUARE_WELL_RAW_TOL,
                  "pass": bool(np.all(raw_err <= _SQUARE_WELL_RAW_TOL))})
 
-    passed = all(r["pass"] for r in rows)
     return SectionResult(
-        name="square_well", criterion=8, gating=True, passed=passed,
+        name="square_well", criterion=8, gating=True,
         summary=f"{sum(r['pass'] for r in rows)}/{len(rows)} square-well checks hold",
         rows=tuple(rows))
 
@@ -378,10 +375,9 @@ def _section_probe(settings) -> SectionResult:
             "matches_expected": gap == _PROBE_EXPECTED_GAP,
             "pass": gap % 2 == 0 and gap >= 2,
         })
-    passed = all(r["pass"] for r in rows)
     observed = ", ".join(f"p={r['p']:g}: gap={r['gap']}" for r in rows)
     return SectionResult(
-        name="large_exponent", criterion=9, gating=False, passed=passed,
+        name="large_exponent", criterion=9, gating=False,
         summary=(f"observational gaps [{observed}] vs expected large-p gap "
                  f"{_PROBE_EXPECTED_GAP} (logged, non-gating)"),
         rows=tuple(rows))

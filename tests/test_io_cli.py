@@ -267,6 +267,12 @@ class TestCliExitCodes:
         assert diag["error"] == "VerificationError"
         assert diag["context"]["failing"] == ["radial_count"]
 
+    def test_removed_radial_mesh_flag_is_usage(self, capsys):
+        code = cli.main(["morse", "--alpha", "0", "--p", "3", "--nodes", "1",
+                         "--radial-mesh-cells", "2048"])
+        assert code == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "UsageError"
+
     def test_settings_flag_reaches_solver(self, capsys):
         code = cli.main(["spectrum", "--alpha", "0", "--p", "3", "--nodes",
                          "1", "--eig-tol", "1e-6"])

@@ -111,6 +111,48 @@ class TestAssembly:
             assemble_morse(profile)
         assert "threshold" in str(err.value)
 
+    def test_tie_retry_tightens_eig_tol_once(self, monkeypatch):
+        profile = solve_nodal(HenonParams(alpha=0.0, p=3.0, n_nodal=1))
+        seen = []
+
+        def fake_spectrum(problem, settings):
+            seen.append(settings.eig_tol)
+            lam = -4.0 - (1e-12 if len(seen) == 1 else 1e-3)
+            return RadialSpectrum(lambdas=np.array([lam]), T=problem.T,
+                                  M=problem.M, eig_tol=settings.eig_tol)
+
+        monkeypatch.setattr(morse_mod, "negative_spectrum", fake_spectrum)
+        report = assemble_morse(profile, cross_check=False)
+        assert seen == [1e-8, 1e-9]
+        assert report.tolerances["eig_tol"] == 1e-9
+        assert report.tolerances["scaled_tie_distance"] == pytest.approx(1e-3 / 5.0)
+        assert report.mode_counts_per_k == (1, 1, 0)
+
+    def test_empty_tightened_spectrum_raises(self, monkeypatch):
+        profile = solve_nodal(HenonParams(alpha=0.0, p=3.0, n_nodal=1))
+        passes = []
+
+        def fake_spectrum(problem, settings):
+            passes.append(settings.eig_tol)
+            lambdas = [-4.0 - 1e-12] if len(passes) == 1 else []
+            return RadialSpectrum(lambdas=np.array(lambdas), T=problem.T,
+                                  M=problem.M, eig_tol=settings.eig_tol)
+
+        monkeypatch.setattr(morse_mod, "negative_spectrum", fake_spectrum)
+        with pytest.raises(NonConvergenceError) as err:
+            assemble_morse(profile)
+        assert len(passes) == 2
+        assert "no negative radial eigenvalues" in str(err.value)
+
+    @pytest.mark.xfail(strict=True, raises=TwoRouteError,
+                       reason="route B undercounts mode k = 27 at the default "
+                              "mode_mesh_ratio 1.02; 93 is the index certified "
+                              "with mode_mesh_ratio 1.005")
+    def test_known_route_b_undercount_at_553(self):
+        _, report = solve_point(5.0, 5.0, 3)
+        assert report.m_total == 93
+        assert report.route_b_total == 93
+
 
 class TestLowerBounds:
     def test_all_bounds_hold_with_companion(self, report_032, report_232):

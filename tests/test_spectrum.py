@@ -455,6 +455,22 @@ class TestCountIdentities:
         assert radial_morse_index(profile) == 0
         assert mode_negative_count(profile, 1) == 0
 
+    def test_radial_count_keeps_the_inner_node(self, monkeypatch, profile_032):
+        """k = 0 and k >= 1 share one geometric mesh per level; k = 0 keeps
+        its natural condition at mode_mesh_rmin, so its matrix has the one
+        extra row of that node."""
+        seen = record_calls(monkeypatch, "tridiagonal_negative_inertia")
+        radial_morse_index(profile_032)
+        radial_rows = [d.size for d, _ in seen]
+        seen.clear()
+        mode_negative_count(profile_032, 1)
+        mode_rows = [d.size for d, _ in seen]
+        assert len(radial_rows) == len(mode_rows) >= 2
+        assert radial_rows == [rows + 1 for rows in mode_rows]
+        step = math.log(DEFAULT.mode_mesh_ratio)
+        geometric = math.ceil(-math.log(DEFAULT.mode_mesh_rmin) / step) + 1
+        assert radial_rows[0] - 1 <= geometric <= radial_rows[0] + 1
+
     def test_mode_count_validates_k(self, profile_032):
         with pytest.raises(UsageError):
             mode_negative_count(profile_032, 0)
