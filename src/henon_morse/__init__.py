@@ -38,7 +38,6 @@ from .spectrum import (
     radial_morse_index,
 )
 from .transform import (
-    ComparisonReport,
     TestFunction,
     default_battery,
     quadratic_form,

@@ -15,11 +15,12 @@ per invocation without code changes.
 Exit codes: 0 success; 1 a mathematical assertion failed (the computation
 converged but contradicts a property that must hold); 2 a numerical
 procedure did not converge; 3 bad usage.  Failures print one diagnostic
-JSON object ``{"error", "message", "context"}`` to stderr.  Gating
-subcommands (``sweep``, ``verify``) write their artifacts before raising,
-so the evidence is on disk even when the verdict is bad; a sweep in which
-some points raise keeps the rows of the points that finished and exits
-with the first point's error.  ``--jobs N`` (``sweep``, ``verify``) needs
+JSON object ``{"error", "message", "context"}`` to stderr.  ``verify``
+writes its document whenever the battery runs to the end, also when a
+gate fails; a grid point that raises (``TwoRouteError``, say) stops the
+battery before any document exists.  A sweep in which some points raise
+keeps the rows of the points that finished and exits with the first
+point's error.  ``--jobs N`` (``sweep``, ``verify``) needs
 N >= 1 and starts no more worker processes than there are tasks.
 """
 

@@ -12,13 +12,15 @@ Document shapes:
 * profile:    {"alpha", "p", "n", "d", "grid", "u", "du", "nodal_radii",
                "tolerances"}
 * spectrum:   {"lambdas", "T", "M", "eig_tol"}
-* comparison: {"alpha", "beta", "kappa", "rows": [{"g_name", "k",
-               "Q_alpha", "Q_beta_of_wk", "kappa", "slack", "pass"}], "pass"}
 * morse:      {"alpha", "p", "n", "d", "m_rad", "lambdas",
                "angular_counts": [[k, ...], ...], "m_total",
                "route_b_total", "bounds": [{"name", "required", "actual",
                "pass"}], "details": {...}}
 * sweep CSV:  alpha, p, n, m_rad, m_total, lambda_1..lambda_J, bounds_pass
+
+Two documents are built outside this module and only emitted here: the
+sweep JSON (``morse.SweepResult.to_dict``) and the verification battery
+(``verify.BatterySummary.to_dict``).
 """
 
 from __future__ import annotations

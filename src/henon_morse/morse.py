@@ -121,15 +121,6 @@ class BoundCheck:
     satisfied: bool
     margin: int
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "value": self.value,
-            "required": self.required,
-            "satisfied": self.satisfied,
-            "margin": self.margin,
-        }
-
 
 def _tie_distance(lambdas: np.ndarray, k_max: int) -> float:
     """Smallest |lambda_j + k^2| / (1 + k^2) over the decision table: how
@@ -139,10 +130,6 @@ def _tie_distance(lambdas: np.ndarray, k_max: int) -> float:
     ks = np.arange(1, k_max + 1, dtype=float)
     scaled = np.abs(lambdas[:, None] + ks[None, :] ** 2) / (1.0 + ks[None, :] ** 2)
     return float(np.min(scaled))
-
-
-def _decomposition_counts(lambdas: np.ndarray, k_max: int) -> tuple:
-    return tuple(int(np.sum(lambdas + k * k < 0.0)) for k in range(1, k_max + 1))
 
 
 def assemble_morse(profile: RadialProfile, settings: Settings = DEFAULT,
@@ -182,10 +169,12 @@ def assemble_morse(profile: RadialProfile, settings: Settings = DEFAULT,
              "eig_tol": attempt.eig_tol},
         )
 
-    counts_per_k = _decomposition_counts(lambdas, k_max)
+    # negative[j, k-1]: lambda_j + k^2 < 0; both tabulations read this table
+    ks = range(1, k_max + 1)
+    negative = lambdas[:, None] + np.array(ks, dtype=float) ** 2 < 0.0
+    counts_per_k = tuple(int(c) for c in negative.sum(axis=0))
     negative_modes = tuple(
-        tuple(k for k in range(1, k_max + 1) if lam + k * k < 0.0)
-        for lam in lambdas)
+        tuple(k for k, neg in zip(ks, row) if neg) for row in negative)
     m_rad = int(lambdas.size)
 
     route_b_total = None

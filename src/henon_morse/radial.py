@@ -93,28 +93,25 @@ class HenonParams:
 class ShootingTrajectory:
     """One integration of the initial value problem u(0) = d > 0.
 
-    ``grid``/``u``/``du`` record the accepted integrator steps (prepended
-    with the exact origin values), ``zeros`` the ordered roots of u found
-    by event detection.  ``value`` evaluates (u, u') anywhere in
-    [0, grid[-1]] through the integrator's dense output, falling back to
-    the origin series below the series start radius.
+    ``r_end`` is the radius where integration stopped, ``zeros`` the
+    ordered roots of u found by event detection.  ``value`` evaluates
+    (u, u') anywhere in [0, r_end] through the integrator's dense output,
+    falling back to the origin series below the series start radius.
     """
 
     alpha: float
     p: float
     d: float
-    grid: np.ndarray
-    u: np.ndarray
-    du: np.ndarray
+    r_end: float
     zeros: np.ndarray
     _dense: object = field(repr=False)
     _eps: float = field(repr=False)
 
     def value(self, r):
         r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-        if r_arr.size and (r_arr.min() < 0.0 or r_arr.max() > self.grid[-1] * (1 + 1e-12)):
+        if r_arr.size and (r_arr.min() < 0.0 or r_arr.max() > self.r_end * (1 + 1e-12)):
             raise UsageError(
-                f"evaluation radius outside [0, {self.grid[-1]}]",
+                f"evaluation radius outside [0, {self.r_end}]",
                 {"r_min": float(r_arr.min()), "r_max": float(r_arr.max())},
             )
         u_out = np.empty_like(r_arr)
@@ -212,11 +209,8 @@ def integrate_ivp(
         keep = np.concatenate(([True], np.diff(zeros) > settings.root_tol))
         zeros = zeros[keep]
 
-    grid = np.concatenate(([0.0], sol.t))
-    u = np.concatenate(([d], sol.y[0]))
-    du = np.concatenate(([0.0], sol.y[1]))
     return ShootingTrajectory(
-        alpha=alpha, p=p, d=d, grid=grid, u=u, du=du, zeros=zeros,
+        alpha=alpha, p=p, d=d, r_end=float(sol.t[-1]), zeros=zeros,
         _dense=sol.sol, _eps=eps,
     )
 

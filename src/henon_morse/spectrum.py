@@ -222,14 +222,6 @@ class RadialSpectrum:
         if lam.size and not (np.all(lam < 0.0) and np.all(np.diff(lam) > 0.0)):
             raise UsageError("lambdas must be strictly increasing and negative")
 
-    def to_dict(self) -> dict:
-        return {
-            "lambdas": [float(x) for x in self.lambdas],
-            "T": self.T,
-            "M": self.M,
-            "eig_tol": self.eig_tol,
-        }
-
 
 def negative_spectrum(problem: SchrodingerProblem, settings: Settings = DEFAULT) -> RadialSpectrum:
     """All negative eigenvalues, extrapolated until mesh-converged.

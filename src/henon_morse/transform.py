@@ -20,7 +20,12 @@ independent 1-D quadrature after angular reduction,
 
     Q = c_k * int_0^1 [ g'^2 + k^2 g^2 / r^2 - p r^alpha |u|^(p-1) g^2 ] r dr,
 
-with c_0 = 2 pi and c_k = pi for k >= 1.
+with c_0 = 2 pi and c_k = pi for k >= 1.  ``verify_form_comparison`` takes
+one alpha profile and every beta >= alpha at once: it computes each
+Q_alpha(w) once, transforms the profile once per beta != alpha, and at
+beta = alpha (kappa = 1, where both sides are the same number) reuses
+Q_alpha(w).  It returns plain row dicts, the rows of the battery's
+form-comparison section.
 """
 
 from __future__ import annotations
@@ -43,8 +48,6 @@ from .radial import (
 
 __all__ = [
     "TestFunction",
-    "ComparisonRow",
-    "ComparisonReport",
     "transform_solution",
     "quadratic_form",
     "verify_form_comparison",
@@ -277,91 +280,49 @@ def transform_solution(
     return new
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    """One battery member's two-sided form comparison."""
-
-    g_name: str
-    k: int
-    Q_alpha: float
-    Q_beta_of_wk: float
-    kappa: float
-    slack: float
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "g_name": self.g_name,
-            "k": self.k,
-            "Q_alpha": self.Q_alpha,
-            "Q_beta_of_wk": self.Q_beta_of_wk,
-            "kappa": self.kappa,
-            "slack": self.slack,
-            "pass": self.passed,
-        }
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Battery-wide comparison of Q_beta(w_kappa) against kappa * Q_alpha(w)."""
-
-    alpha: float
-    beta: float
-    kappa: float
-    rows: tuple
-
-    @property
-    def passed(self) -> bool:
-        return all(row.passed for row in self.rows)
-
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "kappa": self.kappa,
-            "pass": self.passed,
-            "rows": [row.to_dict() for row in self.rows],
-        }
-
-
 def verify_form_comparison(
     profile_alpha: RadialProfile,
-    beta: float,
+    betas,
     battery: list[TestFunction] | None = None,
     settings: Settings = DEFAULT,
-) -> ComparisonReport:
-    """Check Q_beta(w_kappa) <= kappa * Q_alpha(w) over a battery.
+) -> list[dict]:
+    """Check Q_beta(w_kappa) <= kappa * Q_alpha(w) over a battery, for
+    every beta in ``betas``.
 
-    Requires beta >= alpha.  Each side is computed by its own quadrature:
-    the left on the transformed profile with the composed test function,
-    the right on the input profile.  For radial members (k = 0) the two
-    sides must agree within tolerance; for k >= 1 the inequality must hold
-    with slack bounded below by -tolerance.  Tolerance per member is
-    form_tol * (1 + |Q_alpha(w)|).
+    Every beta must be >= alpha.  Q_alpha(w) is computed once per battery
+    member on the input profile; the profile is transformed once per
+    beta != alpha, and Q_beta(w_kappa) is computed on it with the composed
+    test function.  At beta = alpha (kappa = 1) the profile and the test
+    function are the same, so Q_alpha(w) serves as both sides.  For radial
+    members (k = 0) the two sides must agree within tolerance; for k >= 1
+    the inequality must hold with slack bounded below by -tolerance.
+    Tolerance per member is form_tol * (1 + |Q_alpha(w)|).
+
+    Returns one row {"alpha", "beta", "g_name", "k", "slack", "pass"} per
+    (beta, member), beta-major in the order given.
     """
     alpha = profile_alpha.params.alpha
-    if beta < alpha - 1e-12:
-        raise UsageError(
-            f"the comparison requires beta >= alpha, got beta={beta}, alpha={alpha}")
+    betas = list(betas)
+    for beta in betas:
+        if beta < alpha - 1e-12:
+            raise UsageError(
+                f"the comparison requires beta >= alpha, got beta={beta}, alpha={alpha}")
     if battery is None:
         battery = default_battery()
-    kappa = (beta + 2.0) / (alpha + 2.0)
-    if abs(kappa - 1.0) < 1e-14:
-        profile_beta = profile_alpha
-    else:
-        profile_beta = transform_solution(profile_alpha, beta, settings)
+    q_alpha = [quadratic_form(profile_alpha, w, settings) for w in battery]
 
     rows = []
-    for w in battery:
-        q_a = quadratic_form(profile_alpha, w, settings)
-        w_k = w.compose_radial(kappa)
-        q_b = quadratic_form(profile_beta, w_k, settings)
-        tol = settings.form_tol * (1.0 + abs(q_a))
-        slack = kappa * q_a - q_b
-        ok = slack >= -tol
-        if w.angular_mode == 0:
-            ok = abs(slack) <= tol
-        rows.append(ComparisonRow(
-            g_name=w.name, k=w.angular_mode, Q_alpha=q_a, Q_beta_of_wk=q_b,
-            kappa=kappa, slack=slack, passed=bool(ok)))
-    return ComparisonReport(alpha=alpha, beta=beta, kappa=kappa, rows=tuple(rows))
+    for beta in betas:
+        kappa = (beta + 2.0) / (alpha + 2.0)
+        same = abs(kappa - 1.0) < 1e-14
+        if not same:
+            profile_beta = transform_solution(profile_alpha, beta, settings)
+        for w, q_a in zip(battery, q_alpha):
+            q_b = q_a if same else quadratic_form(
+                profile_beta, w.compose_radial(kappa), settings)
+            tol = settings.form_tol * (1.0 + abs(q_a))
+            slack = kappa * q_a - q_b
+            ok = abs(slack) <= tol if w.angular_mode == 0 else slack >= -tol
+            rows.append({"alpha": alpha, "beta": beta, "g_name": w.name,
+                         "k": w.angular_mode, "slack": slack, "pass": bool(ok)})
+    return rows

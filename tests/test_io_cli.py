@@ -469,3 +469,43 @@ class TestCliVerify:
 
     def test_unknown_grid_is_usage(self, capsys):
         assert cli.main(["verify", "--grid", "bogus"]) == 3
+
+    def test_failing_battery_still_writes_its_document(self, tmp_path,
+                                                       monkeypatch, capsys):
+        # a wrong square-well count at M = 8192 leaves no raw error to
+        # report; the document records null and the battery exits 1
+        real = verify_mod.fd_negative_eigenvalues
+
+        def dropping(problem, M=None):
+            lam = real(problem, M)
+            return lam[:-1] if M == 8192 else lam
+
+        monkeypatch.setattr(verify_mod, "fd_negative_eigenvalues", dropping)
+        out = tmp_path / "battery.json"
+        assert cli.main(["verify", "--grid", "quick", "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "VerificationError"
+        doc = load_json(out)
+        assert doc["pass"] is False
+        failing = [s["criterion"] for s in doc["sections"] if not s["pass"]]
+        assert failing == [8]
+        raw = doc["sections"][7]["rows"][-1]
+        assert raw["check"] == "raw_accuracy_M8192"
+        assert raw["errors"] is None and raw["pass"] is False
+
+    def test_eigenvalue_count_mismatch_serializes(self):
+        # two eigenvalues at alpha = 0 but one at alpha = 2: no relative
+        # error exists, so the row carries null and fails
+        def point(*lambdas):
+            return {"report": morse_mod.MorseReport(
+                params=None, d=1.0, lambdas=np.array(lambdas), m_rad=0,
+                k_max=0, mode_counts_per_k=(), negative_modes=(), m_total=0,
+                route_b_total=None, cross_checked=False, tolerances={})}
+
+        points = {(0.0, 3.0, 2): point(-20.0, -2.0),
+                  (2.0, 3.0, 2): point(-80.0)}
+        section = verify_mod._section_scaling(points, (0.0, 2.0), (3.0,), (2,))
+        doc = json.loads(dumps_canonical(section.to_dict()))
+        assert doc["pass"] is False
+        assert doc["rows"] == [{"alpha": 2.0, "p": 3.0, "n": 2,
+                                "max_rel_error": None, "pass": False}]
+        assert "worst rel err 0.00e+00" in doc["summary"]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from henon_morse import HenonParams, UsageError, evaluate_profile, solve_nodal
+from henon_morse import transform
 from henon_morse.config import DEFAULT
 from henon_morse.transform import (
     TestFunction,
@@ -176,24 +177,24 @@ def test_test_function_validation(profile_032):
 
 
 def test_form_comparison_identity_at_equal_exponents(profile_032):
-    rep = verify_form_comparison(profile_032, 0.0)
-    assert rep.passed
-    assert rep.kappa == 1.0
-    for row in rep.rows:
-        assert abs(row.slack) <= 1e-7 * (1.0 + abs(row.Q_alpha))
+    rows = verify_form_comparison(profile_032, [0.0])
+    assert all(row["pass"] for row in rows)
+    assert all(row["beta"] == row["alpha"] == 0.0 for row in rows)
+    for w, row in zip(default_battery(), rows):
+        q_alpha = quadratic_form(profile_032, w)
+        assert abs(row["slack"]) <= 1e-7 * (1.0 + abs(q_alpha))
 
 
 @pytest.mark.parametrize("beta", [1.0, 2.0, 4.0])
 def test_form_comparison_holds(profile_032, beta):
-    rep = verify_form_comparison(profile_032, beta)
-    assert rep.passed
-    kappa = (beta + 2.0) / 2.0
-    for row in rep.rows:
-        tol = 1e-7 * (1.0 + abs(row.Q_alpha))
-        if row.k == 0:
-            assert abs(row.slack) <= tol
+    rows = verify_form_comparison(profile_032, [beta])
+    assert all(row["pass"] for row in rows)
+    for w, row in zip(default_battery(), rows):
+        tol = 1e-7 * (1.0 + abs(quadratic_form(profile_032, w)))
+        if row["k"] == 0:
+            assert abs(row["slack"]) <= tol
         else:
-            assert row.slack >= -tol
+            assert row["slack"] >= -tol
 
 
 def test_form_comparison_gap_formula(profile_032):
@@ -202,17 +203,43 @@ def test_form_comparison_gap_formula(profile_032):
     beta = 2.0
     kappa = 2.0
     battery = [w for w in default_battery() if w.angular_mode in (1, 3)][:4]
-    rep = verify_form_comparison(profile_032, beta, battery=battery)
-    for w, row in zip(battery, rep.rows):
+    rows = verify_form_comparison(profile_032, [beta], battery=battery)
+    for w, row in zip(battery, rows):
         gap = adaptive_quadrature(lambda r, w=w: w.g(r) ** 2 / r, [1e-13, 1.0])
-        predicted = (kappa - 1.0 / kappa) * np.pi * row.k**2 * gap
-        assert row.slack == pytest.approx(predicted, rel=1e-6)
+        predicted = (kappa - 1.0 / kappa) * np.pi * row["k"]**2 * gap
+        assert row["slack"] == pytest.approx(predicted, rel=1e-6)
 
 
 def test_form_comparison_requires_beta_at_least_alpha():
     prof = solve_nodal(HenonParams(2.0, 3.0, 1))
     with pytest.raises(UsageError):
-        verify_form_comparison(prof, 1.0)
+        verify_form_comparison(prof, [1.0])
+    with pytest.raises(UsageError):
+        verify_form_comparison(prof, [2.0, 1.0])
+
+
+def test_form_comparison_computes_each_form_once(profile_032, monkeypatch):
+    # 16 members on the alpha side, 16 more for beta = 2; beta = 0 = alpha
+    # reuses the alpha side (one call per pair would make 64)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return quadratic_form(*args, **kwargs)
+
+    monkeypatch.setattr(transform, "quadratic_form", counting)
+    rows = verify_form_comparison(profile_032, [0.0, 2.0])
+    assert len(calls) == 32
+    assert len(rows) == 32
+    assert [row["beta"] for row in rows] == [0.0] * 16 + [2.0] * 16
+    assert list(rows[0]) == ["alpha", "beta", "g_name", "k", "slack", "pass"]
+
+
+def test_form_comparison_equal_exponents_have_zero_slack(profile_032):
+    rows = verify_form_comparison(profile_032, [0.0, 1.0])
+    same = [row for row in rows if row["beta"] == row["alpha"]]
+    assert len(same) == 16
+    assert all(row["slack"] == 0.0 for row in same)
 
 
 def test_gradient_identity_and_bounds():
