@@ -16,8 +16,12 @@ t = -T with Dirichlet conditions costs an exponentially small perturbation
 of the negative eigenvalues.  This module computes:
 
 * ``negative_spectrum``: all negative eigenvalues lambda_1 < ... < lambda_J
-  of the truncated problem, by three-point finite differences located by
-  LAPACK bisection and Richardson extrapolation in the mesh;
+  of the truncated problem, by three-point finite differences and
+  Richardson extrapolation in the mesh.  LAPACK bisection locates them on
+  the first level; each finer level refines the coarser levels' values by
+  inverse iteration and keeps the Rayleigh quotients only when Sturm
+  counts and the Kato-Temple bound certify them to bisection's accuracy
+  (certified Rayleigh-quotient refinement), and bisects otherwise;
 
 * ``radial_morse_index``: the count of negative eigenvalues of the regular
   radial linearized operator (no 1/r^2 weight) by finite element inertia
@@ -44,7 +48,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dstebz
+from scipy.linalg.lapack import dgtsv, dstebz
 
 from .config import DEFAULT, Settings
 from .errors import NonConvergenceError, UsageError
@@ -72,6 +76,7 @@ _MAX_EIG_LEVELS = 5
 _MAX_INERTIA_LEVELS = 4
 
 _TINY = float(np.finfo(float).tiny)
+_ULP = float(np.finfo(float).eps)  # 2^-52, LAPACK's dlamch("P")
 
 # 4-point Gauss-Legendre rule on [0, 1], used for element integrals.
 _GX, _GW = gauss_legendre_01(4)
@@ -177,17 +182,39 @@ def _fd_mesh(T: float, M: int, corners: tuple) -> np.ndarray:
     return t
 
 
-def fd_negative_eigenvalues(problem: SchrodingerProblem, M: int | None = None) -> np.ndarray:
+def fd_negative_eigenvalues(problem: SchrodingerProblem, M: int | None = None,
+                            guess: np.ndarray | None = None) -> np.ndarray:
     """Raw negative eigenvalues of the M-cell discretization (no
     extrapolation).  The scheme is mass-lumped P1 on the corner-pinned mesh,
     symmetrized by the lumped mass into a standard tridiagonal problem; on a
     uniform mesh it is exactly the classical three-point stencil
-    (2/h^2 + V_i on the diagonal, -1/h^2 off).  Eigenvalues are located by
-    LAPACK Sturm-sequence bisection (stebz) restricted to (lo, 0], where lo
-    lies below min V; -Delta_h is positive semidefinite, so no eigenvalue
-    lies below lo and the bisection finds every negative one."""
-    if M is None:
-        M = problem.M
+    (2/h^2 + V_i on the diagonal, -1/h^2 off).
+
+    With ``guess`` (approximations of all negative eigenvalues, from coarser
+    levels), each is refined by a certified Rayleigh-quotient step
+    (``_certified_refinement``).  Without a guess, or when the certificate
+    fails, the eigenvalues are located by LAPACK Sturm-sequence bisection
+    (stebz) restricted to (lo, 0], where lo lies below min V; -Delta_h is
+    positive semidefinite, so no eigenvalue lies below lo and the bisection
+    finds every negative one.  Both paths place each eigenvalue within
+    bisection's stopping width 2^-52 ||T||_inf."""
+    diag, off, lo = _fd_matrix(problem, problem.M if M is None else M)
+    if guess is not None:
+        w = _certified_refinement(diag, off, lo, np.asarray(guess, dtype=float))
+        if w is not None:
+            return w
+    w = eigh_tridiagonal(diag, off, eigvals_only=True, select="v",
+                         select_range=(lo, 0.0))
+    w = w[w < 0.0]
+    if w.size > 1 and np.any(np.diff(w) <= 0.0):
+        raise NonConvergenceError("negative eigenvalues are not strictly increasing")
+    return w
+
+
+def _fd_matrix(problem: SchrodingerProblem, M: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Diagonal, off-diagonal and spectral lower end lo < min V of the
+    M-cell matrix.  Built apart from the solve, so the mesh arrays are freed
+    before the solve allocates its own."""
     t = _fd_mesh(problem.T, M, problem.corners)
     h = np.diff(t)
     v = np.asarray(problem.potential(t[1:-1]), dtype=float)
@@ -195,12 +222,89 @@ def fd_negative_eigenvalues(problem: SchrodingerProblem, M: int | None = None) -
     diag = (1.0 / h[:-1] + 1.0 / h[1:]) / mass + v
     off = (-1.0 / h[1:-1]) / np.sqrt(mass[:-1] * mass[1:])
     lo = min(float(v.min()), 0.0) - 1e-9 * (1.0 + abs(float(v.min())))
-    w = eigh_tridiagonal(diag, off, eigvals_only=True, select="v",
-                         select_range=(lo, 0.0))
-    w = w[w < 0.0]
-    if w.size > 1 and np.any(np.diff(w) <= 0.0):
-        raise NonConvergenceError("negative eigenvalues are not strictly increasing")
-    return w
+    return diag, off, lo
+
+
+def _certified_refinement(diag: np.ndarray, off: np.ndarray, lo: float,
+                          guess: np.ndarray) -> np.ndarray | None:
+    """Rayleigh quotients rho_j refined from ``guess``, or None when they
+    cannot be certified to bisection's accuracy.
+
+    rho_j comes from ``_inverse_iteration`` at sigma_j = guess_j, and r_j is
+    its residual norm plus an allowance of 4 w for the rounding of
+    T x - rho x, where w = 2^-52 ||T||_inf is bisection's own stopping
+    width.  With separators s_0 = lo, s_j = (rho_j + rho_{j+1}) / 2 and
+    s_J = 0, and delta_j the distance from rho_j to its nearer separator,
+    the values are returned only when
+
+    * r_j^2 <= w delta_j.  As r_j >= 4 w, this makes delta_j >= 16 w and
+      r_j <= delta_j / 4: the rho_j strictly increase, and each
+      [rho_j - r_j, rho_j + r_j], which holds an eigenvalue, lies inside
+      (s_{j-1}, s_j) with a margin that covers the rounding of the counts;
+    * the Sturm count below s_j is j for j = 1..J (none lies below lo), so
+      [s_{j-1}, s_j) holds exactly one eigenvalue, lambda_j, and the count
+      at s_J = 0 proves no negative eigenvalue is missing.
+
+    The Kato-Temple bound then gives |lambda_j - rho_j| <= r_j^2 / delta_j
+    <= w.
+    """
+    if guess.size == 0:
+        return None
+    width = _ULP * float(np.max(np.abs(diag) + np.abs(np.append(off, 0.0))
+                                + np.abs(np.append(0.0, off))))
+    found = _inverse_iteration(diag, off, guess)
+    if found is None:
+        return None
+    rho, res = found
+    # the rounding of T x - rho x is at most 4 u (||T||_inf + |rho|) <= 4 w
+    res += 4.0 * width
+    seps = np.concatenate(([lo], 0.5 * (rho[:-1] + rho[1:]), [0.0]))
+    delta = np.minimum(rho - seps[:-1], seps[1:] - rho)
+    if not np.all(res * res <= width * delta):
+        return None
+    for j in range(1, rho.size + 1):
+        if tridiagonal_negative_inertia(diag - seps[j], off) != j:
+            return None
+    return rho
+
+
+def _inverse_iteration(diag: np.ndarray, off: np.ndarray,
+                       shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Rayleigh quotient and residual norm ||T x - rho x|| of a unit x after
+    two solves (T - sigma) x = b (LAPACK dgtsv, which overwrites the work
+    arrays it is given) per shift sigma, or None if a solve breaks down.
+
+    Every shift starts from the same fixed vector, a ramp with no mirror
+    symmetry, so it meets every eigenvector and the result does not depend
+    on the process that computes it.
+    """
+    n = diag.size
+    start = np.linspace(1.0, 2.0, n)
+    work = np.empty(n)
+    lower = np.empty(n - 1)
+    upper = np.empty(n - 1)
+    x = np.empty((n, 1))
+    rho = np.empty(shifts.size)
+    res = np.empty(shifts.size)
+    for j, sigma in enumerate(shifts):
+        x[:, 0] = start
+        for _ in range(2):
+            np.subtract(diag, sigma, out=work)
+            lower[:] = off
+            upper[:] = off
+            _, _, _, x, info = dgtsv(lower, work, upper, x, 1, 1, 1, 1)
+            scale = float(np.linalg.norm(x))
+            if info != 0 or not 0.0 < scale < math.inf:
+                return None
+            x /= scale
+        y = x[:, 0]
+        tx = np.multiply(diag, y, out=work)
+        tx[:-1] += np.multiply(off, y[1:], out=lower)
+        tx[1:] += np.multiply(off, y[:-1], out=upper)
+        rho[j] = y @ tx
+        tx -= rho[j] * y
+        res[j] = np.linalg.norm(tx)
+    return rho, res
 
 
 @dataclass(frozen=True)
@@ -229,31 +333,41 @@ def negative_spectrum(problem: SchrodingerProblem, settings: Settings = DEFAULT)
     Solves the FD problem at M, 2M, 4M, ...; successive pairs give
     Richardson extrapolants (the FD error is h^2-regular), and the loop
     stops when two consecutive extrapolants agree to
-    eig_tol * (1 + |lambda|) elementwise with identical counts.  A count
-    that keeps changing, or failure to meet the tolerance within the level
-    budget, raises NonConvergenceError rather than returning a guess.
+    eig_tol * (1 + |lambda|) elementwise with identical counts.  The first
+    level is bisected; each finer level is refined from a guess: lambda(M)
+    on level 2M, then the h^2 prediction lambda(2M) + (lambda(2M) -
+    lambda(M)) / 4, and no guess on the level after a count change.  A
+    count that keeps changing, or failure to meet the tolerance within the
+    level budget, raises NonConvergenceError rather than returning a guess;
+    its context carries ``last_discrepancy``, the largest
+    |rich - rich_prev| / (1 + |rich|) of the last extrapolant pair compared
+    (None if no two consecutive levels had equal counts).
     """
     eig_tol = settings.eig_tol
     M = problem.M
     lam_prev = fd_negative_eigenvalues(problem, M)
+    guess = lam_prev
     rich_prev = None
+    discrepancy = None
     for _ in range(_MAX_EIG_LEVELS):
         M *= 2
-        lam = fd_negative_eigenvalues(problem, M)
+        lam = fd_negative_eigenvalues(problem, M, guess)
         if lam.size != lam_prev.size:
-            lam_prev, rich_prev = lam, None
+            lam_prev, rich_prev, guess = lam, None, None
             continue
+        guess = lam + (lam - lam_prev) / 4.0
         rich = (4.0 * lam - lam_prev) / 3.0
         if rich_prev is not None and rich.size == rich_prev.size:
-            if rich.size == 0 or np.all(
-                np.abs(rich - rich_prev) <= eig_tol * (1.0 + np.abs(rich))
-            ):
+            gap = np.abs(rich - rich_prev)
+            if rich.size == 0 or np.all(gap <= eig_tol * (1.0 + np.abs(rich))):
                 return RadialSpectrum(lambdas=rich, T=problem.T, M=M, eig_tol=eig_tol)
+            discrepancy = float(np.max(gap / (1.0 + np.abs(rich))))
         lam_prev, rich_prev = lam, rich
     raise NonConvergenceError(
         "negative eigenvalues did not stabilize under mesh refinement",
         {"T": problem.T, "finest_M": int(M),
-         "last_counts": int(lam_prev.size)},
+         "last_counts": int(lam_prev.size),
+         "last_discrepancy": discrepancy},
     )
 
 

@@ -153,6 +153,15 @@ class TestAssembly:
         assert report.m_total == 93
         assert report.route_b_total == 93
 
+    def test_fractional_p_below_two_converges(self):
+        """(0, 1.8, 2) used to exhaust the mesh budget: bisection's stopping
+        width, not the mesh, set the Richardson floor.  Refined levels
+        converge at M = 131072 and both routes give 8."""
+        _, report = solve_point(0.0, 1.8, 2)
+        assert report.m_rad == 2
+        assert report.m_total == report.route_b_total == 8
+        assert report.tolerances["spectrum_M"] == 131072
+
 
 class TestLowerBounds:
     def test_all_bounds_hold_with_companion(self, report_032, report_232):

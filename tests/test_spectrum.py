@@ -20,14 +20,18 @@ the oracle below with mesh ratios 1.01/1.005 plus Richardson extrapolation
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 
 import henon_morse.spectrum as spectrum
 from henon_morse import HenonParams, evaluate_profile, solve_nodal
 from henon_morse.config import DEFAULT
-from henon_morse.errors import UsageError
+from henon_morse.errors import NonConvergenceError, UsageError
 from henon_morse.radial import RadialProfile
 from henon_morse.spectrum import (
     SchrodingerProblem,
@@ -156,6 +160,11 @@ def spectrum_032(profile_032):
 
 
 @pytest.fixture(scope="module")
+def profile_053():
+    return solve_nodal(HenonParams(alpha=0.0, p=5.0, n_nodal=3))
+
+
+@pytest.fixture(scope="module")
 def well():
     return SchrodingerProblem.from_potential(
         math.pi, 512, lambda t: np.full_like(np.asarray(t, float), -5.0))
@@ -225,6 +234,14 @@ class TestSquareWell:
             count = tridiagonal_negative_inertia(diag - shift, off)
             assert count == int(np.sum(w < shift))
 
+    def test_no_stabilization_reports_the_last_discrepancy(self, well):
+        with pytest.raises(NonConvergenceError) as err:
+            negative_spectrum(well, replace(DEFAULT, eig_tol=1e-18))
+        context = err.value.context
+        assert context["finest_M"] == 512 * 2**5
+        assert context["last_counts"] == 2
+        assert 1e-18 < context["last_discrepancy"] < 1e-6
+
     def test_zero_potential_has_empty_spectrum(self):
         prob = SchrodingerProblem.from_potential(
             5.0, 64, lambda t: np.zeros_like(np.asarray(t, float)))
@@ -232,10 +249,11 @@ class TestSquareWell:
         assert spec.lambdas.size == 0
 
 
-def record_calls(monkeypatch, name):
+def record_calls(monkeypatch, name, seen=None):
     """Replace ``spectrum.<name>`` by a wrapper that records the (diag, off)
-    pair of every call, so a test sees the matrices a route really builds."""
-    seen = []
+    pair of every call (into ``seen`` if given), so a test sees the matrices
+    a route really builds."""
+    seen = [] if seen is None else seen
     real = getattr(spectrum, name)
 
     def recorder(diag, off, *args, **kwargs):
@@ -331,19 +349,24 @@ class TestInertiaCount:
             assert ldlt_negative_count(diag, off) == expected - 1
 
     def test_route_a_matrices_of_profile_032(self, monkeypatch, profile_032):
+        """Every level's matrix, bisected or refined, has as many negative
+        eigenvalues as the level located."""
         seen = record_calls(monkeypatch, "eigh_tridiagonal")
-        located = []
+        record_calls(monkeypatch, "_certified_refinement", seen)
+        located = {}
         real_fd = spectrum.fd_negative_eigenvalues
 
-        def fd(problem, M=None):
-            w = real_fd(problem, M)
-            located.append(w.size)
+        def fd(problem, M=None, guess=None):
+            w = real_fd(problem, M, guess)
+            located[M] = w.size
             return w
 
         monkeypatch.setattr(spectrum, "fd_negative_eigenvalues", fd)
         spectrum.negative_spectrum(build_schrodinger(profile_032))
-        assert len(seen) == len(located) >= 3
-        for (diag, off), count in zip(seen, located):
+        matrices = {diag.size + 1: (diag, off) for diag, off in seen}
+        assert len(located) >= 3 and sorted(matrices) == sorted(located)
+        for M, count in located.items():
+            diag, off = matrices[M]
             assert count == 2
             assert tridiagonal_negative_inertia(diag, off) == count
             assert ldlt_negative_count(diag, off) == count
@@ -362,6 +385,129 @@ class TestInertiaCount:
                           ([1.0], [0.5])):
             with pytest.raises(UsageError):
                 tridiagonal_negative_inertia(diag, off)
+
+
+def matrix_norm(diag, off):
+    """||T||_inf of the symmetric tridiagonal matrix (diag, off)."""
+    rows = np.abs(diag)
+    rows[:-1] += np.abs(off)
+    rows[1:] += np.abs(off)
+    return float(rows.max())
+
+
+class TestCertifiedRefinement:
+    """Finer route-A levels are refined from guesses and certified by Sturm
+    counts; anything uncertified is bisected."""
+
+    @pytest.mark.parametrize("name", ["profile_032", "profile_053"])
+    def test_refined_levels_match_bisection(self, request, monkeypatch, name):
+        calls = []
+        real = spectrum._certified_refinement
+
+        def spy(diag, off, lo, guess):
+            rho = real(diag, off, lo, guess)
+            calls.append((diag, off, lo, rho))
+            return rho
+
+        monkeypatch.setattr(spectrum, "_certified_refinement", spy)
+        negative_spectrum(build_schrodinger(request.getfixturevalue(name)))
+        assert len(calls) >= 2
+        for diag, off, lo, rho in calls:
+            assert rho is not None
+            bisected = eigh_tridiagonal(diag, off, eigvals_only=True,
+                                        select="v", select_range=(lo, 0.0))
+            assert rho.size == bisected.size
+            width = 2.0**-52 * matrix_norm(diag, off)
+            assert np.all(np.abs(rho - bisected) <= width)
+
+    @pytest.mark.parametrize("bad", [
+        "empty", "missing", "extra", "out_of_order", "past_neighbour",
+        "at_zero"])
+    def test_bad_guesses_return_the_bisection_values(self, monkeypatch,
+                                                     profile_032, bad):
+        problem = build_schrodinger(profile_032)
+        M = 2 * problem.M
+        lam = fd_negative_eigenvalues(problem, M)
+        assert lam.size == 2
+        guess = {
+            "empty": lam[:0],
+            "missing": lam[:1],
+            "extra": np.array([lam[0], -5.0, lam[1]]),
+            "out_of_order": lam[::-1],
+            "past_neighbour": lam[1] + np.array([0.1, 0.2]),
+            "at_zero": np.array([lam[0], 0.0]),
+        }[bad]
+        bisections = record_calls(monkeypatch, "eigh_tridiagonal")
+        got = fd_negative_eigenvalues(problem, M, guess)
+        assert len(bisections) == 1
+        assert got.tobytes() == lam.tobytes()
+
+    @pytest.mark.parametrize("drift", [1e-1, 1e-2, 3e-3, 1e-3, 1e-5])
+    def test_poor_guesses_stay_within_the_bisection_width(self, profile_032,
+                                                          drift):
+        """Two solves from a guess 1e-2 or 3e-3 off leave rho_j a few widths
+        off, with correct counts: only the Kato-Temple check refuses it."""
+        problem = build_schrodinger(profile_032)
+        M = 2 * problem.M
+        lam = fd_negative_eigenvalues(problem, M)
+        got = fd_negative_eigenvalues(problem, M, lam * (1.0 + drift))
+        width = 2.0**-52 * matrix_norm(*spectrum._fd_matrix(problem, M)[:2])
+        assert got.size == lam.size
+        assert np.all(np.abs(got - lam) <= width)
+
+    def test_guess_of_each_level(self, monkeypatch, well):
+        """lambda(M) on level 2M, then the h^2 prediction lambda(2M) +
+        (lambda(2M) - lambda(M)) / 4; no guess on the level after a count
+        change."""
+        levels = [np.array(x) for x in (
+            [-4.2], [-4.2, -0.5], [-4.05, -0.3], [-4.0125, -0.25])]
+        guesses = []
+
+        def fake(problem, M=None, guess=None):
+            guesses.append(guess)
+            return levels[len(guesses) - 1]
+
+        monkeypatch.setattr(spectrum, "fd_negative_eigenvalues", fake)
+        negative_spectrum(well)
+        assert len(guesses) == 4 and guesses[0] is None and guesses[2] is None
+        np.testing.assert_array_equal(guesses[1], levels[0])
+        np.testing.assert_array_equal(
+            guesses[3], levels[2] + (levels[2] - levels[1]) / 4.0)
+
+    def test_good_guess_is_not_bisected(self, monkeypatch, profile_032):
+        problem = build_schrodinger(profile_032)
+        guess = fd_negative_eigenvalues(problem, problem.M)
+        bisections = record_calls(monkeypatch, "eigh_tridiagonal")
+        got = fd_negative_eigenvalues(problem, 2 * problem.M, guess)
+        assert bisections == [] and got.size == 2
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(wells=st.lists(st.tuples(st.floats(0.5, 80.0), st.floats(0.05, 0.95),
+                                st.floats(0.02, 0.3)), min_size=1, max_size=3),
+       M=st.sampled_from([64, 128, 256]),
+       drifts=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4),
+       decades=st.integers(-9, -1),
+       edit=st.sampled_from(["keep", "keep", "drop", "add"]))
+def test_refinement_never_changes_the_count(wells, M, drifts, decades, edit):
+    """Guesses off the bisected values by random relative drifts of up to
+    10^decades, some with one eigenvalue dropped or one added: refinement or
+    its fallback counts what bisection counts."""
+    T = 3.0
+
+    def potential(t):
+        x = 1.0 + np.asarray(t, dtype=float) / T
+        return -sum(depth * np.exp(-((x - c) / w) ** 2) for depth, c, w in wells)
+
+    problem = SchrodingerProblem.from_potential(T, M, potential)
+    bisected = fd_negative_eigenvalues(problem, M)
+    drift = 10.0**decades * np.resize(np.array(drifts), bisected.size)
+    guess = bisected * (1.0 + drift)
+    if edit == "drop":
+        guess = guess[:-1]
+    elif edit == "add":
+        guess = np.append(guess, 0.5 * guess[-1] if guess.size else -1.0)
+    assert fd_negative_eigenvalues(problem, M, guess).size == bisected.size
 
 
 class TestPotentialConstruction:
