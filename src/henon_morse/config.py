@@ -18,7 +18,8 @@ class Settings:
     Attributes
     ----------
     rtol, atol:
-        Relative / absolute tolerance of the adaptive ODE integrator.
+        Relative / absolute tolerance of the adaptive ODE integrators: the
+        profile's initial value problem and the oscillation counts.
     series_start_radius:
         Radius at which integration starts from the origin series.
     root_tol:
@@ -44,10 +45,6 @@ class Settings:
     form_tol:
         Comparison tolerance for quadratic-form identities, relative to
         1 + |Q|.
-    mode_mesh_ratio, mode_mesh_rmin:
-        Geometric mesh for the r-coordinate finite element counts of every
-        angular mode k, the radial count k = 0 included: node ratio and
-        innermost radius.
     grid_geo_rmin, grid_geo_step:
         Geometric augmentation of the profile grid near the origin:
         innermost radius and log-spacing of the extra nodes.  These resolve
@@ -69,8 +66,6 @@ class Settings:
     eig_tol: float = 1e-8
     quad_rel_tol: float = 1e-10
     form_tol: float = 1e-7
-    mode_mesh_ratio: float = 1.02
-    mode_mesh_rmin: float = 1e-8
     grid_geo_rmin: float = 1e-12
     grid_geo_step: float = 0.1
     shoot_tmax: float = 46.0

@@ -10,9 +10,9 @@ variable by ``spectrum.negative_spectrum``), the Morse index is
 
 with m_rad = J the index of the k = 0 (radial) block.  ``assemble_morse``
 evaluates this decomposition and cross-checks every integer against an
-independent route: finite-element inertia counts in r-coordinates
-(``radial_morse_index``, ``mode_negative_count``), which share no
-discretization with the log-variable solver.  Disagreement raises
+independent route: Sturm oscillation counts #{j : lambda_j < -k^2} for
+k = 0..k_max (``spectrum.oscillation_counts``), an adaptive ODE solve that
+shares no mesh or matrix with the eigenvalue solver.  Disagreement raises
 ``TwoRouteError`` rather than returning a number.
 
 ``solve_point`` is the one point task of the command line, the battery and
@@ -27,10 +27,9 @@ index computation can verify:
   unweighted (alpha = 0) solution with the same p and n;
 * ``sweep_from_reports``: whether m(u) is nondecreasing along increasing
   alpha at fixed p and n;
-* ``large_exponent_probe``: single-route decomposition for exponents p far
-  beyond the comfort zone of the r-coordinate meshes (the profile then
-  concentrates on scales the FEM mesh cannot see), reported as
-  observations, never as certified cross-checked indices.
+* ``large_exponent_probe``: single-route decomposition for growing
+  exponents p, reported as observations, never as certified cross-checked
+  indices.
 """
 
 from __future__ import annotations
@@ -43,12 +42,7 @@ import numpy as np
 from .config import DEFAULT, Settings
 from .errors import NonConvergenceError, TwoRouteError, UsageError
 from .radial import HenonParams, RadialProfile, solve_nodal
-from .spectrum import (
-    build_schrodinger,
-    mode_negative_count,
-    negative_spectrum,
-    radial_morse_index,
-)
+from .spectrum import build_schrodinger, negative_spectrum, oscillation_counts
 
 __all__ = [
     "MorseReport",
@@ -74,9 +68,9 @@ class MorseReport:
         m_total = m_rad + 2 * sum(mode_counts_per_k).
 
     ``route_b_total`` is the same total assembled purely from the
-    r-coordinate inertia counts; ``cross_checked`` records whether that
-    independent route was computed and found to agree (the large-exponent
-    probe skips it, leaving route_b_total = None).
+    oscillation counts; ``cross_checked`` records whether that independent
+    route was computed and found to agree (the large-exponent probe skips
+    it, leaving route_b_total = None).
     """
 
     params: HenonParams
@@ -137,18 +131,19 @@ def assemble_morse(profile: RadialProfile, settings: Settings = DEFAULT,
     """Morse index of a nodal profile, with two-route certification.
 
     Route A (always): negative eigenvalues in the log variable, then the
-    integer decomposition over angular modes.  Route B (default): inertia
-    counts of the k-mode quadratic forms assembled in r-coordinates, one
-    for k = 0 (the radial index) and one per k = 1..k_max.  Any mismatch
-    raises TwoRouteError; a |lambda_j + k^2| too small to call at the
-    working tolerance triggers one recomputation at 10x tighter tolerance
-    before giving up.
+    integer decomposition over angular modes.  The cross-check (default):
+    one oscillation solve counts the eigenvalues below -k^2 for every
+    k = 0..k_max, k = 0 giving the radial index.  Any mismatch raises
+    TwoRouteError; a |lambda_j + k^2| too small to call at the working
+    tolerance triggers one recomputation at 10x tighter tolerance before
+    giving up.
     """
     # A sign decision lambda_j + k^2 <> 0 within 10x the eigenvalue accuracy
     # gets one more pass, tightened by one decade (more would chase the
     # eigensolver's own roundoff floor); the second pass must clear its guard.
     for attempt in (settings, replace(settings, eig_tol=settings.eig_tol / 10.0)):
-        spectrum = negative_spectrum(build_schrodinger(profile, attempt), attempt)
+        problem = build_schrodinger(profile, attempt)
+        spectrum = negative_spectrum(problem, attempt)
         lambdas = spectrum.lambdas
         if lambdas.size == 0:
             raise NonConvergenceError(
@@ -179,29 +174,30 @@ def assemble_morse(profile: RadialProfile, settings: Settings = DEFAULT,
 
     route_b_total = None
     if cross_check:
-        fem_rad = radial_morse_index(profile, settings)
-        if fem_rad != m_rad:
+        # The messages and the "fem_route" key still name the former
+        # finite-element route; they stay as emitted, like route_b_total.
+        osc_rad, *osc_counts = oscillation_counts(profile, problem, k_max,
+                                                  settings)
+        if osc_rad != m_rad:
             raise TwoRouteError(
                 "radial index mismatch between the log-variable eigenvalue "
                 "count and the r-coordinate inertia count",
-                {"log_route": m_rad, "fem_route": fem_rad,
+                {"log_route": m_rad, "fem_route": osc_rad,
                  "lambdas": [float(x) for x in lambdas],
                  "alpha": profile.params.alpha, "p": profile.params.p,
                  "n_nodal": profile.params.n_nodal},
             )
-        fem_counts = tuple(mode_negative_count(profile, k, settings)
-                           for k in range(1, k_max + 1))
-        if fem_counts != counts_per_k:
+        if tuple(osc_counts) != counts_per_k:
             raise TwoRouteError(
                 "angular mode counts mismatch between the eigenvalue "
                 "decomposition and the r-coordinate inertia counts",
                 {"decomposition": list(counts_per_k),
-                 "fem_route": list(fem_counts),
+                 "fem_route": list(osc_counts),
                  "lambdas": [float(x) for x in lambdas],
                  "alpha": profile.params.alpha, "p": profile.params.p,
                  "n_nodal": profile.params.n_nodal},
             )
-        route_b_total = fem_rad + 2 * sum(fem_counts)
+        route_b_total = osc_rad + 2 * sum(osc_counts)
 
     if counts_per_k and counts_per_k[-1] != 0:
         raise NonConvergenceError(
@@ -338,11 +334,11 @@ def large_exponent_probe(p_values, alpha: float = 0.0, n: int = 2,
                          settings: Settings = DEFAULT) -> list:
     """Decomposition-route-only indices for a sequence of growing exponents.
 
-    For large p the solution concentrates an inner bubble on scales far
-    below anything an r-coordinate mesh resolves, so the FEM cross-route is
-    structurally blind here and is not attempted: these rows
-    ``{"p", "report"}`` are observations of the single log-variable route
-    (cross_checked=False in each report).
+    The rows ``{"p", "report"}`` are observations of the single
+    log-variable route (cross_checked=False, route_b_total=None in each
+    report).  The oscillation count has no mesh for the concentrating inner
+    bubble to outrun and could cross-check these points too; the probe
+    stays single-route so that the battery document does not change.
     """
     return [{"p": float(p),
              "report": solve_point(alpha, float(p), n, settings,

@@ -19,45 +19,36 @@ of the negative eigenvalues.  This module computes:
   of the truncated problem, by three-point finite differences and
   Richardson extrapolation in the mesh.  LAPACK bisection locates them on
   the first level; each finer level refines the coarser levels' values by
-  inverse iteration and keeps the Rayleigh quotients only when Sturm
-  counts and the Kato-Temple bound certify them to bisection's accuracy
+  inverse iteration and keeps the Rayleigh quotients only when a Sturm
+  count and the Kato-Temple bound certify them to bisection's accuracy
   (certified Rayleigh-quotient refinement), and bisects otherwise;
 
-* ``radial_morse_index``: the count of negative eigenvalues of the regular
-  radial linearized operator (no 1/r^2 weight) by finite element inertia
-  in r-coordinates;
+* ``oscillation_counts``: #{j : lambda_j < -k^2} for every angular mode
+  k = 0..k_max at once, by Sturm oscillation: the Prufer angle of the
+  solution at energy -k^2, integrated by an adaptive ODE solver across
+  [-T, 0], counts its zeros.  ``radial_morse_index`` (k = 0) and
+  ``mode_negative_count`` (one k >= 1) are its library entry points.
 
-* ``mode_negative_count``: for an angular mode k >= 1, the count of
-  negative eigenvalues of the k-mode operator (the radial operator plus
-  k^2/r^2), again by inertia in r-coordinates.
-
-Both counts run on one mesh family, geometric toward the origin from
-``mode_mesh_rmin`` to 1, with Dirichlet at r = 1.  At ``mode_mesh_rmin``
-the k >= 1 modes are Dirichlet and k = 0 keeps its natural condition.
-Each inertia count is one LAPACK Sturm count, ``tridiagonal_negative_inertia``.
-The r-coordinate counts share no discretization machinery with the
-t-coordinate route, which is what makes the cross-validation in the Morse
-assembly meaningful.
+The oscillation count reads the same potential as the eigenvalue route but
+shares no mesh, matrix or extrapolation with it, which is what makes the
+cross-validation in the Morse assembly meaningful.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from scipy.integrate import ode
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dgtsv, dstebz
 
 from .config import DEFAULT, Settings
 from .errors import NonConvergenceError, UsageError
-from .radial import (
-    RadialProfile,
-    evaluate_profile,
-    gauss_legendre_01,
-    insert_nodes,
-)
+from .radial import RadialProfile, evaluate_profile
 
 __all__ = [
     "SchrodingerProblem",
@@ -65,21 +56,20 @@ __all__ = [
     "build_schrodinger",
     "negative_spectrum",
     "fd_negative_eigenvalues",
+    "oscillation_counts",
     "radial_morse_index",
     "mode_negative_count",
     "tridiagonal_negative_inertia",
 ]
 
-# Mesh-refinement caps: eigenvalue extrapolation may double M at most this
-# many times; inertia counts may refine their mesh this many times.
+# Eigenvalue extrapolation may double M at most this many times.
 _MAX_EIG_LEVELS = 5
-_MAX_INERTIA_LEVELS = 4
+# DOP853 step budget of one oscillation-count segment; the default grid's
+# segments take 57-140 steps, those of (0, 50, 3) up to 238.
+_MAX_OSCILLATION_STEPS = 20000
 
 _TINY = float(np.finfo(float).tiny)
 _ULP = float(np.finfo(float).eps)  # 2^-52, LAPACK's dlamch("P")
-
-# 4-point Gauss-Legendre rule on [0, 1], used for element integrals.
-_GX, _GW = gauss_legendre_01(4)
 
 
 @dataclass
@@ -238,12 +228,13 @@ def _certified_refinement(diag: np.ndarray, off: np.ndarray, lo: float,
     the values are returned only when
 
     * r_j^2 <= w delta_j.  As r_j >= 4 w, this makes delta_j >= 16 w and
-      r_j <= delta_j / 4: the rho_j strictly increase, and each
-      [rho_j - r_j, rho_j + r_j], which holds an eigenvalue, lies inside
-      (s_{j-1}, s_j) with a margin that covers the rounding of the counts;
-    * the Sturm count below s_j is j for j = 1..J (none lies below lo), so
-      [s_{j-1}, s_j) holds exactly one eigenvalue, lambda_j, and the count
-      at s_J = 0 proves no negative eigenvalue is missing.
+      r_j <= delta_j / 4: the rho_j strictly increase, and the intervals
+      [rho_j - r_j, rho_j + r_j], each of which holds an eigenvalue, are
+      disjoint and lie inside their cells (s_{j-1}, s_j) with a margin that
+      covers the rounding of the count;
+    * the Sturm count below s_J = 0 is J.  No eigenvalue lies below lo, so
+      the J negative eigenvalues are the J found in the intervals: exactly
+      one, lambda_j, in each cell (s_{j-1}, s_j), and none is missing.
 
     The Kato-Temple bound then gives |lambda_j - rho_j| <= r_j^2 / delta_j
     <= w.
@@ -262,9 +253,8 @@ def _certified_refinement(diag: np.ndarray, off: np.ndarray, lo: float,
     delta = np.minimum(rho - seps[:-1], seps[1:] - rho)
     if not np.all(res * res <= width * delta):
         return None
-    for j in range(1, rho.size + 1):
-        if tridiagonal_negative_inertia(diag - seps[j], off) != j:
-            return None
+    if tridiagonal_negative_inertia(diag, off) != rho.size:
+        return None
     return rho
 
 
@@ -403,95 +393,81 @@ def tridiagonal_negative_inertia(diag: np.ndarray, off: np.ndarray) -> int:
     return int(m)
 
 
-def _mode_form_tridiagonal(
-    nodes: np.ndarray,
-    profile: RadialProfile,
-    k2: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """P1 finite-element tridiagonal of the k-mode quadratic form.
+def oscillation_counts(profile: RadialProfile, problem: SchrodingerProblem,
+                       k_max: int, settings: Settings = DEFAULT) -> tuple:
+    """#{j : lambda_j < -k^2} for k = 0..k_max, by Sturm oscillation.
 
-    Assembles  a(psi, phi) = int r psi' phi'  +  k2 int psi phi / r
-               - p int r^(1+alpha) |u|^(p-1) psi phi
-    over all nodes (boundary conditions are applied by the caller slicing
-    rows off).  The stiffness element integral int r / h^2 dr is exact;
-    the zeroth-order terms use a 4-point Gauss rule per element.
+    The scaled Prufer angle theta_k of -psi'' + V psi = E_k psi, E_k = -k^2,
+    given by tan theta_k = s psi / psi' with s = max(k, 1), obeys
+
+        theta_k' = s cos^2 theta_k + (E_k - V) / s sin^2 theta_k
+
+    and crosses each multiple of pi upward, once per zero of psi.  It starts
+    at t = -T from the solution that stays bounded toward -infinity, where
+    V is negligible: psi = e^(k t) gives theta = pi/4 for k >= 1, and
+    psi = 1 gives theta = pi/2 for k = 0.  With Dirichlet at t = 0 the
+    count of eigenvalues below E_k is floor(theta_k(0) / pi).
+
+    All k form one vector ODE, integrated by DOP853 at ``settings.rtol``
+    and ``settings.atol`` and restarted at each corner of ``problem``.  V is
+    read from the pieces of the profile's cubic interpolant, the one route A
+    samples, with no mesh and no matrix.  A segment that the solver cannot
+    finish within ``_MAX_OSCILLATION_STEPS`` steps raises
+    NonConvergenceError.
     """
-    alpha = profile.params.alpha
-    p = profile.params.p
-    h = np.diff(nodes)
-    stiff = (nodes[:-1] + nodes[1:]) / (2.0 * h)
+    alpha, p = profile.params.alpha, profile.params.p
+    ks = np.arange(k_max + 1, dtype=float)
+    s = np.maximum(ks, 1.0)
+    solver = ode(_prufer_rate).set_integrator(
+        "dop853", rtol=settings.rtol, atol=settings.atol,
+        nsteps=_MAX_OSCILLATION_STEPS)
+    solver.set_f_params(profile._spline.x.tolist(),
+                        profile._spline.c.T.tolist(), alpha, p,
+                        s, 1.0 / s, -ks * ks / s - s)
+    theta = np.where(ks == 0.0, 0.5 * math.pi, 0.25 * math.pi)
+    ends = (-problem.T, *problem.corners, 0.0)
+    for t0, t1 in zip(ends, ends[1:]):
+        theta = solver.set_initial_value(theta, t0).integrate(t1)
+        if not solver.successful():
+            raise NonConvergenceError(
+                "oscillation count stopped short of the end of its segment",
+                {"segment": [t0, t1], "t_reached": float(solver.t),
+                 "return_code": int(solver.get_return_code()),
+                 "k_max": int(k_max), "alpha": alpha, "p": p,
+                 "n_nodal": profile.params.n_nodal},
+            )
+    return tuple(int(c) for c in np.floor(theta / math.pi))
 
-    pts = nodes[:-1, None] + h[:, None] * _GX[None, :]
-    u = profile._spline(pts)
-    weight = -p * pts ** (1.0 + alpha) * np.abs(u) ** (p - 1.0)
-    if k2:
-        weight = weight + k2 / pts
-    phi_l = 1.0 - _GX
-    phi_r = _GX
-    ll = h * ((weight * phi_l**2) @ _GW)
-    lr = h * ((weight * phi_l * phi_r) @ _GW)
-    rr = h * ((weight * phi_r**2) @ _GW)
 
-    diag = np.zeros(nodes.size)
-    diag[:-1] += stiff + ll
-    diag[1:] += stiff + rr
-    off = -stiff + lr
-    return diag, off
-
-
-def _fem_negative_count(profile: RadialProfile, k: int, settings: Settings) -> int:
-    """Negative-eigenvalue count of the angular-mode-k form, by inertia.
-
-    The P1 form of ``_mode_form_tridiagonal`` is assembled on a mesh
-    geometric toward the origin: log step log(mode_mesh_ratio) / 2^level
-    from ``mode_mesh_rmin`` to 1, with the nodal radii inserted.  r = 1 is
-    Dirichlet.  At ``mode_mesh_rmin`` a mode k >= 1 is Dirichlet too (the
-    k^2/r^2 term forces decay at 0), while k = 0 keeps its natural
-    condition, so that node stays in the count.  The positive r-weighted
-    mass never changes signs, so the count is the matrix inertia; it must
-    agree on two consecutive levels.
-    """
-    first = 0 if k == 0 else 1
-    counts = []
-    for level in range(_MAX_INERTIA_LEVELS):
-        step = math.log(settings.mode_mesh_ratio) / 2**level
-        n_geo = int(math.ceil(-math.log(settings.mode_mesh_rmin) / step))
-        base = np.exp(-step * np.arange(n_geo + 1))[::-1]
-        base[0] = settings.mode_mesh_rmin
-        base[-1] = 1.0
-        nodes = insert_nodes(base, profile.nodal_radii[:-1])
-        diag, off = _mode_form_tridiagonal(nodes, profile, k2=float(k * k))
-        count = tridiagonal_negative_inertia(diag[first:-1], off[first:-1])
-        counts.append(count)
-        if len(counts) >= 2 and counts[-1] == counts[-2]:
-            return count
-    raise NonConvergenceError(
-        "mode inertia count did not stabilize under mesh refinement",
-        {"counts": counts, "k": k, "alpha": profile.params.alpha,
-         "p": profile.params.p, "n_nodal": profile.params.n_nodal},
-    )
+def _prufer_rate(t, theta, breaks, pieces, alpha, p, s, inv_s, shift):
+    """theta' = s + ((E_k - V) / s - s) sin^2 theta of ``oscillation_counts``,
+    where shift = E_k / s - s and -V = p r^(alpha+2) |u|^(p-1) at r = e^t
+    with u read from the cubic pieces.  It lives at module level and takes
+    its data as arguments: scipy's DOP853 keeps a reference to its callback
+    after every solve, which would keep a closure's data alive."""
+    r = math.exp(t)
+    i = min(bisect_right(breaks, r), len(pieces)) - 1
+    z = r - breaks[i]
+    a, b, c, d = pieces[i]
+    u = ((a * z + b) * z + c) * z + d
+    coef = inv_s * (p * r ** (alpha + 2.0) * abs(u) ** (p - 1.0))
+    coef += shift
+    rate = np.sin(theta)
+    rate *= rate
+    rate *= coef
+    rate += s
+    return rate
 
 
 def radial_morse_index(profile: RadialProfile, settings: Settings = DEFAULT) -> int:
-    """Negative-eigenvalue count of the regular radial linearized operator.
-
-    Weak form int r psi' phi' - p int r^(1+alpha) |u|^(p-1) psi phi on
-    radial H^1 functions vanishing at r = 1: the k = 0 count of
-    ``_fem_negative_count``, on the geometric mesh from ``mode_mesh_rmin``
-    to 1 with the natural condition at ``mode_mesh_rmin``.
-    """
-    return _fem_negative_count(profile, 0, settings)
+    """Negative-eigenvalue count of the regular radial linearized operator:
+    the k = 0 count of ``oscillation_counts``."""
+    return oscillation_counts(profile, build_schrodinger(profile, settings), 0, settings)[0]
 
 
 def mode_negative_count(profile: RadialProfile, k: int, settings: Settings = DEFAULT) -> int:
-    """Negative-eigenvalue count of the angular-mode-k radial operator.
-
-    The k-mode operator adds k^2/r^2 to the radial operator; its form is
-    assembled in r-coordinates on the geometric mesh of
-    ``_fem_negative_count``, Dirichlet at both ends.  This route shares
-    nothing with the log-variable discretization, making it an independent
-    check on the eigenvalue decomposition.
-    """
+    """Negative-eigenvalue count of the angular-mode-k radial operator (the
+    radial operator plus k^2/r^2): the k count of ``oscillation_counts``."""
     if not (isinstance(k, int) and k >= 1):
         raise UsageError(f"k must be an integer >= 1, got {k}")
-    return _fem_negative_count(profile, k, settings)
+    return oscillation_counts(profile, build_schrodinger(profile, settings), k, settings)[k]

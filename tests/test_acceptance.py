@@ -62,8 +62,8 @@ def test_criterion_2_monotonicity(battery, capsys):
 
 
 def test_criterion_3_two_route_agreement(battery, capsys):
-    """The decomposition total matches the independent r-coordinate FEM
-    inertia count at every grid point."""
+    """The decomposition total matches the independent Sturm oscillation
+    count at every grid point."""
     summary, _ = battery
     section = summary.section("two_route")
     _announce(capsys, 3, "two-route agreement", section.passed,

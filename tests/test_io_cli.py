@@ -268,10 +268,13 @@ class TestCliExitCodes:
         assert diag["context"]["failing"] == ["radial_count"]
 
     def test_removed_radial_mesh_flag_is_usage(self, capsys):
-        code = cli.main(["morse", "--alpha", "0", "--p", "3", "--nodes", "1",
-                         "--radial-mesh-cells", "2048"])
-        assert code == 3
-        assert json.loads(capsys.readouterr().err)["error"] == "UsageError"
+        for flag, value in (("--radial-mesh-cells", "2048"),
+                            ("--mode-mesh-ratio", "1.02"),
+                            ("--mode-mesh-rmin", "1e-8")):
+            code = cli.main(["morse", "--alpha", "0", "--p", "3",
+                             "--nodes", "1", flag, value])
+            assert code == 3
+            assert json.loads(capsys.readouterr().err)["error"] == "UsageError"
 
     def test_settings_flag_reaches_solver(self, capsys):
         code = cli.main(["spectrum", "--alpha", "0", "--p", "3", "--nodes",

@@ -83,16 +83,18 @@ class TestAssembly:
 
     def test_radial_route_mismatch_raises(self, monkeypatch):
         profile = solve_nodal(HenonParams(alpha=0.0, p=3.0, n_nodal=2))
-        monkeypatch.setattr(morse_mod, "radial_morse_index",
-                            lambda prof, settings=None: 7)
+        monkeypatch.setattr(morse_mod, "oscillation_counts",
+                            lambda prof, problem, k_max, settings=None:
+                            (7,) + (0,) * k_max)
         with pytest.raises(TwoRouteError) as err:
             assemble_morse(profile)
         assert err.value.context["fem_route"] == 7
 
     def test_mode_route_mismatch_raises(self, monkeypatch):
         profile = solve_nodal(HenonParams(alpha=0.0, p=3.0, n_nodal=2))
-        monkeypatch.setattr(morse_mod, "mode_negative_count",
-                            lambda prof, k, settings=None: 0)
+        monkeypatch.setattr(morse_mod, "oscillation_counts",
+                            lambda prof, problem, k_max, settings=None:
+                            (2,) + (0,) * k_max)
         with pytest.raises(TwoRouteError) as err:
             assemble_morse(profile)
         assert "decomposition" in err.value.context
@@ -144,14 +146,15 @@ class TestAssembly:
         assert len(passes) == 2
         assert "no negative radial eigenvalues" in str(err.value)
 
-    @pytest.mark.xfail(strict=True, raises=TwoRouteError,
-                       reason="route B undercounts mode k = 27 at the default "
-                              "mode_mesh_ratio 1.02; 93 is the index certified "
-                              "with mode_mesh_ratio 1.005")
-    def test_known_route_b_undercount_at_553(self):
-        _, report = solve_point(5.0, 5.0, 3)
-        assert report.m_total == 93
-        assert report.route_b_total == 93
+    @pytest.mark.parametrize("alpha,p,n,m_total", [
+        (5.0, 5.0, 3, 93), (8.5, 3.0, 2, 52), (10.5, 3.0, 2, 60),
+        (5.5, 3.0, 3, 91)])
+    def test_known_route_b_undercounts(self, alpha, p, n, m_total):
+        """The finite-element cross-route stopped on an undercounting plateau
+        here (one mode short); the oscillation count agrees with route A."""
+        _, report = solve_point(alpha, p, n)
+        assert report.m_total == m_total
+        assert report.route_b_total == report.m_total
 
     def test_fractional_p_below_two_converges(self):
         """(0, 1.8, 2) used to exhaust the mesh budget: bisection's stopping

@@ -19,7 +19,9 @@ the oracle below with mesh ratios 1.01/1.005 plus Richardson extrapolation
     lambda_2 = -0.9079707
 """
 
+import gc
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -39,6 +41,7 @@ from henon_morse.spectrum import (
     fd_negative_eigenvalues,
     mode_negative_count,
     negative_spectrum,
+    oscillation_counts,
     radial_morse_index,
     tridiagonal_negative_inertia,
 )
@@ -371,15 +374,6 @@ class TestInertiaCount:
             assert tridiagonal_negative_inertia(diag, off) == count
             assert ldlt_negative_count(diag, off) == count
 
-    def test_route_b_matrices_of_profile_032(self, monkeypatch, profile_032):
-        seen = record_calls(monkeypatch, "tridiagonal_negative_inertia")
-        radial_morse_index(profile_032)
-        for k in range(1, 6):
-            mode_negative_count(profile_032, k)
-        assert len(seen) >= 12
-        for diag, off in seen:
-            assert tridiagonal_negative_inertia(diag, off) == ldlt_negative_count(diag, off)
-
     def test_wrong_off_length_is_usage_error(self):
         for diag, off in (([1.0, 2.0, 3.0], [1.0]), ([1.0, 2.0], [1.0, 2.0]),
                           ([1.0], [0.5])):
@@ -419,6 +413,19 @@ class TestCertifiedRefinement:
             assert rho.size == bisected.size
             width = 2.0**-52 * matrix_norm(diag, off)
             assert np.all(np.abs(rho - bisected) <= width)
+
+    @pytest.mark.parametrize("name", ["profile_032", "profile_053"])
+    def test_one_sturm_count_per_refined_level(self, request, monkeypatch,
+                                                name):
+        """Each refined level is certified by one count at 0 on its own
+        matrix, whatever the number of eigenvalues."""
+        refined = record_calls(monkeypatch, "_certified_refinement")
+        counts = record_calls(monkeypatch, "tridiagonal_negative_inertia")
+        negative_spectrum(build_schrodinger(request.getfixturevalue(name)))
+        assert len(refined) >= 2 and len(counts) == len(refined)
+        for (diag, off), (count_diag, count_off) in zip(refined, counts):
+            np.testing.assert_array_equal(count_diag, diag)
+            np.testing.assert_array_equal(count_off, off)
 
     @pytest.mark.parametrize("bad", [
         "empty", "missing", "extra", "out_of_order", "past_neighbour",
@@ -601,21 +608,30 @@ class TestCountIdentities:
         assert radial_morse_index(profile) == 0
         assert mode_negative_count(profile, 1) == 0
 
-    def test_radial_count_keeps_the_inner_node(self, monkeypatch, profile_032):
-        """k = 0 and k >= 1 share one geometric mesh per level; k = 0 keeps
-        its natural condition at mode_mesh_rmin, so its matrix has the one
-        extra row of that node."""
-        seen = record_calls(monkeypatch, "tridiagonal_negative_inertia")
-        radial_morse_index(profile_032)
-        radial_rows = [d.size for d, _ in seen]
-        seen.clear()
-        mode_negative_count(profile_032, 1)
-        mode_rows = [d.size for d, _ in seen]
-        assert len(radial_rows) == len(mode_rows) >= 2
-        assert radial_rows == [rows + 1 for rows in mode_rows]
-        step = math.log(DEFAULT.mode_mesh_ratio)
-        geometric = math.ceil(-math.log(DEFAULT.mode_mesh_rmin) / step) + 1
-        assert radial_rows[0] - 1 <= geometric <= radial_rows[0] + 1
+    def test_solves_keep_no_memory(self, profile_032):
+        """DOP853 keeps a reference to its callback after every solve, so
+        the callback must not hold the profile data of a call."""
+        problem = build_schrodinger(profile_032)
+        oscillation_counts(profile_032, problem, 4)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(10):
+                oscillation_counts(profile_032, problem, 4)
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 100_000
+
+    def test_exhausted_step_budget_raises(self, monkeypatch, profile_032):
+        monkeypatch.setattr(spectrum, "_MAX_OSCILLATION_STEPS", 5)
+        with pytest.warns(UserWarning, match="nsteps"), \
+                pytest.raises(NonConvergenceError) as err:
+            radial_morse_index(profile_032)
+        context = err.value.context
+        assert context["return_code"] == -2  # DOP853: larger nsteps needed
+        assert context["segment"][0] <= context["t_reached"] < context["segment"][1]
 
     def test_mode_count_validates_k(self, profile_032):
         with pytest.raises(UsageError):
