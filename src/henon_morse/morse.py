@@ -146,11 +146,16 @@ def assemble_morse(profile: RadialProfile, settings: Settings = DEFAULT,
         spectrum = negative_spectrum(problem, attempt)
         lambdas = spectrum.lambdas
         if lambdas.size == 0:
+            context = {"alpha": profile.params.alpha, "p": profile.params.p,
+                       "n_nodal": profile.params.n_nodal,
+                       "spectrum_T": spectrum.T, "spectrum_M": spectrum.M,
+                       "min_V": float(problem.V.min())}
+            if cross_check:
+                context["oscillation_radial_count"] = oscillation_counts(
+                    profile, problem, 0, settings)[0]
             raise NonConvergenceError(
                 "no negative radial eigenvalues found for a nodal solution",
-                {"alpha": profile.params.alpha, "p": profile.params.p,
-                 "n_nodal": profile.params.n_nodal},
-            )
+                context)
         k_max = math.ceil(math.sqrt(-float(lambdas[0])))
         tie_distance = _tie_distance(lambdas, k_max)
         if tie_distance >= 10.0 * attempt.eig_tol:

@@ -26,16 +26,24 @@ small radius eps > 0 from the two-term series
     u'(r) = - f(d) r^(alpha+1) / (alpha+2),        f(d) = d^p,
 
 whose truncation error is O(r^(2*alpha + 4)).
+
+From there the two-component system (u, u') is integrated by a DOP853
+stepper written for it in Python floats: scipy's Dormand-Prince 8(5,3)
+tableau, step-size control and 7th-order dense output, without the
+per-step array overhead of a general-purpose solver.  Zeros of u are found
+on the dense output of the step that brackets them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import mul
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853
 from scipy.interpolate import CubicHermiteSpline
+from scipy.optimize import brentq
 
 from .config import DEFAULT, Settings
 from .errors import NonConvergenceError, UsageError
@@ -47,6 +55,7 @@ __all__ = [
     "integrate_ivp",
     "solve_nodal",
     "evaluate_profile",
+    "evaluate_u",
     "ode_residual",
     "validate_profile",
 ]
@@ -65,6 +74,37 @@ def gauss_legendre_01(points: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 _GAUSS_X, _GAUSS_W = gauss_legendre_01(5)
+
+
+def _floats(a) -> tuple:
+    return tuple(float(x) for x in a)
+
+
+# The DOP853 tableau, as Python floats.  Row s of ``_A`` holds the s weights
+# of stage s on the stages before it; each ``_A_EXTRA`` row likewise, for
+# the three stages the dense output adds after the step's 13 (12 plus the
+# derivative at the new point).
+_C = _floats(DOP853.C)
+_A = tuple(_floats(row[:s]) for s, row in enumerate(DOP853.A))
+_B = _floats(DOP853.B)
+_E3 = _floats(DOP853.E3)
+_E5 = _floats(DOP853.E5)
+_C_EXTRA = _floats(DOP853.C_EXTRA)
+_A_EXTRA = tuple(_floats(row[:s]) for s, row in
+                 enumerate(DOP853.A_EXTRA, start=DOP853.n_stages + 1))
+_D = tuple(_floats(row) for row in DOP853.D)
+_STAGES = tuple(zip(_A[1:], _C[1:]))
+
+# scipy's step-size control: safety factor, bounds on the change of the
+# step, and the exponent -1/(q+1) for the embedded estimate of order q = 7.
+_SAFETY = 0.9
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 10.0
+_ERROR_EXPONENT = -1.0 / 8.0
+_ZERO_TOL = 4.0 * np.finfo(float).eps
+# Work bound of one integration.  The zero hunt of a nodal profile takes
+# 30-460 steps over alpha <= 20, p <= 100, n <= 6 at the default tolerances.
+_MAX_IVP_STEPS = 20000
 
 
 def _power(u, p):
@@ -94,9 +134,10 @@ class ShootingTrajectory:
     """One integration of the initial value problem u(0) = d > 0.
 
     ``r_end`` is the radius where integration stopped, ``zeros`` the
-    ordered roots of u found by event detection.  ``value`` evaluates
-    (u, u') anywhere in [0, r_end] through the integrator's dense output,
-    falling back to the origin series below the series start radius.
+    ordered roots of u found on the steps' dense output.  ``value``
+    evaluates (u, u') anywhere in [0, r_end]: through the 7th-order DOP853
+    interpolant of the step that holds each radius, all radii at once, and
+    through the origin series below the series start radius.
     """
 
     alpha: float
@@ -104,7 +145,11 @@ class ShootingTrajectory:
     d: float
     r_end: float
     zeros: np.ndarray
-    _dense: object = field(repr=False)
+    # _knots[i], _knots[i + 1]: ends of step i (a terminal zero, r_end, can
+    # lie inside the last step); _coef[i, j] = (y_old, F0, ..., F6) of
+    # component j (u, then u') over step i.
+    _knots: np.ndarray = field(repr=False)
+    _coef: np.ndarray = field(repr=False)
     _eps: float = field(repr=False)
 
     def value(self, r):
@@ -122,12 +167,27 @@ class ShootingTrajectory:
             u_out[small] = us
             du_out[small] = dus
         if np.any(~small):
-            vals = self._dense(r_arr[~small])
-            u_out[~small] = vals[0]
-            du_out[~small] = vals[1]
+            u_out[~small], du_out[~small] = self._dense(r_arr[~small])
         if np.isscalar(r) or np.ndim(r) == 0:
             return float(u_out[0]), float(du_out[0])
         return u_out, du_out
+
+    def _dense(self, r: np.ndarray):
+        """Evaluate the step interpolants at radii inside the steps.
+
+        A radius on a step end takes the interpolant of the step before it.
+        """
+        knots = self._knots
+        seg = np.clip(np.searchsorted(knots, r, side="left") - 1,
+                      0, knots.size - 2)
+        x = ((r - knots[seg]) / (knots[seg + 1] - knots[seg]))[:, None]
+        coef = self._coef[seg]
+        y = np.zeros((r.size, 2))
+        for i, f in enumerate(range(7, 0, -1)):
+            y += coef[:, :, f]
+            y *= x if i % 2 == 0 else 1.0 - x
+        y += coef[:, :, 0]
+        return y[:, 0], y[:, 1]
 
 
 def _origin_series(alpha: float, p: float, d: float, r):
@@ -137,6 +197,32 @@ def _origin_series(alpha: float, p: float, d: float, r):
     u = d - c1 * r ** (alpha + 2.0)
     du = -fd * r ** (alpha + 1.0) / (alpha + 2.0)
     return u, du
+
+
+def _step_zero(r: float, r_new: float, u: float, u_new: float, F) -> float | None:
+    """The zero of u that the step from r to r_new reports, or None.
+
+    A step reports a sign change of u and an exact zero at its new end,
+    never one at its old end: the step before reported that one.  A sign
+    change is located by ``brentq`` on the step's dense output of u, whose
+    coefficients are F = (F0, ..., F6), evaluated in the operation order of
+    ``ShootingTrajectory``.
+    """
+    if u_new == 0.0:
+        return r_new
+    if u == 0.0 or (u < 0.0) == (u_new < 0.0):
+        return None
+    h = r_new - r
+
+    def interpolant(t):
+        x = (t - r) / h
+        y = 0.0
+        for i, f in enumerate(reversed(F)):
+            y += f
+            y *= x if i % 2 == 0 else 1.0 - x
+        return y + u
+
+    return brentq(interpolant, r, r_new, xtol=_ZERO_TOL, rtol=_ZERO_TOL)
 
 
 def integrate_ivp(
@@ -150,19 +236,36 @@ def integrate_ivp(
     """Integrate the radial ODE from the origin out to ``r_max``.
 
     Starts at ``settings.series_start_radius`` from the two-term origin
-    series and integrates with an adaptive Runge-Kutta scheme, recording
-    every sign change of u by event detection.  With ``stop_after`` set,
-    integration terminates at that zero crossing instead of running to
-    ``r_max``; this keeps the zero hunt cheap even for large powers p,
-    whose zeros sit at exponentially large radii.  The series start is
-    validated: the first neglected series term at the start radius must be
-    negligible against the integrator's absolute tolerance.
+    series.  The series start is validated: the first neglected series term
+    at the start radius must be negligible against the integrator's
+    absolute tolerance.
+
+    The stepper is DOP853 as scipy implements it, specialised to the system
+    u' = v, v' = -v/r - r^alpha |u|^(p-1) u and run in Python floats.  It
+    uses scipy's tableau (read from ``scipy.integrate.DOP853``), initial
+    step rule, error norm, step-size control and minimum step, and stores
+    every step's 7th-order dense output.  ``settings.rtol`` is used as
+    given, with no floor at 100 machine epsilons.
+
+    A zero of u is a sign change over a step or an exact zero at a step's
+    end.  It is located by ``brentq`` on that step's interpolant at
+    xtol = rtol = 4 eps and is reported once, also when it is a step end.
+    With ``stop_after`` set, integration terminates at that zero instead
+    of running to ``r_max``; this keeps the zero hunt cheap even for large
+    powers p, whose zeros sit at exponentially large radii.  Zeros closer
+    than ``settings.root_tol`` to the previous one are dropped.
+
+    Raises NonConvergenceError when the step size falls below ten spacings
+    of the floating-point numbers at the current radius, which is what a
+    tolerance far below the arithmetic's precision does, and when the
+    integration needs more than ``_MAX_IVP_STEPS`` steps.
     """
     if not (d > 0.0 and math.isfinite(d)):
         raise UsageError(f"initial value d must be finite and > 0, got {d}")
     eps = settings.series_start_radius
-    if not r_max > 10.0 * eps:
-        raise UsageError(f"r_max must exceed 10 * series start radius, got {r_max}")
+    if not (math.isfinite(r_max) and r_max > 10.0 * eps):
+        raise UsageError(
+            f"r_max must be finite and exceed 10 * series start radius, got {r_max}")
 
     # Next series term: c2 * r^(2 alpha + 4) with c2 = p d^(p-1) c1 / (2 alpha + 4)^2.
     fd = d**p
@@ -176,43 +279,135 @@ def integrate_ivp(
         )
 
     u0, du0 = _origin_series(alpha, p, d, np.array([eps]))
-
-    def rhs(r, y):
-        u, v = y
-        return (v, -v / r - r**alpha * _power(u, p))
-
-    def crossing(r, y):
-        return y[0]
-
-    crossing.direction = 0.0
-    if stop_after is not None:
-        crossing.terminal = int(stop_after)
-
-    sol = solve_ivp(
-        rhs,
-        (eps, r_max),
-        (float(u0[0]), float(du0[0])),
-        method="DOP853",
-        rtol=settings.rtol,
-        atol=settings.atol,
-        dense_output=True,
-        events=(crossing,),
-    )
-    if not sol.success:
-        raise NonConvergenceError(
-            f"ODE integration failed: {sol.message}",
-            {"alpha": alpha, "p": p, "d": d, "r_max": r_max},
-        )
-    zeros = np.asarray(sol.t_events[0], dtype=float)
+    knots, coef, zeros, r_end = _dop853(
+        float(alpha), float(p), float(eps), float(u0[0]), float(du0[0]),
+        float(r_max), settings.rtol, settings.atol, stop_after,
+        {"alpha": alpha, "p": p, "d": d, "r_max": r_max})
+    zeros = np.asarray(zeros, dtype=float)
     zeros = zeros[zeros > eps]
     if zeros.size > 1:
         keep = np.concatenate(([True], np.diff(zeros) > settings.root_tol))
         zeros = zeros[keep]
 
     return ShootingTrajectory(
-        alpha=alpha, p=p, d=d, r_end=float(sol.t[-1]), zeros=zeros,
-        _dense=sol.sol, _eps=eps,
+        alpha=alpha, p=p, d=d, r_end=r_end, zeros=zeros,
+        _knots=np.asarray(knots), _coef=np.reshape(coef, (-1, 2, 8)), _eps=eps,
     )
+
+
+def _dop853(alpha, p, r, u, v, r_bound, rtol, atol, stop_after, context):
+    """DOP853 from (r, u, v) to ``r_bound`` for the radial system.
+
+    Returns the step ends, the dense-output coefficients (y_old, F0, ...,
+    F6) of u and of v for each step, the zeros of u and the radius where
+    integration stopped: ``r_bound``, or zero number ``stop_after`` when
+    that is set.
+    """
+    pm1 = p - 1.0
+
+    def rate(r, u, v):
+        # v' for the state (u, v), in scipy's operation order
+        return -v / r - r**alpha * (abs(u) ** pm1 * u)
+
+    def rms(a, b):
+        return math.sqrt((a * a + b * b) / 2.0)
+
+    # scipy's initial step (Hairer-Norsett-Wanner II.4), at order q = 7.
+    fv = rate(r, u, v)
+    su, sv = atol + abs(u) * rtol, atol + abs(v) * rtol
+    d0, d1 = rms(u / su, v / sv), rms(v / su, fv / sv)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, r_bound - r)
+    v1 = v + h0 * fv
+    d2 = rms((v1 - v) / su, (rate(r + h0, u + h0 * v, v1) - fv) / sv) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0)
+    h_abs = min(100.0 * h0, h1, r_bound - r)
+
+    knots = [r]
+    coef = []
+    zeros = []
+    while r < r_bound:
+        if len(knots) > _MAX_IVP_STEPS:
+            raise NonConvergenceError(
+                f"ODE integration took more than {_MAX_IVP_STEPS} steps",
+                dict(context, r=r))
+        min_step = 10.0 * (math.nextafter(r, math.inf) - r)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise NonConvergenceError(
+                    "ODE integration failed: Required step size is less "
+                    "than spacing between numbers.",
+                    dict(context, r=r, min_step=min_step))
+            r_new = min(r + h_abs, r_bound)
+            h = r_new - r
+            h_abs = h
+            ku, kv = [v], [fv]
+            try:
+                for a, c in _STAGES:
+                    us = u + sum(map(mul, a, ku)) * h
+                    vs = v + sum(map(mul, a, kv)) * h
+                    ku.append(vs)
+                    kv.append(rate(r + c * h, us, vs))
+                u_new = u + h * sum(map(mul, _B, ku))
+                v_new = v + h * sum(map(mul, _B, kv))
+                ku.append(v_new)
+                kv.append(rate(r + h, u_new, v_new))
+                su = atol + max(abs(u), abs(u_new)) * rtol
+                sv = atol + max(abs(v), abs(v_new)) * rtol
+                e5u = sum(map(mul, _E5, ku)) / su
+                e5v = sum(map(mul, _E5, kv)) / sv
+                e3u = sum(map(mul, _E3, ku)) / su
+                e3v = sum(map(mul, _E3, kv)) / sv
+                err5 = e5u * e5u + e5v * e5v
+                err3 = e3u * e3u + e3v * e3v
+                if err5 == 0.0 and err3 == 0.0:
+                    error_norm = 0.0
+                else:
+                    error_norm = h * err5 / math.sqrt((err5 + 0.01 * err3) * 2.0)
+            except OverflowError:
+                # a trial step that blows up; numpy would carry inf/nan into
+                # the error norm, which rejects it by the largest decrease
+                error_norm = math.inf
+            if error_norm < 1.0:
+                if error_norm == 0.0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR,
+                                 _SAFETY * error_norm**_ERROR_EXPONENT)
+                if rejected:
+                    factor = min(1.0, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm**_ERROR_EXPONENT)
+            rejected = True
+
+        # Dense output: three more stages, then F0..F6 for each component.
+        for a, c in zip(_A_EXTRA, _C_EXTRA):
+            us = u + sum(map(mul, a, ku)) * h
+            vs = v + sum(map(mul, a, kv)) * h
+            ku.append(vs)
+            kv.append(rate(r + c * h, us, vs))
+        du, dv = u_new - u, v_new - v
+        Fu = (du, h * v - du, 2.0 * du - h * (v_new + v),
+              *(h * sum(map(mul, row, ku)) for row in _D))
+        Fv = (dv, h * fv - dv, 2.0 * dv - h * (kv[12] + fv),
+              *(h * sum(map(mul, row, kv)) for row in _D))
+        coef.append((u, *Fu))
+        coef.append((v, *Fv))
+        knots.append(r_new)
+
+        root = _step_zero(r, r_new, u, u_new, Fu)
+        if root is not None:
+            zeros.append(root)
+            if stop_after is not None and len(zeros) >= stop_after:
+                return knots, coef, zeros, root
+        r, u, v, fv = r_new, u_new, v_new, kv[12]
+    return knots, coef, zeros, r
 
 
 @dataclass
@@ -262,12 +457,9 @@ class RadialProfile:
         self._dspline = CubicHermiteSpline(self.grid, self.du, ddu)
 
 
-def evaluate_profile(profile: RadialProfile, r):
-    """Evaluate (u, u') at radii in [0, 1] via the profile's interpolants.
-
-    Exact at the grid nodes; cubic Hermite in between.  Scalar input gives
-    scalar output.
-    """
+def _profile_radii(r) -> np.ndarray:
+    """Radii as a 1-D array clipped to [0, 1], rejecting any further out
+    than roundoff."""
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
     if r_arr.size:
         lo, hi = r_arr.min(), r_arr.max()
@@ -276,12 +468,27 @@ def evaluate_profile(profile: RadialProfile, r):
                 "evaluation radius outside [0, 1]",
                 {"r_min": float(lo), "r_max": float(hi)},
             )
-    r_arr = np.clip(r_arr, 0.0, 1.0)
+    return np.clip(r_arr, 0.0, 1.0)
+
+
+def evaluate_profile(profile: RadialProfile, r):
+    """Evaluate (u, u') at radii in [0, 1] via the profile's interpolants.
+
+    Exact at the grid nodes; cubic Hermite in between.  Scalar input gives
+    scalar output.
+    """
+    r_arr = _profile_radii(r)
     u = profile._spline(r_arr)
     du = profile._dspline(r_arr)
-    if np.isscalar(r) or np.ndim(r) == 0:
+    if np.ndim(r) == 0:
         return float(u[0]), float(du[0])
     return u, du
+
+
+def evaluate_u(profile: RadialProfile, r):
+    """The u of ``evaluate_profile`` alone, without interpolating u'."""
+    u = profile._spline(_profile_radii(r))
+    return float(u[0]) if np.ndim(r) == 0 else u
 
 
 def _output_grid(nodal_radii: np.ndarray, settings: Settings) -> np.ndarray:
@@ -419,7 +626,7 @@ def validate_profile(profile: RadialProfile, settings: Settings = DEFAULT) -> No
         problems.append(f"u changes sign {flips} times, expected {n - 1}")
     mids = 0.5 * (np.concatenate(([0.0], pr.nodal_radii[:-1]))
                   + pr.nodal_radii)
-    mid_u, _ = evaluate_profile(pr, mids)
+    mid_u = evaluate_u(pr, mids)
     expected = (-1.0) ** np.arange(n)
     if np.any(np.sign(mid_u) != expected):
         problems.append("nodal interval signs do not alternate starting positive")

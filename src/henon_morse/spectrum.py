@@ -48,7 +48,7 @@ from scipy.linalg.lapack import dgtsv, dstebz
 
 from .config import DEFAULT, Settings
 from .errors import NonConvergenceError, UsageError
-from .radial import RadialProfile, evaluate_profile
+from .radial import RadialProfile, evaluate_u
 
 __all__ = [
     "SchrodingerProblem",
@@ -126,7 +126,7 @@ def build_schrodinger(profile: RadialProfile, settings: Settings = DEFAULT) -> S
     def potential(t):
         t = np.asarray(t, dtype=float)
         r = np.exp(np.minimum(t, 0.0))
-        u, _ = evaluate_profile(profile, r)
+        u = evaluate_u(profile, r)
         return -p * np.exp((alpha + 2.0) * t) * np.abs(u) ** (p - 1.0)
 
     tol = settings.truncation_tol

@@ -43,6 +43,7 @@ from .radial import (
     RadialProfile,
     _output_grid,
     evaluate_profile,
+    evaluate_u,
     validate_profile,
 )
 
@@ -224,7 +225,7 @@ def quadratic_form(
     def integrand(r):
         g = w.g(r)
         dg = w.dg(r)
-        u, _ = evaluate_profile(profile, r)
+        u = evaluate_u(profile, r)
         val = (dg * dg) * r - p * r ** (1.0 + alpha) * np.abs(u) ** (p - 1.0) * (g * g)
         if k2:
             val = val + k2 * (g * g) / r

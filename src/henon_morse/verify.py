@@ -46,7 +46,7 @@ from .morse import (
     solve_point,
     sweep_from_reports,
 )
-from .radial import evaluate_profile
+from .radial import evaluate_u
 from .spectrum import SchrodingerProblem, fd_negative_eigenvalues, negative_spectrum
 from .transform import transform_solution, verify_form_comparison
 
@@ -136,8 +136,8 @@ def _point_task(args):
 
     transformed = transform_solution(companion_profile, alpha, settings)
     rs = np.linspace(0.0, 1.0, 4097)
-    u_direct, _ = evaluate_profile(profile, rs)
-    u_mapped, _ = evaluate_profile(transformed, rs)
+    u_direct = evaluate_u(profile, rs)
+    u_mapped = evaluate_u(transformed, rs)
     sup_rel = float(np.max(np.abs(u_mapped - u_direct))
                     / np.max(np.abs(u_direct)))
     report_t = assemble_morse(transformed, settings)

@@ -146,6 +146,24 @@ class TestAssembly:
         assert len(passes) == 2
         assert "no negative radial eigenvalues" in str(err.value)
 
+    def test_refused_empty_spectrum_carries_its_evidence(self):
+        """At (0, 1.05, 1) route A finds no negative eigenvalue, while the
+        oscillation count gives the radial index 1 a positive solution must
+        have.  The refusal reports both, with the mesh and the depth of V."""
+        profile = solve_nodal(HenonParams(alpha=0.0, p=1.05, n_nodal=1))
+        with pytest.raises(NonConvergenceError) as err:
+            assemble_morse(profile)
+        assert "no negative radial eigenvalues" in str(err.value)
+        context = err.value.context
+        assert context["oscillation_radial_count"] == 1
+        assert context["spectrum_M"] >= 8192
+        assert context["spectrum_T"] > 0.0
+        assert context["min_V"] < 0.0
+        with pytest.raises(NonConvergenceError) as err:
+            assemble_morse(profile, cross_check=False)
+        assert "oscillation_radial_count" not in err.value.context
+        assert err.value.context["min_V"] == context["min_V"]
+
     @pytest.mark.parametrize("alpha,p,n,m_total", [
         (5.0, 5.0, 3, 93), (8.5, 3.0, 2, 52), (10.5, 3.0, 2, 60),
         (5.5, 3.0, 3, 91)])

@@ -5,12 +5,18 @@ oracle below (steps h = 1e-4 and 5e-5 agree to ~5e-12; see
 ``rk4_zeros``), which shares no code with the production integrator.
 """
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.integrate import DOP853, solve_ivp
 
+import henon_morse.radial as radial_mod
 from henon_morse import (
     DEFAULT,
     HenonParams,
+    NonConvergenceError,
     RadialProfile,
     UsageError,
     evaluate_profile,
@@ -19,6 +25,7 @@ from henon_morse import (
     solve_nodal,
     validate_profile,
 )
+from henon_morse.radial import evaluate_u
 
 # Zeros of the trajectory with u(0) = 1, from the RK4 oracle.
 ZERO1_A0_P3 = 3.5739009819    # first zero, alpha = 0, p = 3
@@ -194,3 +201,139 @@ def test_trajectory_value_below_series_start():
     r = 1e-8  # inside the series region
     u, du = traj.value(r)
     assert u == pytest.approx(1.0 - r**2 / 4.0, rel=1e-12)
+
+
+def test_evaluate_u_is_the_u_of_evaluate_profile():
+    prof = solve_nodal(HenonParams(0.5, 3.0, 2))
+    r = np.linspace(0.0, 1.0, 1001)
+    u, _ = evaluate_profile(prof, r)
+    assert np.array_equal(evaluate_u(prof, r), u)
+    assert evaluate_u(prof, 0.25) == evaluate_profile(prof, 0.25)[0]
+    with pytest.raises(UsageError):
+        evaluate_u(prof, 1.5)
+
+
+class TestDop853Kernel:
+    """The radial DOP853 stepper against scipy's general-purpose one."""
+
+    @staticmethod
+    def scipy_reference(alpha, p, n, r_max=1e12):
+        eps = DEFAULT.series_start_radius
+        y0 = (1.0 - eps ** (alpha + 2) / (alpha + 2) ** 2,
+              -(eps ** (alpha + 1)) / (alpha + 2))
+
+        def rhs(r, y):
+            return (y[1], -y[1] / r - r**alpha * np.abs(y[0]) ** (p - 1) * y[0])
+
+        def crossing(r, y):
+            return y[0]
+
+        crossing.terminal = n
+        with np.errstate(over="ignore", invalid="ignore"):
+            return solve_ivp(rhs, (eps, r_max), y0, method="DOP853",
+                             rtol=DEFAULT.rtol, atol=DEFAULT.atol,
+                             dense_output=True, events=(crossing,))
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("p", [1.8, 3.0, 5.0])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 2.5])
+    def test_matches_solve_ivp(self, alpha, p, n):
+        ref = self.scipy_reference(alpha, p, n)
+        traj = integrate_ivp(alpha, p, 1.0, 1e12, stop_after=n)
+        z_ref = ref.t_events[0]
+        assert traj.zeros.shape == (n,)
+        assert np.allclose(traj.zeros, z_ref, rtol=1e-9, atol=0.0)
+        assert traj.r_end == traj.zeros[-1]
+        r = np.linspace(DEFAULT.series_start_radius, traj.r_end, 2001)
+        u, du = traj.value(r)
+        u_ref, du_ref = ref.sol(r)
+        assert np.max(np.abs(u - u_ref)) <= 1e-9 * np.max(np.abs(u_ref))
+        assert np.max(np.abs(du - du_ref)) <= 1e-9 * np.max(np.abs(du_ref))
+
+    def test_overflowing_trial_step_is_rejected(self):
+        # At (20, 20) a trial step near r = 4.5 overflows |u|^(p-1) in
+        # Python floats; numpy gives inf there, which rejects the step.
+        r_max = math.exp(600.0 / 22.0)
+        ref = self.scipy_reference(20.0, 20.0, 6, r_max)
+        traj = integrate_ivp(20.0, 20.0, 1.0, r_max, stop_after=6)
+        assert np.allclose(traj.zeros, ref.t_events[0], rtol=1e-9, atol=0.0)
+        assert traj._knots.size == ref.t.size
+
+    def test_value_on_step_ends_and_past_a_terminal_zero(self):
+        traj = integrate_ivp(0.0, 3.0, 1.0, 100.0, stop_after=2)
+        ends = traj._knots[1:-1]
+        u, du = traj.value(ends)
+        # each end is evaluated on the step before it: y_old + delta_y
+        u_left, _ = traj.value(np.nextafter(ends, 0.0))
+        assert np.max(np.abs(u - u_left)) <= 1e-12
+        # the terminal zero lies inside the last step, not at its end
+        assert traj._knots[-2] < traj.r_end <= traj._knots[-1]
+        assert abs(traj.value(traj.r_end)[0]) <= 1e-12
+        traj.value(traj.r_end * (1 + 1e-13))
+        with pytest.raises(UsageError):
+            traj.value(traj.r_end * 1.01)
+
+    def test_zero_on_a_step_end_is_reported_once(self, monkeypatch):
+        # a sign change inside a step is located on its interpolant; F0 is
+        # the step's increment, so F = (-2, 0, ...) is the line 1 - 2x
+        line = (-2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        assert radial_mod._step_zero(1.0, 2.0, 1.0, -1.0, line) == 1.5
+        assert radial_mod._step_zero(1.0, 2.0, 1.0, 0.5, line) is None
+
+        def no_brentq(*args, **kwargs):
+            raise AssertionError("an exact zero needs no root search")
+
+        monkeypatch.setattr(radial_mod, "brentq", no_brentq)
+        # a step that ends on an exact zero reports its end ...
+        assert radial_mod._step_zero(1.0, 2.0, 1.0, 0.0, line) == 2.0
+        assert radial_mod._step_zero(1.0, 2.0, -1.0, -0.0, line) == 2.0
+        # ... and the next step, which starts there, reports nothing
+        for u_new in (-1.0, 1.0, 0.0):
+            root = radial_mod._step_zero(2.0, 3.0, 0.0, u_new, line)
+            assert root is None or (u_new == 0.0 and root == 3.0)
+
+    def test_tableau_shape(self):
+        # the stepper reads these from scipy; a change of layout must fail
+        assert DOP853.n_stages == 12
+        assert DOP853.A.shape == (12, 12) and DOP853.B.shape == (12,)
+        assert DOP853.C.shape == (12,)
+        assert DOP853.E3.shape == DOP853.E5.shape == (13,)
+        assert DOP853.A_EXTRA.shape == (3, 16) and DOP853.C_EXTRA.shape == (3,)
+        assert DOP853.D.shape == (4, 16)
+        assert [len(row) for row in radial_mod._A] == list(range(12))
+        assert [len(row) for row in radial_mod._A_EXTRA] == [13, 14, 15]
+
+    def test_step_size_underflow_raises_with_context(self):
+        # rtol far below the arithmetic's precision; the tiny series start
+        # keeps the neglected series term below the tiny atol
+        tight = replace(DEFAULT, rtol=1e-40, atol=1e-300,
+                        series_start_radius=1e-80)
+        with pytest.raises(NonConvergenceError) as err:
+            integrate_ivp(0.0, 3.0, 1.0, 14.0, tight, stop_after=2)
+        assert "Required step size is less than spacing" in str(err.value)
+        context = err.value.context
+        assert context["alpha"] == 0.0 and context["p"] == 3.0
+        assert context["d"] == 1.0 and context["r_max"] == 14.0
+        assert 1e-80 <= context["r"] < 14.0
+        assert 0.0 < context["min_step"] < 1e-14 * max(1.0, context["r"])
+
+    def test_step_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(radial_mod, "_MAX_IVP_STEPS", 10)
+        with pytest.raises(NonConvergenceError) as err:
+            integrate_ivp(0.0, 3.0, 1.0, 14.0, stop_after=2)
+        assert "more than 10 steps" in str(err.value)
+        assert 0.0 < err.value.context["r"] < ZERO1_A0_P3
+
+    def test_infinite_r_max_is_usage(self):
+        with pytest.raises(UsageError):
+            integrate_ivp(0.0, 3.0, 1.0, np.inf)
+
+
+def test_too_few_zeros_within_shoot_tmax():
+    # log r capped at 1.5 (r <= 4.48): the second zero, at 12.29, is beyond
+    short = replace(DEFAULT, shoot_tmax=1.5)
+    with pytest.raises(NonConvergenceError) as err:
+        solve_nodal(HenonParams(0.0, 3.0, 2), short)
+    assert "only 1 zeros found" in str(err.value)
+    assert err.value.context["zeros_found"] == 1
+    assert err.value.context["n_nodal"] == 2
