@@ -5,6 +5,7 @@ from .errors import (
     HenonMorseError,
     NonConvergenceError,
     SchemaError,
+    ThresholdTieError,
     TwoRouteError,
     UsageError,
     VerificationError,

@@ -28,8 +28,6 @@ class Settings:
         Maximum allowed |u(1)| after rescaling.
     residual_tol:
         Allowed cell-averaged ODE residual, relative to max|u|^p.
-    profile_resolution:
-        Number of points of the uniform output grid on [0, 1].
     truncation_tol:
         Allowed size of the transformed potential at the cut-off.
     schrodinger_intervals:
@@ -45,11 +43,6 @@ class Settings:
     form_tol:
         Comparison tolerance for quadratic-form identities, relative to
         1 + |Q|.
-    grid_geo_rmin, grid_geo_step:
-        Geometric augmentation of the profile grid near the origin:
-        innermost radius and log-spacing of the extra nodes.  These resolve
-        the interior concentration that nodal solutions develop for large
-        powers p.
     shoot_tmax:
         Cap on log(r) for the zero hunt of the shooting trajectory.
     """
@@ -60,14 +53,11 @@ class Settings:
     root_tol: float = 1e-12
     boundary_tol: float = 1e-9
     residual_tol: float = 1e-6
-    profile_resolution: int = 2049
     truncation_tol: float = 1e-10
     schrodinger_intervals: int = 8192
     eig_tol: float = 1e-8
     quad_rel_tol: float = 1e-10
     form_tol: float = 1e-7
-    grid_geo_rmin: float = 1e-12
-    grid_geo_step: float = 0.1
     shoot_tmax: float = 46.0
 
 

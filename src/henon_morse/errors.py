@@ -27,6 +27,12 @@ class NonConvergenceError(HenonMorseError):
     """
 
 
+class ThresholdTieError(NonConvergenceError):
+    """The sign of some lambda_j + k^2 cannot be decided at the working
+    tolerance; ``context`` holds the eigenvalues, the scaled tie distance
+    and the eig_tol of the last pass."""
+
+
 class VerificationError(HenonMorseError):
     """A mathematical consistency check failed.
 

@@ -20,7 +20,8 @@ Document shapes:
 
 Two documents are built outside this module and only emitted here: the
 sweep JSON (``morse.SweepResult.to_dict``) and the verification battery
-(``verify.BatterySummary.to_dict``).
+(``verify.BatterySummary.to_dict``).  ``load_profile`` and ``load_morse``
+return the checked documents as dicts.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from .errors import SchemaError
 from .morse import BoundCheck, MorseReport
-from .radial import HenonParams, RadialProfile
+from .radial import RadialProfile, evaluate_profile, output_grid
 from .spectrum import RadialSpectrum
 
 __all__ = [
@@ -146,44 +147,41 @@ def _float_array(doc: dict, field: str, where: str) -> np.ndarray:
 
 
 def profile_document(profile: RadialProfile) -> dict:
+    """The profile sampled on its output grid (``radial.output_grid``)."""
+    grid = output_grid(profile)
+    u, du = evaluate_profile(profile, grid)
     return {
         "alpha": profile.params.alpha,
         "p": profile.params.p,
         "n": profile.params.n_nodal,
         "d": profile.d,
-        "grid": profile.grid,
-        "u": profile.u,
-        "du": profile.du,
+        "grid": grid,
+        "u": u,
+        "du": du,
         "nodal_radii": profile.nodal_radii,
         "tolerances": dict(profile.tolerances),
     }
 
 
-def load_profile(path) -> RadialProfile:
+def load_profile(path) -> dict:
+    """The profile document at ``path``, checked field by field."""
     doc = load_json(path)
     where = "profile"
-    alpha = float(_require(doc, "alpha", (int, float), where))
-    p = float(_require(doc, "p", (int, float), where))
-    n = _require(doc, "n", int, where)
-    d = float(_require(doc, "d", (int, float), where))
-    grid = _float_array(doc, "grid", where)
-    u = _float_array(doc, "u", where)
-    du = _float_array(doc, "du", where)
-    nodal = _float_array(doc, "nodal_radii", where)
-    tolerances = _require(doc, "tolerances", dict, where)
+    for field, kinds in (("alpha", (int, float)), ("p", (int, float)),
+                         ("n", int), ("d", (int, float))):
+        _require(doc, field, kinds, where)
+    grid, u, du, nodal = (_float_array(doc, field, where)
+                          for field in ("grid", "u", "du", "nodal_radii"))
+    _require(doc, "tolerances", dict, where)
     if not (grid.size == u.size == du.size):
         raise SchemaError("grid, u, du must have equal lengths",
                           {"field": "grid",
                            "lengths": [int(grid.size), int(u.size), int(du.size)]})
-    if nodal.size != n:
+    if nodal.size != doc["n"]:
         raise SchemaError("nodal_radii length must equal n",
                           {"field": "nodal_radii",
-                           "length": int(nodal.size), "n": int(n)})
-    return RadialProfile(
-        params=HenonParams(alpha=alpha, p=p, n_nodal=n),
-        d=d, grid=grid, u=u, du=du, nodal_radii=nodal,
-        tolerances=dict(tolerances),
-    )
+                           "length": int(nodal.size), "n": int(doc["n"])})
+    return doc
 
 
 # ---------------------------------------------------------------------------

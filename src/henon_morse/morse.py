@@ -29,7 +29,7 @@ index computation can verify:
   alpha at fixed p and n;
 * ``large_exponent_probe``: single-route decomposition for growing
   exponents p, reported as observations, never as certified cross-checked
-  indices.
+  indices; a p refused at a -k^2 tie is recorded as undecided.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import DEFAULT, Settings
-from .errors import NonConvergenceError, TwoRouteError, UsageError
+from .errors import NonConvergenceError, ThresholdTieError, TwoRouteError, UsageError
 from .radial import HenonParams, RadialProfile, solve_nodal
 from .spectrum import build_schrodinger, negative_spectrum, oscillation_counts
 
@@ -136,7 +136,7 @@ def assemble_morse(profile: RadialProfile, settings: Settings = DEFAULT,
     k = 0..k_max, k = 0 giving the radial index.  Any mismatch raises
     TwoRouteError; a |lambda_j + k^2| too small to call at the working
     tolerance triggers one recomputation at 10x tighter tolerance before
-    giving up.
+    giving up with ThresholdTieError.
     """
     # A sign decision lambda_j + k^2 <> 0 within 10x the eigenvalue accuracy
     # gets one more pass, tightened by one decade (more would chase the
@@ -161,7 +161,7 @@ def assemble_morse(profile: RadialProfile, settings: Settings = DEFAULT,
         if tie_distance >= 10.0 * attempt.eig_tol:
             break
     else:
-        raise NonConvergenceError(
+        raise ThresholdTieError(
             "an eigenvalue sits numerically on a -k^2 threshold; the "
             "angular decomposition cannot be decided at this tolerance",
             {"lambdas": [float(x) for x in lambdas],
@@ -179,15 +179,13 @@ def assemble_morse(profile: RadialProfile, settings: Settings = DEFAULT,
 
     route_b_total = None
     if cross_check:
-        # The messages and the "fem_route" key still name the former
-        # finite-element route; they stay as emitted, like route_b_total.
         osc_rad, *osc_counts = oscillation_counts(profile, problem, k_max,
                                                   settings)
         if osc_rad != m_rad:
             raise TwoRouteError(
                 "radial index mismatch between the log-variable eigenvalue "
-                "count and the r-coordinate inertia count",
-                {"log_route": m_rad, "fem_route": osc_rad,
+                "count and the Sturm oscillation count",
+                {"log_route": m_rad, "oscillation_route": osc_rad,
                  "lambdas": [float(x) for x in lambdas],
                  "alpha": profile.params.alpha, "p": profile.params.p,
                  "n_nodal": profile.params.n_nodal},
@@ -195,9 +193,9 @@ def assemble_morse(profile: RadialProfile, settings: Settings = DEFAULT,
         if tuple(osc_counts) != counts_per_k:
             raise TwoRouteError(
                 "angular mode counts mismatch between the eigenvalue "
-                "decomposition and the r-coordinate inertia counts",
+                "decomposition and the Sturm oscillation counts",
                 {"decomposition": list(counts_per_k),
-                 "fem_route": list(osc_counts),
+                 "oscillation_route": list(osc_counts),
                  "lambdas": [float(x) for x in lambdas],
                  "alpha": profile.params.alpha, "p": profile.params.p,
                  "n_nodal": profile.params.n_nodal},
@@ -339,13 +337,18 @@ def large_exponent_probe(p_values, alpha: float = 0.0, n: int = 2,
                          settings: Settings = DEFAULT) -> list:
     """Decomposition-route-only indices for a sequence of growing exponents.
 
-    The rows ``{"p", "report"}`` are observations of the single
-    log-variable route (cross_checked=False, route_b_total=None in each
-    report).  The oscillation count has no mesh for the concentrating inner
-    bubble to outrun and could cross-check these points too; the probe
-    stays single-route so that the battery document does not change.
+    A row ``{"p", "report"}`` is an observation of the single log-variable
+    route (cross_checked=False, route_b_total=None in the report).  A p
+    refused with ThresholdTieError is undecided, ``{"p", "report": None,
+    "refusal"}``, and the probe goes on; any other error stops it.  The
+    oscillation count could cross-check these points too; the probe stays
+    single-route so that the battery document does not change.
     """
-    return [{"p": float(p),
-             "report": solve_point(alpha, float(p), n, settings,
-                                   cross_check=False)[1]}
-            for p in p_values]
+    rows = []
+    for p in map(float, p_values):
+        try:
+            rows.append({"p": p, "report": solve_point(
+                alpha, p, n, settings, cross_check=False)[1]})
+        except ThresholdTieError as exc:
+            rows.append({"p": p, "report": None, "refusal": exc})
+    return rows

@@ -32,17 +32,23 @@ stepper written for it in Python floats: scipy's Dormand-Prince 8(5,3)
 tableau, step-size control and 7th-order dense output, without the
 per-step array overhead of a general-purpose solver.  Zeros of u are found
 on the dense output of the step that brackets them.
+
+A profile is that trajectory U plus the exact map u(r) = A U(mu r^kappa)
+(kappa = 1 for a solve), and every reader of u and u' evaluates the dense
+output through it; the output grid serves only the ``solve`` artifact and
+the audit of ``validate_profile``.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from operator import mul
 
 import numpy as np
 from scipy.integrate import DOP853
-from scipy.interpolate import CubicHermiteSpline
+from scipy.interpolate import PPoly
 from scipy.optimize import brentq
 
 from .config import DEFAULT, Settings
@@ -56,6 +62,8 @@ __all__ = [
     "solve_nodal",
     "evaluate_profile",
     "evaluate_u",
+    "u_reader",
+    "output_grid",
     "ode_residual",
     "validate_profile",
 ]
@@ -64,6 +72,13 @@ __all__ = [
 # residual audit: for fractional alpha the solution behaves like
 # d - c r^(alpha+2) there, and its higher derivatives blow up at 0.
 _RESIDUAL_AUDIT_RMIN = 5e-3
+
+# The output grid: uniform points on [0, 1] plus a geometric tail toward the
+# origin (innermost radius and log-spacing), which resolves the inner nodal
+# region that concentrates at radii like 1e-5 and below for large p.
+_GRID_POINTS = 2049
+_GRID_GEO_RMIN = 1e-12
+_GRID_GEO_STEP = 0.1
 
 
 def gauss_legendre_01(points: int) -> tuple[np.ndarray, np.ndarray]:
@@ -107,11 +122,6 @@ _ZERO_TOL = 4.0 * np.finfo(float).eps
 _MAX_IVP_STEPS = 20000
 
 
-def _power(u, p):
-    """Odd power nonlinearity f(u) = |u|^(p-1) u, safe for fractional p."""
-    return np.abs(u) ** (p - 1.0) * u
-
-
 @dataclass(frozen=True)
 class HenonParams:
     """Parameters of one nodal problem: weight exponent, power, nodal count."""
@@ -137,7 +147,10 @@ class ShootingTrajectory:
     ordered roots of u found on the steps' dense output.  ``value``
     evaluates (u, u') anywhere in [0, r_end]: through the 7th-order DOP853
     interpolant of the step that holds each radius, all radii at once, and
-    through the origin series below the series start radius.
+    through the origin series below the series start radius.  The
+    interpolants are held as two ``PPoly`` in power form, ``_u`` and
+    ``_du``, whose breakpoints are the step ends; a terminal zero, r_end,
+    can lie inside the last step.
     """
 
     alpha: float
@@ -145,49 +158,51 @@ class ShootingTrajectory:
     d: float
     r_end: float
     zeros: np.ndarray
-    # _knots[i], _knots[i + 1]: ends of step i (a terminal zero, r_end, can
-    # lie inside the last step); _coef[i, j] = (y_old, F0, ..., F6) of
-    # component j (u, then u') over step i.
-    _knots: np.ndarray = field(repr=False)
-    _coef: np.ndarray = field(repr=False)
+    _u: PPoly = field(repr=False)
+    _du: PPoly = field(repr=False)
     _eps: float = field(repr=False)
 
     def value(self, r):
         r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-        if r_arr.size and (r_arr.min() < 0.0 or r_arr.max() > self.r_end * (1 + 1e-12)):
+        u, du = self._component(r_arr, 0), self._component(r_arr, 1)
+        if np.ndim(r) == 0:
+            return float(u[0]), float(du[0])
+        return u, du
+
+    def _component(self, r: np.ndarray, j: int) -> np.ndarray:
+        """Component j (0: u, 1: u') of ``value`` at the radii of a 1-D
+        array."""
+        if r.size and (r.min() < 0.0 or r.max() > self.r_end * (1 + 1e-12)):
             raise UsageError(
                 f"evaluation radius outside [0, {self.r_end}]",
-                {"r_min": float(r_arr.min()), "r_max": float(r_arr.max())},
+                {"r_min": float(r.min()), "r_max": float(r.max())},
             )
-        u_out = np.empty_like(r_arr)
-        du_out = np.empty_like(r_arr)
-        small = r_arr < self._eps
-        if np.any(small):
-            us, dus = _origin_series(self.alpha, self.p, self.d, r_arr[small])
-            u_out[small] = us
-            du_out[small] = dus
-        if np.any(~small):
-            u_out[~small], du_out[~small] = self._dense(r_arr[~small])
-        if np.isscalar(r) or np.ndim(r) == 0:
-            return float(u_out[0]), float(du_out[0])
-        return u_out, du_out
+        poly = self._du if j else self._u
+        small = r < self._eps
+        if not np.any(small):
+            return poly(r)
+        out = np.empty_like(r)
+        out[small] = _origin_series(self.alpha, self.p, self.d, r[small])[j]
+        out[~small] = poly(r[~small])
+        return out
 
-    def _dense(self, r: np.ndarray):
-        """Evaluate the step interpolants at radii inside the steps.
 
-        A radius on a step end takes the interpolant of the step before it.
-        """
-        knots = self._knots
-        seg = np.clip(np.searchsorted(knots, r, side="left") - 1,
-                      0, knots.size - 2)
-        x = ((r - knots[seg]) / (knots[seg + 1] - knots[seg]))[:, None]
-        coef = self._coef[seg]
-        y = np.zeros((r.size, 2))
-        for i, f in enumerate(range(7, 0, -1)):
-            y += coef[:, :, f]
-            y *= x if i % 2 == 0 else 1.0 - x
-        y += coef[:, :, 0]
-        return y[:, 0], y[:, 1]
+def _power_form(knots: np.ndarray, coef: np.ndarray) -> PPoly:
+    """The step interpolants of one component as a ``PPoly``: row i of
+    ``coef`` holds (y_old, F0, ..., F6) of step i, whose dense output in
+    x = (r - knots[i]) / h is y_old + x (F0 + (1-x) (F1 + x (F2 + ...))).
+    It is expanded into powers of x, lowest first, then of r - knots[i]."""
+    poly = np.zeros((8, coef.shape[0]))
+    for i, f in enumerate(coef[:, :0:-1].T):  # F6 first
+        poly[0] += f
+        if i % 2 == 0:  # times x
+            poly = np.concatenate((np.zeros_like(poly[:1]), poly[:-1]))
+        else:  # times 1 - x
+            poly[1:] = poly[1:] - poly[:-1]
+    poly[0] += coef[:, 0]
+    h = np.diff(knots)
+    poly /= h ** np.arange(8)[:, None]
+    return PPoly(poly[::-1], knots)
 
 
 def _origin_series(alpha: float, p: float, d: float, r):
@@ -205,8 +220,7 @@ def _step_zero(r: float, r_new: float, u: float, u_new: float, F) -> float | Non
     A step reports a sign change of u and an exact zero at its new end,
     never one at its old end: the step before reported that one.  A sign
     change is located by ``brentq`` on the step's dense output of u, whose
-    coefficients are F = (F0, ..., F6), evaluated in the operation order of
-    ``ShootingTrajectory``.
+    coefficients are F = (F0, ..., F6), evaluated in scipy's nested form.
     """
     if u_new == 0.0:
         return r_new
@@ -258,7 +272,8 @@ def integrate_ivp(
     Raises NonConvergenceError when the step size falls below ten spacings
     of the floating-point numbers at the current radius, which is what a
     tolerance far below the arithmetic's precision does, and when the
-    integration needs more than ``_MAX_IVP_STEPS`` steps.
+    integration needs more than ``_MAX_IVP_STEPS`` steps.  Raises
+    UsageError when d^p overflows.
     """
     if not (d > 0.0 and math.isfinite(d)):
         raise UsageError(f"initial value d must be finite and > 0, got {d}")
@@ -268,9 +283,15 @@ def integrate_ivp(
             f"r_max must be finite and exceed 10 * series start radius, got {r_max}")
 
     # Next series term: c2 * r^(2 alpha + 4) with c2 = p d^(p-1) c1 / (2 alpha + 4)^2.
-    fd = d**p
-    c1 = fd / (alpha + 2.0) ** 2
-    c2 = p * d ** (p - 1.0) * c1 / (2.0 * alpha + 4.0) ** 2
+    try:
+        fd = d**p
+        c1 = fd / (alpha + 2.0) ** 2
+        c2 = p * d ** (p - 1.0) * c1 / (2.0 * alpha + 4.0) ** 2
+    except OverflowError:  # Python floats raise; numpy scalars give inf
+        c2 = math.inf
+    if not math.isfinite(c2):
+        raise UsageError(f"initial value d = {d} is too large: d^p overflows",
+                         {"alpha": alpha, "p": p, "d": d})
     neglected = c2 * eps ** (2.0 * alpha + 4.0)
     if neglected > 100.0 * settings.atol * max(1.0, d):
         raise NonConvergenceError(
@@ -289,9 +310,12 @@ def integrate_ivp(
         keep = np.concatenate(([True], np.diff(zeros) > settings.root_tol))
         zeros = zeros[keep]
 
+    knots = np.asarray(knots)
+    coef = np.reshape(coef, (-1, 2, 8))
     return ShootingTrajectory(
         alpha=alpha, p=p, d=d, r_end=r_end, zeros=zeros,
-        _knots=np.asarray(knots), _coef=np.reshape(coef, (-1, 2, 8)), _eps=eps,
+        _u=_power_form(knots, coef[:, 0]), _du=_power_form(knots, coef[:, 1]),
+        _eps=eps,
     )
 
 
@@ -414,47 +438,28 @@ def _dop853(alpha, p, r, u, v, r_bound, rtol, atol, stop_after, context):
 class RadialProfile:
     """A computed nodal solution on [0, 1].
 
-    Stores values and derivatives on a uniform grid augmented with the
-    nodal radii, plus cubic Hermite interpolants built at construction
-    time.  ``d`` is the (positive) central value u(0); ``nodal_radii`` are
-    the n ordered zeros of u, the last equal to 1.  ``tolerances`` records
-    the accuracy targets the profile was computed under.
+    It is its shooting trajectory U plus the exact map
+
+        u(r) = amp U(mu r^kappa),   u'(r) = amp mu kappa r^(kappa-1) U'(mu r^kappa);
+
+    a solve has kappa = 1, and the power map of ``transform`` multiplies
+    amp and kappa.  ``d`` is the (positive) central value u(0);
+    ``nodal_radii`` are the n ordered zeros of u, the last equal to 1.
+    ``tolerances`` records the accuracy targets the profile was computed
+    under.
     """
 
     params: HenonParams
-    d: float
-    grid: np.ndarray
-    u: np.ndarray
-    du: np.ndarray
+    trajectory: ShootingTrajectory = field(repr=False)
+    amp: float
+    mu: float
+    kappa: float
     nodal_radii: np.ndarray
     tolerances: dict
-    _spline: CubicHermiteSpline = field(init=False, repr=False, compare=False)
-    _dspline: object = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        self.grid = np.asarray(self.grid, dtype=float)
-        self.u = np.asarray(self.u, dtype=float)
-        self.du = np.asarray(self.du, dtype=float)
-        self.nodal_radii = np.asarray(self.nodal_radii, dtype=float)
-        if not (self.grid.shape == self.u.shape == self.du.shape):
-            raise UsageError("grid, u, du must have identical shapes")
-        if self.grid.size < 4:
-            raise UsageError("profile grid must have at least 4 points")
-        if np.any(np.diff(self.grid) <= 0.0):
-            raise UsageError("profile grid must be strictly increasing")
-        self._spline = CubicHermiteSpline(self.grid, self.u, self.du)
-        # Interpolate u' with its own Hermite spline whose slopes are the
-        # exact curvatures u'' = -u'/r - r^alpha |u|^(p-1) u supplied by the
-        # ODE (limit at r=0: -d^p/2 for alpha = 0, zero otherwise).  This
-        # keeps derivative evaluation fourth-order between nodes, where the
-        # derivative of the u-spline would only be second-order accurate.
-        alpha, p = self.params.alpha, self.params.p
-        body = self.grid[1:]
-        ddu = np.empty_like(self.du)
-        ddu[1:] = (-self.du[1:] / body
-                   - body**alpha * _power(self.u[1:], p))
-        ddu[0] = -0.5 * self.d**p if alpha == 0.0 else 0.0
-        self._dspline = CubicHermiteSpline(self.grid, self.du, ddu)
+    @property
+    def d(self) -> float:
+        return self.amp * self.trajectory.d
 
 
 def _profile_radii(r) -> np.ndarray:
@@ -472,56 +477,69 @@ def _profile_radii(r) -> np.ndarray:
 
 
 def evaluate_profile(profile: RadialProfile, r):
-    """Evaluate (u, u') at radii in [0, 1] via the profile's interpolants.
-
-    Exact at the grid nodes; cubic Hermite in between.  Scalar input gives
-    scalar output.
-    """
+    """Evaluate (u, u') at radii in [0, 1] from the trajectory's dense
+    output, through the profile's map.  Scalar input gives scalar output."""
     r_arr = _profile_radii(r)
-    u = profile._spline(r_arr)
-    du = profile._dspline(r_arr)
+    kappa = profile.kappa
+    x = profile.mu * r_arr**kappa
+    u = profile.amp * profile.trajectory._component(x, 0)
+    du = profile.trajectory._component(x, 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        du = (profile.amp * profile.mu * kappa) * r_arr ** (kappa - 1.0) * du
+    du[r_arr == 0.0] = 0.0  # u'(0) = 0 for every exponent
     if np.ndim(r) == 0:
         return float(u[0]), float(du[0])
     return u, du
 
 
 def evaluate_u(profile: RadialProfile, r):
-    """The u of ``evaluate_profile`` alone, without interpolating u'."""
-    u = profile._spline(_profile_radii(r))
+    """The u of ``evaluate_profile`` alone, without evaluating u'."""
+    x = profile.mu * _profile_radii(r) ** profile.kappa
+    u = profile.amp * profile.trajectory._component(x, 0)
     return float(u[0]) if np.ndim(r) == 0 else u
 
 
-def _output_grid(nodal_radii: np.ndarray, settings: Settings) -> np.ndarray:
-    """Grid on [0, 1]: uniform nodes, a geometric tail near the origin,
-    and the nodal radii made exact grid nodes.
+def u_reader(profile: RadialProfile):
+    """u as a function of one radius in [0, 1], in Python floats: the
+    scalar twin of ``evaluate_u``, for callers where a numpy call per radius
+    would cost more than the arithmetic.  It reads the trajectory's
+    ``PPoly`` as lists, by ``bisect`` and an 8-term Horner."""
+    traj = profile.trajectory
+    breaks = traj._u.x.tolist()
+    pieces = traj._u.c.T.tolist()
+    last = len(pieces) - 1
+    amp, mu, kappa = profile.amp, profile.mu, profile.kappa
+    eps, d, e = traj._eps, traj.d, traj.alpha + 2.0
+    c_origin = d**traj.p / e**2  # the series of ``_origin_series``
 
-    The geometric tail (constant spacing in log r, down to
-    ``grid_geo_rmin``) resolves interior structure far below the uniform
-    spacing; for large powers p the innermost nodal region concentrates at
-    radii like 1e-5 and below.  A nodal radius replaces the nearest
-    existing node when they are close, and is inserted otherwise, so
-    spacing never degenerates.
+    def u(r):
+        x = mu * r**kappa
+        if x < eps:
+            return amp * (d - c_origin * x**e)
+        i = min(bisect_right(breaks, x) - 1, last)
+        z = x - breaks[i]
+        a7, a6, a5, a4, a3, a2, a1, a0 = pieces[i]
+        return amp * (((((((a7 * z + a6) * z + a5) * z + a4) * z + a3) * z
+                        + a2) * z + a1) * z + a0)
+
+    return u
+
+
+def output_grid(profile: RadialProfile) -> np.ndarray:
+    """Grid on [0, 1] of the ``solve`` artifact and of the audit in
+    ``validate_profile``: uniform nodes, a geometric tail near the origin,
+    and the interior nodal radii made exact grid nodes.
+
+    A nodal radius closer to an interior node than a quarter of the local
+    gap replaces that node, and is inserted otherwise, so spacing never
+    degenerates.
     """
-    resolution = settings.profile_resolution
-    uniform = np.linspace(0.0, 1.0, resolution)
-    spacing = 1.0 / (resolution - 1)
-    n_geo = int(math.ceil(math.log(spacing / settings.grid_geo_rmin)
-                          / settings.grid_geo_step))
-    geo = settings.grid_geo_rmin * np.exp(settings.grid_geo_step * np.arange(n_geo))
-    base = np.concatenate(([0.0], geo[geo < 0.75 * spacing], uniform[1:]))
-    return insert_nodes(base, nodal_radii[:-1])  # the last one is exactly 1.0
-
-
-def insert_nodes(base: np.ndarray, radii) -> np.ndarray:
-    """Make ``radii`` nodes of the increasing mesh ``base``.
-
-    A radius closer to an interior node than a quarter of the local gap
-    replaces that node; any other radius is inserted, so spacing never
-    degenerates.  Radii outside the open interval (base[0], base[-1]) are
-    skipped.
-    """
-    pts = list(base)
-    for z in radii:
+    uniform = np.linspace(0.0, 1.0, _GRID_POINTS)
+    spacing = 1.0 / (_GRID_POINTS - 1)
+    n_geo = int(math.ceil(math.log(spacing / _GRID_GEO_RMIN) / _GRID_GEO_STEP))
+    geo = _GRID_GEO_RMIN * np.exp(_GRID_GEO_STEP * np.arange(n_geo))
+    pts = [0.0, *geo[geo < 0.75 * spacing], *uniform[1:]]
+    for z in profile.nodal_radii[:-1]:  # the last one is 1.0
         z = float(z)
         if z <= pts[0] or z >= pts[-1]:
             continue
@@ -559,19 +577,14 @@ def solve_nodal(params: HenonParams, settings: Settings = DEFAULT) -> RadialProf
         )
 
     mu = float(traj.zeros[n - 1])
-    exponent = (params.alpha + 2.0) / (params.p - 1.0)
-    amp = mu**exponent
     nodal = traj.zeros[:n] / mu
     nodal[-1] = 1.0
-
-    grid = _output_grid(nodal, settings)
-    u_tr, du_tr = traj.value(mu * grid)
     profile = RadialProfile(
         params=params,
-        d=amp,
-        grid=grid,
-        u=amp * u_tr,
-        du=amp * mu * du_tr,
+        trajectory=traj,
+        amp=mu ** ((params.alpha + 2.0) / (params.p - 1.0)),
+        mu=mu,
+        kappa=1.0,
         nodal_radii=nodal,
         tolerances={
             "rtol": settings.rtol,
@@ -590,37 +603,32 @@ def validate_profile(profile: RadialProfile, settings: Settings = DEFAULT) -> No
 
     Raises :class:`NonConvergenceError` when any of these fail:
 
-    * u(0) = d > 0 and u'(0) = 0;
-    * the grid spans [0, 1] and contains every nodal radius;
+    * u(0) = d > 0;
+    * the nodal radii are n increasing values, the last equal to 1;
     * |u(1)| is below the boundary tolerance;
-    * u changes sign exactly n_nodal - 1 times inside (0, 1) and the signs
-      on consecutive nodal intervals alternate starting positive;
-    * the cell-averaged ODE residual is below
+    * u changes sign exactly n_nodal - 1 times on the output grid and the
+      signs on consecutive nodal intervals alternate starting positive;
+    * the cell-averaged ODE residual on the output grid is below
       residual_tol * max|u|^p.
     """
     pr = profile
     n = pr.params.n_nodal
-    scale = float(np.max(np.abs(pr.u)))
+    u = evaluate_u(pr, output_grid(pr))
+    scale = float(np.max(np.abs(u)))
     problems: list[str] = []
 
-    if not (pr.d > 0.0 and pr.u[0] == pr.d):
+    if not (pr.d > 0.0 and u[0] == pr.d):
         problems.append("central value does not match d > 0")
-    if pr.du[0] != 0.0:
-        problems.append("u'(0) is not exactly zero")
-    if pr.grid[0] != 0.0 or pr.grid[-1] != 1.0:
-        problems.append("grid does not span [0, 1]")
     if pr.nodal_radii.size != n or np.any(np.diff(pr.nodal_radii) <= 0):
         problems.append("nodal radii are not n strictly increasing values")
     elif pr.nodal_radii[-1] != 1.0:
         problems.append("last nodal radius is not 1")
-    elif not np.all(np.isin(pr.nodal_radii[:-1], pr.grid)):
-        problems.append("interior nodal radii are not grid nodes")
-    if abs(pr.u[-1]) > settings.boundary_tol * max(1.0, scale):
-        problems.append(f"|u(1)| = {abs(pr.u[-1]):.3e} exceeds the boundary tolerance")
+    if abs(u[-1]) > settings.boundary_tol * max(1.0, scale):
+        problems.append(f"|u(1)| = {abs(u[-1]):.3e} exceeds the boundary tolerance")
 
     # Sign structure: drop near-zero samples, then count strict sign flips.
     tiny = 1e-7 * scale
-    signs = np.sign(pr.u[np.abs(pr.u) > tiny])
+    signs = np.sign(u[np.abs(u) > tiny])
     flips = int(np.sum(signs[1:] * signs[:-1] < 0))
     if flips != n - 1:
         problems.append(f"u changes sign {flips} times, expected {n - 1}")
@@ -641,12 +649,12 @@ def validate_profile(profile: RadialProfile, settings: Settings = DEFAULT) -> No
         raise NonConvergenceError(
             "profile validation failed: " + "; ".join(problems),
             {"alpha": pr.params.alpha, "p": pr.params.p, "n_nodal": n,
-             "residual": float(resid), "boundary_value": float(pr.u[-1])},
+             "residual": float(resid), "boundary_value": float(u[-1])},
         )
 
 
 def ode_residual(profile: RadialProfile) -> float:
-    """Cell-averaged residual of the radial ODE over the profile grid.
+    """Cell-averaged residual of the radial ODE over the output grid.
 
     Integrating the divergence form (r u')' = -r^(1+alpha) |u|^(p-1) u over
     a grid cell gives the exact balance
@@ -654,26 +662,26 @@ def ode_residual(profile: RadialProfile) -> float:
         r_{i+1} u'(r_{i+1}) - r_i u'(r_i)
             + int_cell s^(1+alpha) |u(s)|^(p-1) u(s) ds  =  0.
 
-    The left side is evaluated from the stored values (flux terms) and a
-    5-point Gauss rule on the interpolant (cell integral), then divided by
-    h_i * rbar_i to give the cell average of the pointwise residual.  The
-    maximum is taken over cells with left edge above a small radius, where
-    for fractional alpha the higher derivatives of u blow up and cubic
-    interpolation degrades.
+    The left side is evaluated from u' at the grid nodes (flux terms) and a
+    5-point Gauss rule on u (cell integral), then divided by h_i * rbar_i
+    to give the cell average of the pointwise residual.  The maximum is
+    taken over cells with left edge above a small radius, where for
+    fractional alpha the higher derivatives of u blow up.
 
-    The flux form differences the stored derivative directly, so an
-    inconsistent rescaling of u versus u' shows up at full strength rather
-    than divided by the mesh width.
+    u and u' come from one trajectory through one map, so the residual
+    checks the map itself: an amplitude that does not match mu and kappa
+    shows up at full strength.
     """
     alpha = profile.params.alpha
     p = profile.params.p
-    g, du = profile.grid, profile.du
+    g = output_grid(profile)
+    du = evaluate_profile(profile, g)[1]
     h = np.diff(g)
 
     # Gauss points in all cells at once: shape (ncells, 5).
     pts = g[:-1, None] + h[:, None] * _GAUSS_X[None, :]
-    uq = profile._spline(pts)
-    integrand = pts ** (1.0 + alpha) * _power(uq, p)
+    uq = evaluate_u(profile, pts.ravel()).reshape(pts.shape)
+    integrand = pts ** (1.0 + alpha) * (np.abs(uq) ** (p - 1.0) * uq)
     cell_int = h * (integrand @ _GAUSS_W)
 
     flux = g * du

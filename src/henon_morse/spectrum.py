@@ -37,7 +37,6 @@ cross-validation in the Morse assembly meaningful.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -48,7 +47,7 @@ from scipy.linalg.lapack import dgtsv, dstebz
 
 from .config import DEFAULT, Settings
 from .errors import NonConvergenceError, UsageError
-from .radial import RadialProfile, evaluate_u
+from .radial import RadialProfile, evaluate_u, u_reader
 
 __all__ = [
     "SchrodingerProblem",
@@ -409,9 +408,10 @@ def oscillation_counts(profile: RadialProfile, problem: SchrodingerProblem,
     count of eigenvalues below E_k is floor(theta_k(0) / pi).
 
     All k form one vector ODE, integrated by DOP853 at ``settings.rtol``
-    and ``settings.atol`` and restarted at each corner of ``problem``.  V is
-    read from the pieces of the profile's cubic interpolant, the one route A
-    samples, with no mesh and no matrix.  A segment that the solver cannot
+    and ``settings.atol`` and restarted at each corner of ``problem``.  u is
+    read one radius at a time from the trajectory's dense output
+    (``radial.u_reader``), the polynomials route A samples, with no mesh
+    and no matrix.  A segment that the solver cannot
     finish within ``_MAX_OSCILLATION_STEPS`` steps raises
     NonConvergenceError.
     """
@@ -421,9 +421,8 @@ def oscillation_counts(profile: RadialProfile, problem: SchrodingerProblem,
     solver = ode(_prufer_rate).set_integrator(
         "dop853", rtol=settings.rtol, atol=settings.atol,
         nsteps=_MAX_OSCILLATION_STEPS)
-    solver.set_f_params(profile._spline.x.tolist(),
-                        profile._spline.c.T.tolist(), alpha, p,
-                        s, 1.0 / s, -ks * ks / s - s)
+    solver.set_f_params(u_reader(profile), alpha, p, s, 1.0 / s,
+                        -ks * ks / s - s)
     theta = np.where(ks == 0.0, 0.5 * math.pi, 0.25 * math.pi)
     ends = (-problem.T, *problem.corners, 0.0)
     for t0, t1 in zip(ends, ends[1:]):
@@ -439,18 +438,15 @@ def oscillation_counts(profile: RadialProfile, problem: SchrodingerProblem,
     return tuple(int(c) for c in np.floor(theta / math.pi))
 
 
-def _prufer_rate(t, theta, breaks, pieces, alpha, p, s, inv_s, shift):
+def _prufer_rate(t, theta, u, alpha, p, s, inv_s, shift):
     """theta' = s + ((E_k - V) / s - s) sin^2 theta of ``oscillation_counts``,
-    where shift = E_k / s - s and -V = p r^(alpha+2) |u|^(p-1) at r = e^t
-    with u read from the cubic pieces.  It lives at module level and takes
-    its data as arguments: scipy's DOP853 keeps a reference to its callback
-    after every solve, which would keep a closure's data alive."""
+    where shift = E_k / s - s and -V = p r^(alpha+2) |u(r)|^(p-1) at r = e^t.
+    It lives at module level and takes its data, the reader u among it, as
+    arguments: scipy's DOP853 keeps a reference to its callback after every
+    solve but releases the arguments, so a closure callback would keep its
+    data alive."""
     r = math.exp(t)
-    i = min(bisect_right(breaks, r), len(pieces)) - 1
-    z = r - breaks[i]
-    a, b, c, d = pieces[i]
-    u = ((a * z + b) * z + c) * z + d
-    coef = inv_s * (p * r ** (alpha + 2.0) * abs(u) ** (p - 1.0))
+    coef = inv_s * (p * r ** (alpha + 2.0) * abs(u(r)) ** (p - 1.0))
     coef += shift
     rate = np.sin(theta)
     rate *= rate

@@ -38,14 +38,7 @@ import numpy as np
 
 from .config import DEFAULT, Settings
 from .errors import NonConvergenceError, UsageError
-from .radial import (
-    HenonParams,
-    RadialProfile,
-    _output_grid,
-    evaluate_profile,
-    evaluate_u,
-    validate_profile,
-)
+from .radial import HenonParams, RadialProfile, evaluate_u, validate_profile
 
 __all__ = [
     "TestFunction",
@@ -247,33 +240,24 @@ def transform_solution(
         u_beta(s) = kappa^(2/(p-1)) * u_alpha(s^kappa),
 
     nodal radii map as z -> z^(1/kappa), and the nodal count is preserved.
-    The result is resampled on a fresh grid and validated like any computed
-    profile; a residual failure signals interpolation inaccuracy.
+    The result reads the same trajectory as ``profile``: its amplitude is
+    multiplied by kappa^(2/(p-1)) and its exponent kappa by kappa, with no
+    resampling.  It is validated like any computed profile.
     """
     if not (beta >= 0.0 and math.isfinite(beta)):
         raise UsageError(f"beta must be finite and >= 0, got {beta}")
     alpha = profile.params.alpha
     p = profile.params.p
     kappa = (beta + 2.0) / (alpha + 2.0)
-    amp = kappa ** (2.0 / (p - 1.0))
 
     nodal = profile.nodal_radii ** (1.0 / kappa)
     nodal[-1] = 1.0
-    grid = _output_grid(nodal, settings)
-
-    mapped = grid**kappa
-    u_a, du_a = evaluate_profile(profile, mapped)
-    u_new = amp * u_a
-    du_new = np.empty_like(u_new)
-    du_new[0] = 0.0  # exact: u' vanishes at the origin for every exponent
-    du_new[1:] = amp * kappa * grid[1:] ** (kappa - 1.0) * du_a[1:]
-
     new = RadialProfile(
         params=HenonParams(beta, p, profile.params.n_nodal),
-        d=amp * profile.d,
-        grid=grid,
-        u=u_new,
-        du=du_new,
+        trajectory=profile.trajectory,
+        amp=kappa ** (2.0 / (p - 1.0)) * profile.amp,
+        mu=profile.mu,
+        kappa=kappa * profile.kappa,
         nodal_radii=nodal,
         tolerances=dict(profile.tolerances),
     )

@@ -23,7 +23,9 @@ toleranced comparisons:
                             expected asymptotic gap is logged, not gated
 
 Sections 1-8 gate the battery verdict; section 9 records observations and
-gates only on the structural facts (the gap is even and >= 2).  The same
+gates only on the structural facts (the gap is even and >= 2).  A probe
+point refused at a -k^2 tie is an undecided row: it asserts no gap and
+does not fail.  The same
 battery backs the command-line ``verify`` subcommand and the acceptance
 test suite, so the two never drift apart.
 """
@@ -255,12 +257,13 @@ def _section_transform(points) -> SectionResult:
                      "sup_rel_error": data["sup_rel_error"],
                      "reports_identical": data["transform_reports_identical"],
                      "pass": ok})
-    worst = max(r["sup_rel_error"] for r in rows)
+    # the summary names the tolerance; the errors, of size rtol, are in the
+    # rows, where their digits cannot flip a string
     return SectionResult(
         name="transform_correspondence", criterion=4, gating=True,
         summary=(f"mapped-vs-direct profiles agree at "
                  f"{sum(r['pass'] for r in rows)}/{len(rows)} points "
-                 f"(worst sup-norm rel err {worst:.2e})"),
+                 f"(sup-norm rel err <= {_SUP_ERROR_TOL:.0e})"),
         rows=tuple(rows))
 
 
@@ -364,24 +367,31 @@ def _section_square_well(settings) -> SectionResult:
 
 
 def _section_probe(settings) -> SectionResult:
-    probe_rows = large_exponent_probe(_PROBE_PS, alpha=0.0, n=2,
-                                      settings=settings)
     rows = []
-    for row in probe_rows:
+    for row in large_exponent_probe(_PROBE_PS, alpha=0.0, n=2,
+                                    settings=settings):
         rep = row["report"]
-        gap = rep.m_total - rep.m_rad
+        decided = rep is not None  # a -k^2 tie leaves no gap to assert
+        gap = rep.m_total - rep.m_rad if decided else None
         rows.append({
             "p": row["p"],
-            "m_rad": rep.m_rad,
-            "m_total": rep.m_total,
+            "decided": decided,
+            "m_rad": rep.m_rad if decided else None,
+            "m_total": rep.m_total if decided else None,
             "gap": gap,
-            "gap_even": gap % 2 == 0,
-            "gap_at_least_2": gap >= 2,
+            "gap_even": gap % 2 == 0 if decided else None,
+            "gap_at_least_2": gap >= 2 if decided else None,
             "expected_large_p_gap": _PROBE_EXPECTED_GAP,
             "matches_expected": gap == _PROBE_EXPECTED_GAP,
-            "pass": gap % 2 == 0 and gap >= 2,
         })
-    observed = ", ".join(f"p={r['p']:g}: gap={r['gap']}" for r in rows)
+        if not decided:
+            tie = row["refusal"].context
+            rows[-1].update(scaled_tie_distance=tie["scaled_tie_distance"],
+                            eig_tol=tie["eig_tol"])
+        rows[-1]["pass"] = not decided or (gap % 2 == 0 and gap >= 2)
+    observed = ", ".join(
+        f"p={r['p']:g}: " + (f"gap={r['gap']}" if r["decided"] else "undecided")
+        for r in rows)
     return SectionResult(
         name="large_exponent", criterion=9, gating=False,
         summary=(f"observational gaps [{observed}] vs expected large-p gap "

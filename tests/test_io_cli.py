@@ -100,16 +100,15 @@ class TestCanonicalJson:
 class TestProfileRoundTrip:
     def test_bit_for_bit(self, profile_031, tmp_path):
         path = tmp_path / "profile.json"
-        save_json(profile_document(profile_031), path)
+        doc = profile_document(profile_031)
+        save_json(doc, path)
         loaded = load_profile(path)
-        assert loaded.grid.tobytes() == profile_031.grid.tobytes()
-        assert loaded.u.tobytes() == profile_031.u.tobytes()
-        assert loaded.du.tobytes() == profile_031.du.tobytes()
-        assert loaded.nodal_radii.tobytes() == profile_031.nodal_radii.tobytes()
-        assert loaded.d == profile_031.d
+        for field in ("grid", "u", "du", "nodal_radii"):
+            assert np.array(loaded[field]).tobytes() == doc[field].tobytes()
+        assert loaded["d"] == profile_031.d
         # saving the loaded profile reproduces the original file exactly
         path2 = tmp_path / "profile2.json"
-        save_json(profile_document(loaded), path2)
+        save_json(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
 
     def test_missing_field_is_named(self, profile_031, tmp_path):
@@ -222,7 +221,7 @@ class TestCliExitCodes:
                          "--out", str(out)])
         assert code == 0
         loaded = load_profile(out)
-        assert loaded.params.n_nodal == 1
+        assert loaded["n"] == 1
 
     def test_solve_stdout_is_canonical_json(self, capsys):
         code = cli.main(["solve", "--alpha", "0", "--p", "3", "--nodes", "1"])
@@ -270,7 +269,10 @@ class TestCliExitCodes:
     def test_removed_radial_mesh_flag_is_usage(self, capsys):
         for flag, value in (("--radial-mesh-cells", "2048"),
                             ("--mode-mesh-ratio", "1.02"),
-                            ("--mode-mesh-rmin", "1e-8")):
+                            ("--mode-mesh-rmin", "1e-8"),
+                            ("--profile-resolution", "4097"),
+                            ("--grid-geo-rmin", "1e-10"),
+                            ("--grid-geo-step", "0.05")):
             code = cli.main(["morse", "--alpha", "0", "--p", "3",
                              "--nodes", "1", flag, value])
             assert code == 3

@@ -23,6 +23,7 @@ import henon_morse.morse as morse_mod
 from henon_morse import (
     HenonParams,
     NonConvergenceError,
+    ThresholdTieError,
     TwoRouteError,
     UsageError,
     assemble_morse,
@@ -88,7 +89,8 @@ class TestAssembly:
                             (7,) + (0,) * k_max)
         with pytest.raises(TwoRouteError) as err:
             assemble_morse(profile)
-        assert err.value.context["fem_route"] == 7
+        assert err.value.context["oscillation_route"] == 7
+        assert "Sturm oscillation count" in str(err.value)
 
     def test_mode_route_mismatch_raises(self, monkeypatch):
         profile = solve_nodal(HenonParams(alpha=0.0, p=3.0, n_nodal=2))
@@ -98,6 +100,7 @@ class TestAssembly:
         with pytest.raises(TwoRouteError) as err:
             assemble_morse(profile)
         assert "decomposition" in err.value.context
+        assert err.value.context["oscillation_route"] == [0, 0, 0, 0]
 
     def test_threshold_tie_raises(self, monkeypatch):
         profile = solve_nodal(HenonParams(alpha=0.0, p=3.0, n_nodal=1))
@@ -109,9 +112,14 @@ class TestAssembly:
                 T=problem.T, M=problem.M, eig_tol=eig_tol)
 
         monkeypatch.setattr(morse_mod, "negative_spectrum", fake_spectrum)
-        with pytest.raises(NonConvergenceError) as err:
+        with pytest.raises(ThresholdTieError) as err:
             assemble_morse(profile)
         assert "threshold" in str(err.value)
+        assert isinstance(err.value, NonConvergenceError)
+        assert err.value.context["eig_tol"] == 1e-9
+        assert err.value.context["scaled_tie_distance"] < 1e-8
+        assert cli.main(["morse", "--alpha", "0", "--p", "3",
+                         "--nodes", "1"]) == 2
 
     def test_tie_retry_tightens_eig_tol_once(self, monkeypatch):
         profile = solve_nodal(HenonParams(alpha=0.0, p=3.0, n_nodal=1))
@@ -258,7 +266,7 @@ class TestSweepAndProbe:
 
     def test_probe_is_single_route_and_consistent(self):
         rows = large_exponent_probe([5.0, 15.0], alpha=0.0, n=2)
-        assert [row["report"].m_total for row in rows] == [10, 12]
+        assert [row["report"].m_total for row in rows] == [10, 10]
         for p, row in zip([5.0, 15.0], rows):
             assert row.keys() == {"p", "report"}
             assert row["p"] == p
@@ -266,3 +274,27 @@ class TestSweepAndProbe:
             assert rep.params.p == p
             assert not rep.cross_checked
             assert rep.route_b_total is None
+
+    def test_probe_records_a_tie_as_undecided(self, monkeypatch):
+        """A ThresholdTieError makes an undecided row and the probe goes on;
+        any other error stops it."""
+        real = morse_mod.solve_point
+        tie = ThresholdTieError("tie", {"scaled_tie_distance": 1e-9,
+                                        "eig_tol": 1e-9})
+
+        def tied_at_15(alpha, p, n, settings, cross_check=True):
+            if p == 15.0:
+                raise tie
+            return real(alpha, p, n, settings, cross_check)
+
+        monkeypatch.setattr(morse_mod, "solve_point", tied_at_15)
+        rows = large_exponent_probe([15.0, 5.0], alpha=0.0, n=2)
+        assert rows[0] == {"p": 15.0, "report": None, "refusal": tie}
+        assert rows[1]["report"].m_total == 10
+
+        def failing(alpha, p, n, settings, cross_check=True):
+            raise NonConvergenceError("not a tie", {})
+
+        monkeypatch.setattr(morse_mod, "solve_point", failing)
+        with pytest.raises(NonConvergenceError, match="not a tie"):
+            large_exponent_probe([5.0], alpha=0.0, n=2)

@@ -25,7 +25,7 @@ from henon_morse import (
     solve_nodal,
     validate_profile,
 )
-from henon_morse.radial import evaluate_u
+from henon_morse.radial import evaluate_u, output_grid, u_reader
 
 # Zeros of the trajectory with u(0) = 1, from the RK4 oracle.
 ZERO1_A0_P3 = 3.5739009819    # first zero, alpha = 0, p = 3
@@ -106,17 +106,19 @@ def test_central_value_follows_power_rescaling():
 ])
 def test_profile_invariants(alpha, p, n):
     prof = solve_nodal(HenonParams(alpha, p, n))
-    assert prof.u[0] == prof.d > 1.0
-    assert prof.du[0] == 0.0
-    assert prof.grid[0] == 0.0 and prof.grid[-1] == 1.0
+    grid = output_grid(prof)
+    u, du = evaluate_profile(prof, grid)
+    assert u[0] == prof.d > 1.0
+    assert du[0] == 0.0
+    assert grid[0] == 0.0 and grid[-1] == 1.0
     assert prof.nodal_radii.shape == (n,)
     assert prof.nodal_radii[-1] == 1.0
     assert np.all(np.diff(prof.nodal_radii) > 0)
     # interior nodal radii are exact grid nodes
     for z in prof.nodal_radii[:-1]:
-        assert z in prof.grid
-    scale = np.max(np.abs(prof.u))
-    assert abs(prof.u[-1]) <= 1e-9 * max(1.0, scale)
+        assert z in grid
+    scale = np.max(np.abs(u))
+    assert abs(u[-1]) <= 1e-9 * max(1.0, scale)
     # signs alternate on nodal intervals, positive innermost
     edges = np.concatenate(([0.0], prof.nodal_radii))
     mids = 0.5 * (edges[:-1] + edges[1:])
@@ -131,22 +133,16 @@ def test_residual_detects_broken_rescaling():
     # equation for any mu; a wrong amplitude must trip the residual.
     alpha, p, mu = 1.0, 3.0, 0.7
     traj = integrate_ivp(alpha, p, 1.0, 4.0)
-    grid = np.linspace(0.0, 1.0, 1025)
     amp = mu ** ((alpha + 2.0) / (p - 1.0))
-    u, du = traj.value(mu * grid)
-    good = RadialProfile(
-        params=HenonParams(alpha, p, 1), d=amp, grid=grid,
-        u=amp * u, du=amp * mu * du, nodal_radii=np.array([1.0]),
-        tolerances={},
-    )
-    scale = np.max(np.abs(good.u))
-    assert ode_residual(good) <= 1e-6 * scale**p
-    bad = RadialProfile(
-        params=HenonParams(alpha, p, 1), d=amp, grid=grid,
-        u=amp * 1.001 * u, du=amp * mu * du, nodal_radii=np.array([1.0]),
-        tolerances={},
-    )
-    assert ode_residual(bad) > 100 * 1e-6 * scale**p
+
+    def profile(a):
+        return RadialProfile(
+            params=HenonParams(alpha, p, 1), trajectory=traj, amp=a, mu=mu,
+            kappa=1.0, nodal_radii=np.array([1.0]), tolerances={})
+
+    scale = np.max(np.abs(evaluate_u(profile(amp), output_grid(profile(amp)))))
+    assert ode_residual(profile(amp)) <= 1e-6 * scale**p
+    assert ode_residual(profile(amp * 1.001)) > 100 * 1e-6 * scale**p
 
 
 def test_evaluate_profile_matches_trajectory_between_nodes():
@@ -156,10 +152,11 @@ def test_evaluate_profile_matches_trajectory_between_nodes():
     mu = traj.zeros[1]
     amp = mu ** ((params.alpha + 2.0) / (params.p - 1.0))
     # probe strictly between grid nodes
-    r = 0.5 * (prof.grid[100:-1:97] + prof.grid[101::97])
+    grid = output_grid(prof)
+    r = 0.5 * (grid[100:-1:97] + grid[101::97])
     u_i, du_i = evaluate_profile(prof, r)
     u_t, du_t = traj.value(mu * r)
-    scale = np.max(np.abs(prof.u))
+    scale = np.max(np.abs(evaluate_u(prof, grid)))
     assert np.max(np.abs(u_i - amp * u_t)) <= 1e-9 * scale
     assert np.max(np.abs(du_i - amp * mu * du_t)) <= 1e-7 * scale
 
@@ -176,10 +173,10 @@ def test_evaluate_profile_scalar_and_bounds():
 
 def test_large_power_concentration():
     # For large p the inner nodal radius collapses toward the origin; the
-    # geometric grid tail must still resolve it.
+    # geometric tail of the audit grid must still resolve it.
     prof = solve_nodal(HenonParams(0.0, 50.0, 2))
     assert prof.nodal_radii[0] < 1e-4
-    assert prof.nodal_radii[0] > DEFAULT.grid_geo_rmin
+    assert prof.nodal_radii[0] > radial_mod._GRID_GEO_RMIN
     validate_profile(prof)
 
 
@@ -211,6 +208,28 @@ def test_evaluate_u_is_the_u_of_evaluate_profile():
     assert evaluate_u(prof, 0.25) == evaluate_profile(prof, 0.25)[0]
     with pytest.raises(UsageError):
         evaluate_u(prof, 1.5)
+
+
+@pytest.mark.parametrize("alpha,beta", [(0.0, 0.5), (0.0, 3.0), (2.0, 0.0)])
+def test_profile_reads_the_mapped_trajectory(alpha, beta):
+    """u(r) = amp U(mu r^kappa) and u'(r) = amp mu kappa r^(kappa-1)
+    U'(mu r^kappa), with u'(0) = 0 also for kappa < 1, after the power map;
+    the scalar reader of route C gives the same u."""
+    from henon_morse.transform import transform_solution
+
+    prof = transform_solution(solve_nodal(HenonParams(alpha, 3.0, 2)), beta)
+    assert prof.kappa == (beta + 2.0) / (alpha + 2.0)
+    r = np.concatenate(([0.0, 1e-9], np.linspace(0.001, 1.0, 500)))
+    x = prof.mu * r**prof.kappa
+    big_u, big_du = prof.trajectory.value(x)
+    u, du = evaluate_profile(prof, r)
+    assert np.array_equal(u, prof.amp * big_u)
+    expected = prof.amp * prof.mu * prof.kappa * r[1:] ** (prof.kappa - 1.0) * big_du[1:]
+    assert np.allclose(du[1:], expected, rtol=1e-14, atol=0.0)
+    assert du[0] == 0.0 and u[0] == prof.d
+    reader = u_reader(prof)
+    scalar = np.array([reader(float(x)) for x in r])
+    assert np.allclose(scalar, u, rtol=0.0, atol=1e-13 * prof.d)
 
 
 class TestDop853Kernel:
@@ -257,17 +276,17 @@ class TestDop853Kernel:
         ref = self.scipy_reference(20.0, 20.0, 6, r_max)
         traj = integrate_ivp(20.0, 20.0, 1.0, r_max, stop_after=6)
         assert np.allclose(traj.zeros, ref.t_events[0], rtol=1e-9, atol=0.0)
-        assert traj._knots.size == ref.t.size
+        assert traj._u.x.size == ref.t.size
 
     def test_value_on_step_ends_and_past_a_terminal_zero(self):
         traj = integrate_ivp(0.0, 3.0, 1.0, 100.0, stop_after=2)
-        ends = traj._knots[1:-1]
+        ends = traj._u.x[1:-1]
         u, du = traj.value(ends)
-        # each end is evaluated on the step before it: y_old + delta_y
+        # the interpolants of the steps on either side of an end meet there
         u_left, _ = traj.value(np.nextafter(ends, 0.0))
         assert np.max(np.abs(u - u_left)) <= 1e-12
         # the terminal zero lies inside the last step, not at its end
-        assert traj._knots[-2] < traj.r_end <= traj._knots[-1]
+        assert traj._u.x[-2] < traj.r_end <= traj._u.x[-1]
         assert abs(traj.value(traj.r_end)[0]) <= 1e-12
         traj.value(traj.r_end * (1 + 1e-13))
         with pytest.raises(UsageError):
@@ -327,6 +346,32 @@ class TestDop853Kernel:
     def test_infinite_r_max_is_usage(self):
         with pytest.raises(UsageError):
             integrate_ivp(0.0, 3.0, 1.0, np.inf)
+
+    @pytest.mark.parametrize("d", [1e100, np.float64(1e100)])
+    def test_overflowing_series_check_is_usage(self, d):
+        # d^p of the series check overflows: Python floats raise
+        # OverflowError, numpy scalars give inf
+        with pytest.raises(UsageError) as err, np.errstate(over="ignore"):
+            integrate_ivp(0.0, 5.0, d, 10.0)
+        assert err.value.context == {"alpha": 0.0, "p": 5.0, "d": 1e100}
+
+    def test_power_form_is_the_nested_interpolant(self):
+        """``_power_form`` expands scipy's nested DOP853 interpolant
+        y_old + x (F0 + (1-x) (F1 + x (F2 + ...))) into powers of r - r_i;
+        on a step's start it returns y_old exactly."""
+        knots = np.array([1.0, 1.5, 3.0])
+        coef = np.random.default_rng(3).normal(size=(2, 8))
+        poly = radial_mod._power_form(knots, coef)
+        x = np.linspace(0.0, 1.0, 11)[:-1]
+        for i in range(2):
+            nested = np.zeros_like(x)
+            for k, f in enumerate(coef[i, :0:-1]):  # F6 first, as scipy
+                nested += f
+                nested *= x if k % 2 == 0 else 1.0 - x
+            nested += coef[i, 0]
+            got = poly(knots[i] + (knots[i + 1] - knots[i]) * x)
+            assert np.allclose(got, nested, rtol=0.0, atol=1e-13)
+        assert np.array_equal(poly(knots[:-1]), coef[:, 0])
 
 
 def test_too_few_zeros_within_shoot_tmax():

@@ -9,6 +9,7 @@ import pytest
 from henon_morse import HenonParams, UsageError, evaluate_profile, solve_nodal
 from henon_morse import transform
 from henon_morse.config import DEFAULT
+from henon_morse.radial import evaluate_u, output_grid
 from henon_morse.transform import (
     TestFunction,
     adaptive_quadrature,
@@ -66,7 +67,9 @@ def profile_032():
 
 def test_transform_identity_when_beta_equals_alpha(profile_032):
     same = transform_solution(profile_032, 0.0)
-    assert np.allclose(same.u, profile_032.u, rtol=0, atol=1e-12 * profile_032.d)
+    grid = output_grid(profile_032)
+    assert np.allclose(evaluate_u(same, grid), evaluate_u(profile_032, grid),
+                       rtol=0, atol=1e-12 * profile_032.d)
     assert same.d == pytest.approx(profile_032.d, rel=1e-14)
 
 
@@ -85,17 +88,19 @@ def test_transform_matches_direct_solve(profile_032, beta):
     # Independent oracle: solve the beta-problem directly and compare.
     tr = transform_solution(profile_032, beta)
     direct = solve_nodal(HenonParams(beta, 3.0, 2))
-    u_t, _ = evaluate_profile(tr, direct.grid)
-    scale = np.max(np.abs(direct.u))
-    assert np.max(np.abs(u_t - direct.u)) / scale <= 1e-6
+    grid = output_grid(direct)
+    u_t, u_d = evaluate_u(tr, grid), evaluate_u(direct, grid)
+    scale = np.max(np.abs(u_d))
+    assert np.max(np.abs(u_t - u_d)) / scale <= 1e-6
     assert tr.d == pytest.approx(direct.d, rel=1e-8)
 
 
 def test_transform_round_trip(profile_032):
     back = transform_solution(transform_solution(profile_032, 4.0), 0.0)
-    u_b, _ = evaluate_profile(back, profile_032.grid)
-    scale = np.max(np.abs(profile_032.u))
-    assert np.max(np.abs(u_b - profile_032.u)) / scale <= 1e-9
+    grid = output_grid(profile_032)
+    u_b, u_0 = evaluate_u(back, grid), evaluate_u(profile_032, grid)
+    scale = np.max(np.abs(u_0))
+    assert np.max(np.abs(u_b - u_0)) / scale <= 1e-9
 
 
 def test_default_battery_structure():
