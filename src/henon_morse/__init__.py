@@ -42,6 +42,7 @@ from .transform import (
     TestFunction,
     default_battery,
     quadratic_form,
+    quadratic_forms,
     transform_solution,
     verify_form_comparison,
 )

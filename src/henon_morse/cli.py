@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 from dataclasses import fields, replace
 import json
+import math
 import sys
 from typing import get_type_hints
 
@@ -52,6 +53,10 @@ from .spectrum import build_schrodinger, negative_spectrum
 from .verify import GRIDS, _run_tasks, run_battery
 
 __all__ = ["main"]
+
+# Most points an --alphas range may hold; a wider range is refused before
+# its list is built, so no range can exhaust memory.
+_MAX_ALPHA_POINTS = 10_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -107,11 +112,17 @@ def _parse_alphas(spec: str) -> list:
             if len(parts) != 3:
                 raise ValueError("range form is start:stop:step")
             start, stop, step = (float(x) for x in parts)
+            if not all(map(math.isfinite, (start, stop, step))):
+                raise ValueError("start, stop and step must be finite")
             if step <= 0.0:
                 raise ValueError("step must be positive")
             if stop < start:
                 raise ValueError("stop must be >= start")
-            count = int(round((stop - start) / step))
+            span = (stop - start) / step
+            if not span + 1.0 <= _MAX_ALPHA_POINTS:
+                raise ValueError(
+                    f"the range holds more than {_MAX_ALPHA_POINTS} points")
+            count = int(round(span))
             values = [start + i * step for i in range(count + 1)]
             values = [v for v in values if v <= stop + 1e-12 * max(1.0, abs(stop))]
         else:

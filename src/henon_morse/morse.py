@@ -135,15 +135,25 @@ def assemble_morse(profile: RadialProfile, settings: Settings = DEFAULT,
     one oscillation solve counts the eigenvalues below -k^2 for every
     k = 0..k_max, k = 0 giving the radial index.  Any mismatch raises
     TwoRouteError; a |lambda_j + k^2| too small to call at the working
-    tolerance triggers one recomputation at 10x tighter tolerance before
-    giving up with ThresholdTieError.
+    tolerance triggers one more pass at 10x tighter tolerance before giving
+    up with ThresholdTieError.  That pass recomputes only when the first
+    ladder's accepted discrepancy did not already meet the tighter
+    tolerance.
     """
     # A sign decision lambda_j + k^2 <> 0 within 10x the eigenvalue accuracy
     # gets one more pass, tightened by one decade (more would chase the
     # eigensolver's own roundoff floor); the second pass must clear its guard.
+    # The ladder is deterministic and eig_tol only decides where it stops, so
+    # a first spectrum whose accepted discrepancy already meets the tighter
+    # tolerance is what the second pass would compute: it is reused.
+    spectrum = None
     for attempt in (settings, replace(settings, eig_tol=settings.eig_tol / 10.0)):
-        problem = build_schrodinger(profile, attempt)
-        spectrum = negative_spectrum(problem, attempt)
+        if (spectrum is not None and spectrum.discrepancy is not None
+                and spectrum.discrepancy <= attempt.eig_tol):
+            spectrum = replace(spectrum, eig_tol=attempt.eig_tol)
+        else:
+            problem = build_schrodinger(profile, attempt)
+            spectrum = negative_spectrum(problem, attempt)
         lambdas = spectrum.lambdas
         if lambdas.size == 0:
             context = {"alpha": profile.params.alpha, "p": profile.params.p,

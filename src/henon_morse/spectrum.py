@@ -302,12 +302,15 @@ class RadialSpectrum:
 
     ``lambdas`` are Richardson-extrapolated to the accuracy target
     eig_tol * (1 + |lambda|); ``M`` records the finest mesh used.
+    ``discrepancy`` is max |rich - rich_prev| / (1 + |rich|) of the
+    extrapolant pair that was accepted (None when unknown).
     """
 
     lambdas: np.ndarray
     T: float
     M: int
     eig_tol: float
+    discrepancy: float | None = None
 
     def __post_init__(self):
         lam = np.asarray(self.lambdas, dtype=float)
@@ -348,9 +351,10 @@ def negative_spectrum(problem: SchrodingerProblem, settings: Settings = DEFAULT)
         rich = (4.0 * lam - lam_prev) / 3.0
         if rich_prev is not None and rich.size == rich_prev.size:
             gap = np.abs(rich - rich_prev)
-            if rich.size == 0 or np.all(gap <= eig_tol * (1.0 + np.abs(rich))):
-                return RadialSpectrum(lambdas=rich, T=problem.T, M=M, eig_tol=eig_tol)
-            discrepancy = float(np.max(gap / (1.0 + np.abs(rich))))
+            discrepancy = float(np.max(gap / (1.0 + np.abs(rich)), initial=0.0))
+            if np.all(gap <= eig_tol * (1.0 + np.abs(rich))):
+                return RadialSpectrum(lambdas=rich, T=problem.T, M=M,
+                                      eig_tol=eig_tol, discrepancy=discrepancy)
         lam_prev, rich_prev = lam, rich
     raise NonConvergenceError(
         "negative eigenvalues did not stabilize under mesh refinement",

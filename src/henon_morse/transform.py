@@ -20,12 +20,15 @@ independent 1-D quadrature after angular reduction,
 
     Q = c_k * int_0^1 [ g'^2 + k^2 g^2 / r^2 - p r^alpha |u|^(p-1) g^2 ] r dr,
 
-with c_0 = 2 pi and c_k = pi for k >= 1.  ``verify_form_comparison`` takes
-one alpha profile and every beta >= alpha at once: it computes each
-Q_alpha(w) once, transforms the profile once per beta != alpha, and at
-beta = alpha (kappa = 1, where both sides are the same number) reuses
-Q_alpha(w).  It returns plain row dicts, the rows of the battery's
-form-comparison section.
+with c_0 = 2 pi and c_k = pi for k >= 1.  ``quadratic_forms`` computes
+the forms of a whole battery at one profile by a single adaptive
+quadrature, evaluating u once per round for every member.
+``verify_form_comparison`` takes one alpha profile and every beta >= alpha
+at once: one quadrature gives every Q_alpha(w), the profile is transformed
+once per beta != alpha and one more quadrature gives every Q_beta(w_kappa)
+there, and at beta = alpha (kappa = 1, where both sides are the same
+number) Q_alpha(w) is reused.  It returns plain row dicts, the rows of the
+battery's form-comparison section.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ __all__ = [
     "TestFunction",
     "transform_solution",
     "quadratic_form",
+    "quadratic_forms",
     "verify_form_comparison",
     "default_battery",
     "adaptive_quadrature",
@@ -130,55 +134,64 @@ def adaptive_quadrature(
     breakpoints,
     rel_tol: float = DEFAULT.quad_rel_tol,
     max_rounds: int = 60,
-) -> float:
+):
     """Adaptive Simpson integration over [breakpoints[0], breakpoints[-1]].
 
     Classic bisection-based adaptive Simpson with Richardson correction,
     processed as a worklist so the integrand is always evaluated on batched
     arrays.  Intervals are accepted when the two-level Simpson discrepancy
     is below 15x their tolerance share; tolerances halve with each split.
-    Raises NonConvergenceError if the worklist fails to drain.
+
+    ``f`` maps n radii to n values, and the result is a float; or it maps
+    them to K rows of n values, and the result is an array of K integrals
+    on one shared node set.  Each row has its own tolerance share, and an
+    interval is accepted only when every row meets its share, so each
+    integral is at least as accurate as its own one-row call.  Raises
+    NonConvergenceError if the worklist fails to drain.
     """
     bp = np.asarray(breakpoints, dtype=float)
     if bp.size < 2 or np.any(np.diff(bp) <= 0):
         raise UsageError("breakpoints must be strictly increasing with >= 2 entries")
 
+    def rows(x):
+        return np.asarray(f(x), dtype=float).reshape(-1, x.size)
+
     a = bp[:-1].copy()
     b = bp[1:].copy()
     m = 0.5 * (a + b)
     fa = np.asarray(f(a), dtype=float)
-    fm = np.asarray(f(m), dtype=float)
-    fb = np.asarray(f(b), dtype=float)
+    scalar = fa.ndim == 1
+    fa, fm, fb = fa.reshape(-1, a.size), rows(m), rows(b)
     s = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
 
-    rough = float(np.sum(s))
-    tol = np.full(a.shape, rel_tol * (1.0 + abs(rough)) / a.size)
-    tol_floor = 1e-17 * (1.0 + abs(rough))
+    scale = 1.0 + np.abs(np.sum(s, axis=1))
+    tol = np.repeat((rel_tol * scale / a.size)[:, None], a.size, axis=1)
+    tol_floor = (1e-17 * scale)[:, None]
 
-    total = 0.0
+    total = np.zeros(scale.size)
     for _ in range(max_rounds):
         lm = 0.5 * (a + m)
         rm = 0.5 * (m + b)
-        fv = np.asarray(f(np.concatenate([lm, rm])), dtype=float)
-        flm, frm = fv[: a.size], fv[a.size:]
+        fv = rows(np.concatenate([lm, rm]))
+        flm, frm = fv[:, : a.size], fv[:, a.size:]
         sl = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
         sr = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
         err = sl + sr - s
-        done = (np.abs(err) <= 15.0 * tol) | ((b - a) < 1e-14)
-        total += float(np.sum((sl + sr + err / 15.0)[done]))
+        done = np.all(np.abs(err) <= 15.0 * tol, axis=0) | ((b - a) < 1e-14)
+        total += np.sum((sl + sr + err / 15.0)[:, done], axis=1)
         if np.all(done):
-            return total
+            return float(total[0]) if scalar else total
         keep = ~done
-        half_tol = np.maximum(0.5 * tol[keep], tol_floor)
+        half_tol = np.maximum(0.5 * tol[:, keep], tol_floor)
         a = np.concatenate([a[keep], m[keep]])
         b = np.concatenate([m[keep], b[keep]])
-        fa = np.concatenate([fa[keep], fm[keep]])
-        fb = np.concatenate([fm[keep], fb[keep]])
+        fa = np.concatenate([fa[:, keep], fm[:, keep]], axis=1)
+        fb = np.concatenate([fm[:, keep], fb[:, keep]], axis=1)
         m = np.concatenate([lm[keep], rm[keep]])
-        fm = np.concatenate([flm[keep], frm[keep]])
-        s = np.concatenate([sl[keep], sr[keep]])
-        tol = np.concatenate([half_tol, half_tol])
-        if a.size > 1_000_000:
+        fm = np.concatenate([flm[:, keep], frm[:, keep]], axis=1)
+        s = np.concatenate([sl[:, keep], sr[:, keep]], axis=1)
+        tol = np.concatenate([half_tol, half_tol], axis=1)
+        if a.size * scale.size > 1_000_000:
             break
     raise NonConvergenceError(
         "adaptive quadrature failed to converge",
@@ -197,35 +210,52 @@ def _angular_constant(k: int) -> float:
     return 2.0 * np.pi if k == 0 else np.pi
 
 
+def quadratic_forms(
+    profile: RadialProfile,
+    members,
+    settings: Settings = DEFAULT,
+) -> list[float]:
+    """The quadratic form of the linearization at ``profile``, at every
+    test function of ``members``, in order.
+
+    Angular reduction brings each form to a 1-D integral over [0, 1] with
+    weight r.  All of them are evaluated by one adaptive quadrature on a
+    shared node set, so u is evaluated once per round for every member.
+    The nodal radii are forced breakpoints: |u|^(p-1) loses smoothness at
+    the zeros of u whenever p < 3.
+    """
+    members = list(members)
+    for w in members:
+        _check_test_function(w)
+    alpha = profile.params.alpha
+    p = profile.params.p
+
+    def integrand(r):
+        u = evaluate_u(profile, r)
+        weight = p * r ** (1.0 + alpha) * np.abs(u) ** (p - 1.0)
+        out = np.empty((len(members), r.size))
+        for row, w in zip(out, members):
+            g = w.g(r)
+            dg = w.dg(r)
+            row[:] = (dg * dg) * r - weight * (g * g)
+            if w.angular_mode:
+                row += float(w.angular_mode**2) * (g * g) / r
+        return out
+
+    integrals = adaptive_quadrature(
+        integrand, _form_breakpoints(profile), settings.quad_rel_tol)
+    return [_angular_constant(w.angular_mode) * float(q)
+            for w, q in zip(members, integrals)]
+
+
 def quadratic_form(
     profile: RadialProfile,
     w: TestFunction,
     settings: Settings = DEFAULT,
 ) -> float:
-    """The quadratic form of the linearization at ``profile``, at w.
-
-    Angular reduction brings it to a 1-D integral over [0, 1] with weight
-    r, evaluated by adaptive quadrature.  The nodal radii are forced
-    breakpoints: |u|^(p-1) loses smoothness at the zeros of u whenever
-    p < 3.
-    """
-    _check_test_function(w)
-    alpha = profile.params.alpha
-    p = profile.params.p
-    k = w.angular_mode
-    k2 = float(k * k)
-
-    def integrand(r):
-        g = w.g(r)
-        dg = w.dg(r)
-        u = evaluate_u(profile, r)
-        val = (dg * dg) * r - p * r ** (1.0 + alpha) * np.abs(u) ** (p - 1.0) * (g * g)
-        if k2:
-            val = val + k2 * (g * g) / r
-        return val
-
-    return _angular_constant(k) * adaptive_quadrature(
-        integrand, _form_breakpoints(profile), settings.quad_rel_tol)
+    """The quadratic form of the linearization at ``profile``, at w: the
+    one-member case of :func:`quadratic_forms`."""
+    return quadratic_forms(profile, [w], settings)[0]
 
 
 def transform_solution(
@@ -274,11 +304,12 @@ def verify_form_comparison(
     """Check Q_beta(w_kappa) <= kappa * Q_alpha(w) over a battery, for
     every beta in ``betas``.
 
-    Every beta must be >= alpha.  Q_alpha(w) is computed once per battery
-    member on the input profile; the profile is transformed once per
-    beta != alpha, and Q_beta(w_kappa) is computed on it with the composed
-    test function.  At beta = alpha (kappa = 1) the profile and the test
-    function are the same, so Q_alpha(w) serves as both sides.  For radial
+    Every beta must be >= alpha.  One ``quadratic_forms`` call gives
+    Q_alpha(w) for every battery member on the input profile; the profile
+    is transformed once per beta != alpha, and one more call gives
+    Q_beta(w_kappa) on it with the composed test functions.  At
+    beta = alpha (kappa = 1) the profile and the test function are the
+    same, so Q_alpha(w) serves as both sides.  For radial
     members (k = 0) the two sides must agree within tolerance; for k >= 1
     the inequality must hold with slack bounded below by -tolerance.
     Tolerance per member is form_tol * (1 + |Q_alpha(w)|).
@@ -294,17 +325,15 @@ def verify_form_comparison(
                 f"the comparison requires beta >= alpha, got beta={beta}, alpha={alpha}")
     if battery is None:
         battery = default_battery()
-    q_alpha = [quadratic_form(profile_alpha, w, settings) for w in battery]
+    q_alpha = quadratic_forms(profile_alpha, battery, settings)
 
     rows = []
     for beta in betas:
         kappa = (beta + 2.0) / (alpha + 2.0)
-        same = abs(kappa - 1.0) < 1e-14
-        if not same:
-            profile_beta = transform_solution(profile_alpha, beta, settings)
-        for w, q_a in zip(battery, q_alpha):
-            q_b = q_a if same else quadratic_form(
-                profile_beta, w.compose_radial(kappa), settings)
+        q_beta = q_alpha if abs(kappa - 1.0) < 1e-14 else quadratic_forms(
+            transform_solution(profile_alpha, beta, settings),
+            [w.compose_radial(kappa) for w in battery], settings)
+        for w, q_a, q_b in zip(battery, q_alpha, q_beta):
             tol = settings.form_tol * (1.0 + abs(q_a))
             slack = kappa * q_a - q_b
             ok = abs(slack) <= tol if w.angular_mode == 0 else slack >= -tol

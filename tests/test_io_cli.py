@@ -213,6 +213,31 @@ class TestAlphaSpecParsing:
         with pytest.raises(UsageError):
             cli._parse_alphas(bad)
 
+    @pytest.mark.parametrize("bad", ["0:inf:1", "nan:1:1", "0:1:nan"])
+    def test_non_finite_range_rejected(self, bad):
+        with pytest.raises(UsageError, match="finite"):
+            cli._parse_alphas(bad)
+
+    def test_range_size_is_bounded(self, monkeypatch):
+        # a refused range must not build its list: range() is never reached
+        def no_range(*args):
+            raise AssertionError("the range was built")
+
+        monkeypatch.setattr(cli, "range", no_range, raising=False)
+        with pytest.raises(UsageError, match="more than 10000 points"):
+            cli._parse_alphas("0:1e12:1")
+        monkeypatch.undo()
+        assert len(cli._parse_alphas("0:9999:1")) == cli._MAX_ALPHA_POINTS
+        with pytest.raises(UsageError):
+            cli._parse_alphas("0:10000:1")
+
+    def test_huge_sweep_range_is_usage(self, tmp_path, capsys):
+        csv = tmp_path / "s.csv"
+        assert cli.main(["sweep", "--p", "3", "--nodes", "1", "--alphas",
+                         "0:1e12:1", "--csv", str(csv)]) == 3
+        assert "more than 10000 points" in capsys.readouterr().err
+        assert not csv.exists()
+
 
 class TestCliExitCodes:
     def test_solve_writes_loadable_profile(self, tmp_path, capsys):

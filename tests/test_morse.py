@@ -14,6 +14,7 @@ variable rescales), giving counts (2, 1, 1, 1, 1, 1, 1, 0) and m = 18.
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,7 +34,8 @@ from henon_morse import (
     solve_point,
     sweep_from_reports,
 )
-from henon_morse.spectrum import RadialSpectrum
+from henon_morse.config import DEFAULT
+from henon_morse.spectrum import RadialSpectrum, build_schrodinger
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +139,53 @@ class TestAssembly:
         assert report.tolerances["eig_tol"] == 1e-9
         assert report.tolerances["scaled_tie_distance"] == pytest.approx(1e-3 / 5.0)
         assert report.mode_counts_per_k == (1, 1, 0)
+
+    @pytest.mark.parametrize("discrepancy,passes", [
+        (5e-10, [1e-8]), (1e-9, [1e-8]), (5e-9, [1e-8, 1e-9]),
+        (1e-8, [1e-8, 1e-9])])
+    def test_tie_retry_reuses_a_ladder_already_tight(self, monkeypatch,
+                                                     discrepancy, passes):
+        """The tighter pass reruns the ladder only when the first one was
+        accepted with a discrepancy above eig_tol / 10; otherwise it would
+        stop at the same level with the same lambdas."""
+        profile = solve_nodal(HenonParams(alpha=0.0, p=3.0, n_nodal=1))
+        seen = []
+        lam = -4.0 - 1e-7  # tie distance 2e-8: a tie at 1e-8, none at 1e-9
+
+        def fake_spectrum(problem, settings):
+            seen.append(settings.eig_tol)
+            return RadialSpectrum(lambdas=np.array([lam]), T=problem.T,
+                                  M=problem.M, eig_tol=settings.eig_tol,
+                                  discrepancy=discrepancy)
+
+        monkeypatch.setattr(morse_mod, "negative_spectrum", fake_spectrum)
+        report = assemble_morse(profile, cross_check=False)
+        assert seen == passes
+        assert report.tolerances["eig_tol"] == 1e-9
+        assert report.lambdas.tolist() == [lam]
+        assert report.tolerances["scaled_tie_distance"] == pytest.approx(2e-8)
+
+    def test_real_tie_is_refused_after_one_ladder(self, monkeypatch):
+        """At (0, 20, 2) the first ladder already met eig_tol / 10, so the
+        refusal reads the lambdas that ladder gives at eig_tol / 10."""
+        calls = []
+        real = morse_mod.negative_spectrum
+
+        def counting(problem, settings):
+            calls.append(settings.eig_tol)
+            return real(problem, settings)
+
+        monkeypatch.setattr(morse_mod, "negative_spectrum", counting)
+        with pytest.raises(ThresholdTieError) as err:
+            solve_point(0.0, 20.0, 2)
+        assert calls == [1e-8]
+        profile = solve_nodal(HenonParams(alpha=0.0, p=20.0, n_nodal=2))
+        tight = replace(DEFAULT, eig_tol=1e-9)
+        lambdas = real(build_schrodinger(profile, tight), tight).lambdas
+        assert err.value.context == {
+            "lambdas": lambdas.tolist(),
+            "scaled_tie_distance": morse_mod._tie_distance(lambdas, 5),
+            "eig_tol": 1e-9}
 
     def test_empty_tightened_spectrum_raises(self, monkeypatch):
         profile = solve_nodal(HenonParams(alpha=0.0, p=3.0, n_nodal=1))

@@ -15,6 +15,7 @@ from henon_morse.transform import (
     adaptive_quadrature,
     default_battery,
     quadratic_form,
+    quadratic_forms,
     transform_solution,
     verify_form_comparison,
 )
@@ -224,17 +225,17 @@ def test_form_comparison_requires_beta_at_least_alpha():
 
 
 def test_form_comparison_computes_each_form_once(profile_032, monkeypatch):
-    # 16 members on the alpha side, 16 more for beta = 2; beta = 0 = alpha
-    # reuses the alpha side (one call per pair would make 64)
+    # one 16-member quadrature on the alpha side, one more for beta = 2;
+    # beta = 0 = alpha reuses the alpha side (one per pair would make 64)
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return quadratic_form(*args, **kwargs)
+    def counting(profile, members, *args, **kwargs):
+        calls.append(len(members))
+        return quadratic_forms(profile, members, *args, **kwargs)
 
-    monkeypatch.setattr(transform, "quadratic_form", counting)
+    monkeypatch.setattr(transform, "quadratic_forms", counting)
     rows = verify_form_comparison(profile_032, [0.0, 2.0])
-    assert len(calls) == 32
+    assert calls == [16, 16]
     assert len(rows) == 32
     assert [row["beta"] for row in rows] == [0.0] * 16 + [2.0] * 16
     assert list(rows[0]) == ["alpha", "beta", "g_name", "k", "slack", "pass"]
@@ -261,3 +262,49 @@ def test_gradient_identity_and_bounds():
                 lo = min(kappa, 1.0 / kappa) * e_base
                 hi = max(kappa, 1.0 / kappa) * e_base
                 assert lo - 1e-9 * (1 + hi) <= e_comp <= hi + 1e-9 * (1 + hi)
+
+
+@pytest.fixture(scope="module")
+def profile_sublinear_nodal():
+    # p < 3: |u|^(p-1) has kinks at the nodal radii, which are breakpoints
+    return solve_nodal(HenonParams(1.0, 2.0, 3))
+
+
+@pytest.mark.parametrize("fixture", ["profile_032", "profile_sublinear_nodal"])
+def test_quadratic_forms_match_per_member_forms(fixture, request):
+    profile = request.getfixturevalue(fixture)
+    battery = default_battery()
+    shared = quadratic_forms(profile, battery)
+    assert len(shared) == len(battery)
+    for w, q in zip(battery, shared):
+        single = quadratic_form(profile, w)
+        assert abs(q - single) <= DEFAULT.quad_rel_tol * (1.0 + abs(single)), w
+
+
+def test_quadratic_forms_check_every_member(profile_032):
+    bad = TestFunction(name="one", angular_mode=0,
+                       g=lambda r: np.ones_like(r), dg=lambda r: np.zeros_like(r))
+    with pytest.raises(UsageError, match="g\\(1\\)"):
+        quadratic_forms(profile_032, [default_battery()[0], bad])
+
+
+@pytest.mark.parametrize("f,breakpoints", [
+    (lambda r: np.sqrt(r) * np.cos(7.0 * r), [0.0, 0.3, 1.0]),
+    (lambda r: np.abs(r - 0.37) ** 1.5 - r**2, [1e-13, 1.0]),
+])
+def test_one_row_quadrature_is_the_scalar_quadrature(f, breakpoints):
+    scalar = adaptive_quadrature(f, breakpoints, 1e-10)
+    one_row = adaptive_quadrature(lambda r: f(r)[None, :], breakpoints, 1e-10)
+    assert isinstance(scalar, float)
+    assert one_row.shape == (1,)
+    assert one_row[0] == scalar
+
+
+def test_quadrature_rows_each_meet_their_tolerance():
+    # rows of very different size: the small row keeps its own share
+    def rows(r):
+        return np.stack([1e6 * np.sin(np.pi * r), np.sqrt(r), r**3])
+
+    vals = adaptive_quadrature(rows, [0.0, 1.0], 1e-10)
+    exact = np.array([2e6 / np.pi, 2.0 / 3.0, 0.25])
+    assert np.all(np.abs(vals - exact) <= 1e-10 * (1.0 + np.abs(exact)))
