@@ -8,9 +8,11 @@ morse      full index report with the named lower bounds
 sweep      alpha sweep at fixed (p, n): CSV artifact plus monotonicity gate
 verify     run the verification battery on a named parameter grid
 
-Every numerical knob of :class:`~henon_morse.config.Settings` is exposed as
-a ``--flag`` (underscores become dashes), so tolerances can be overridden
-per invocation without code changes.
+Every field of :class:`~henon_morse.config.Settings` is a tolerance and is
+exposed as a ``--flag`` (underscores become dashes), so tolerances can be
+overridden per invocation without code changes.  Nothing else about a run
+is settable: its output depends on its inputs and these tolerances only.
+The parser is built once per process.
 
 Exit codes: 0 success; 1 a mathematical assertion failed (the computation
 converged but contradicts a property that must hold); 2 a numerical
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 from dataclasses import fields, replace
+import functools
 import json
 import math
 import sys
@@ -67,10 +70,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_settings_flags(parser: argparse.ArgumentParser) -> None:
-    hints = get_type_hints(Settings)
+def _add_settings_flags(parser: argparse.ArgumentParser, hints: dict) -> None:
     group = parser.add_argument_group(
-        "numerical settings", "overrides for tolerances and mesh sizes")
+        "numerical settings", "overrides for tolerances")
     for f in fields(Settings):
         group.add_argument(
             "--" + f.name.replace("_", "-"),
@@ -260,7 +262,9 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    hints = get_type_hints(Settings)
     parser = _Parser(prog="henon-morse",
                      description="Morse indices of nodal radial solutions "
                                  "of a weighted superlinear elliptic PDE "
@@ -271,20 +275,20 @@ def _build_parser() -> _Parser:
     _add_point_flags(sp)
     sp.add_argument("--out", default=None, metavar="FILE",
                     help="output JSON path (default: stdout)")
-    _add_settings_flags(sp)
+    _add_settings_flags(sp, hints)
     sp.set_defaults(func=_cmd_solve)
 
     sp = sub.add_parser("spectrum",
                         help="negative eigenvalues of the linearization")
     _add_point_flags(sp)
     sp.add_argument("--out", default=None, metavar="FILE")
-    _add_settings_flags(sp)
+    _add_settings_flags(sp, hints)
     sp.set_defaults(func=_cmd_spectrum)
 
     sp = sub.add_parser("morse", help="index report with lower bounds")
     _add_point_flags(sp)
     sp.add_argument("--out", default=None, metavar="FILE")
-    _add_settings_flags(sp)
+    _add_settings_flags(sp, hints)
     sp.set_defaults(func=_cmd_morse)
 
     sp = sub.add_parser("sweep",
@@ -301,7 +305,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--jobs", type=int, default=None, metavar="N",
                     help="parallel worker processes, N >= 1, at most one "
                          "per point (output is identical for any N)")
-    _add_settings_flags(sp)
+    _add_settings_flags(sp, hints)
     sp.set_defaults(func=_cmd_sweep)
 
     sp = sub.add_parser("verify", help="run the verification battery")
@@ -311,7 +315,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--jobs", type=int, default=None, metavar="N",
                     help="parallel worker processes, N >= 1, at most one "
                          "per task (output is identical for any N)")
-    _add_settings_flags(sp)
+    _add_settings_flags(sp, hints)
     sp.set_defaults(func=_cmd_verify)
 
     return parser

@@ -117,6 +117,11 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _ERROR_EXPONENT = -1.0 / 8.0
 _ZERO_TOL = 4.0 * np.finfo(float).eps
+# Largest radius where integration leaves the origin series; a smaller one
+# is taken where the tolerance asks for it (``integrate_ivp``).
+_MAX_SERIES_START = 1e-6
+# Cap on log(r) for the zero hunt of the u(0) = 1 trajectory.
+_SHOOT_TMAX = 46.0
 # Work bound of one integration.  The zero hunt of a nodal profile takes
 # 30-460 steps over alpha <= 20, p <= 100, n <= 6 at the default tolerances.
 _MAX_IVP_STEPS = 20000
@@ -249,10 +254,9 @@ def integrate_ivp(
 ) -> ShootingTrajectory:
     """Integrate the radial ODE from the origin out to ``r_max``.
 
-    Starts at ``settings.series_start_radius`` from the two-term origin
-    series.  The series start is validated: the first neglected series term
-    at the start radius must be negligible against the integrator's
-    absolute tolerance.
+    Starts from the two-term origin series at the largest radius eps <=
+    ``_MAX_SERIES_START`` where the first neglected series term,
+    c2 eps^(2 alpha + 4), is at most 100 * atol * max(1, d).
 
     The stepper is DOP853 as scipy implements it, specialised to the system
     u' = v, v' = -v/r - r^alpha |u|^(p-1) u and run in Python floats.  It
@@ -266,21 +270,19 @@ def integrate_ivp(
     xtol = rtol = 4 eps and is reported once, also when it is a step end.
     With ``stop_after`` set, integration terminates at that zero instead
     of running to ``r_max``; this keeps the zero hunt cheap even for large
-    powers p, whose zeros sit at exponentially large radii.  Zeros closer
-    than ``settings.root_tol`` to the previous one are dropped.
+    powers p, whose zeros sit at exponentially large radii.
 
     Raises NonConvergenceError when the step size falls below ten spacings
     of the floating-point numbers at the current radius, which is what a
     tolerance far below the arithmetic's precision does, and when the
     integration needs more than ``_MAX_IVP_STEPS`` steps.  Raises
-    UsageError when d^p overflows.
+    UsageError when d^p overflows or atol is not positive.
     """
     if not (d > 0.0 and math.isfinite(d)):
         raise UsageError(f"initial value d must be finite and > 0, got {d}")
-    eps = settings.series_start_radius
-    if not (math.isfinite(r_max) and r_max > 10.0 * eps):
-        raise UsageError(
-            f"r_max must be finite and exceed 10 * series start radius, got {r_max}")
+    atol = settings.atol
+    if not atol > 0.0:
+        raise UsageError(f"atol must be > 0, got {atol}")
 
     # Next series term: c2 * r^(2 alpha + 4) with c2 = p d^(p-1) c1 / (2 alpha + 4)^2.
     try:
@@ -292,23 +294,21 @@ def integrate_ivp(
     if not math.isfinite(c2):
         raise UsageError(f"initial value d = {d} is too large: d^p overflows",
                          {"alpha": alpha, "p": p, "d": d})
-    neglected = c2 * eps ** (2.0 * alpha + 4.0)
-    if neglected > 100.0 * settings.atol * max(1.0, d):
-        raise NonConvergenceError(
-            "series start radius too large for the requested tolerance",
-            {"alpha": alpha, "p": p, "d": d, "neglected_term": neglected},
-        )
+    eps = _MAX_SERIES_START
+    if c2 > 0.0:  # d^p underflows for a tiny d, and nothing is neglected
+        eps = min(eps, (100.0 * atol * max(1.0, d) / c2)
+                  ** (1.0 / (2.0 * alpha + 4.0)))
+    if not (math.isfinite(r_max) and r_max > 10.0 * eps > 0.0):
+        raise UsageError(
+            f"r_max must be finite and exceed 10 * series start radius "
+            f"{eps:.3g}, got {r_max}")
 
     u0, du0 = _origin_series(alpha, p, d, np.array([eps]))
     knots, coef, zeros, r_end = _dop853(
         float(alpha), float(p), float(eps), float(u0[0]), float(du0[0]),
-        float(r_max), settings.rtol, settings.atol, stop_after,
+        float(r_max), settings.rtol, atol, stop_after,
         {"alpha": alpha, "p": p, "d": d, "r_max": r_max})
     zeros = np.asarray(zeros, dtype=float)
-    zeros = zeros[zeros > eps]
-    if zeros.size > 1:
-        keep = np.concatenate(([True], np.diff(zeros) > settings.root_tol))
-        zeros = zeros[keep]
 
     knots = np.asarray(knots)
     coef = np.reshape(coef, (-1, 2, 8))
@@ -560,12 +560,16 @@ def solve_nodal(params: HenonParams, settings: Settings = DEFAULT) -> RadialProf
     Integrates once with u(0) = 1, stopping at the n-th zero, and applies
     the exact power rescaling that maps that zero to r = 1.  The result is
     validated against the construction invariants before being returned.
+
+    The zero hunt runs out to log r = min(``_SHOOT_TMAX``, 600 / (alpha +
+    2)); fewer than n zeros there raise NonConvergenceError.  The profile
+    depends on ``settings`` only through its tolerances, which it records.
     """
     n = params.n_nodal
     # Zeros of the u(0) = 1 trajectory sit at exponentially large radii
     # for large p; cap log(r) instead of r, keeping exp((alpha+2) t)-sized
     # quantities representable.
-    r_max = math.exp(min(settings.shoot_tmax, 600.0 / (params.alpha + 2.0)))
+    r_max = math.exp(min(_SHOOT_TMAX, 600.0 / (params.alpha + 2.0)))
     traj = integrate_ivp(params.alpha, params.p, 1.0, r_max, settings,
                          stop_after=n)
     if traj.zeros.size < n:
@@ -589,7 +593,6 @@ def solve_nodal(params: HenonParams, settings: Settings = DEFAULT) -> RadialProf
         tolerances={
             "rtol": settings.rtol,
             "atol": settings.atol,
-            "root_tol": settings.root_tol,
             "boundary_tol": settings.boundary_tol,
             "residual_tol": settings.residual_tol,
         },

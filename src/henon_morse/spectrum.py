@@ -61,6 +61,9 @@ __all__ = [
     "tridiagonal_negative_inertia",
 ]
 
+# Base number M of mesh cells of the log-variable problem; route A doubles
+# it from there.
+_BASE_INTERVALS = 8192
 # Eigenvalue extrapolation may double M at most this many times.
 _MAX_EIG_LEVELS = 5
 # DOP853 step budget of one oscillation-count segment; the default grid's
@@ -116,7 +119,7 @@ def build_schrodinger(profile: RadialProfile, settings: Settings = DEFAULT) -> S
 
     T is chosen from the bound |V(t)| <= p d^(p-1) e^((alpha+2)t) so that
     |V(-T)| <= truncation_tol, then verified on the actual potential and
-    enlarged if needed.
+    enlarged if needed.  The mesh has ``_BASE_INTERVALS`` cells.
     """
     alpha = profile.params.alpha
     p = profile.params.p
@@ -142,7 +145,7 @@ def build_schrodinger(profile: RadialProfile, settings: Settings = DEFAULT) -> S
         )
     corners = tuple(math.log(z) for z in profile.nodal_radii[:-1])
     return SchrodingerProblem.from_potential(
-        T, settings.schrodinger_intervals, potential, corners=corners)
+        T, _BASE_INTERVALS, potential, corners=corners)
 
 
 def _fd_mesh(T: float, M: int, corners: tuple) -> np.ndarray:
@@ -171,7 +174,7 @@ def _fd_mesh(T: float, M: int, corners: tuple) -> np.ndarray:
     return t
 
 
-def fd_negative_eigenvalues(problem: SchrodingerProblem, M: int | None = None,
+def fd_negative_eigenvalues(problem: SchrodingerProblem, M: int,
                             guess: np.ndarray | None = None) -> np.ndarray:
     """Raw negative eigenvalues of the M-cell discretization (no
     extrapolation).  The scheme is mass-lumped P1 on the corner-pinned mesh,
@@ -187,7 +190,7 @@ def fd_negative_eigenvalues(problem: SchrodingerProblem, M: int | None = None,
     positive semidefinite, so no eigenvalue lies below lo and the bisection
     finds every negative one.  Both paths place each eigenvalue within
     bisection's stopping width 2^-52 ||T||_inf."""
-    diag, off, lo = _fd_matrix(problem, problem.M if M is None else M)
+    diag, off, lo = _fd_matrix(problem, M)
     if guess is not None:
         w = _certified_refinement(diag, off, lo, np.asarray(guess, dtype=float))
         if w is not None:

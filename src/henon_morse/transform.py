@@ -57,6 +57,8 @@ __all__ = [
 # g^2/r has a removable singularity there (g(0) = 0), and the inset avoids
 # evaluating the limit.  The neglected mass is below inset * sup|integrand|.
 _QUAD_INSET = 1e-13
+# Most bisection rounds of ``adaptive_quadrature``.
+_MAX_QUAD_ROUNDS = 60
 
 
 @dataclass(frozen=True)
@@ -133,7 +135,6 @@ def adaptive_quadrature(
     f: Callable,
     breakpoints,
     rel_tol: float = DEFAULT.quad_rel_tol,
-    max_rounds: int = 60,
 ):
     """Adaptive Simpson integration over [breakpoints[0], breakpoints[-1]].
 
@@ -169,7 +170,7 @@ def adaptive_quadrature(
     tol_floor = (1e-17 * scale)[:, None]
 
     total = np.zeros(scale.size)
-    for _ in range(max_rounds):
+    for _ in range(_MAX_QUAD_ROUNDS):
         lm = 0.5 * (a + m)
         rm = 0.5 * (m + b)
         fv = rows(np.concatenate([lm, rm]))

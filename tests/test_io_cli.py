@@ -297,11 +297,45 @@ class TestCliExitCodes:
                             ("--mode-mesh-rmin", "1e-8"),
                             ("--profile-resolution", "4097"),
                             ("--grid-geo-rmin", "1e-10"),
-                            ("--grid-geo-step", "0.05")):
+                            ("--grid-geo-step", "0.05"),
+                            ("--root-tol", "1e-12"),
+                            ("--schrodinger-intervals", "8192"),
+                            ("--shoot-tmax", "46"),
+                            ("--series-start-radius", "1e-6")):
             code = cli.main(["morse", "--alpha", "0", "--p", "3",
                              "--nodes", "1", flag, value])
             assert code == 3
             assert json.loads(capsys.readouterr().err)["error"] == "UsageError"
+
+    def test_tiny_atol_moves_the_series_start_in(self, capsys):
+        # the start radius follows atol, so no atol is refused for it
+        code = cli.main(["solve", "--alpha", "0", "--p", "3", "--nodes", "2",
+                         "--atol", "1e-30"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["tolerances"]["atol"] == 1e-30
+        for atol in ("1e-30", None):
+            argv = ["morse", "--alpha", "1", "--p", "3", "--nodes", "2"]
+            code = cli.main(argv + (["--atol", atol] if atol else []))
+            assert code == 0
+            assert json.loads(capsys.readouterr().out)["m_total"] == 14
+
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        cli._build_parser.cache_clear()
+        hints = []
+        real_hints = cli.get_type_hints
+        monkeypatch.setattr(cli, "get_type_hints",
+                            lambda cls: hints.append(cls) or real_hints(cls))
+        # a usage error first, then two calls: the override of the first
+        # must not leak into the second
+        assert cli.main(["spectrum", "--alpha", "0", "--p", "3"]) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "UsageError"
+        base = ["spectrum", "--alpha", "0", "--p", "3", "--nodes", "1"]
+        assert cli.main(base + ["--eig-tol", "1e-6"]) == 0
+        assert json.loads(capsys.readouterr().out)["eig_tol"] == 1e-6
+        assert cli.main(base) == 0
+        assert json.loads(capsys.readouterr().out)["eig_tol"] == DEFAULT.eig_tol
+        assert cli._build_parser.cache_info().misses == 1
+        assert len(hints) == 1
 
     def test_settings_flag_reaches_solver(self, capsys):
         code = cli.main(["spectrum", "--alpha", "0", "--p", "3", "--nodes",

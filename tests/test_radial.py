@@ -200,6 +200,29 @@ def test_trajectory_value_below_series_start():
     assert u == pytest.approx(1.0 - r**2 / 4.0, rel=1e-12)
 
 
+def test_series_start_follows_atol():
+    """Integration leaves the origin series at the largest radius up to
+    1e-6 whose neglected term c2 eps^(2 alpha + 4) is at most
+    100 atol max(1, d)."""
+    default = solve_nodal(HenonParams(0.0, 3.0, 2))
+    assert default.trajectory._eps == 1e-6
+    tight = solve_nodal(HenonParams(0.0, 3.0, 2), replace(DEFAULT, atol=1e-30))
+    eps = tight.trajectory._eps
+    c2 = 3.0 / (2.0**2 * 4.0**2)  # p d^(p-1) c1 / (2 alpha + 4)^2 at d = 1
+    bound = 100.0 * 1e-30
+    assert eps < 1e-6
+    # the largest such radius, up to the rounding of its fourth root
+    assert 0.99 * bound <= c2 * eps**4 <= bound * (1.0 + 1e-12)
+    assert np.allclose(tight.nodal_radii, default.nodal_radii, rtol=1e-9)
+    assert tight.d == pytest.approx(default.d, rel=1e-9)
+
+
+@pytest.mark.parametrize("atol", [0.0, -1e-12, math.nan])
+def test_nonpositive_atol_is_usage(atol):
+    with pytest.raises(UsageError):
+        integrate_ivp(0.0, 3.0, 1.0, 4.0, replace(DEFAULT, atol=atol))
+
+
 def test_evaluate_u_is_the_u_of_evaluate_profile():
     prof = solve_nodal(HenonParams(0.5, 3.0, 2))
     r = np.linspace(0.0, 1.0, 1001)
@@ -237,7 +260,7 @@ class TestDop853Kernel:
 
     @staticmethod
     def scipy_reference(alpha, p, n, r_max=1e12):
-        eps = DEFAULT.series_start_radius
+        eps = radial_mod._MAX_SERIES_START
         y0 = (1.0 - eps ** (alpha + 2) / (alpha + 2) ** 2,
               -(eps ** (alpha + 1)) / (alpha + 2))
 
@@ -263,7 +286,7 @@ class TestDop853Kernel:
         assert traj.zeros.shape == (n,)
         assert np.allclose(traj.zeros, z_ref, rtol=1e-9, atol=0.0)
         assert traj.r_end == traj.zeros[-1]
-        r = np.linspace(DEFAULT.series_start_radius, traj.r_end, 2001)
+        r = np.linspace(radial_mod._MAX_SERIES_START, traj.r_end, 2001)
         u, du = traj.value(r)
         u_ref, du_ref = ref.sol(r)
         assert np.max(np.abs(u - u_ref)) <= 1e-9 * np.max(np.abs(u_ref))
@@ -323,10 +346,9 @@ class TestDop853Kernel:
         assert [len(row) for row in radial_mod._A_EXTRA] == [13, 14, 15]
 
     def test_step_size_underflow_raises_with_context(self):
-        # rtol far below the arithmetic's precision; the tiny series start
-        # keeps the neglected series term below the tiny atol
-        tight = replace(DEFAULT, rtol=1e-40, atol=1e-300,
-                        series_start_radius=1e-80)
+        # rtol far below the arithmetic's precision; the tiny atol moves
+        # the series start far in, near 1e-75
+        tight = replace(DEFAULT, rtol=1e-40, atol=1e-300)
         with pytest.raises(NonConvergenceError) as err:
             integrate_ivp(0.0, 3.0, 1.0, 14.0, tight, stop_after=2)
         assert "Required step size is less than spacing" in str(err.value)
@@ -374,11 +396,11 @@ class TestDop853Kernel:
         assert np.array_equal(poly(knots[:-1]), coef[:, 0])
 
 
-def test_too_few_zeros_within_shoot_tmax():
+def test_too_few_zeros_within_shoot_tmax(monkeypatch):
     # log r capped at 1.5 (r <= 4.48): the second zero, at 12.29, is beyond
-    short = replace(DEFAULT, shoot_tmax=1.5)
+    monkeypatch.setattr(radial_mod, "_SHOOT_TMAX", 1.5)
     with pytest.raises(NonConvergenceError) as err:
-        solve_nodal(HenonParams(0.0, 3.0, 2), short)
+        solve_nodal(HenonParams(0.0, 3.0, 2))
     assert "only 1 zeros found" in str(err.value)
     assert err.value.context["zeros_found"] == 1
     assert err.value.context["n_nodal"] == 2

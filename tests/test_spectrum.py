@@ -222,7 +222,7 @@ class TestSquareWell:
             assert np.all(ratio > 3.6) and np.all(ratio < 4.4)
 
     def test_raw_accuracy_at_default_mesh(self, well):
-        got = fd_negative_eigenvalues(well, DEFAULT.schrodinger_intervals)
+        got = fd_negative_eigenvalues(well, spectrum._BASE_INTERVALS)
         assert np.all(np.abs(got - np.array([-4.0, -1.0])) <= 1e-6)
 
     def test_sturm_count_matches_located_eigenvalues(self, well):
