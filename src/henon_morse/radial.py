@@ -276,13 +276,15 @@ def integrate_ivp(
     of the floating-point numbers at the current radius, which is what a
     tolerance far below the arithmetic's precision does, and when the
     integration needs more than ``_MAX_IVP_STEPS`` steps.  Raises
-    UsageError when d^p overflows or atol is not positive.
+    UsageError when d^p overflows, and unless atol > 0 and rtol >= 0 (a
+    NaN tolerance would stall the step-size control).
     """
     if not (d > 0.0 and math.isfinite(d)):
         raise UsageError(f"initial value d must be finite and > 0, got {d}")
-    atol = settings.atol
-    if not atol > 0.0:
-        raise UsageError(f"atol must be > 0, got {atol}")
+    rtol, atol = settings.rtol, settings.atol
+    if not (atol > 0.0 and rtol >= 0.0):
+        raise UsageError("the ODE tolerances need atol > 0 and rtol >= 0",
+                         {"rtol": rtol, "atol": atol})
 
     # Next series term: c2 * r^(2 alpha + 4) with c2 = p d^(p-1) c1 / (2 alpha + 4)^2.
     try:
@@ -306,7 +308,7 @@ def integrate_ivp(
     u0, du0 = _origin_series(alpha, p, d, np.array([eps]))
     knots, coef, zeros, r_end = _dop853(
         float(alpha), float(p), float(eps), float(u0[0]), float(du0[0]),
-        float(r_max), settings.rtol, atol, stop_after,
+        float(r_max), rtol, atol, stop_after,
         {"alpha": alpha, "p": p, "d": d, "r_max": r_max})
     zeros = np.asarray(zeros, dtype=float)
 
@@ -685,7 +687,8 @@ def ode_residual(profile: RadialProfile) -> float:
     pts = g[:-1, None] + h[:, None] * _GAUSS_X[None, :]
     uq = evaluate_u(profile, pts.ravel()).reshape(pts.shape)
     integrand = pts ** (1.0 + alpha) * (np.abs(uq) ** (p - 1.0) * uq)
-    cell_int = h * (integrand @ _GAUSS_W)
+    # einsum, not a BLAS product, whose rounding depends on the thread count
+    cell_int = h * np.einsum("ij,j->i", integrand, _GAUSS_W)
 
     flux = g * du
     net = flux[1:] - flux[:-1] + cell_int

@@ -268,7 +268,9 @@ def _inverse_iteration(diag: np.ndarray, off: np.ndarray,
 
     Every shift starts from the same fixed vector, a ramp with no mirror
     symmetry, so it meets every eigenvector and the result does not depend
-    on the process that computes it.
+    on the process that computes it.  The dot products and norms are
+    ``np.einsum`` sums, not BLAS calls: OpenBLAS splits a long dot product
+    across its threads, which makes its rounding depend on the thread count.
     """
     n = diag.size
     start = np.linspace(1.0, 2.0, n)
@@ -285,7 +287,7 @@ def _inverse_iteration(diag: np.ndarray, off: np.ndarray,
             lower[:] = off
             upper[:] = off
             _, _, _, x, info = dgtsv(lower, work, upper, x, 1, 1, 1, 1)
-            scale = float(np.linalg.norm(x))
+            scale = math.sqrt(np.einsum("ij,ij->", x, x))
             if info != 0 or not 0.0 < scale < math.inf:
                 return None
             x /= scale
@@ -293,9 +295,9 @@ def _inverse_iteration(diag: np.ndarray, off: np.ndarray,
         tx = np.multiply(diag, y, out=work)
         tx[:-1] += np.multiply(off, y[1:], out=lower)
         tx[1:] += np.multiply(off, y[:-1], out=upper)
-        rho[j] = y @ tx
+        rho[j] = np.einsum("i,i->", y, tx)
         tx -= rho[j] * y
-        res[j] = np.linalg.norm(tx)
+        res[j] = math.sqrt(np.einsum("i,i->", tx, tx))
     return rho, res
 
 

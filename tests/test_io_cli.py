@@ -8,6 +8,10 @@ tests exercise every exit code: 0 success, 1 failed mathematical assertion,
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -573,3 +577,20 @@ class TestCliVerify:
         assert doc["rows"] == [{"alpha": 2.0, "p": 3.0, "n": 2,
                                 "max_rel_error": None, "pass": False}]
         assert "worst rel err 0.00e+00" in doc["summary"]
+
+
+def test_output_does_not_depend_on_blas_threads():
+    """A run prints the same bytes whatever the BLAS thread count: route A
+    and the residual audit reduce without multithreaded BLAS."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, PYTHONPATH=path)
+        run = subprocess.run(
+            [sys.executable, "-m", "henon_morse.cli", "morse", "--alpha", "0",
+             "--p", "3", "--nodes", "2"],
+            env=env, capture_output=True, text=True, timeout=600, check=True)
+        outputs.append(run.stdout)
+    assert outputs[0] and outputs[0] == outputs[1]

@@ -217,10 +217,13 @@ def test_series_start_follows_atol():
     assert tight.d == pytest.approx(default.d, rel=1e-9)
 
 
-@pytest.mark.parametrize("atol", [0.0, -1e-12, math.nan])
-def test_nonpositive_atol_is_usage(atol):
+@pytest.mark.parametrize("rtol, atol", [(1e-10, 0.0), (1e-10, -1e-12),
+                                        (1e-10, math.nan), (math.nan, 1e-12),
+                                        (-1e-10, 1e-12)])
+def test_bad_ode_tolerances_are_usage(rtol, atol):
+    # a NaN tolerance used to stall the step-size control for good
     with pytest.raises(UsageError):
-        integrate_ivp(0.0, 3.0, 1.0, 4.0, replace(DEFAULT, atol=atol))
+        integrate_ivp(0.0, 3.0, 1.0, 4.0, replace(DEFAULT, rtol=rtol, atol=atol))
 
 
 def test_evaluate_u_is_the_u_of_evaluate_profile():
