@@ -353,8 +353,8 @@ def large_exponent_probe(p_values, alpha: float = 0.0, n: int = 2,
     "refusal"}``, and the probe goes on; any other error stops it.  The
     oscillation count could cross-check these points too; the probe stays
     single-route for cost.  Cross-checking adds one oscillation-count solve
-    per decided p, and at p = 10, the battery's one decided probe point,
-    that made a quick battery take 3-14 % longer.
+    per decided p; at p = 10, the battery's one decided probe point, that
+    is a few percent of a quick battery's time.
     """
     rows = []
     for p in map(float, p_values):
