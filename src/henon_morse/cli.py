@@ -11,8 +11,9 @@ verify     run the verification battery on a named parameter grid
 Every field of :class:`~henon_morse.config.Settings` is a tolerance and is
 exposed as a ``--flag`` (underscores become dashes), so tolerances can be
 overridden per invocation without code changes.  Nothing else about a run
-is settable: its output depends on its inputs and these tolerances only.
-The parser is built once per process.
+is settable, the gates a result must pass included: its output depends on
+its inputs and these tolerances only.  A tolerance ``Settings`` refuses is
+bad usage, reported before any solve.  The parser is built once per process.
 
 Exit codes: 0 success; 1 a mathematical assertion failed (the computation
 converged but contradicts a property that must hold); 2 a numerical

@@ -2,19 +2,24 @@
 
 All tolerances live here so that every entry point (library calls, the
 CLI, the verification battery) draws defaults from a single place.  Every
-field is a tolerance; sizes and caps that no caller needs to set are
-constants beside the code they drive.  ``Settings`` is immutable; use
-:func:`dataclasses.replace` to derive a modified copy.
+field is an accuracy target; the gates a result must pass, and sizes and
+caps, are constants beside the code they drive.  ``Settings`` is immutable
+and checks its fields on construction; use :func:`dataclasses.replace`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+import math
+
+from .errors import UsageError
 
 
 @dataclass(frozen=True)
 class Settings:
     """Tolerances of the solvers, quadratures and eigenvalue routines.
+
+    Each must be finite and positive (rtol may be 0), or UsageError.
 
     Attributes
     ----------
@@ -23,10 +28,6 @@ class Settings:
         profile's initial value problem and the oscillation counts.  atol
         also sets the radius where the profile's integration leaves the
         origin series.
-    boundary_tol:
-        Maximum allowed |u(1)| after rescaling.
-    residual_tol:
-        Allowed cell-averaged ODE residual, relative to max|u|^p.
     truncation_tol:
         Allowed size of the transformed potential at the cut-off.
     eig_tol:
@@ -36,19 +37,24 @@ class Settings:
     quad_rel_tol:
         Relative tolerance of the adaptive quadrature used for quadratic
         forms.
-    form_tol:
-        Comparison tolerance for quadratic-form identities, relative to
-        1 + |Q|.
     """
 
     rtol: float = 1e-10
     atol: float = 1e-12
-    boundary_tol: float = 1e-9
-    residual_tol: float = 1e-6
     truncation_tol: float = 1e-10
     eig_tol: float = 1e-8
     quad_rel_tol: float = 1e-10
-    form_tol: float = 1e-7
+
+    def __post_init__(self):
+        # a NaN or negative tolerance would stall a step-size control or
+        # run a refinement to its finest level before anything failed
+        for f in fields(self):
+            value, zero_ok = getattr(self, f.name), f.name == "rtol"
+            if not (math.isfinite(value)
+                    and (value > 0.0 or zero_ok and value == 0.0)):
+                raise UsageError(f"{f.name} must be finite and "
+                                 f"{'>= 0' if zero_ok else '> 0'}, got {value}",
+                                 {f.name: value})
 
 
 DEFAULT = Settings()

@@ -17,7 +17,8 @@ shares no mesh or matrix with the eigenvalue solver.  Disagreement raises
 
 ``solve_point`` is the one point task of the command line, the battery and
 the probe: solve the nodal profile at (alpha, p, n), then assemble its
-index.
+index.  ``assemble_morse`` is the only assembly path, so every report the
+package prints, the probe's included, has passed the cross-check.
 
 On top of the assembled indices this module checks the structural facts an
 index computation can verify:
@@ -27,9 +28,9 @@ index computation can verify:
   unweighted (alpha = 0) solution with the same p and n;
 * ``sweep_from_reports``: whether m(u) is nondecreasing along increasing
   alpha at fixed p and n;
-* ``large_exponent_probe``: single-route decomposition for growing
-  exponents p, reported as observations, never as certified cross-checked
-  indices; a p refused at a -k^2 tie is recorded as undecided.
+* ``large_exponent_probe``: cross-checked indices for growing exponents
+  p, whose gaps are reported as observations; a p refused at a -k^2 tie
+  is recorded as undecided.
 """
 
 from __future__ import annotations
@@ -68,9 +69,8 @@ class MorseReport:
         m_total = m_rad + 2 * sum(mode_counts_per_k).
 
     ``route_b_total`` is the same total assembled purely from the
-    oscillation counts; ``cross_checked`` records whether that independent
-    route was computed and found to agree (the large-exponent probe skips
-    it, leaving route_b_total = None).
+    oscillation counts, the independent route every report is checked
+    against; a report exists only when the two agree.
     """
 
     params: HenonParams
@@ -81,8 +81,7 @@ class MorseReport:
     mode_counts_per_k: tuple
     negative_modes: tuple
     m_total: int
-    route_b_total: int | None
-    cross_checked: bool
+    route_b_total: int
     tolerances: dict
 
     def to_dict(self) -> dict:
@@ -99,7 +98,6 @@ class MorseReport:
             "details": {
                 "k_max": self.k_max,
                 "mode_counts_per_k": list(self.mode_counts_per_k),
-                "cross_checked": self.cross_checked,
                 "tolerances": dict(self.tolerances),
             },
         }
@@ -126,13 +124,13 @@ def _tie_distance(lambdas: np.ndarray, k_max: int) -> float:
     return float(np.min(scaled))
 
 
-def assemble_morse(profile: RadialProfile, settings: Settings = DEFAULT,
-                   cross_check: bool = True) -> MorseReport:
+def assemble_morse(profile: RadialProfile,
+                   settings: Settings = DEFAULT) -> MorseReport:
     """Morse index of a nodal profile, with two-route certification.
 
-    Route A (always): negative eigenvalues in the log variable, then the
-    integer decomposition over angular modes.  The cross-check (default):
-    one oscillation solve counts the eigenvalues below -k^2 for every
+    Route A: negative eigenvalues in the log variable, then the integer
+    decomposition over angular modes.  The cross-check, which every call
+    runs: one oscillation solve counts the eigenvalues below -k^2 for every
     k = 0..k_max, k = 0 giving the radial index.  Any mismatch raises
     TwoRouteError; a |lambda_j + k^2| too small to call at the working
     tolerance triggers one more pass at 10x tighter tolerance before giving
@@ -156,16 +154,14 @@ def assemble_morse(profile: RadialProfile, settings: Settings = DEFAULT,
             spectrum = negative_spectrum(problem, attempt)
         lambdas = spectrum.lambdas
         if lambdas.size == 0:
-            context = {"alpha": profile.params.alpha, "p": profile.params.p,
-                       "n_nodal": profile.params.n_nodal,
-                       "spectrum_T": spectrum.T, "spectrum_M": spectrum.M,
-                       "min_V": float(problem.V.min())}
-            if cross_check:
-                context["oscillation_radial_count"] = oscillation_counts(
-                    profile, problem, 0, settings)[0]
             raise NonConvergenceError(
                 "no negative radial eigenvalues found for a nodal solution",
-                context)
+                {"alpha": profile.params.alpha, "p": profile.params.p,
+                 "n_nodal": profile.params.n_nodal,
+                 "spectrum_T": spectrum.T, "spectrum_M": spectrum.M,
+                 "min_V": float(problem.V.min()),
+                 "oscillation_radial_count": oscillation_counts(
+                     profile, problem, 0, settings)[0]})
         k_max = math.ceil(math.sqrt(-float(lambdas[0])))
         tie_distance = _tie_distance(lambdas, k_max)
         if tie_distance >= 10.0 * attempt.eig_tol:
@@ -187,30 +183,27 @@ def assemble_morse(profile: RadialProfile, settings: Settings = DEFAULT,
         tuple(k for k, neg in zip(ks, row) if neg) for row in negative)
     m_rad = int(lambdas.size)
 
-    route_b_total = None
-    if cross_check:
-        osc_rad, *osc_counts = oscillation_counts(profile, problem, k_max,
-                                                  settings)
-        if osc_rad != m_rad:
-            raise TwoRouteError(
-                "radial index mismatch between the log-variable eigenvalue "
-                "count and the Sturm oscillation count",
-                {"log_route": m_rad, "oscillation_route": osc_rad,
-                 "lambdas": [float(x) for x in lambdas],
-                 "alpha": profile.params.alpha, "p": profile.params.p,
-                 "n_nodal": profile.params.n_nodal},
-            )
-        if tuple(osc_counts) != counts_per_k:
-            raise TwoRouteError(
-                "angular mode counts mismatch between the eigenvalue "
-                "decomposition and the Sturm oscillation counts",
-                {"decomposition": list(counts_per_k),
-                 "oscillation_route": list(osc_counts),
-                 "lambdas": [float(x) for x in lambdas],
-                 "alpha": profile.params.alpha, "p": profile.params.p,
-                 "n_nodal": profile.params.n_nodal},
-            )
-        route_b_total = osc_rad + 2 * sum(osc_counts)
+    osc_rad, *osc_counts = oscillation_counts(profile, problem, k_max, settings)
+    if osc_rad != m_rad:
+        raise TwoRouteError(
+            "radial index mismatch between the log-variable eigenvalue "
+            "count and the Sturm oscillation count",
+            {"log_route": m_rad, "oscillation_route": osc_rad,
+             "lambdas": [float(x) for x in lambdas],
+             "alpha": profile.params.alpha, "p": profile.params.p,
+             "n_nodal": profile.params.n_nodal},
+        )
+    if tuple(osc_counts) != counts_per_k:
+        raise TwoRouteError(
+            "angular mode counts mismatch between the eigenvalue "
+            "decomposition and the Sturm oscillation counts",
+            {"decomposition": list(counts_per_k),
+             "oscillation_route": list(osc_counts),
+             "lambdas": [float(x) for x in lambdas],
+             "alpha": profile.params.alpha, "p": profile.params.p,
+             "n_nodal": profile.params.n_nodal},
+        )
+    route_b_total = osc_rad + 2 * sum(osc_counts)
 
     if counts_per_k and counts_per_k[-1] != 0:
         raise NonConvergenceError(
@@ -236,17 +229,16 @@ def assemble_morse(profile: RadialProfile, settings: Settings = DEFAULT,
         negative_modes=negative_modes,
         m_total=m_total,
         route_b_total=route_b_total,
-        cross_checked=bool(cross_check),
         tolerances=tolerances,
     )
 
 
-def solve_point(alpha: float, p: float, n: int, settings: Settings = DEFAULT,
-                cross_check: bool = True) -> tuple:
+def solve_point(alpha: float, p: float, n: int,
+                settings: Settings = DEFAULT) -> tuple:
     """The nodal profile at (alpha, p, n) and its assembled
     :class:`MorseReport`, as ``(profile, report)``."""
     profile = solve_nodal(HenonParams(alpha=alpha, p=p, n_nodal=n), settings)
-    return profile, assemble_morse(profile, settings, cross_check)
+    return profile, assemble_morse(profile, settings)
 
 
 def _is_even_integer(alpha: float) -> bool:
@@ -345,22 +337,18 @@ def sweep_from_reports(reports) -> SweepResult:
 
 def large_exponent_probe(p_values, alpha: float = 0.0, n: int = 2,
                          settings: Settings = DEFAULT) -> list:
-    """Decomposition-route-only indices for a sequence of growing exponents.
+    """Cross-checked indices for a sequence of growing exponents.
 
-    A row ``{"p", "report"}`` is an observation of the single log-variable
-    route (cross_checked=False, route_b_total=None in the report).  A p
-    refused with ThresholdTieError is undecided, ``{"p", "report": None,
-    "refusal"}``, and the probe goes on; any other error stops it.  The
-    oscillation count could cross-check these points too; the probe stays
-    single-route for cost.  Cross-checking adds one oscillation-count solve
-    per decided p; at p = 10, the battery's one decided probe point, that
-    is a few percent of a quick battery's time.
+    A row ``{"p", "report"}`` holds the point's :class:`MorseReport`,
+    certified by both routes like any other.  A p refused with
+    ThresholdTieError is undecided, ``{"p", "report": None, "refusal"}``,
+    and the probe goes on; any other error stops it.  The rows are
+    observations of the asymptotic gap, not gates on it.
     """
     rows = []
     for p in map(float, p_values):
         try:
-            rows.append({"p": p, "report": solve_point(
-                alpha, p, n, settings, cross_check=False)[1]})
+            rows.append({"p": p, "report": solve_point(alpha, p, n, settings)[1]})
         except ThresholdTieError as exc:
             rows.append({"p": p, "report": None, "refusal": exc})
     return rows

@@ -276,15 +276,12 @@ def integrate_ivp(
     of the floating-point numbers at the current radius, which is what a
     tolerance far below the arithmetic's precision does, and when the
     integration needs more than ``_MAX_IVP_STEPS`` steps.  Raises
-    UsageError when d^p overflows, and unless atol > 0 and rtol >= 0 (a
-    NaN tolerance would stall the step-size control).
+    UsageError when d^p overflows; ``Settings`` itself refuses a tolerance
+    that is not finite, a negative rtol and an atol that is not positive.
     """
     if not (d > 0.0 and math.isfinite(d)):
         raise UsageError(f"initial value d must be finite and > 0, got {d}")
     rtol, atol = settings.rtol, settings.atol
-    if not (atol > 0.0 and rtol >= 0.0):
-        raise UsageError("the ODE tolerances need atol > 0 and rtol >= 0",
-                         {"rtol": rtol, "atol": atol})
 
     # Next series term: c2 * r^(2 alpha + 4) with c2 = p d^(p-1) c1 / (2 alpha + 4)^2.
     try:
@@ -364,7 +361,9 @@ def _dop853(alpha, p, r, u, v, r_bound, rtol, atol, stop_after, context):
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
-            if h_abs < min_step:
+            # also true for a NaN step, which overflowing initial-step
+            # norms give (inf / inf) and max() above keeps
+            if not h_abs >= min_step:
                 raise NonConvergenceError(
                     "ODE integration failed: Required step size is less "
                     "than spacing between numbers.",
@@ -592,29 +591,30 @@ def solve_nodal(params: HenonParams, settings: Settings = DEFAULT) -> RadialProf
         mu=mu,
         kappa=1.0,
         nodal_radii=nodal,
-        tolerances={
-            "rtol": settings.rtol,
-            "atol": settings.atol,
-            "boundary_tol": settings.boundary_tol,
-            "residual_tol": settings.residual_tol,
-        },
+        tolerances={"rtol": settings.rtol, "atol": settings.atol},
     )
-    validate_profile(profile, settings)
+    validate_profile(profile)
     return profile
 
 
-def validate_profile(profile: RadialProfile, settings: Settings = DEFAULT) -> None:
+# The fixed gates of ``validate_profile``: |u(1)| relative to max(1, max|u|)
+# and the cell-averaged ODE residual relative to max|u|^p.
+_BOUNDARY_TOL = 1e-9
+_RESIDUAL_TOL = 1e-6
+
+
+def validate_profile(profile: RadialProfile) -> None:
     """Check the construction invariants of a nodal profile.
 
     Raises :class:`NonConvergenceError` when any of these fail:
 
     * u(0) = d > 0;
     * the nodal radii are n increasing values, the last equal to 1;
-    * |u(1)| is below the boundary tolerance;
+    * |u(1)| <= ``_BOUNDARY_TOL`` * max(1, max|u|);
     * u changes sign exactly n_nodal - 1 times on the output grid and the
       signs on consecutive nodal intervals alternate starting positive;
-    * the cell-averaged ODE residual on the output grid is below
-      residual_tol * max|u|^p.
+    * the cell-averaged ODE residual on the output grid is at most
+      ``_RESIDUAL_TOL`` * max|u|^p.
     """
     pr = profile
     n = pr.params.n_nodal
@@ -628,7 +628,7 @@ def validate_profile(profile: RadialProfile, settings: Settings = DEFAULT) -> No
         problems.append("nodal radii are not n strictly increasing values")
     elif pr.nodal_radii[-1] != 1.0:
         problems.append("last nodal radius is not 1")
-    if abs(u[-1]) > settings.boundary_tol * max(1.0, scale):
+    if abs(u[-1]) > _BOUNDARY_TOL * max(1.0, scale):
         problems.append(f"|u(1)| = {abs(u[-1]):.3e} exceeds the boundary tolerance")
 
     # Sign structure: drop near-zero samples, then count strict sign flips.
@@ -645,7 +645,7 @@ def validate_profile(profile: RadialProfile, settings: Settings = DEFAULT) -> No
         problems.append("nodal interval signs do not alternate starting positive")
 
     resid = ode_residual(pr)
-    limit = settings.residual_tol * scale**pr.params.p
+    limit = _RESIDUAL_TOL * scale**pr.params.p
     if resid > limit:
         problems.append(
             f"ODE residual {resid:.3e} exceeds {limit:.3e}")

@@ -27,8 +27,9 @@ quadrature, evaluating u once per round for every member.
 at once: one quadrature gives every Q_alpha(w), the profile is transformed
 once per beta != alpha and one more quadrature gives every Q_beta(w_kappa)
 there, and at beta = alpha (kappa = 1, where both sides are the same
-number) Q_alpha(w) is reused.  It returns plain row dicts, the rows of the
-battery's form-comparison section.
+number) Q_alpha(w) is reused.  It judges each pair by the fixed gate
+``_FORM_TOL`` and returns plain row dicts, the rows of the battery's
+form-comparison section.
 """
 
 from __future__ import annotations
@@ -259,11 +260,7 @@ def quadratic_form(
     return quadratic_forms(profile, [w], settings)[0]
 
 
-def transform_solution(
-    profile: RadialProfile,
-    beta: float,
-    settings: Settings = DEFAULT,
-) -> RadialProfile:
+def transform_solution(profile: RadialProfile, beta: float) -> RadialProfile:
     """Map a nodal solution with exponent alpha to the one with exponent beta.
 
     Exact correspondence: with kappa = (beta+2)/(alpha+2),
@@ -273,7 +270,7 @@ def transform_solution(
     nodal radii map as z -> z^(1/kappa), and the nodal count is preserved.
     The result reads the same trajectory as ``profile``: its amplitude is
     multiplied by kappa^(2/(p-1)) and its exponent kappa by kappa, with no
-    resampling.  It is validated like any computed profile.
+    resampling.  It passes the same fixed gates as any computed profile.
     """
     if not (beta >= 0.0 and math.isfinite(beta)):
         raise UsageError(f"beta must be finite and >= 0, got {beta}")
@@ -292,8 +289,13 @@ def transform_solution(
         nodal_radii=nodal,
         tolerances=dict(profile.tolerances),
     )
-    validate_profile(new, settings)
+    validate_profile(new)
     return new
+
+
+# The gate of ``verify_form_comparison``: how far the two sides of a form
+# comparison may miss, relative to 1 + |Q_alpha(w)|.
+_FORM_TOL = 1e-7
 
 
 def verify_form_comparison(
@@ -313,7 +315,7 @@ def verify_form_comparison(
     same, so Q_alpha(w) serves as both sides.  For radial
     members (k = 0) the two sides must agree within tolerance; for k >= 1
     the inequality must hold with slack bounded below by -tolerance.
-    Tolerance per member is form_tol * (1 + |Q_alpha(w)|).
+    Tolerance per member is the fixed ``_FORM_TOL`` * (1 + |Q_alpha(w)|).
 
     Returns one row {"alpha", "beta", "g_name", "k", "slack", "pass"} per
     (beta, member), beta-major in the order given.
@@ -332,10 +334,10 @@ def verify_form_comparison(
     for beta in betas:
         kappa = (beta + 2.0) / (alpha + 2.0)
         q_beta = q_alpha if abs(kappa - 1.0) < 1e-14 else quadratic_forms(
-            transform_solution(profile_alpha, beta, settings),
+            transform_solution(profile_alpha, beta),
             [w.compose_radial(kappa) for w in battery], settings)
         for w, q_a, q_b in zip(battery, q_alpha, q_beta):
-            tol = settings.form_tol * (1.0 + abs(q_a))
+            tol = _FORM_TOL * (1.0 + abs(q_a))
             slack = kappa * q_a - q_b
             ok = abs(slack) <= tol if w.angular_mode == 0 else slack >= -tol
             rows.append({"alpha": alpha, "beta": beta, "g_name": w.name,

@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from henon_morse import (
     HenonParams,
     NonConvergenceError,
     SchemaError,
+    Settings,
     TwoRouteError,
     UsageError,
     assemble_morse,
@@ -243,6 +245,16 @@ class TestAlphaSpecParsing:
         assert not csv.exists()
 
 
+def _every_subcommand(tmp_path):
+    """A complete argument list per subcommand, for tests that expect a
+    usage error before any work."""
+    point = ["--alpha", "0", "--p", "3", "--nodes", "1"]
+    return (["solve", *point], ["spectrum", *point], ["morse", *point],
+            ["sweep", "--p", "3", "--nodes", "1", "--alphas", "0,1",
+             "--csv", str(tmp_path / "s.csv")],
+            ["verify", "--grid", "quick"])
+
+
 class TestCliExitCodes:
     def test_solve_writes_loadable_profile(self, tmp_path, capsys):
         out = tmp_path / "p.json"
@@ -270,8 +282,10 @@ class TestCliExitCodes:
         assert json.loads(capsys.readouterr().err)["error"] == "UsageError"
 
     def test_impossible_tolerance_is_non_convergence(self, capsys):
+        # overflowing initial-step norms used to give a NaN step, which
+        # the rejection loop never refused: this call did not return
         code = cli.main(["solve", "--alpha", "0", "--p", "3", "--nodes", "1",
-                         "--boundary-tol", "1e-30"])
+                         "--rtol", "0", "--atol", "1e-300"])
         assert code == 2
         diag = json.loads(capsys.readouterr().err)
         assert diag["error"] == "NonConvergenceError"
@@ -295,7 +309,7 @@ class TestCliExitCodes:
         assert diag["error"] == "VerificationError"
         assert diag["context"]["failing"] == ["radial_count"]
 
-    def test_removed_radial_mesh_flag_is_usage(self, capsys):
+    def test_removed_radial_mesh_flag_is_usage(self, tmp_path, capsys):
         for flag, value in (("--radial-mesh-cells", "2048"),
                             ("--mode-mesh-ratio", "1.02"),
                             ("--mode-mesh-rmin", "1e-8"),
@@ -305,11 +319,38 @@ class TestCliExitCodes:
                             ("--root-tol", "1e-12"),
                             ("--schrodinger-intervals", "8192"),
                             ("--shoot-tmax", "46"),
-                            ("--series-start-radius", "1e-6")):
-            code = cli.main(["morse", "--alpha", "0", "--p", "3",
-                             "--nodes", "1", flag, value])
-            assert code == 3
-            assert json.loads(capsys.readouterr().err)["error"] == "UsageError"
+                            ("--series-start-radius", "1e-6"),
+                            ("--boundary-tol", "1e-9"),
+                            ("--residual-tol", "1e-6"),
+                            ("--form-tol", "1e-7")):
+            for argv in _every_subcommand(tmp_path):
+                assert cli.main([*argv, flag, value]) == 3
+                err = json.loads(capsys.readouterr().err)
+                assert err["error"] == "UsageError"
+                assert flag in err["message"]
+
+    def test_bad_tolerance_is_usage_before_any_solve(self, tmp_path, capsys,
+                                                      monkeypatch):
+        solves = []
+
+        def spy(*args, **kwargs):
+            solves.append(args)
+            raise AssertionError("a solve started")
+
+        monkeypatch.setattr(cli, "solve_nodal", spy)
+        monkeypatch.setattr(morse_mod, "solve_nodal", spy)
+        assert [f.name for f in fields(Settings)] == [
+            "rtol", "atol", "truncation_tol", "eig_tol", "quad_rel_tol"]
+        for argv in _every_subcommand(tmp_path):
+            for f in fields(Settings):
+                for value in ("nan", "inf", "-1"):
+                    flag = "--" + f.name.replace("_", "-")
+                    assert cli.main([*argv, flag, value]) == 3
+                    err = json.loads(capsys.readouterr().err)
+                    assert err["error"] == "UsageError"
+                    assert err["message"].startswith(f.name + " must be")
+        assert solves == []
+        assert not (tmp_path / "s.csv").exists()
 
     def test_tiny_atol_moves_the_series_start_in(self, capsys):
         # the start radius follows atol, so no atol is refused for it
@@ -567,7 +608,7 @@ class TestCliVerify:
             return {"report": morse_mod.MorseReport(
                 params=None, d=1.0, lambdas=np.array(lambdas), m_rad=0,
                 k_max=0, mode_counts_per_k=(), negative_modes=(), m_total=0,
-                route_b_total=None, cross_checked=False, tolerances={})}
+                route_b_total=0, tolerances={})}
 
         points = {(0.0, 3.0, 2): point(-20.0, -2.0),
                   (2.0, 3.0, 2): point(-80.0)}

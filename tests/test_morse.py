@@ -38,6 +38,14 @@ from henon_morse.config import DEFAULT
 from henon_morse.spectrum import RadialSpectrum, build_schrodinger
 
 
+def _counts_agreeing_with(lambdas):
+    """A stand-in for ``oscillation_counts`` that agrees with route A on
+    the given eigenvalues: #{j : lambda_j < -k^2} for k = 0..k_max."""
+    lam = np.asarray(lambdas)
+    return lambda prof, problem, k_max, settings=None: tuple(
+        int(np.sum(lam < -k * k)) for k in range(k_max + 1))
+
+
 @pytest.fixture(scope="module")
 def report_032():
     return assemble_morse(solve_nodal(HenonParams(alpha=0.0, p=3.0, n_nodal=2)))
@@ -56,7 +64,6 @@ class TestAssembly:
         assert report_032.negative_modes == ((1, 2, 3), ())
         assert report_032.m_total == 8
         assert report_032.route_b_total == 8
-        assert report_032.cross_checked
 
     def test_known_index_even_weight(self, report_232):
         assert report_232.m_rad == 2
@@ -134,7 +141,9 @@ class TestAssembly:
                                   M=problem.M, eig_tol=settings.eig_tol)
 
         monkeypatch.setattr(morse_mod, "negative_spectrum", fake_spectrum)
-        report = assemble_morse(profile, cross_check=False)
+        monkeypatch.setattr(morse_mod, "oscillation_counts",
+                            _counts_agreeing_with([-4.0 - 1e-3]))
+        report = assemble_morse(profile)
         assert seen == [1e-8, 1e-9]
         assert report.tolerances["eig_tol"] == 1e-9
         assert report.tolerances["scaled_tie_distance"] == pytest.approx(1e-3 / 5.0)
@@ -159,7 +168,9 @@ class TestAssembly:
                                   discrepancy=discrepancy)
 
         monkeypatch.setattr(morse_mod, "negative_spectrum", fake_spectrum)
-        report = assemble_morse(profile, cross_check=False)
+        monkeypatch.setattr(morse_mod, "oscillation_counts",
+                            _counts_agreeing_with([lam]))
+        report = assemble_morse(profile)
         assert seen == passes
         assert report.tolerances["eig_tol"] == 1e-9
         assert report.lambdas.tolist() == [lam]
@@ -216,10 +227,6 @@ class TestAssembly:
         assert context["spectrum_M"] >= 8192
         assert context["spectrum_T"] > 0.0
         assert context["min_V"] < 0.0
-        with pytest.raises(NonConvergenceError) as err:
-            assemble_morse(profile, cross_check=False)
-        assert "oscillation_radial_count" not in err.value.context
-        assert err.value.context["min_V"] == context["min_V"]
 
     @pytest.mark.parametrize("alpha,p,n,m_total", [
         (5.0, 5.0, 3, 93), (8.5, 3.0, 2, 52), (10.5, 3.0, 2, 60),
@@ -313,7 +320,7 @@ class TestSweepAndProbe:
         with pytest.raises(UsageError):
             sweep_from_reports([report_032])
 
-    def test_probe_is_single_route_and_consistent(self):
+    def test_probe_is_cross_checked_and_consistent(self):
         rows = large_exponent_probe([5.0, 15.0], alpha=0.0, n=2)
         assert [row["report"].m_total for row in rows] == [10, 10]
         for p, row in zip([5.0, 15.0], rows):
@@ -321,8 +328,7 @@ class TestSweepAndProbe:
             assert row["p"] == p
             rep = row["report"]
             assert rep.params.p == p
-            assert not rep.cross_checked
-            assert rep.route_b_total is None
+            assert rep.route_b_total == rep.m_total
 
     def test_probe_records_a_tie_as_undecided(self, monkeypatch):
         """A ThresholdTieError makes an undecided row and the probe goes on;
@@ -331,17 +337,17 @@ class TestSweepAndProbe:
         tie = ThresholdTieError("tie", {"scaled_tie_distance": 1e-9,
                                         "eig_tol": 1e-9})
 
-        def tied_at_15(alpha, p, n, settings, cross_check=True):
+        def tied_at_15(alpha, p, n, settings):
             if p == 15.0:
                 raise tie
-            return real(alpha, p, n, settings, cross_check)
+            return real(alpha, p, n, settings)
 
         monkeypatch.setattr(morse_mod, "solve_point", tied_at_15)
         rows = large_exponent_probe([15.0, 5.0], alpha=0.0, n=2)
         assert rows[0] == {"p": 15.0, "report": None, "refusal": tie}
         assert rows[1]["report"].m_total == 10
 
-        def failing(alpha, p, n, settings, cross_check=True):
+        def failing(alpha, p, n, settings):
             raise NonConvergenceError("not a tie", {})
 
         monkeypatch.setattr(morse_mod, "solve_point", failing)

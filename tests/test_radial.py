@@ -361,6 +361,14 @@ class TestDop853Kernel:
         assert 1e-80 <= context["r"] < 14.0
         assert 0.0 < context["min_step"] < 1e-14 * max(1.0, context["r"])
 
+    def test_overflowing_initial_step_raises(self):
+        # with rtol = 0 and atol = 1e-300 the initial-step norms overflow
+        # and give a NaN step; the step guard must refuse it, not loop
+        tight = replace(DEFAULT, rtol=0.0, atol=1e-300)
+        with pytest.raises(NonConvergenceError) as err:
+            integrate_ivp(0.0, 3.0, 1.0, 4.0, tight)
+        assert "Required step size is less than spacing" in str(err.value)
+
     def test_step_budget_raises(self, monkeypatch):
         monkeypatch.setattr(radial_mod, "_MAX_IVP_STEPS", 10)
         with pytest.raises(NonConvergenceError) as err:

@@ -17,9 +17,9 @@ def assembled(monkeypatch):
     calls = []
     real = verify.assemble_morse
 
-    def counting(profile, settings=DEFAULT, cross_check=True):
+    def counting(profile, settings=DEFAULT):
         calls.append(profile.params.alpha)
-        return real(profile, settings, cross_check)
+        return real(profile, settings)
 
     monkeypatch.setattr(verify, "assemble_morse", counting)
     return calls
