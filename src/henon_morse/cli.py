@@ -8,12 +8,14 @@ morse      full index report with the named lower bounds
 sweep      alpha sweep at fixed (p, n): CSV artifact plus monotonicity gate
 verify     run the verification battery on a named parameter grid
 
-Every field of :class:`~henon_morse.config.Settings` is a tolerance and is
-exposed as a ``--flag`` (underscores become dashes), so tolerances can be
-overridden per invocation without code changes.  Nothing else about a run
-is settable, the gates a result must pass included: its output depends on
-its inputs and these tolerances only.  A tolerance ``Settings`` refuses is
-bad usage, reported before any solve.  The parser is built once per process.
+Each of the three fields of :class:`~henon_morse.config.Settings` is a
+tolerance and is exposed as a ``--flag`` (underscores become dashes):
+``--rtol``, ``--atol`` and ``--eig-tol``.  Nothing else about a run is
+settable, the gates a result must pass included, and what follows from a
+tolerance (the potential's cut-off follows eig_tol) has no flag: a run's
+output depends on its inputs and these tolerances only.  A tolerance
+``Settings`` refuses is bad usage, reported before any solve.  The parser
+is built once per process.
 
 Exit codes: 0 success; 1 a mathematical assertion failed (the computation
 converged but contradicts a property that must hold); 2 a numerical
@@ -220,10 +222,12 @@ def _cmd_sweep(args) -> int:
     } for report, checks in zip(reports, bounds)]
 
     # Artifacts land on disk before any gating verdict is raised; a failed
-    # point leaves the rows of the points that finished.
+    # point leaves the rows of the points that finished, and rows that
+    # cannot be written leave an existing file as it was.
     if rows:
+        text = sweep_csv_text(rows)
         with open(args.csv, "w", encoding="utf-8", newline="") as fp:
-            fp.write(sweep_csv_text(rows))
+            fp.write(text)
     sweep = sweep_from_reports(reports) if len(reports) >= 2 else None
     if args.out is not None and sweep is not None:
         save_json(sweep.to_dict(), args.out)

@@ -2,24 +2,29 @@
 
 All tolerances live here so that every entry point (library calls, the
 CLI, the verification battery) draws defaults from a single place.  Every
-field is an accuracy target; the gates a result must pass, and sizes and
-caps, are constants beside the code they drive.  ``Settings`` is immutable
-and checks its fields on construction; use :func:`dataclasses.replace`.
+field is an accuracy target, and what follows from one (the potential's
+cut-off, the series start radius) is worked out from it; the gates a result
+must pass, and sizes and caps, are constants beside the code they drive.
+``Settings`` is immutable and checks its fields on construction; use
+:func:`dataclasses.replace`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 import math
 
 from .errors import UsageError
 
+_EPS = math.ulp(1.0)  # float64 epsilon, 2^-52
+
 
 @dataclass(frozen=True)
 class Settings:
-    """Tolerances of the solvers, quadratures and eigenvalue routines.
+    """Tolerances of the solvers and eigenvalue routines.
 
-    Each must be finite and positive (rtol may be 0), or UsageError.
+    Each must be finite and positive, or UsageError; rtol may be 0, and
+    eig_tol, a relative accuracy, may not be below the float64 epsilon.
 
     Attributes
     ----------
@@ -28,33 +33,28 @@ class Settings:
         profile's initial value problem and the oscillation counts.  atol
         also sets the radius where the profile's integration leaves the
         origin series.
-    truncation_tol:
-        Allowed size of the transformed potential at the cut-off.
     eig_tol:
         Target accuracy of negative eigenvalues: values are accepted when
         successive Richardson extrapolants agree within
-        eig_tol * (1 + |lambda|).
-    quad_rel_tol:
-        Relative tolerance of the adaptive quadrature used for quadratic
-        forms.
+        eig_tol * (1 + |lambda|).  The potential is cut off where
+        |V| <= eig_tol / 100.
     """
 
     rtol: float = 1e-10
     atol: float = 1e-12
-    truncation_tol: float = 1e-10
     eig_tol: float = 1e-8
-    quad_rel_tol: float = 1e-10
 
     def __post_init__(self):
         # a NaN or negative tolerance would stall a step-size control or
         # run a refinement to its finest level before anything failed
-        for f in fields(self):
-            value, zero_ok = getattr(self, f.name), f.name == "rtol"
-            if not (math.isfinite(value)
-                    and (value > 0.0 or zero_ok and value == 0.0)):
-                raise UsageError(f"{f.name} must be finite and "
-                                 f"{'>= 0' if zero_ok else '> 0'}, got {value}",
-                                 {f.name: value})
+        for name, ok, rule in (
+                ("rtol", self.rtol >= 0.0, ">= 0"),
+                ("atol", self.atol > 0.0, "> 0"),
+                ("eig_tol", self.eig_tol >= _EPS, f">= {_EPS!r}")):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and ok):
+                raise UsageError(f"{name} must be finite and {rule}, "
+                                 f"got {value}", {name: value})
 
 
 DEFAULT = Settings()

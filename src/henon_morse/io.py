@@ -108,9 +108,11 @@ def _emit(obj, out) -> None:
 
 
 def save_json(obj, path) -> None:
+    """Write ``obj`` as canonical JSON; an object that cannot be
+    serialized leaves an existing file as it was."""
+    text = dumps_canonical(obj) + "\n"
     with open(path, "w", encoding="utf-8") as fp:
-        fp.write(dumps_canonical(obj))
-        fp.write("\n")
+        fp.write(text)
 
 
 def load_json(path) -> dict:

@@ -134,7 +134,8 @@ def assemble_morse(profile: RadialProfile,
     k = 0..k_max, k = 0 giving the radial index.  Any mismatch raises
     TwoRouteError; a |lambda_j + k^2| too small to call at the working
     tolerance triggers one more pass at 10x tighter tolerance before giving
-    up with ThresholdTieError.  That pass recomputes only when the first
+    up with ThresholdTieError.  That pass reads the same truncated problem,
+    built once at the working tolerance, and recomputes only when the first
     ladder's accepted discrepancy did not already meet the tighter
     tolerance.
     """
@@ -144,14 +145,14 @@ def assemble_morse(profile: RadialProfile,
     # The ladder is deterministic and eig_tol only decides where it stops, so
     # a first spectrum whose accepted discrepancy already meets the tighter
     # tolerance is what the second pass would compute: it is reused.
+    problem = build_schrodinger(profile, settings)
     spectrum = None
-    for attempt in (settings, replace(settings, eig_tol=settings.eig_tol / 10.0)):
+    for eig_tol in (settings.eig_tol, settings.eig_tol / 10.0):
         if (spectrum is not None and spectrum.discrepancy is not None
-                and spectrum.discrepancy <= attempt.eig_tol):
-            spectrum = replace(spectrum, eig_tol=attempt.eig_tol)
+                and spectrum.discrepancy <= eig_tol):
+            spectrum = replace(spectrum, eig_tol=eig_tol)
         else:
-            problem = build_schrodinger(profile, attempt)
-            spectrum = negative_spectrum(problem, attempt)
+            spectrum = negative_spectrum(problem, replace(settings, eig_tol=eig_tol))
         lambdas = spectrum.lambdas
         if lambdas.size == 0:
             raise NonConvergenceError(
@@ -164,7 +165,7 @@ def assemble_morse(profile: RadialProfile,
                      profile, problem, 0, settings)[0]})
         k_max = math.ceil(math.sqrt(-float(lambdas[0])))
         tie_distance = _tie_distance(lambdas, k_max)
-        if tie_distance >= 10.0 * attempt.eig_tol:
+        if tie_distance >= 10.0 * eig_tol:
             break
     else:
         raise ThresholdTieError(
@@ -172,7 +173,7 @@ def assemble_morse(profile: RadialProfile,
             "angular decomposition cannot be decided at this tolerance",
             {"lambdas": [float(x) for x in lambdas],
              "scaled_tie_distance": tie_distance,
-             "eig_tol": attempt.eig_tol},
+             "eig_tol": eig_tol},
         )
 
     # negative[j, k-1]: lambda_j + k^2 < 0; both tabulations read this table
@@ -214,7 +215,7 @@ def assemble_morse(profile: RadialProfile,
     m_total = m_rad + 2 * sum(counts_per_k)
     tolerances = dict(profile.tolerances)
     tolerances.update({
-        "eig_tol": attempt.eig_tol,
+        "eig_tol": eig_tol,
         "spectrum_T": spectrum.T,
         "spectrum_M": spectrum.M,
         "scaled_tie_distance": tie_distance,
@@ -290,8 +291,8 @@ def check_lower_bounds(report: MorseReport,
         add("sign_changing_minimum", m, 3)
         add("sign_changing_superlinear", m, n + 2)
         if _is_even_integer(alpha):
-            add("even_weight_minimum", m, int(alpha) + 3)
-            add("even_weight_superlinear", m, n + int(alpha) + 2)
+            add("even_weight_minimum", m, round(alpha) + 3)
+            add("even_weight_superlinear", m, n + round(alpha) + 2)
     return checks
 
 

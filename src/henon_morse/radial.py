@@ -276,8 +276,8 @@ def integrate_ivp(
     of the floating-point numbers at the current radius, which is what a
     tolerance far below the arithmetic's precision does, and when the
     integration needs more than ``_MAX_IVP_STEPS`` steps.  Raises
-    UsageError when d^p overflows; ``Settings`` itself refuses a tolerance
-    that is not finite, a negative rtol and an atol that is not positive.
+    UsageError when d^p overflows; a tolerance out of range is refused when
+    its ``Settings`` is built, so rtol >= 0 and atol > 0 here.
     """
     if not (d > 0.0 and math.isfinite(d)):
         raise UsageError(f"initial value d must be finite and > 0, got {d}")

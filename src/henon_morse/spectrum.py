@@ -118,8 +118,9 @@ def build_schrodinger(profile: RadialProfile, settings: Settings = DEFAULT) -> S
     """Build the truncated log-variable problem for a nodal profile.
 
     T is chosen from the bound |V(t)| <= p d^(p-1) e^((alpha+2)t) so that
-    |V(-T)| <= truncation_tol, then verified on the actual potential and
-    enlarged if needed.  The mesh has ``_BASE_INTERVALS`` cells.
+    |V(-T)| <= eig_tol / 100, then verified on the actual potential and
+    enlarged if needed: the cut-off follows the eigenvalue target, and T
+    grows as eig_tol is tightened.  The mesh has ``_BASE_INTERVALS`` cells.
     """
     alpha = profile.params.alpha
     p = profile.params.p
@@ -131,7 +132,7 @@ def build_schrodinger(profile: RadialProfile, settings: Settings = DEFAULT) -> S
         u = evaluate_u(profile, r)
         return -p * np.exp((alpha + 2.0) * t) * np.abs(u) ** (p - 1.0)
 
-    tol = settings.truncation_tol
+    tol = settings.eig_tol / 100.0
     T = (math.log(p) + (p - 1.0) * math.log(d) - math.log(tol)) / (alpha + 2.0)
     T = max(T, 5.0)
     for _ in range(4):
@@ -140,7 +141,7 @@ def build_schrodinger(profile: RadialProfile, settings: Settings = DEFAULT) -> S
         T += 5.0
     else:
         raise NonConvergenceError(
-            "could not truncate the potential below truncation_tol",
+            "could not truncate the potential below eig_tol / 100",
             {"T": T, "V_at_minus_T": float(potential(np.array([-T]))[0])},
         )
     corners = tuple(math.log(z) for z in profile.nodal_radii[:-1])

@@ -28,8 +28,8 @@ at once: one quadrature gives every Q_alpha(w), the profile is transformed
 once per beta != alpha and one more quadrature gives every Q_beta(w_kappa)
 there, and at beta = alpha (kappa = 1, where both sides are the same
 number) Q_alpha(w) is reused.  It judges each pair by the fixed gate
-``_FORM_TOL`` and returns plain row dicts, the rows of the battery's
-form-comparison section.
+``_FORM_TOL``, each form computed to the fixed ``_QUAD_REL_TOL`` 1000x
+under it, and returns plain row dicts, the battery's form-comparison rows.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from typing import Callable
 
 import numpy as np
 
-from .config import DEFAULT, Settings
 from .errors import NonConvergenceError, UsageError
 from .radial import HenonParams, RadialProfile, evaluate_u, validate_profile
 
@@ -60,6 +59,11 @@ __all__ = [
 _QUAD_INSET = 1e-13
 # Most bisection rounds of ``adaptive_quadrature``.
 _MAX_QUAD_ROUNDS = 60
+# The gate of ``verify_form_comparison``: how far the two sides of a form
+# comparison may miss, relative to 1 + |Q_alpha(w)|.
+_FORM_TOL = 1e-7
+# Relative tolerance of the quadratures behind that gate, 1000x under it.
+_QUAD_REL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -135,7 +139,7 @@ def default_battery() -> list[TestFunction]:
 def adaptive_quadrature(
     f: Callable,
     breakpoints,
-    rel_tol: float = DEFAULT.quad_rel_tol,
+    rel_tol: float = _QUAD_REL_TOL,
 ):
     """Adaptive Simpson integration over [breakpoints[0], breakpoints[-1]].
 
@@ -212,11 +216,7 @@ def _angular_constant(k: int) -> float:
     return 2.0 * np.pi if k == 0 else np.pi
 
 
-def quadratic_forms(
-    profile: RadialProfile,
-    members,
-    settings: Settings = DEFAULT,
-) -> list[float]:
+def quadratic_forms(profile: RadialProfile, members) -> list[float]:
     """The quadratic form of the linearization at ``profile``, at every
     test function of ``members``, in order.
 
@@ -224,7 +224,7 @@ def quadratic_forms(
     weight r.  All of them are evaluated by one adaptive quadrature on a
     shared node set, so u is evaluated once per round for every member.
     The nodal radii are forced breakpoints: |u|^(p-1) loses smoothness at
-    the zeros of u whenever p < 3.
+    the zeros of u whenever p < 3.  The target is ``_QUAD_REL_TOL``.
     """
     members = list(members)
     for w in members:
@@ -245,19 +245,15 @@ def quadratic_forms(
         return out
 
     integrals = adaptive_quadrature(
-        integrand, _form_breakpoints(profile), settings.quad_rel_tol)
+        integrand, _form_breakpoints(profile), _QUAD_REL_TOL)
     return [_angular_constant(w.angular_mode) * float(q)
             for w, q in zip(members, integrals)]
 
 
-def quadratic_form(
-    profile: RadialProfile,
-    w: TestFunction,
-    settings: Settings = DEFAULT,
-) -> float:
+def quadratic_form(profile: RadialProfile, w: TestFunction) -> float:
     """The quadratic form of the linearization at ``profile``, at w: the
     one-member case of :func:`quadratic_forms`."""
-    return quadratic_forms(profile, [w], settings)[0]
+    return quadratic_forms(profile, [w])[0]
 
 
 def transform_solution(profile: RadialProfile, beta: float) -> RadialProfile:
@@ -293,16 +289,10 @@ def transform_solution(profile: RadialProfile, beta: float) -> RadialProfile:
     return new
 
 
-# The gate of ``verify_form_comparison``: how far the two sides of a form
-# comparison may miss, relative to 1 + |Q_alpha(w)|.
-_FORM_TOL = 1e-7
-
-
 def verify_form_comparison(
     profile_alpha: RadialProfile,
     betas,
     battery: list[TestFunction] | None = None,
-    settings: Settings = DEFAULT,
 ) -> list[dict]:
     """Check Q_beta(w_kappa) <= kappa * Q_alpha(w) over a battery, for
     every beta in ``betas``.
@@ -328,14 +318,14 @@ def verify_form_comparison(
                 f"the comparison requires beta >= alpha, got beta={beta}, alpha={alpha}")
     if battery is None:
         battery = default_battery()
-    q_alpha = quadratic_forms(profile_alpha, battery, settings)
+    q_alpha = quadratic_forms(profile_alpha, battery)
 
     rows = []
     for beta in betas:
         kappa = (beta + 2.0) / (alpha + 2.0)
         q_beta = q_alpha if abs(kappa - 1.0) < 1e-14 else quadratic_forms(
             transform_solution(profile_alpha, beta),
-            [w.compose_radial(kappa) for w in battery], settings)
+            [w.compose_radial(kappa) for w in battery])
         for w, q_a, q_b in zip(battery, q_alpha, q_beta):
             tol = _FORM_TOL * (1.0 + abs(q_a))
             slack = kappa * q_a - q_b

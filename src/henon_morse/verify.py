@@ -28,7 +28,8 @@ toleranced comparisons:
 Sections 1-8 gate the battery verdict; section 9 records observations and
 gates only on the structural facts (the gap is even and >= 2).  A probe
 point refused at a -k^2 tie is an undecided row: it asserts no gap and
-does not fail.  Every gate is a module constant, not a setting.  The same
+does not fail.  Every gate is a module constant, not a setting, and so is
+the tolerance of the quadratures criterion 6 judges.  The same
 battery backs the command-line ``verify`` subcommand and the acceptance
 test suite, so the two never drift apart.
 """
@@ -202,7 +203,7 @@ def run_battery(grid: str = "default", settings: Settings = DEFAULT,
         _section_two_route(points),
         _section_transform(points),
         _section_scaling(points, alphas, ps, ns),
-        _section_forms(points, alphas, settings),
+        _section_forms(points, alphas),
         _section_lower_bounds(points, companions),
         _section_square_well(settings),
         _section_probe(settings),
@@ -301,13 +302,13 @@ def _section_scaling(points, alphas, ps, ns) -> SectionResult:
         rows=tuple(rows))
 
 
-def _section_forms(points, alphas, settings) -> SectionResult:
+def _section_forms(points, alphas) -> SectionResult:
     form_alphas = [a for a in _FORM_ALPHAS if a in alphas]
     rows = []
     for a in form_alphas:
         rows.extend(verify_form_comparison(
             points[(a, _FORM_P, _FORM_N)]["profile"],
-            [b for b in form_alphas if b >= a], settings=settings))
+            [b for b in form_alphas if b >= a]))
     return SectionResult(
         name="form_comparison", criterion=6, gating=True,
         summary=(f"quadratic-form comparison holds for "

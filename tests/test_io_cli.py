@@ -98,6 +98,14 @@ class TestCanonicalJson:
         with pytest.raises(SchemaError):
             dumps_canonical({1: "x"})
 
+    def test_failed_save_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "doc.json"
+        save_json({"x": 1.0}, path)
+        old = path.read_bytes()
+        with pytest.raises(SchemaError):
+            save_json({"x": float("nan")}, path)
+        assert path.read_bytes() == old
+
     def test_unsupported_type_rejected(self):
         with pytest.raises(SchemaError):
             dumps_canonical({"x": object()})
@@ -322,7 +330,9 @@ class TestCliExitCodes:
                             ("--series-start-radius", "1e-6"),
                             ("--boundary-tol", "1e-9"),
                             ("--residual-tol", "1e-6"),
-                            ("--form-tol", "1e-7")):
+                            ("--form-tol", "1e-7"),
+                            ("--truncation-tol", "1e-10"),
+                            ("--quad-rel-tol", "1e-10")):
             for argv in _every_subcommand(tmp_path):
                 assert cli.main([*argv, flag, value]) == 3
                 err = json.loads(capsys.readouterr().err)
@@ -339,8 +349,7 @@ class TestCliExitCodes:
 
         monkeypatch.setattr(cli, "solve_nodal", spy)
         monkeypatch.setattr(morse_mod, "solve_nodal", spy)
-        assert [f.name for f in fields(Settings)] == [
-            "rtol", "atol", "truncation_tol", "eig_tol", "quad_rel_tol"]
+        assert [f.name for f in fields(Settings)] == ["rtol", "atol", "eig_tol"]
         for argv in _every_subcommand(tmp_path):
             for f in fields(Settings):
                 for value in ("nan", "inf", "-1"):
@@ -349,6 +358,13 @@ class TestCliExitCodes:
                     err = json.loads(capsys.readouterr().err)
                     assert err["error"] == "UsageError"
                     assert err["message"].startswith(f.name + " must be")
+            # eig_tol is a relative accuracy: float64 cannot meet one below
+            # its epsilon, and a subnormal one underflows when divided
+            for value in ("5e-324", "1e-17"):
+                assert cli.main([*argv, "--eig-tol", value]) == 3
+                err = json.loads(capsys.readouterr().err)
+                assert err["message"].startswith("eig_tol must be")
+                assert err["message"].endswith(f"got {value}")
         assert solves == []
         assert not (tmp_path / "s.csv").exists()
 
@@ -523,6 +539,20 @@ class TestCliSweep:
         assert csv.exists()
         rows = csv.read_text().splitlines()
         assert len(rows) == 3 and rows[1].endswith("false")
+
+    def test_unwritable_rows_keep_the_old_csv(self, tmp_path, capsys,
+                                              monkeypatch):
+        def failing_csv(rows):
+            raise SchemaError("injected", {})
+
+        monkeypatch.setattr(cli, "sweep_csv_text", failing_csv)
+        csv = tmp_path / "s.csv"
+        csv.write_bytes(b"old rows\n")
+        code = cli.main(["sweep", "--p", "3", "--nodes", "1",
+                         "--alphas", "0,1", "--csv", str(csv)])
+        assert code == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "SchemaError"
+        assert csv.read_bytes() == b"old rows\n"
 
 
     def test_failing_points_keep_finished_rows(self, tmp_path, capsys,

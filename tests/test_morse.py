@@ -192,11 +192,36 @@ class TestAssembly:
         assert calls == [1e-8]
         profile = solve_nodal(HenonParams(alpha=0.0, p=20.0, n_nodal=2))
         tight = replace(DEFAULT, eig_tol=1e-9)
-        lambdas = real(build_schrodinger(profile, tight), tight).lambdas
+        lambdas = real(build_schrodinger(profile), tight).lambdas
         assert err.value.context == {
             "lambdas": lambdas.tolist(),
             "scaled_tie_distance": morse_mod._tie_distance(lambdas, 5),
             "eig_tol": 1e-9}
+
+    def test_tie_retry_builds_the_problem_once(self, monkeypatch):
+        """The tighter pass reruns the ladder on the first pass's problem:
+        a rebuild at eig_tol / 10 would move the cut-off."""
+        profile = solve_nodal(HenonParams(alpha=0.0, p=3.0, n_nodal=1))
+        builds, problems = [], []
+        real_build = morse_mod.build_schrodinger
+
+        def counting_build(prof, settings):
+            builds.append(settings.eig_tol)
+            return real_build(prof, settings)
+
+        def fake_spectrum(problem, settings):
+            problems.append(problem)
+            lam = -4.0 - (1e-12 if len(problems) == 1 else 1e-3)
+            return RadialSpectrum(lambdas=np.array([lam]), T=problem.T,
+                                  M=problem.M, eig_tol=settings.eig_tol)
+
+        monkeypatch.setattr(morse_mod, "build_schrodinger", counting_build)
+        monkeypatch.setattr(morse_mod, "negative_spectrum", fake_spectrum)
+        monkeypatch.setattr(morse_mod, "oscillation_counts",
+                            _counts_agreeing_with([-4.0 - 1e-3]))
+        assemble_morse(profile)
+        assert builds == [1e-8]
+        assert len(problems) == 2 and problems[0] is problems[1]
 
     def test_empty_tightened_spectrum_raises(self, monkeypatch):
         profile = solve_nodal(HenonParams(alpha=0.0, p=3.0, n_nodal=1))
@@ -268,6 +293,15 @@ class TestLowerBounds:
         assert by_name["autonomous_gap"].required == 14
         assert by_name["even_weight_minimum"].required == 5
         assert by_name["even_weight_superlinear"].required == 6
+
+    def test_even_weight_bounds_round_alpha(self, report_232):
+        """An alpha within 1e-12 of an even integer counts as that integer;
+        the bounds use it rounded, not truncated."""
+        near_four = replace(report_232, params=HenonParams(
+            alpha=4.0 - 1e-13, p=3.0, n_nodal=2))
+        checks = {c.name: c for c in check_lower_bounds(near_four)}
+        assert checks["even_weight_minimum"].required == 7
+        assert checks["even_weight_superlinear"].required == 8
 
     def test_unweighted_report_is_own_companion(self, report_032):
         checks = {c.name: c for c in check_lower_bounds(report_032)}

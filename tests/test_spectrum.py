@@ -239,11 +239,11 @@ class TestSquareWell:
 
     def test_no_stabilization_reports_the_last_discrepancy(self, well):
         with pytest.raises(NonConvergenceError) as err:
-            negative_spectrum(well, replace(DEFAULT, eig_tol=1e-18))
+            negative_spectrum(well, replace(DEFAULT, eig_tol=1e-15))
         context = err.value.context
         assert context["finest_M"] == 512 * 2**5
         assert context["last_counts"] == 2
-        assert 1e-18 < context["last_discrepancy"] < 1e-6
+        assert 1e-15 < context["last_discrepancy"] < 1e-6
 
     def test_zero_potential_has_empty_spectrum(self):
         prob = SchrodingerProblem.from_potential(
@@ -528,8 +528,16 @@ class TestPotentialConstruction:
 
     def test_potential_tiny_at_both_ends(self, profile_032):
         prob = build_schrodinger(profile_032)
-        assert abs(prob.V[0]) <= DEFAULT.truncation_tol
+        assert abs(prob.V[0]) <= DEFAULT.eig_tol / 100
         assert abs(prob.V[-1]) <= 1e-8
+
+    def test_cut_follows_eig_tol(self, profile_032):
+        cuts = []
+        for eig_tol in (1e-6, DEFAULT.eig_tol, 1e-11):
+            prob = build_schrodinger(profile_032, replace(DEFAULT, eig_tol=eig_tol))
+            assert abs(prob.V[0]) <= eig_tol / 100
+            cuts.append(prob.T)
+        assert cuts[0] < cuts[1] < cuts[2]
 
     def test_nodal_corners_are_mesh_nodes(self, profile_032):
         prob = build_schrodinger(profile_032)

@@ -8,7 +8,6 @@ import pytest
 
 from henon_morse import HenonParams, UsageError, evaluate_profile, solve_nodal
 from henon_morse import transform
-from henon_morse.config import DEFAULT
 from henon_morse.radial import evaluate_u, output_grid
 from henon_morse.transform import (
     TestFunction,
@@ -19,8 +18,6 @@ from henon_morse.transform import (
     transform_solution,
     verify_form_comparison,
 )
-
-import dataclasses
 
 
 def dirichlet_energy(w):
@@ -141,11 +138,11 @@ def test_quadratic_form_zero_function(profile_032):
     assert quadratic_form(profile_032, w) == 0.0
 
 
-def test_quadratic_form_refinement_stable(profile_032):
+def test_quadratic_form_refinement_stable(profile_032, monkeypatch):
     w = default_battery()[0]  # sin_pi_r, k=0
     q = quadratic_form(profile_032, w)
-    tight = dataclasses.replace(DEFAULT, quad_rel_tol=DEFAULT.quad_rel_tol / 100.0)
-    q_ref = quadratic_form(profile_032, w, tight)
+    monkeypatch.setattr(transform, "_QUAD_REL_TOL", transform._QUAD_REL_TOL / 100.0)
+    q_ref = quadratic_form(profile_032, w)
     assert abs(q - q_ref) <= 1e-9 * (1.0 + abs(q_ref))
 
 
@@ -278,7 +275,7 @@ def test_quadratic_forms_match_per_member_forms(fixture, request):
     assert len(shared) == len(battery)
     for w, q in zip(battery, shared):
         single = quadratic_form(profile, w)
-        assert abs(q - single) <= DEFAULT.quad_rel_tol * (1.0 + abs(single)), w
+        assert abs(q - single) <= transform._QUAD_REL_TOL * (1.0 + abs(single)), w
 
 
 def test_quadratic_forms_check_every_member(profile_032):
