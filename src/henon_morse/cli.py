@@ -25,8 +25,12 @@ writes its document whenever the battery runs to the end, also when a
 gate fails; a grid point that raises (``TwoRouteError``, say) stops the
 battery before any document exists.  A sweep in which some points raise
 keeps the rows of the points that finished and exits with the first
-point's error.  ``--jobs N`` (``sweep``, ``verify``) needs
-N >= 1 and starts no more worker processes than there are tasks.
+point's error.  A ``morse`` or ``sweep`` point is one profile solve: the
+index of its alpha = 0 companion, which the lower bounds need, comes
+from the point's own spectrum through the power map and is cross-checked
+by the point's own oscillation solve.  ``--jobs N`` (``sweep``,
+``verify``) needs N >= 1 and starts no more worker processes than there
+are tasks.
 """
 
 from __future__ import annotations
@@ -171,24 +175,14 @@ def _report_or_error(task):
 
 def _bounded_reports(alphas, p, n, settings, jobs=None):
     """Reports at ``alphas`` with their lower-bound checks, and the errors
-    of the points that raised, in alpha order.
-
-    The alpha = 0 companion the bounds need is the point's own when alpha =
-    0 is asked for (none if that point failed), and is solved after the
-    points otherwise -- unless every point failed.  A companion that raises
-    adds its error last.
-    """
+    of the points that raised, in alpha order.  Each report carries the
+    index of its own alpha = 0 companion, so a point's bounds depend on no
+    other point."""
     results = _run_tasks(_report_or_error,
                          [(a, p, n, settings) for a in alphas], jobs)
     errors = [r for r in results if isinstance(r, HenonMorseError)]
     reports = [r for r in results if not isinstance(r, HenonMorseError)]
-    companion = next((r for r in reports if r.params.alpha == 0.0), None)
-    if reports and 0.0 not in alphas:
-        companion = _report_or_error((0.0, p, n, settings))
-        if isinstance(companion, HenonMorseError):
-            errors.append(companion)
-            companion = None
-    return reports, [check_lower_bounds(r, companion) for r in reports], errors
+    return reports, [check_lower_bounds(r) for r in reports], errors
 
 
 def _cmd_morse(args) -> int:

@@ -13,7 +13,10 @@ evaluates this decomposition and cross-checks every integer against an
 independent route: Sturm oscillation counts #{j : lambda_j < -k^2} for
 k = 0..k_max (``spectrum.oscillation_counts``), an adaptive ODE solve that
 shares no mesh or matrix with the eigenvalue solver.  Disagreement raises
-``TwoRouteError`` rather than returning a number.
+``TwoRouteError`` rather than returning a number.  The same spectrum and
+the same solve also decide and certify the index of the alpha = 0
+companion, whose eigenvalues the power map r -> r^((alpha+2)/2) scales by
+(2/(alpha+2))^2, so no second profile is solved for it.
 
 ``solve_point`` is the one point task of the command line, the battery and
 the probe: solve the nodal profile at (alpha, p, n), then assemble its
@@ -25,7 +28,8 @@ index computation can verify:
 
 * ``check_lower_bounds``: named integer inequalities relating m(u), the
   nodal count n, the weight exponent alpha, and the index of the
-  unweighted (alpha = 0) solution with the same p and n;
+  unweighted (alpha = 0) solution with the same p and n, which every
+  report decides from its own spectrum through the power map;
 * ``sweep_from_reports``: whether m(u) is nondecreasing along increasing
   alpha at fixed p and n;
 * ``large_exponent_probe``: cross-checked indices for growing exponents
@@ -71,6 +75,12 @@ class MorseReport:
     ``route_b_total`` is the same total assembled purely from the
     oscillation counts, the independent route every report is checked
     against; a report exists only when the two agree.
+
+    ``companion_total`` is the Morse index of the alpha = 0 solution with
+    the same p and n, decided from this report's own eigenvalues through
+    the power map (lambda_j / s^2, s = (alpha + 2) / 2) and certified by
+    the same oscillation solve; at alpha = 0 it is ``m_total``.  The lower
+    bounds read it; it is not serialized.
     """
 
     params: HenonParams
@@ -82,6 +92,7 @@ class MorseReport:
     negative_modes: tuple
     m_total: int
     route_b_total: int
+    companion_total: int
     tolerances: dict
 
     def to_dict(self) -> dict:
@@ -124,6 +135,16 @@ def _tie_distance(lambdas: np.ndarray, k_max: int) -> float:
     return float(np.min(scaled))
 
 
+def _k_max(lambdas: np.ndarray) -> int:
+    """The first angular mode k with lambda_1 + k^2 >= 0."""
+    return math.ceil(math.sqrt(-float(lambdas[0])))
+
+
+def _negative_table(lambdas: np.ndarray, k_max: int) -> np.ndarray:
+    """negative[j, k-1]: lambda_j + k^2 < 0, for k = 1..k_max."""
+    return lambdas[:, None] + np.arange(1, k_max + 1, dtype=float) ** 2 < 0.0
+
+
 def assemble_morse(profile: RadialProfile,
                    settings: Settings = DEFAULT) -> MorseReport:
     """Morse index of a nodal profile, with two-route certification.
@@ -138,6 +159,15 @@ def assemble_morse(profile: RadialProfile,
     built once at the working tolerance, and recomputes only when the first
     ladder's accepted discrepancy did not already meet the tighter
     tolerance.
+
+    The same spectrum decides the index of the alpha = 0 companion with the
+    same p and n (``MorseReport.companion_total``).  The power map
+    r -> r^s, s = (alpha + 2) / 2, gives it the eigenvalues
+    mu_j = lambda_j / s^2, so its table mu_j + k^2, k = 1..ceil(sqrt(-mu_1)),
+    is decided beside the point's own under the same tie guard, and the
+    oscillation solve certifies it at the energies -(s k)^2 on the point's
+    own potential.  At alpha = 0 (s = 1) the companion is the report itself
+    and the solve adds no energy.
     """
     # A sign decision lambda_j + k^2 <> 0 within 10x the eigenvalue accuracy
     # gets one more pass, tightened by one decade (more would chase the
@@ -146,6 +176,7 @@ def assemble_morse(profile: RadialProfile,
     # a first spectrum whose accepted discrepancy already meets the tighter
     # tolerance is what the second pass would compute: it is reused.
     problem = build_schrodinger(profile, settings)
+    s = (profile.params.alpha + 2.0) / 2.0
     spectrum = None
     for eig_tol in (settings.eig_tol, settings.eig_tol / 10.0):
         if (spectrum is not None and spectrum.discrepancy is not None
@@ -162,29 +193,45 @@ def assemble_morse(profile: RadialProfile,
                  "spectrum_T": spectrum.T, "spectrum_M": spectrum.M,
                  "min_V": float(problem.V.min()),
                  "oscillation_radial_count": oscillation_counts(
-                     profile, problem, 0, settings)[0]})
-        k_max = math.ceil(math.sqrt(-float(lambdas[0])))
+                     profile, problem, [0.0], settings)[0]})
+        # lambda_j / s^2 carries at most eig_tol * (1 + |mu_j|), so the
+        # companion's table is guarded in the same units as the point's
+        mus = lambdas / (s * s)
+        k_max, k0_max = _k_max(lambdas), _k_max(mus)
         tie_distance = _tie_distance(lambdas, k_max)
-        if tie_distance >= 10.0 * eig_tol:
+        companion_tie = _tie_distance(mus, k0_max)
+        if min(tie_distance, companion_tie) >= 10.0 * eig_tol:
             break
     else:
+        evidence = {"lambdas": [float(x) for x in lambdas],
+                    "scaled_tie_distance": tie_distance,
+                    "eig_tol": eig_tol}
+        if s != 1.0:
+            evidence["companion_scaled_tie_distance"] = companion_tie
         raise ThresholdTieError(
-            "an eigenvalue sits numerically on a -k^2 threshold; the "
-            "angular decomposition cannot be decided at this tolerance",
-            {"lambdas": [float(x) for x in lambdas],
-             "scaled_tie_distance": tie_distance,
-             "eig_tol": eig_tol},
-        )
+            "an eigenvalue sits numerically on a -k^2 threshold, or for the "
+            "alpha = 0 companion on a -(s k)^2 one; the angular "
+            "decomposition cannot be decided at this tolerance", evidence)
 
-    # negative[j, k-1]: lambda_j + k^2 < 0; both tabulations read this table
-    ks = range(1, k_max + 1)
-    negative = lambdas[:, None] + np.array(ks, dtype=float) ** 2 < 0.0
+    # both tabulations read the point's table
+    negative = _negative_table(lambdas, k_max)
     counts_per_k = tuple(int(c) for c in negative.sum(axis=0))
     negative_modes = tuple(
-        tuple(k for k, neg in zip(ks, row) if neg) for row in negative)
+        tuple(k for k, neg in zip(range(1, k_max + 1), row) if neg)
+        for row in negative)
+    companion_counts = tuple(
+        int(c) for c in _negative_table(mus, k0_max).sum(axis=0))
     m_rad = int(lambdas.size)
 
-    osc_rad, *osc_counts = oscillation_counts(profile, problem, k_max, settings)
+    # one solve for both tables: the point's wave numbers 0..k_max and the
+    # companion's s k, k = 1..k0_max, each distinct one integrated once (at
+    # s = 1 the two sets coincide, and at even alpha s k is an integer)
+    waves, index = np.unique(np.concatenate(
+        (np.arange(k_max + 1.0), s * np.arange(1, k0_max + 1))),
+        return_inverse=True)
+    osc = tuple(int(c) for c in np.array(
+        oscillation_counts(profile, problem, waves, settings))[index])
+    osc_rad, osc_counts, osc_companion = osc[0], osc[1:k_max + 1], osc[k_max + 1:]
     if osc_rad != m_rad:
         raise TwoRouteError(
             "radial index mismatch between the log-variable eigenvalue "
@@ -194,12 +241,23 @@ def assemble_morse(profile: RadialProfile,
              "alpha": profile.params.alpha, "p": profile.params.p,
              "n_nodal": profile.params.n_nodal},
         )
-    if tuple(osc_counts) != counts_per_k:
+    if osc_counts != counts_per_k:
         raise TwoRouteError(
             "angular mode counts mismatch between the eigenvalue "
             "decomposition and the Sturm oscillation counts",
             {"decomposition": list(counts_per_k),
              "oscillation_route": list(osc_counts),
+             "lambdas": [float(x) for x in lambdas],
+             "alpha": profile.params.alpha, "p": profile.params.p,
+             "n_nodal": profile.params.n_nodal},
+        )
+    if osc_companion != companion_counts:
+        raise TwoRouteError(
+            "alpha = 0 companion's angular mode counts mismatch between the "
+            "scaled eigenvalue decomposition and the Sturm oscillation "
+            "counts at energies -(s k)^2",
+            {"companion_decomposition": list(companion_counts),
+             "oscillation_route": list(osc_companion), "s": s,
              "lambdas": [float(x) for x in lambdas],
              "alpha": profile.params.alpha, "p": profile.params.p,
              "n_nodal": profile.params.n_nodal},
@@ -230,6 +288,7 @@ def assemble_morse(profile: RadialProfile,
         negative_modes=negative_modes,
         m_total=m_total,
         route_b_total=route_b_total,
+        companion_total=m_rad + 2 * sum(companion_counts),
         tolerances=tolerances,
     )
 
@@ -250,20 +309,22 @@ def check_lower_bounds(report: MorseReport,
                        companion: MorseReport | None = None) -> list:
     """Evaluate the named lower bounds for one assembled index.
 
-    ``companion`` must be the report for the unweighted problem (alpha = 0)
-    with the same p and n; when ``report`` itself has alpha = 0 it serves
-    as its own companion.  Bounds that need a companion are skipped if none
-    is supplied.  Returns a list of BoundCheck rows; nothing raises here,
-    the caller decides what a violated bound means.
+    The companion bounds read the index of the unweighted problem
+    (alpha = 0) with the same p and n: ``report.companion_total``, decided
+    from the report's own spectrum, or ``companion.m_total`` when a report
+    of that problem solved on its own is passed.  Such a ``companion`` must
+    have alpha = 0 and the same p and n.  Returns a list of BoundCheck
+    rows; nothing raises here, the caller decides what a violated bound
+    means.
     """
     p = report.params.p
     n = report.params.n_nodal
     alpha = report.params.alpha
     m = report.m_total
 
-    if alpha == 0.0 and companion is None:
-        companion = report
-    if companion is not None:
+    if companion is None:
+        m0, m0_rad = report.companion_total, report.m_rad
+    else:
         cp = companion.params
         if cp.alpha != 0.0 or cp.p != p or cp.n_nodal != n:
             raise UsageError(
@@ -271,6 +332,7 @@ def check_lower_bounds(report: MorseReport,
                 {"companion_alpha": cp.alpha, "companion_p": cp.p,
                  "companion_n": cp.n_nodal, "p": p, "n_nodal": n},
             )
+        m0, m0_rad = companion.m_total, companion.m_rad
 
     half_alpha = math.floor(alpha / 2.0)
     checks = []
@@ -283,10 +345,8 @@ def check_lower_bounds(report: MorseReport,
 
     add("radial_count", report.m_rad, n)
     add("nodal_gap", m, n + (n - 1) * (2 * half_alpha + 2))
-    if companion is not None:
-        add("autonomous_companion", companion.m_total, 3 * n - 2)
-        gap0 = companion.m_total - companion.m_rad
-        add("autonomous_gap", m, n + gap0 * (half_alpha + 1))
+    add("autonomous_companion", m0, 3 * n - 2)
+    add("autonomous_gap", m, n + (m0 - m0_rad) * (half_alpha + 1))
     if n >= 2:
         add("sign_changing_minimum", m, 3)
         add("sign_changing_superlinear", m, n + 2)

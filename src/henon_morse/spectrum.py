@@ -23,9 +23,9 @@ of the negative eigenvalues.  This module computes:
   count and the Kato-Temple bound certify them to bisection's accuracy
   (certified Rayleigh-quotient refinement), and bisects otherwise;
 
-* ``oscillation_counts``: #{j : lambda_j < -k^2} for every angular mode
-  k = 0..k_max at once, by Sturm oscillation: the Prufer angle of the
-  solution at energy -k^2, integrated by an adaptive ODE solver across
+* ``oscillation_counts``: #{j : lambda_j < -w^2} for any set of wave
+  numbers w at once, by Sturm oscillation: the Prufer angle of the
+  solution at energy -w^2, integrated by an adaptive ODE solver across
   [-T, 0], counts its zeros.  ``radial_morse_index`` (k = 0) and
   ``mode_negative_count`` (one k >= 1) are its library entry points.
 
@@ -403,21 +403,28 @@ def tridiagonal_negative_inertia(diag: np.ndarray, off: np.ndarray) -> int:
 
 
 def oscillation_counts(profile: RadialProfile, problem: SchrodingerProblem,
-                       k_max: int, settings: Settings = DEFAULT) -> tuple:
-    """#{j : lambda_j < -k^2} for k = 0..k_max, by Sturm oscillation.
+                       wave_numbers, settings: Settings = DEFAULT) -> tuple:
+    """#{j : lambda_j < -w^2} for each wave number w >= 0 of
+    ``wave_numbers``, in their order, by Sturm oscillation.
 
-    The scaled Prufer angle theta_k of -psi'' + V psi = E_k psi, E_k = -k^2,
-    given by tan theta_k = s psi / psi' with s = max(k, 1), obeys
+    An integer w = k is angular mode k, w = 0 giving the radial index.
+    ``assemble_morse`` adds the wave numbers s k of the alpha = 0 companion,
+    s = (alpha + 2) / 2: by the power map its eigenvalues are lambda_j / s^2,
+    so its count below -k^2 is the count of lambda_j below -(s k)^2.
 
-        theta_k' = s cos^2 theta_k + (E_k - V) / s sin^2 theta_k
+    The scaled Prufer angle theta_w of -psi'' + V psi = E_w psi,
+    E_w = -w^2, given by tan theta_w = s_w psi / psi' with s_w = max(w, 1),
+    obeys
+
+        theta_w' = s_w cos^2 theta_w + (E_w - V) / s_w sin^2 theta_w
 
     and crosses each multiple of pi upward, once per zero of psi.  It starts
     at t = -T from the solution that stays bounded toward -infinity, where
-    V is negligible: psi = e^(k t) gives theta = pi/4 for k >= 1, and
-    psi = 1 gives theta = pi/2 for k = 0.  With Dirichlet at t = 0 the
-    count of eigenvalues below E_k is floor(theta_k(0) / pi).
+    V is negligible: psi = e^(w t), so tan theta_w = s_w / w (theta = pi/4
+    for w >= 1, pi/2 for w = 0).  With Dirichlet at t = 0 the count of
+    eigenvalues below E_w is floor(theta_w(0) / pi).
 
-    All k form one vector ODE, integrated by DOP853 at ``settings.rtol``
+    All w form one vector ODE, integrated by DOP853 at ``settings.rtol``
     and ``settings.atol`` and restarted at each corner of ``problem``.  u is
     read one radius at a time from the trajectory's dense output
     (``radial.u_reader``), the polynomials route A samples, with no mesh
@@ -426,14 +433,14 @@ def oscillation_counts(profile: RadialProfile, problem: SchrodingerProblem,
     NonConvergenceError.
     """
     alpha, p = profile.params.alpha, profile.params.p
-    ks = np.arange(k_max + 1, dtype=float)
-    s = np.maximum(ks, 1.0)
+    ws = np.asarray(wave_numbers, dtype=float)
+    s = np.maximum(ws, 1.0)
     solver = ode(_prufer_rate).set_integrator(
         "dop853", rtol=settings.rtol, atol=settings.atol,
         nsteps=_MAX_OSCILLATION_STEPS)
     solver.set_f_params(u_reader(profile), alpha, p, s, 1.0 / s,
-                        -ks * ks / s - s)
-    theta = np.where(ks == 0.0, 0.5 * math.pi, 0.25 * math.pi)
+                        -ws * ws / s - s)
+    theta = np.arctan2(s, ws)
     ends = (-problem.T, *problem.corners, 0.0)
     for t0, t1 in zip(ends, ends[1:]):
         theta = solver.set_initial_value(theta, t0).integrate(t1)
@@ -442,15 +449,15 @@ def oscillation_counts(profile: RadialProfile, problem: SchrodingerProblem,
                 "oscillation count stopped short of the end of its segment",
                 {"segment": [t0, t1], "t_reached": float(solver.t),
                  "return_code": int(solver.get_return_code()),
-                 "k_max": int(k_max), "alpha": alpha, "p": p,
+                 "max_wave_number": float(ws.max()), "alpha": alpha, "p": p,
                  "n_nodal": profile.params.n_nodal},
             )
     return tuple(int(c) for c in np.floor(theta / math.pi))
 
 
 def _prufer_rate(t, theta, u, alpha, p, s, inv_s, shift):
-    """theta' = s + ((E_k - V) / s - s) sin^2 theta of ``oscillation_counts``,
-    where shift = E_k / s - s and -V = p r^(alpha+2) |u(r)|^(p-1) at r = e^t.
+    """theta' = s + ((E_w - V) / s - s) sin^2 theta of ``oscillation_counts``,
+    where shift = E_w / s - s and -V = p r^(alpha+2) |u(r)|^(p-1) at r = e^t.
     It lives at module level and takes its data, the reader u among it, as
     arguments: scipy's DOP853 keeps a reference to its callback after every
     solve but releases the arguments, so a closure callback would keep its
@@ -468,7 +475,7 @@ def _prufer_rate(t, theta, u, alpha, p, s, inv_s, shift):
 def radial_morse_index(profile: RadialProfile, settings: Settings = DEFAULT) -> int:
     """Negative-eigenvalue count of the regular radial linearized operator:
     the k = 0 count of ``oscillation_counts``."""
-    return oscillation_counts(profile, build_schrodinger(profile, settings), 0, settings)[0]
+    return oscillation_counts(profile, build_schrodinger(profile, settings), [0.0], settings)[0]
 
 
 def mode_negative_count(profile: RadialProfile, k: int, settings: Settings = DEFAULT) -> int:
@@ -476,4 +483,4 @@ def mode_negative_count(profile: RadialProfile, k: int, settings: Settings = DEF
     radial operator plus k^2/r^2): the k count of ``oscillation_counts``."""
     if not (isinstance(k, int) and k >= 1):
         raise UsageError(f"k must be an integer >= 1, got {k}")
-    return oscillation_counts(profile, build_schrodinger(profile, settings), k, settings)[k]
+    return oscillation_counts(profile, build_schrodinger(profile, settings), [float(k)], settings)[0]

@@ -407,8 +407,8 @@ class TestCliExitCodes:
 
 
 class TestCliMorseWork:
-    """The solves one ``morse`` point costs: its own, then the alpha = 0
-    companion when alpha != 0, and nothing after a failed point."""
+    """The solves one ``morse`` point costs: its own, whatever alpha; the
+    alpha = 0 companion's index comes from the point's own spectrum."""
 
     @pytest.fixture
     def solved_alphas(self, monkeypatch):
@@ -427,10 +427,10 @@ class TestCliMorseWork:
                          "--nodes", "1"]) == 0
         assert solved_alphas == [0.0]
 
-    def test_weighted_point_solves_its_companion(self, solved_alphas, capsys):
+    def test_weighted_point_solves_once(self, solved_alphas, capsys):
         assert cli.main(["morse", "--alpha", "1", "--p", "3",
                          "--nodes", "1"]) == 0
-        assert solved_alphas == [1.0, 0.0]
+        assert solved_alphas == [1.0]
 
     def test_failed_point_solves_no_companion(self, solved_alphas, capsys,
                                               monkeypatch):
@@ -582,6 +582,36 @@ class TestCliSweep:
         doc = load_json(out)
         assert [t["alpha_lo"] for t in doc["transitions"]] == [0.0]
 
+    def test_failed_unweighted_point_keeps_the_others_bounds(
+            self, tmp_path, capsys, monkeypatch):
+        """A failing alpha = 0 point takes no other point's companion
+        bounds with it: each report carries its own companion index."""
+        real_solve, real_bounds = cli.solve_point, cli.check_lower_bounds
+        names = []
+
+        def failing_at_zero(alpha, p, n, settings):
+            if alpha == 0.0:
+                raise NonConvergenceError("injected", {"alpha": alpha})
+            return real_solve(alpha, p, n, settings)
+
+        def recording(report, companion=None):
+            checks = real_bounds(report, companion)
+            names.append({c.name for c in checks})
+            return checks
+
+        monkeypatch.setattr(cli, "solve_point", failing_at_zero)
+        monkeypatch.setattr(cli, "check_lower_bounds", recording)
+        csv = tmp_path / "s.csv"
+        code = cli.main(["sweep", "--p", "3", "--nodes", "2",
+                         "--alphas", "0,1,2", "--csv", str(csv)])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["context"] == {"alpha": 0.0}
+        assert len(names) == 2
+        assert all({"autonomous_companion", "autonomous_gap"} <= n
+                   for n in names)
+        rows = csv.read_text().splitlines()
+        assert [r.split(",")[0] for r in rows[1:]] == ["1.0", "2.0"]
+
 
 class TestCliVerify:
     def test_quick_battery_passes(self, tmp_path, capsys):
@@ -638,7 +668,7 @@ class TestCliVerify:
             return {"report": morse_mod.MorseReport(
                 params=None, d=1.0, lambdas=np.array(lambdas), m_rad=0,
                 k_max=0, mode_counts_per_k=(), negative_modes=(), m_total=0,
-                route_b_total=0, tolerances={})}
+                route_b_total=0, companion_total=0, tolerances={})}
 
         points = {(0.0, 3.0, 2): point(-20.0, -2.0),
                   (2.0, 3.0, 2): point(-80.0)}

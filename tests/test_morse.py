@@ -40,10 +40,10 @@ from henon_morse.spectrum import RadialSpectrum, build_schrodinger
 
 def _counts_agreeing_with(lambdas):
     """A stand-in for ``oscillation_counts`` that agrees with route A on
-    the given eigenvalues: #{j : lambda_j < -k^2} for k = 0..k_max."""
+    the given eigenvalues: #{j : lambda_j < -w^2} for each wave number w."""
     lam = np.asarray(lambdas)
-    return lambda prof, problem, k_max, settings=None: tuple(
-        int(np.sum(lam < -k * k)) for k in range(k_max + 1))
+    return lambda prof, problem, waves, settings=None: tuple(
+        int(np.sum(lam < -w * w)) for w in waves)
 
 
 @pytest.fixture(scope="module")
@@ -94,8 +94,8 @@ class TestAssembly:
     def test_radial_route_mismatch_raises(self, monkeypatch):
         profile = solve_nodal(HenonParams(alpha=0.0, p=3.0, n_nodal=2))
         monkeypatch.setattr(morse_mod, "oscillation_counts",
-                            lambda prof, problem, k_max, settings=None:
-                            (7,) + (0,) * k_max)
+                            lambda prof, problem, waves, settings=None:
+                            (7,) + (0,) * (len(waves) - 1))
         with pytest.raises(TwoRouteError) as err:
             assemble_morse(profile)
         assert err.value.context["oscillation_route"] == 7
@@ -104,8 +104,8 @@ class TestAssembly:
     def test_mode_route_mismatch_raises(self, monkeypatch):
         profile = solve_nodal(HenonParams(alpha=0.0, p=3.0, n_nodal=2))
         monkeypatch.setattr(morse_mod, "oscillation_counts",
-                            lambda prof, problem, k_max, settings=None:
-                            (2,) + (0,) * k_max)
+                            lambda prof, problem, waves, settings=None:
+                            (2,) + (0,) * (len(waves) - 1))
         with pytest.raises(TwoRouteError) as err:
             assemble_morse(profile)
         assert "decomposition" in err.value.context
@@ -272,6 +272,51 @@ class TestAssembly:
         assert report.m_total == report.route_b_total == 8
         assert report.tolerances["spectrum_M"] == 131072
 
+    @pytest.mark.parametrize("alpha,p,n", [
+        (2.0, 3.0, 2), (0.5, 5.0, 3), (6.0, 2.0, 1)])
+    def test_companion_total_equals_a_direct_solve(self, alpha, p, n):
+        """The power map's companion index equals the alpha = 0 point's own
+        m_total; (6, 2, 1) sits on the T >= 5 floor of the cut-off."""
+        _, report = solve_point(alpha, p, n)
+        assert report.companion_total == solve_point(0.0, p, n)[1].m_total
+
+    def test_companion_miscount_raises(self, monkeypatch):
+        """At (1, 3, 2), s = 3/2: the solve counts the point's k = 0..6 and
+        the companion's s k = 1.5, 3, 4.5, 6 once each.  A miscount at 4.5,
+        which only the companion's table reads, is a two-route failure."""
+        profile = solve_nodal(HenonParams(alpha=1.0, p=3.0, n_nodal=2))
+        real = morse_mod.oscillation_counts
+        seen = []
+
+        def miscounting(prof, problem, waves, settings):
+            seen.append(list(waves))
+            counts = real(prof, problem, waves, settings)
+            return tuple(c + (w == 4.5) for c, w in zip(counts, waves))
+
+        monkeypatch.setattr(morse_mod, "oscillation_counts", miscounting)
+        with pytest.raises(TwoRouteError) as err:
+            assemble_morse(profile)
+        assert "companion" in str(err.value)
+        assert err.value.context["companion_decomposition"] == [1, 1, 1, 0]
+        assert err.value.context["oscillation_route"] == [1, 1, 2, 0]
+        assert seen == [[0.0, 1.0, 1.5, 2.0, 3.0, 4.0, 4.5, 5.0, 6.0]]
+
+    def test_unweighted_point_counts_its_own_wave_numbers(self, monkeypatch):
+        """At alpha = 0 the companion is the point: the solve sees exactly
+        the wave numbers 0..k_max."""
+        profile = solve_nodal(HenonParams(alpha=0.0, p=3.0, n_nodal=2))
+        real = morse_mod.oscillation_counts
+        seen = []
+
+        def spy(prof, problem, waves, settings):
+            seen.append(list(waves))
+            return real(prof, problem, waves, settings)
+
+        monkeypatch.setattr(morse_mod, "oscillation_counts", spy)
+        report = assemble_morse(profile)
+        assert seen == [[0.0, 1.0, 2.0, 3.0, 4.0]]
+        assert report.companion_total == report.m_total == 8
+
 
 class TestLowerBounds:
     def test_all_bounds_hold_with_companion(self, report_032, report_232):
@@ -318,11 +363,16 @@ class TestLowerBounds:
                                "autonomous_companion", "autonomous_gap"}
         assert all(c.satisfied for c in checks.values())
 
-    def test_companion_bounds_skipped_without_companion(self, report_232):
-        names = {c.name for c in check_lower_bounds(report_232)}
-        assert "autonomous_companion" not in names
-        assert "autonomous_gap" not in names
-        assert "radial_count" in names
+    def test_bounds_read_the_reports_own_companion(self, report_032,
+                                                   report_232):
+        """Without a companion report the bounds read the companion index
+        the report decided from its own spectrum."""
+        assert report_232.companion_total == report_032.m_total
+        checks = {c.name: c for c in check_lower_bounds(report_232)}
+        assert checks["autonomous_companion"].value == report_032.m_total
+        assert checks["autonomous_gap"].required == 14
+        assert checks == {c.name: c for c in
+                          check_lower_bounds(report_232, report_032)}
 
     def test_companion_mismatch_rejected(self, report_032, report_232):
         with pytest.raises(UsageError):

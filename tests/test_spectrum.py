@@ -611,6 +611,18 @@ class TestCountIdentities:
         k_max = math.ceil(math.sqrt(-spectrum_032.lambdas[0]))
         assert mode_negative_count(profile_032, k_max + 1) == 0
 
+    def test_counts_at_fractional_wave_numbers(self, profile_032,
+                                               spectrum_032):
+        """Any wave number w >= 0 counts #{j : lambda_j < -w^2}, below 1
+        and between integers too; lambda = (-14.77, -0.908) puts
+        thresholds at w = 0.953 and 3.843."""
+        lam = spectrum_032.lambdas
+        waves = [0.0, 0.5, 0.95, 0.96, 2.5, 3.8, 3.9]
+        counts = oscillation_counts(profile_032, build_schrodinger(profile_032),
+                                    waves)
+        assert counts == tuple(int(np.sum(lam < -w * w)) for w in waves)
+        assert counts == (2, 2, 2, 1, 1, 1, 0)
+
     def test_zero_potential_gives_zero_counts(self):
         profile = zero_profile()
         assert radial_morse_index(profile) == 0
@@ -620,12 +632,12 @@ class TestCountIdentities:
         """DOP853 keeps a reference to its callback after every solve, so
         the callback must not hold the profile data of a call."""
         problem = build_schrodinger(profile_032)
-        oscillation_counts(profile_032, problem, 4)
+        oscillation_counts(profile_032, problem, range(5))
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             for _ in range(10):
-                oscillation_counts(profile_032, problem, 4)
+                oscillation_counts(profile_032, problem, range(5))
             gc.collect()
             grown = tracemalloc.get_traced_memory()[0] - before
         finally:
