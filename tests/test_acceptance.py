@@ -14,8 +14,14 @@ angular gap m_total - m_rad is even and at least 2 for every probed p whose
 decomposition is decided) and logs the computed gaps next to the expected
 large-exponent value without failing on the comparison.  A p refused at a
 -k^2 tie is logged as undecided and asserts no gap.
+
+One more test holds the battery's integers against the frozen behaviour
+oracle (tests/data/point_oracle.json); it reads the same session battery,
+so it adds no solve.
 """
 
+import json
+from pathlib import Path
 import time
 
 import pytest
@@ -139,3 +145,14 @@ def test_criterion_9_large_exponent_probe(battery, capsys):
               f" comparison logged, not gated)")
     _announce(capsys, 9, "large exponent probe", section.passed, detail)
     assert section.passed, section.rows
+
+
+def test_battery_integers_match_the_frozen_oracle(battery):
+    """m_total at each of the 63 default-grid points is the frozen one."""
+    summary, _ = battery
+    doc = json.loads((Path(__file__).parent / "data"
+                      / "point_oracle.json").read_text())
+    frozen = {(e["alpha"], e["p"], e["n"]): e["m_total"]
+              for e in doc["default_grid_m_total"]}
+    assert {(r["alpha"], r["p"], r["n"]): r["m_total"]
+            for r in summary.section("two_route").rows} == frozen
