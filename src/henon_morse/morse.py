@@ -9,14 +9,16 @@ variable by ``spectrum.negative_spectrum``), the Morse index is
     m(u)  =  m_rad + 2 * sum_k #{j : lambda_j + k^2 < 0},   k = 1, 2, ...
 
 with m_rad = J the index of the k = 0 (radial) block.  ``assemble_morse``
-evaluates this decomposition and cross-checks every integer against an
-independent route: Sturm oscillation counts #{j : lambda_j < -k^2} for
-k = 0..k_max (``spectrum.oscillation_counts``), an adaptive ODE solve that
-shares no mesh or matrix with the eigenvalue solver.  Disagreement raises
-``TwoRouteError`` rather than returning a number.  The same spectrum and
-the same solve also decide and certify the index of the alpha = 0
-companion, whose eigenvalues the power map r -> r^((alpha+2)/2) scales by
-(2/(alpha+2))^2, so no second profile is solved for it.
+reads every integer off one table, lambda_j < -w^2 over a set of wave
+numbers w, and cross-checks its column sums against an independent route:
+the Sturm oscillation counts #{j : lambda_j < -w^2}
+(``spectrum.oscillation_counts``), an adaptive ODE solve that shares no
+mesh or matrix with the eigenvalue solver.  Disagreement raises
+``TwoRouteError`` rather than returning a number.  The wave numbers are the
+point's k = 0..k_max and, for the alpha = 0 companion, whose eigenvalues
+the power map r -> r^((alpha+2)/2) scales by (2/(alpha+2))^2, the
+s k with s = (alpha+2)/2; so the same table and the same solve decide and
+certify the companion's index, and no second profile is solved for it.
 
 ``solve_point`` is the one point task of the command line, the battery and
 the probe: solve the nodal profile at (alpha, p, n), then assemble its
@@ -77,10 +79,11 @@ class MorseReport:
     against; a report exists only when the two agree.
 
     ``companion_total`` is the Morse index of the alpha = 0 solution with
-    the same p and n, decided from this report's own eigenvalues through
-    the power map (lambda_j / s^2, s = (alpha + 2) / 2) and certified by
-    the same oscillation solve; at alpha = 0 it is ``m_total``.  The lower
-    bounds read it; it is not serialized.
+    the same p and n, read off the same table at the wave numbers s k
+    (lambda_j < -(s k)^2, that is lambda_j / s^2 + k^2 < 0, with
+    s = (alpha + 2) / 2) and certified by the same oscillation counts; at
+    alpha = 0 it is ``m_total``.  It is the one companion index the lower
+    bounds read; it is not serialized.
     """
 
     params: HenonParams
@@ -140,20 +143,17 @@ def _k_max(lambdas: np.ndarray) -> int:
     return math.ceil(math.sqrt(-float(lambdas[0])))
 
 
-def _negative_table(lambdas: np.ndarray, k_max: int) -> np.ndarray:
-    """negative[j, k-1]: lambda_j + k^2 < 0, for k = 1..k_max."""
-    return lambdas[:, None] + np.arange(1, k_max + 1, dtype=float) ** 2 < 0.0
-
-
 def assemble_morse(profile: RadialProfile,
                    settings: Settings = DEFAULT) -> MorseReport:
     """Morse index of a nodal profile, with two-route certification.
 
-    Route A: negative eigenvalues in the log variable, then the integer
-    decomposition over angular modes.  The cross-check, which every call
-    runs: one oscillation solve counts the eigenvalues below -k^2 for every
-    k = 0..k_max, k = 0 giving the radial index.  Any mismatch raises
-    TwoRouteError; a |lambda_j + k^2| too small to call at the working
+    Route A: negative eigenvalues in the log variable, then one boolean
+    table lambda_j < -w^2 over the wave numbers w = 0..k_max (w = 0 gives
+    the radial index) and the companion's s k below.  Every integer of the
+    report is read off that table.  The cross-check, which every call runs:
+    one oscillation solve counts the eigenvalues below -w^2 at the same
+    wave numbers, and any column sum that differs raises TwoRouteError, from
+    one place.  A |lambda_j + k^2| too small to call at the working
     tolerance triggers one more pass at 10x tighter tolerance before giving
     up with ThresholdTieError.  That pass reads the same truncated problem,
     built once at the working tolerance, and recomputes only when the first
@@ -163,11 +163,11 @@ def assemble_morse(profile: RadialProfile,
     The same spectrum decides the index of the alpha = 0 companion with the
     same p and n (``MorseReport.companion_total``).  The power map
     r -> r^s, s = (alpha + 2) / 2, gives it the eigenvalues
-    mu_j = lambda_j / s^2, so its table mu_j + k^2, k = 1..ceil(sqrt(-mu_1)),
-    is decided beside the point's own under the same tie guard, and the
-    oscillation solve certifies it at the energies -(s k)^2 on the point's
-    own potential.  At alpha = 0 (s = 1) the companion is the report itself
-    and the solve adds no energy.
+    mu_j = lambda_j / s^2, so its signs mu_j + k^2, k = 1..ceil(sqrt(-mu_1)),
+    are guarded beside the point's own and read off the table's columns
+    w = s k, the energies -(s k)^2 on the point's own potential.  At
+    alpha = 0 (s = 1) the companion is the report itself and the table
+    gains no column.
     """
     # A sign decision lambda_j + k^2 <> 0 within 10x the eigenvalue accuracy
     # gets one more pass, tightened by one decade (more would chase the
@@ -213,62 +213,34 @@ def assemble_morse(profile: RadialProfile,
             "alpha = 0 companion on a -(s k)^2 one; the angular "
             "decomposition cannot be decided at this tolerance", evidence)
 
-    # both tabulations read the point's table
-    negative = _negative_table(lambdas, k_max)
-    counts_per_k = tuple(int(c) for c in negative.sum(axis=0))
-    negative_modes = tuple(
-        tuple(k for k, neg in zip(range(1, k_max + 1), row) if neg)
-        for row in negative)
-    companion_counts = tuple(
-        int(c) for c in _negative_table(mus, k0_max).sum(axis=0))
-    m_rad = int(lambdas.size)
-
-    # one solve for both tables: the point's wave numbers 0..k_max and the
-    # companion's s k, k = 1..k0_max, each distinct one integrated once (at
-    # s = 1 the two sets coincide, and at even alpha s k is an integer)
+    # One table decides every integer: negative[j, i] is lambda_j < -w_i^2
+    # over the point's wave numbers 0..k_max and the companion's s k,
+    # k = 1..k0_max, each distinct one integrated once by the oscillation
+    # solve (at s = 1 the two sets coincide, and at even alpha s k is an
+    # integer).  Its column sums must be the oscillation counts.
     waves, index = np.unique(np.concatenate(
         (np.arange(k_max + 1.0), s * np.arange(1, k0_max + 1))),
         return_inverse=True)
-    osc = tuple(int(c) for c in np.array(
-        oscillation_counts(profile, problem, waves, settings))[index])
-    osc_rad, osc_counts, osc_companion = osc[0], osc[1:k_max + 1], osc[k_max + 1:]
-    if osc_rad != m_rad:
+    negative = lambdas[:, None] < -waves ** 2
+    decomposition = negative.sum(axis=0)
+    osc = np.array(oscillation_counts(profile, problem, waves, settings))
+    if not np.array_equal(decomposition, osc):
         raise TwoRouteError(
-            "radial index mismatch between the log-variable eigenvalue "
-            "count and the Sturm oscillation count",
-            {"log_route": m_rad, "oscillation_route": osc_rad,
-             "lambdas": [float(x) for x in lambdas],
-             "alpha": profile.params.alpha, "p": profile.params.p,
-             "n_nodal": profile.params.n_nodal},
-        )
-    if osc_counts != counts_per_k:
-        raise TwoRouteError(
-            "angular mode counts mismatch between the eigenvalue "
+            "eigenvalue counts below -w^2 mismatch between the eigenvalue "
             "decomposition and the Sturm oscillation counts",
-            {"decomposition": list(counts_per_k),
-             "oscillation_route": list(osc_counts),
+            {"wave_numbers": [float(w) for w in waves],
+             "decomposition": decomposition.tolist(),
+             "oscillation_route": osc.tolist(), "s": s,
              "lambdas": [float(x) for x in lambdas],
              "alpha": profile.params.alpha, "p": profile.params.p,
              "n_nodal": profile.params.n_nodal},
         )
-    if osc_companion != companion_counts:
-        raise TwoRouteError(
-            "alpha = 0 companion's angular mode counts mismatch between the "
-            "scaled eigenvalue decomposition and the Sturm oscillation "
-            "counts at energies -(s k)^2",
-            {"companion_decomposition": list(companion_counts),
-             "oscillation_route": list(osc_companion), "s": s,
-             "lambdas": [float(x) for x in lambdas],
-             "alpha": profile.params.alpha, "p": profile.params.p,
-             "n_nodal": profile.params.n_nodal},
-        )
-    route_b_total = osc_rad + 2 * sum(osc_counts)
-
-    if counts_per_k and counts_per_k[-1] != 0:
-        raise NonConvergenceError(
-            "angular counts did not reach zero at k_max; k_max is wrong",
-            {"k_max": k_max, "mode_counts_per_k": list(counts_per_k)},
-        )
+    angular, companion = index[1:k_max + 1], index[k_max + 1:]
+    m_rad = int(decomposition[0])
+    counts_per_k = tuple(decomposition[angular].tolist())
+    negative_modes = tuple(tuple(int(k) for k in np.flatnonzero(row) + 1)
+                           for row in negative[:, angular])
+    route_b_total = int(osc[0] + 2 * osc[angular].sum())
 
     m_total = m_rad + 2 * sum(counts_per_k)
     tolerances = dict(profile.tolerances)
@@ -288,7 +260,7 @@ def assemble_morse(profile: RadialProfile,
         negative_modes=negative_modes,
         m_total=m_total,
         route_b_total=route_b_total,
-        companion_total=m_rad + 2 * sum(companion_counts),
+        companion_total=m_rad + 2 * int(decomposition[companion].sum()),
         tolerances=tolerances,
     )
 
@@ -305,34 +277,20 @@ def _is_even_integer(alpha: float) -> bool:
     return abs(alpha - 2.0 * round(alpha / 2.0)) < 1e-12
 
 
-def check_lower_bounds(report: MorseReport,
-                       companion: MorseReport | None = None) -> list:
+def check_lower_bounds(report: MorseReport) -> list:
     """Evaluate the named lower bounds for one assembled index.
 
     The companion bounds read the index of the unweighted problem
-    (alpha = 0) with the same p and n: ``report.companion_total``, decided
-    from the report's own spectrum, or ``companion.m_total`` when a report
-    of that problem solved on its own is passed.  Such a ``companion`` must
-    have alpha = 0 and the same p and n.  Returns a list of BoundCheck
-    rows; nothing raises here, the caller decides what a violated bound
-    means.
+    (alpha = 0) with the same p and n from one source,
+    ``report.companion_total``, decided from the report's own spectrum;
+    the power map keeps the radial index, so the companion's is
+    ``report.m_rad``.  Returns a list of BoundCheck rows; nothing raises
+    here, the caller decides what a violated bound means.
     """
-    p = report.params.p
     n = report.params.n_nodal
     alpha = report.params.alpha
     m = report.m_total
-
-    if companion is None:
-        m0, m0_rad = report.companion_total, report.m_rad
-    else:
-        cp = companion.params
-        if cp.alpha != 0.0 or cp.p != p or cp.n_nodal != n:
-            raise UsageError(
-                "companion report must have alpha = 0 and matching p, n",
-                {"companion_alpha": cp.alpha, "companion_p": cp.p,
-                 "companion_n": cp.n_nodal, "p": p, "n_nodal": n},
-            )
-        m0, m0_rad = companion.m_total, companion.m_rad
+    m0, m0_rad = report.companion_total, report.m_rad
 
     half_alpha = math.floor(alpha / 2.0)
     checks = []

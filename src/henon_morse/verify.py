@@ -8,9 +8,11 @@ toleranced comparisons:
 2. monotonicity             alpha -> m_total nondecreasing at fixed (p, n)
 3. two_route                decomposition total == oscillation-count total
 4. transform_correspondence profile mapped from alpha=0 matches the direct
-                            solve (sup-norm), with identical index integers;
-                            the alpha = 0 rows map by kappa = 1, the
-                            identity, and are identical by construction
+                            solve (sup-norm), with identical index integers,
+                            and both reports' companion index equals the
+                            directly solved alpha = 0 m_total; the
+                            alpha = 0 rows map by kappa = 1, the identity,
+                            and are identical by construction
 5. eigenvalue_scaling       lambda_j = ((alpha+2)/2)^2 lambda_j(0); the law
                             holds at every alpha, and the battery checks
                             it at alpha = 2 and 4
@@ -19,7 +21,10 @@ toleranced comparisons:
                             one verify_form_comparison call per alpha
                             covers every beta >= alpha and computes each
                             Q_alpha(w) once
-7. lower_bounds             named integer lower bounds for m_total
+7. lower_bounds             named integer lower bounds for m_total, each
+                            point reading the companion index its own
+                            report decided (gated against the direct
+                            alpha = 0 solve by criterion 4)
 8. square_well              exactly solvable spectral validation case
 9. large_exponent           observational probe rows for growing p, each
                             index cross-checked like the grid's; the
@@ -156,6 +161,8 @@ def _point_task(args):
         and report_t.mode_counts_per_k == report.mode_counts_per_k
         and report_t.negative_modes == report.negative_modes
         and report_t.m_total == report.m_total
+        and report_t.companion_total == report.companion_total
+        == companion_report.m_total
     )
     return (alpha, p, n), {
         "profile": profile,
@@ -204,7 +211,7 @@ def run_battery(grid: str = "default", settings: Settings = DEFAULT,
         _section_transform(points),
         _section_scaling(points, alphas, ps, ns),
         _section_forms(points, alphas),
-        _section_lower_bounds(points, companions),
+        _section_lower_bounds(points),
         _section_square_well(settings),
         _section_probe(settings),
     )
@@ -317,10 +324,10 @@ def _section_forms(points, alphas) -> SectionResult:
         rows=tuple(rows))
 
 
-def _section_lower_bounds(points, companions) -> SectionResult:
+def _section_lower_bounds(points) -> SectionResult:
     rows = []
     for (alpha, p, n), data in sorted(points.items()):
-        checks = check_lower_bounds(data["report"], companions[(p, n)][1])
+        checks = check_lower_bounds(data["report"])
         for c in checks:
             rows.append({"alpha": alpha, "p": p, "n": n, "name": c.name,
                          "actual": c.value, "required": c.required,

@@ -166,7 +166,7 @@ class TestSpectrumRoundTrip:
 class TestMorseRoundTrip:
     def test_document_and_round_trip(self, profile_032, tmp_path):
         report = assemble_morse(profile_032, DEFAULT)
-        bounds = check_lower_bounds(report, report)
+        bounds = check_lower_bounds(report)
         doc = morse_document(report, bounds)
         assert doc["m_total"] == 8 and doc["route_b_total"] == 8
         assert doc["angular_counts"] == [[1, 2, 3], []]
@@ -181,7 +181,7 @@ class TestMorseRoundTrip:
 
     def test_inconsistent_total_rejected(self, profile_032, tmp_path):
         report = assemble_morse(profile_032, DEFAULT)
-        doc = morse_document(report, check_lower_bounds(report, report))
+        doc = morse_document(report, check_lower_bounds(report))
         doc["m_total"] = doc["m_total"] + 1
         path = tmp_path / "bad.json"
         save_json(doc, path)
@@ -302,7 +302,7 @@ class TestCliExitCodes:
     def test_failed_bound_is_verification_failure(self, tmp_path, capsys,
                                                   monkeypatch):
         # force a failing bound: the report must still be written first
-        def failing_bounds(report, companion=None):
+        def failing_bounds(report):
             return [BoundCheck(name="radial_count", value=report.m_total,
                                required=report.m_total + 1, satisfied=False,
                                margin=-1)]
@@ -527,7 +527,7 @@ class TestCliSweep:
 
     def test_failing_sweep_still_writes_csv(self, tmp_path, capsys,
                                             monkeypatch):
-        def failing_bounds(report, companion=None):
+        def failing_bounds(report):
             return [BoundCheck(name="radial_count", value=0, required=1,
                                satisfied=False, margin=-1)]
 
@@ -594,8 +594,8 @@ class TestCliSweep:
                 raise NonConvergenceError("injected", {"alpha": alpha})
             return real_solve(alpha, p, n, settings)
 
-        def recording(report, companion=None):
-            checks = real_bounds(report, companion)
+        def recording(report):
+            checks = real_bounds(report)
             names.append({c.name for c in checks})
             return checks
 

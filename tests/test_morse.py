@@ -91,25 +91,33 @@ class TestAssembly:
         assert payload["route_b_total"] == 8
         assert payload["n"] == 2
 
-    def test_radial_route_mismatch_raises(self, monkeypatch):
-        profile = solve_nodal(HenonParams(alpha=0.0, p=3.0, n_nodal=2))
-        monkeypatch.setattr(morse_mod, "oscillation_counts",
-                            lambda prof, problem, waves, settings=None:
-                            (7,) + (0,) * (len(waves) - 1))
-        with pytest.raises(TwoRouteError) as err:
-            assemble_morse(profile)
-        assert err.value.context["oscillation_route"] == 7
-        assert "Sturm oscillation count" in str(err.value)
+    @pytest.mark.parametrize("wave,count", [(0.0, 2), (2.0, 1), (4.5, 1)])
+    def test_a_miscounted_wave_raises(self, monkeypatch, wave, count):
+        """At (1, 3, 2), s = 3/2: the one solve counts the point's k = 0..6
+        and the companion's s k = 1.5, 3, 4.5, 6, each distinct wave number
+        once.  A miscount at any of them (the radial w = 0, the point's own
+        k = 2, or 4.5, which only the companion reads) is a two-route
+        failure naming that wave and both counts."""
+        profile = solve_nodal(HenonParams(alpha=1.0, p=3.0, n_nodal=2))
+        real = morse_mod.oscillation_counts
+        seen = []
 
-    def test_mode_route_mismatch_raises(self, monkeypatch):
-        profile = solve_nodal(HenonParams(alpha=0.0, p=3.0, n_nodal=2))
-        monkeypatch.setattr(morse_mod, "oscillation_counts",
-                            lambda prof, problem, waves, settings=None:
-                            (2,) + (0,) * (len(waves) - 1))
+        def miscounting(prof, problem, waves, settings):
+            seen.append(list(waves))
+            counts = real(prof, problem, waves, settings)
+            return tuple(c + (w == wave) for c, w in zip(counts, waves))
+
+        monkeypatch.setattr(morse_mod, "oscillation_counts", miscounting)
         with pytest.raises(TwoRouteError) as err:
             assemble_morse(profile)
-        assert "decomposition" in err.value.context
-        assert err.value.context["oscillation_route"] == [0, 0, 0, 0]
+        assert "Sturm oscillation counts" in str(err.value)
+        assert seen == [[0.0, 1.0, 1.5, 2.0, 3.0, 4.0, 4.5, 5.0, 6.0]]
+        context = err.value.context
+        assert context["wave_numbers"] == seen[0]
+        differing = [(w, a, b) for w, a, b in zip(
+            context["wave_numbers"], context["decomposition"],
+            context["oscillation_route"]) if a != b]
+        assert differing == [(wave, count, count + 1)]
 
     def test_threshold_tie_raises(self, monkeypatch):
         profile = solve_nodal(HenonParams(alpha=0.0, p=3.0, n_nodal=1))
@@ -280,27 +288,6 @@ class TestAssembly:
         _, report = solve_point(alpha, p, n)
         assert report.companion_total == solve_point(0.0, p, n)[1].m_total
 
-    def test_companion_miscount_raises(self, monkeypatch):
-        """At (1, 3, 2), s = 3/2: the solve counts the point's k = 0..6 and
-        the companion's s k = 1.5, 3, 4.5, 6 once each.  A miscount at 4.5,
-        which only the companion's table reads, is a two-route failure."""
-        profile = solve_nodal(HenonParams(alpha=1.0, p=3.0, n_nodal=2))
-        real = morse_mod.oscillation_counts
-        seen = []
-
-        def miscounting(prof, problem, waves, settings):
-            seen.append(list(waves))
-            counts = real(prof, problem, waves, settings)
-            return tuple(c + (w == 4.5) for c, w in zip(counts, waves))
-
-        monkeypatch.setattr(morse_mod, "oscillation_counts", miscounting)
-        with pytest.raises(TwoRouteError) as err:
-            assemble_morse(profile)
-        assert "companion" in str(err.value)
-        assert err.value.context["companion_decomposition"] == [1, 1, 1, 0]
-        assert err.value.context["oscillation_route"] == [1, 1, 2, 0]
-        assert seen == [[0.0, 1.0, 1.5, 2.0, 3.0, 4.0, 4.5, 5.0, 6.0]]
-
     def test_unweighted_point_counts_its_own_wave_numbers(self, monkeypatch):
         """At alpha = 0 the companion is the point: the solve sees exactly
         the wave numbers 0..k_max."""
@@ -319,8 +306,8 @@ class TestAssembly:
 
 
 class TestLowerBounds:
-    def test_all_bounds_hold_with_companion(self, report_032, report_232):
-        checks = check_lower_bounds(report_232, companion=report_032)
+    def test_all_bounds_hold_with_companion(self, report_232):
+        checks = check_lower_bounds(report_232)
         names = [c.name for c in checks]
         assert names == [
             "radial_count", "nodal_gap", "autonomous_companion",
@@ -372,14 +359,7 @@ class TestLowerBounds:
         assert checks["autonomous_companion"].value == report_032.m_total
         assert checks["autonomous_gap"].required == 14
         assert checks == {c.name: c for c in
-                          check_lower_bounds(report_232, report_032)}
-
-    def test_companion_mismatch_rejected(self, report_032, report_232):
-        with pytest.raises(UsageError):
-            check_lower_bounds(report_032, companion=report_232)
-        wrong_p = assemble_morse(solve_nodal(HenonParams(alpha=0.0, p=2.0, n_nodal=2)))
-        with pytest.raises(UsageError):
-            check_lower_bounds(report_232, companion=wrong_p)
+                          check_lower_bounds(report_232)}
 
 
 class TestSweepAndProbe:

@@ -1,5 +1,7 @@
 """Tests for the battery's point task (criterion 4's rows)."""
 
+from dataclasses import replace
+
 import pytest
 
 import henon_morse.verify as verify
@@ -42,4 +44,20 @@ def test_mapped_profile_is_assembled_once(companion_031, assembled):
     assert assembled == [1.0]
     assert row["transform_reports_identical"] is True
     assert 0.0 < row["sup_rel_error"] <= 1e-6
+    assert row["transformed_m_total"] == row["report"].m_total
+
+
+def test_a_miscounted_companion_is_not_identical(companion_031, monkeypatch):
+    """Criterion 4 gates the companion index a weighted report derives from
+    its own spectrum against the directly solved alpha = 0 m_total."""
+    profile, report = companion_031
+    real = verify.solve_point
+
+    def off_by_two(alpha, p, n, settings):
+        prof, rep = real(alpha, p, n, settings)
+        return prof, replace(rep, companion_total=rep.companion_total + 2)
+
+    monkeypatch.setattr(verify, "solve_point", off_by_two)
+    _, row = verify._point_task(((1.0, 3.0, 1), profile, report, DEFAULT))
+    assert row["transform_reports_identical"] is False
     assert row["transformed_m_total"] == row["report"].m_total
