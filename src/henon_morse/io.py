@@ -156,7 +156,7 @@ def profile_document(profile: RadialProfile) -> dict:
         "alpha": profile.params.alpha,
         "p": profile.params.p,
         "n": profile.params.n_nodal,
-        "d": profile.d,
+        "d": profile.amp,
         "grid": grid,
         "u": u,
         "du": du,

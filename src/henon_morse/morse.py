@@ -34,9 +34,10 @@ index computation can verify:
   report decides from its own spectrum through the power map;
 * ``sweep_from_reports``: whether m(u) is nondecreasing along increasing
   alpha at fixed p and n;
-* ``large_exponent_probe``: cross-checked indices for growing exponents
-  p, whose gaps are reported as observations; a p refused at a -k^2 tie
-  is recorded as undecided.
+* ``large_exponent_probe``: cross-checked indices at alpha = 0 and n = 2
+  for the growing exponents p of the battery's probe, whose gaps are
+  reported as observations; a p refused at a -k^2 tie is recorded as
+  undecided.
 """
 
 from __future__ import annotations
@@ -49,7 +50,8 @@ import numpy as np
 from .config import DEFAULT, Settings
 from .errors import NonConvergenceError, ThresholdTieError, TwoRouteError, UsageError
 from .radial import HenonParams, RadialProfile, solve_nodal
-from .spectrum import build_schrodinger, negative_spectrum, oscillation_counts
+from .spectrum import (_fd_mesh, build_schrodinger, negative_spectrum,
+                       oscillation_counts)
 
 __all__ = [
     "MorseReport",
@@ -191,7 +193,8 @@ def assemble_morse(profile: RadialProfile,
                 {"alpha": profile.params.alpha, "p": profile.params.p,
                  "n_nodal": profile.params.n_nodal,
                  "spectrum_T": spectrum.T, "spectrum_M": spectrum.M,
-                 "min_V": float(problem.V.min()),
+                 "min_V": float(problem.potential(_fd_mesh(
+                     problem.T, problem.M, problem.corners)).min()),
                  "oscillation_radial_count": oscillation_counts(
                      profile, problem, [0.0], settings)[0]})
         # lambda_j / s^2 carries at most eig_tol * (1 + |mu_j|), so the
@@ -252,7 +255,7 @@ def assemble_morse(profile: RadialProfile,
     })
     return MorseReport(
         params=profile.params,
-        d=profile.d,
+        d=profile.amp,
         lambdas=lambdas,
         m_rad=m_rad,
         k_max=k_max,
@@ -354,9 +357,13 @@ def sweep_from_reports(reports) -> SweepResult:
     return SweepResult(reports=reports, transitions=transitions)
 
 
-def large_exponent_probe(p_values, alpha: float = 0.0, n: int = 2,
-                         settings: Settings = DEFAULT) -> list:
-    """Cross-checked indices for a sequence of growing exponents.
+# The growing exponents of the probe, each solved at alpha = 0 and n = 2.
+_PROBE_PS = (10.0, 20.0, 50.0)
+
+
+def large_exponent_probe(settings: Settings = DEFAULT) -> list:
+    """Cross-checked indices of the battery's probe: alpha = 0, n = 2 and
+    the growing exponents p of ``_PROBE_PS``.
 
     A row ``{"p", "report"}`` holds the point's :class:`MorseReport`,
     certified by both routes like any other.  A p refused with
@@ -365,9 +372,9 @@ def large_exponent_probe(p_values, alpha: float = 0.0, n: int = 2,
     observations of the asymptotic gap, not gates on it.
     """
     rows = []
-    for p in map(float, p_values):
+    for p in _PROBE_PS:
         try:
-            rows.append({"p": p, "report": solve_point(alpha, p, n, settings)[1]})
+            rows.append({"p": p, "report": solve_point(0.0, p, 2, settings)[1]})
         except ThresholdTieError as exc:
             rows.append({"p": p, "report": None, "refusal": exc})
     return rows

@@ -14,26 +14,27 @@ The equation is invariant under the one-parameter rescaling
 
     u(r)  ->  mu^((alpha+2)/(p-1)) u(mu r),    mu > 0,
 
-so a single integration of the initial value problem with u(0) = 1 produces,
-after rescaling its n-th zero zeta_n to r = 1, the nodal solution with
+so the package integrates one initial value problem, U(0) = 1, out to the
+n-th zero zeta_n of U; rescaling that zero to r = 1 gives the nodal
+solution with
 
     u(0) = d = zeta_n^((alpha+2)/(p-1))  >  1.
 
 The origin is a regular singular point of the ODE.  Integration starts at a
 small radius eps > 0 from the two-term series
 
-    u(r)  = d - f(d) r^(alpha+2) / (alpha+2)^2,
-    u'(r) = - f(d) r^(alpha+1) / (alpha+2),        f(d) = d^p,
+    U(r)  = 1 - r^(alpha+2) / (alpha+2)^2,
+    U'(r) = - r^(alpha+1) / (alpha+2),
 
 whose truncation error is O(r^(2*alpha + 4)).
 
-From there the two-component system (u, u') is integrated by a DOP853
+From there the two-component system (U, U') is integrated by a DOP853
 stepper written for it in Python floats: scipy's Dormand-Prince 8(5,3)
 tableau, step-size control and 7th-order dense output, without the
-per-step array overhead of a general-purpose solver.  Zeros of u are found
+per-step array overhead of a general-purpose solver.  Zeros of U are found
 on the dense output of the step that brackets them.
 
-A profile is that trajectory U plus the exact map u(r) = A U(mu r^kappa)
+A profile is that trajectory U plus the exact map u(r) = amp U(mu r^kappa)
 (kappa = 1 for a solve), and every reader of u and u' evaluates the dense
 output through it; the output grid serves only the ``solve`` artifact and
 the audit of ``validate_profile``.
@@ -146,37 +147,29 @@ class HenonParams:
 
 @dataclass
 class ShootingTrajectory:
-    """One integration of the initial value problem u(0) = d > 0.
+    """The trajectory U of the initial value problem U(0) = 1, out to its
+    n-th zero.
 
-    ``r_end`` is the radius where integration stopped, ``zeros`` the
-    ordered roots of u found on the steps' dense output.  ``value``
-    evaluates (u, u') anywhere in [0, r_end]: through the 7th-order DOP853
-    interpolant of the step that holds each radius, all radii at once, and
-    through the origin series below the series start radius.  The
-    interpolants are held as two ``PPoly`` in power form, ``_u`` and
-    ``_du``, whose breakpoints are the step ends; a terminal zero, r_end,
-    can lie inside the last step.
+    ``zeros`` are the n ordered roots of U found on the steps' dense
+    output, and ``r_end`` is the last of them, where integration stopped.
+    ``_component`` evaluates U or U' anywhere in [0, r_end]: through the
+    7th-order DOP853 interpolant of the step that holds each radius, all
+    radii at once, and through the origin series below the series start
+    radius.  The interpolants are held as two ``PPoly`` in power form,
+    ``_u`` and ``_du``, whose breakpoints are the step ends; the terminal
+    zero r_end can lie inside the last step.
     """
 
     alpha: float
     p: float
-    d: float
     r_end: float
     zeros: np.ndarray
     _u: PPoly = field(repr=False)
     _du: PPoly = field(repr=False)
     _eps: float = field(repr=False)
 
-    def value(self, r):
-        r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-        u, du = self._component(r_arr, 0), self._component(r_arr, 1)
-        if np.ndim(r) == 0:
-            return float(u[0]), float(du[0])
-        return u, du
-
     def _component(self, r: np.ndarray, j: int) -> np.ndarray:
-        """Component j (0: u, 1: u') of ``value`` at the radii of a 1-D
-        array."""
+        """Component j (0: U, 1: U') at the radii of an array."""
         if r.size and (r.min() < 0.0 or r.max() > self.r_end * (1 + 1e-12)):
             raise UsageError(
                 f"evaluation radius outside [0, {self.r_end}]",
@@ -187,7 +180,7 @@ class ShootingTrajectory:
         if not np.any(small):
             return poly(r)
         out = np.empty_like(r)
-        out[small] = _origin_series(self.alpha, self.p, self.d, r[small])[j]
+        out[small] = _origin_series(self.alpha, r[small])[j]
         out[~small] = poly(r[~small])
         return out
 
@@ -210,12 +203,11 @@ def _power_form(knots: np.ndarray, coef: np.ndarray) -> PPoly:
     return PPoly(poly[::-1], knots)
 
 
-def _origin_series(alpha: float, p: float, d: float, r):
-    """Two-term origin expansion of the trajectory with u(0) = d."""
-    fd = d**p
-    c1 = fd / (alpha + 2.0) ** 2
-    u = d - c1 * r ** (alpha + 2.0)
-    du = -fd * r ** (alpha + 1.0) / (alpha + 2.0)
+def _origin_series(alpha: float, r):
+    """Two-term origin expansion of the trajectory with U(0) = 1."""
+    c1 = 1.0 / (alpha + 2.0) ** 2
+    u = 1.0 - c1 * r ** (alpha + 2.0)
+    du = -r ** (alpha + 1.0) / (alpha + 2.0)
     return u, du
 
 
@@ -244,19 +236,13 @@ def _step_zero(r: float, r_new: float, u: float, u_new: float, F) -> float | Non
     return brentq(interpolant, r, r_new, xtol=_ZERO_TOL, rtol=_ZERO_TOL)
 
 
-def integrate_ivp(
-    alpha: float,
-    p: float,
-    d: float,
-    r_max: float,
-    settings: Settings = DEFAULT,
-    stop_after: int | None = None,
-) -> ShootingTrajectory:
-    """Integrate the radial ODE from the origin out to ``r_max``.
+def integrate_ivp(alpha: float, p: float, n: int,
+                  settings: Settings = DEFAULT) -> ShootingTrajectory:
+    """Integrate the radial ODE from U(0) = 1 out to the n-th zero of U.
 
     Starts from the two-term origin series at the largest radius eps <=
     ``_MAX_SERIES_START`` where the first neglected series term,
-    c2 eps^(2 alpha + 4), is at most 100 * atol * max(1, d).
+    c2 eps^(2 alpha + 4), is at most 100 * atol.
 
     The stepper is DOP853 as scipy implements it, specialised to the system
     u' = v, v' = -v/r - r^alpha |u|^(p-1) u and run in Python floats.  It
@@ -265,66 +251,57 @@ def integrate_ivp(
     every step's 7th-order dense output.  ``settings.rtol`` is used as
     given, with no floor at 100 machine epsilons.
 
-    A zero of u is a sign change over a step or an exact zero at a step's
+    A zero of U is a sign change over a step or an exact zero at a step's
     end.  It is located by ``brentq`` on that step's interpolant at
     xtol = rtol = 4 eps and is reported once, also when it is a step end.
-    With ``stop_after`` set, integration terminates at that zero instead
-    of running to ``r_max``; this keeps the zero hunt cheap even for large
-    powers p, whose zeros sit at exponentially large radii.
+    Integration terminates at the n-th zero, which keeps the zero hunt
+    cheap even for large powers p, whose zeros sit at exponentially large
+    radii.  Those radii are the reason the hunt caps log r, not r: it runs
+    out to log r = min(``_SHOOT_TMAX``, 600 / (alpha + 2)), which keeps
+    exp((alpha+2) t)-sized quantities representable.
 
-    Raises NonConvergenceError when the step size falls below ten spacings
-    of the floating-point numbers at the current radius, which is what a
-    tolerance far below the arithmetic's precision does, and when the
-    integration needs more than ``_MAX_IVP_STEPS`` steps.  Raises
-    UsageError when d^p overflows; a tolerance out of range is refused when
-    its ``Settings`` is built, so rtol >= 0 and atol > 0 here.
+    Raises NonConvergenceError when fewer than n zeros lie inside that
+    cap, when the step size falls below ten spacings of the floating-point
+    numbers at the current radius, which is what a tolerance far below the
+    arithmetic's precision does, and when the integration needs more than
+    ``_MAX_IVP_STEPS`` steps.  A tolerance out of range is refused when its
+    ``Settings`` is built, so rtol >= 0 and atol > 0 here.
     """
-    if not (d > 0.0 and math.isfinite(d)):
-        raise UsageError(f"initial value d must be finite and > 0, got {d}")
     rtol, atol = settings.rtol, settings.atol
+    r_max = math.exp(min(_SHOOT_TMAX, 600.0 / (alpha + 2.0)))
+    # Next series term: c2 * r^(2 alpha + 4) with c2 = p c1 / (2 alpha + 4)^2.
+    c1 = 1.0 / (alpha + 2.0) ** 2
+    c2 = p * c1 / (2.0 * alpha + 4.0) ** 2
+    eps = min(_MAX_SERIES_START,
+              (100.0 * atol / c2) ** (1.0 / (2.0 * alpha + 4.0)))
 
-    # Next series term: c2 * r^(2 alpha + 4) with c2 = p d^(p-1) c1 / (2 alpha + 4)^2.
-    try:
-        fd = d**p
-        c1 = fd / (alpha + 2.0) ** 2
-        c2 = p * d ** (p - 1.0) * c1 / (2.0 * alpha + 4.0) ** 2
-    except OverflowError:  # Python floats raise; numpy scalars give inf
-        c2 = math.inf
-    if not math.isfinite(c2):
-        raise UsageError(f"initial value d = {d} is too large: d^p overflows",
-                         {"alpha": alpha, "p": p, "d": d})
-    eps = _MAX_SERIES_START
-    if c2 > 0.0:  # d^p underflows for a tiny d, and nothing is neglected
-        eps = min(eps, (100.0 * atol * max(1.0, d) / c2)
-                  ** (1.0 / (2.0 * alpha + 4.0)))
-    if not (math.isfinite(r_max) and r_max > 10.0 * eps > 0.0):
-        raise UsageError(
-            f"r_max must be finite and exceed 10 * series start radius "
-            f"{eps:.3g}, got {r_max}")
-
-    u0, du0 = _origin_series(alpha, p, d, np.array([eps]))
-    knots, coef, zeros, r_end = _dop853(
+    u0, du0 = _origin_series(alpha, np.array([eps]))
+    knots, coef, zeros = _dop853(
         float(alpha), float(p), float(eps), float(u0[0]), float(du0[0]),
-        float(r_max), rtol, atol, stop_after,
-        {"alpha": alpha, "p": p, "d": d, "r_max": r_max})
-    zeros = np.asarray(zeros, dtype=float)
+        float(r_max), rtol, atol, n,
+        {"alpha": alpha, "p": p, "n_nodal": n, "r_max": r_max})
+    if len(zeros) < n:
+        raise NonConvergenceError(
+            f"only {len(zeros)} zeros found out to r = {r_max:.3g}, "
+            f"needed {n}",
+            {"alpha": alpha, "p": p, "n_nodal": n, "zeros_found": len(zeros)},
+        )
 
     knots = np.asarray(knots)
     coef = np.reshape(coef, (-1, 2, 8))
     return ShootingTrajectory(
-        alpha=alpha, p=p, d=d, r_end=r_end, zeros=zeros,
+        alpha=alpha, p=p, r_end=zeros[-1], zeros=np.asarray(zeros, dtype=float),
         _u=_power_form(knots, coef[:, 0]), _du=_power_form(knots, coef[:, 1]),
         _eps=eps,
     )
 
 
-def _dop853(alpha, p, r, u, v, r_bound, rtol, atol, stop_after, context):
-    """DOP853 from (r, u, v) to ``r_bound`` for the radial system.
+def _dop853(alpha, p, r, u, v, r_bound, rtol, atol, n, context):
+    """DOP853 from (r, u, v) for the radial system, to the n-th zero of u
+    or to ``r_bound``, whichever comes first.
 
     Returns the step ends, the dense-output coefficients (y_old, F0, ...,
-    F6) of u and of v for each step, the zeros of u and the radius where
-    integration stopped: ``r_bound``, or zero number ``stop_after`` when
-    that is set.
+    F6) of u and of v for each step, and the zeros of u.
     """
     pm1 = p - 1.0
 
@@ -429,10 +406,10 @@ def _dop853(alpha, p, r, u, v, r_bound, rtol, atol, stop_after, context):
         root = _step_zero(r, r_new, u, u_new, Fu)
         if root is not None:
             zeros.append(root)
-            if stop_after is not None and len(zeros) >= stop_after:
-                return knots, coef, zeros, root
+            if len(zeros) == n:
+                break
         r, u, v, fv = r_new, u_new, v_new, kv[12]
-    return knots, coef, zeros, r
+    return knots, coef, zeros
 
 
 @dataclass
@@ -444,10 +421,10 @@ class RadialProfile:
         u(r) = amp U(mu r^kappa),   u'(r) = amp mu kappa r^(kappa-1) U'(mu r^kappa);
 
     a solve has kappa = 1, and the power map of ``transform`` multiplies
-    amp and kappa.  ``d`` is the (positive) central value u(0);
-    ``nodal_radii`` are the n ordered zeros of u, the last equal to 1.
-    ``tolerances`` records the accuracy targets the profile was computed
-    under.
+    amp and kappa.  As U(0) = 1, ``amp`` is the (positive) central value
+    d = u(0); ``nodal_radii`` are the n ordered zeros of u, the last equal
+    to 1.  ``tolerances`` records the accuracy targets the profile was
+    computed under.
     """
 
     params: HenonParams
@@ -458,14 +435,10 @@ class RadialProfile:
     nodal_radii: np.ndarray
     tolerances: dict
 
-    @property
-    def d(self) -> float:
-        return self.amp * self.trajectory.d
-
 
 def _profile_radii(r) -> np.ndarray:
-    """Radii as a 1-D array clipped to [0, 1], rejecting any further out
-    than roundoff."""
+    """Radii as an array clipped to [0, 1], rejecting any further out than
+    roundoff."""
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
     if r_arr.size:
         lo, hi = r_arr.min(), r_arr.max()
@@ -478,8 +451,8 @@ def _profile_radii(r) -> np.ndarray:
 
 
 def evaluate_profile(profile: RadialProfile, r):
-    """Evaluate (u, u') at radii in [0, 1] from the trajectory's dense
-    output, through the profile's map.  Scalar input gives scalar output."""
+    """Evaluate (u, u') at an array of radii in [0, 1] from the
+    trajectory's dense output, through the profile's map."""
     r_arr = _profile_radii(r)
     kappa = profile.kappa
     x = profile.mu * r_arr**kappa
@@ -488,16 +461,14 @@ def evaluate_profile(profile: RadialProfile, r):
     with np.errstate(divide="ignore", invalid="ignore"):
         du = (profile.amp * profile.mu * kappa) * r_arr ** (kappa - 1.0) * du
     du[r_arr == 0.0] = 0.0  # u'(0) = 0 for every exponent
-    if np.ndim(r) == 0:
-        return float(u[0]), float(du[0])
     return u, du
 
 
 def evaluate_u(profile: RadialProfile, r):
-    """The u of ``evaluate_profile`` alone, without evaluating u'."""
+    """The u of ``evaluate_profile`` alone, at an array of radii, without
+    evaluating u'."""
     x = profile.mu * _profile_radii(r) ** profile.kappa
-    u = profile.amp * profile.trajectory._component(x, 0)
-    return float(u[0]) if np.ndim(r) == 0 else u
+    return profile.amp * profile.trajectory._component(x, 0)
 
 
 def u_reader(profile: RadialProfile):
@@ -510,13 +481,13 @@ def u_reader(profile: RadialProfile):
     pieces = traj._u.c.T.tolist()
     last = len(pieces) - 1
     amp, mu, kappa = profile.amp, profile.mu, profile.kappa
-    eps, d, e = traj._eps, traj.d, traj.alpha + 2.0
-    c_origin = d**traj.p / e**2  # the series of ``_origin_series``
+    eps, e = traj._eps, traj.alpha + 2.0
+    c_origin = 1.0 / e**2  # the series of ``_origin_series``
 
     def u(r):
         x = mu * r**kappa
         if x < eps:
-            return amp * (d - c_origin * x**e)
+            return amp * (1.0 - c_origin * x**e)
         i = min(bisect_right(breaks, x) - 1, last)
         z = x - breaks[i]
         a7, a6, a5, a4, a3, a2, a1, a0 = pieces[i]
@@ -558,31 +529,17 @@ def output_grid(profile: RadialProfile) -> np.ndarray:
 def solve_nodal(params: HenonParams, settings: Settings = DEFAULT) -> RadialProfile:
     """Compute the nodal solution with ``params.n_nodal`` nodal sets.
 
-    Integrates once with u(0) = 1, stopping at the n-th zero, and applies
-    the exact power rescaling that maps that zero to r = 1.  The result is
-    validated against the construction invariants before being returned.
-
-    The zero hunt runs out to log r = min(``_SHOOT_TMAX``, 600 / (alpha +
-    2)); fewer than n zeros there raise NonConvergenceError.  The profile
-    depends on ``settings`` only through its tolerances, which it records.
+    Integrates once with U(0) = 1 out to the n-th zero (``integrate_ivp``,
+    whose NonConvergenceError it passes on) and applies the exact power
+    rescaling that maps that zero to r = 1.  The result is validated
+    against the construction invariants before being returned.  The
+    profile depends on ``settings`` only through its tolerances, which it
+    records.
     """
     n = params.n_nodal
-    # Zeros of the u(0) = 1 trajectory sit at exponentially large radii
-    # for large p; cap log(r) instead of r, keeping exp((alpha+2) t)-sized
-    # quantities representable.
-    r_max = math.exp(min(_SHOOT_TMAX, 600.0 / (params.alpha + 2.0)))
-    traj = integrate_ivp(params.alpha, params.p, 1.0, r_max, settings,
-                         stop_after=n)
-    if traj.zeros.size < n:
-        raise NonConvergenceError(
-            f"only {traj.zeros.size} zeros found out to r = {r_max:.3g}, "
-            f"needed {n}",
-            {"alpha": params.alpha, "p": params.p, "n_nodal": n,
-             "zeros_found": int(traj.zeros.size)},
-        )
-
-    mu = float(traj.zeros[n - 1])
-    nodal = traj.zeros[:n] / mu
+    traj = integrate_ivp(params.alpha, params.p, n, settings)
+    mu = traj.r_end
+    nodal = traj.zeros / mu
     nodal[-1] = 1.0
     profile = RadialProfile(
         params=params,
@@ -608,7 +565,7 @@ def validate_profile(profile: RadialProfile) -> None:
 
     Raises :class:`NonConvergenceError` when any of these fail:
 
-    * u(0) = d > 0;
+    * u(0) = d = amp > 0;
     * the nodal radii are n increasing values, the last equal to 1;
     * |u(1)| <= ``_BOUNDARY_TOL`` * max(1, max|u|);
     * u changes sign exactly n_nodal - 1 times on the output grid and the
@@ -622,7 +579,7 @@ def validate_profile(profile: RadialProfile) -> None:
     scale = float(np.max(np.abs(u)))
     problems: list[str] = []
 
-    if not (pr.d > 0.0 and u[0] == pr.d):
+    if not (pr.amp > 0.0 and u[0] == pr.amp):
         problems.append("central value does not match d > 0")
     if pr.nodal_radii.size != n or np.any(np.diff(pr.nodal_radii) <= 0):
         problems.append("nodal radii are not n strictly increasing values")

@@ -76,22 +76,23 @@ _ULP = float(np.finfo(float).eps)  # 2^-52, LAPACK's dlamch("P")
 
 @dataclass
 class SchrodingerProblem:
-    """Truncated log-variable eigenproblem on t in [-T, 0], Dirichlet ends.
+    """Truncated log-variable eigenproblem on t in [-T, 0], Dirichlet ends,
+    with a base mesh of M cells.
 
-    ``V`` holds the potential at the M+1 nodes of ``grid_t``; ``potential``
-    is the underlying callable, kept so refinement can resample it on finer
-    meshes.  ``corners`` lists t-locations where the potential is continuous
-    but not smooth (for a nodal profile, the logs of the interior nodal
-    radii: |u|^(p-1) has a kink wherever u crosses zero unless p-1 is an
-    even integer).  Discretizations pin these points into the mesh; leaving
-    a kink in a cell interior makes the h^2 error constant depend on the
-    kink's offset within the cell, which defeats Richardson extrapolation.
+    ``potential`` is the callable V, sampled on each mesh a level reads
+    (``_fd_matrix``), where a positive sample is refused.  ``corners``
+    lists t-locations where the potential is continuous but not smooth (for
+    a nodal profile, the logs of the interior nodal radii: |u|^(p-1) has a
+    kink wherever u crosses zero unless p-1 is an even integer).
+    Discretizations pin these points into the mesh; leaving a kink in a
+    cell interior makes the h^2 error constant depend on the kink's offset
+    within the cell, which defeats Richardson extrapolation.
+    ``from_potential`` validates T, M and the corners against the base
+    mesh, and samples nothing.
     """
 
     T: float
     M: int
-    grid_t: np.ndarray
-    V: np.ndarray
     potential: Callable = field(repr=False)
     corners: tuple = ()
 
@@ -103,15 +104,8 @@ class SchrodingerProblem:
         if M < 4:
             raise UsageError(f"M must be at least 4, got {M}")
         corners = tuple(sorted(float(c) for c in corners if -T < c < 0.0))
-        grid_t = _fd_mesh(T, M, corners)
-        V = np.asarray(potential(grid_t), dtype=float)
-        if np.any(V > 1e-9):
-            raise UsageError(
-                "potential must be nonpositive",
-                {"max_V": float(V.max())},
-            )
-        return cls(T=T, M=M, grid_t=grid_t, V=V, potential=potential,
-                   corners=corners)
+        _fd_mesh(T, M, corners)
+        return cls(T=T, M=M, potential=potential, corners=corners)
 
 
 def build_schrodinger(profile: RadialProfile, settings: Settings = DEFAULT) -> SchrodingerProblem:
@@ -124,7 +118,7 @@ def build_schrodinger(profile: RadialProfile, settings: Settings = DEFAULT) -> S
     """
     alpha = profile.params.alpha
     p = profile.params.p
-    d = profile.d
+    d = profile.amp
 
     def potential(t):
         t = np.asarray(t, dtype=float)
@@ -207,10 +201,14 @@ def fd_negative_eigenvalues(problem: SchrodingerProblem, M: int,
 def _fd_matrix(problem: SchrodingerProblem, M: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Diagonal, off-diagonal and spectral lower end lo < min V of the
     M-cell matrix.  Built apart from the solve, so the mesh arrays are freed
-    before the solve allocates its own."""
+    before the solve allocates its own.  Raises UsageError when V is
+    positive at an interior node."""
     t = _fd_mesh(problem.T, M, problem.corners)
     h = np.diff(t)
     v = np.asarray(problem.potential(t[1:-1]), dtype=float)
+    if np.any(v > 1e-9):
+        raise UsageError("potential must be nonpositive",
+                         {"max_V": float(v.max())})
     mass = 0.5 * (h[:-1] + h[1:])
     diag = (1.0 / h[:-1] + 1.0 / h[1:]) / mass + v
     off = (-1.0 / h[1:-1]) / np.sqrt(mass[:-1] * mass[1:])

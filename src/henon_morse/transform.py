@@ -136,24 +136,21 @@ def default_battery() -> list[TestFunction]:
     return battery
 
 
-def adaptive_quadrature(
-    f: Callable,
-    breakpoints,
-    rel_tol: float = _QUAD_REL_TOL,
-):
-    """Adaptive Simpson integration over [breakpoints[0], breakpoints[-1]].
+def adaptive_quadrature(f: Callable, breakpoints) -> np.ndarray:
+    """Adaptive Simpson integration over [breakpoints[0], breakpoints[-1]]
+    at the relative tolerance ``_QUAD_REL_TOL``.
 
     Classic bisection-based adaptive Simpson with Richardson correction,
     processed as a worklist so the integrand is always evaluated on batched
     arrays.  Intervals are accepted when the two-level Simpson discrepancy
     is below 15x their tolerance share; tolerances halve with each split.
 
-    ``f`` maps n radii to n values, and the result is a float; or it maps
-    them to K rows of n values, and the result is an array of K integrals
-    on one shared node set.  Each row has its own tolerance share, and an
-    interval is accepted only when every row meets its share, so each
-    integral is at least as accurate as its own one-row call.  Raises
-    NonConvergenceError if the worklist fails to drain.
+    ``f`` maps n radii to K rows of n values (a 1-D result is one row), and
+    the result is an array of K integrals on one shared node set.  Each row
+    has its own tolerance share, and an interval is accepted only when
+    every row meets its share, so each integral is at least as accurate as
+    its own one-row call.  Raises NonConvergenceError if the worklist fails
+    to drain.
     """
     bp = np.asarray(breakpoints, dtype=float)
     if bp.size < 2 or np.any(np.diff(bp) <= 0):
@@ -165,13 +162,11 @@ def adaptive_quadrature(
     a = bp[:-1].copy()
     b = bp[1:].copy()
     m = 0.5 * (a + b)
-    fa = np.asarray(f(a), dtype=float)
-    scalar = fa.ndim == 1
-    fa, fm, fb = fa.reshape(-1, a.size), rows(m), rows(b)
+    fa, fm, fb = rows(a), rows(m), rows(b)
     s = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
 
     scale = 1.0 + np.abs(np.sum(s, axis=1))
-    tol = np.repeat((rel_tol * scale / a.size)[:, None], a.size, axis=1)
+    tol = np.repeat((_QUAD_REL_TOL * scale / a.size)[:, None], a.size, axis=1)
     tol_floor = (1e-17 * scale)[:, None]
 
     total = np.zeros(scale.size)
@@ -186,7 +181,7 @@ def adaptive_quadrature(
         done = np.all(np.abs(err) <= 15.0 * tol, axis=0) | ((b - a) < 1e-14)
         total += np.sum((sl + sr + err / 15.0)[:, done], axis=1)
         if np.all(done):
-            return float(total[0]) if scalar else total
+            return total
         keep = ~done
         half_tol = np.maximum(0.5 * tol[:, keep], tol_floor)
         a = np.concatenate([a[keep], m[keep]])
@@ -201,7 +196,7 @@ def adaptive_quadrature(
             break
     raise NonConvergenceError(
         "adaptive quadrature failed to converge",
-        {"pending_intervals": int(a.size), "rel_tol": rel_tol},
+        {"pending_intervals": int(a.size), "rel_tol": _QUAD_REL_TOL},
     )
 
 
@@ -244,8 +239,7 @@ def quadratic_forms(profile: RadialProfile, members) -> list[float]:
                 row += float(w.angular_mode**2) * (g * g) / r
         return out
 
-    integrals = adaptive_quadrature(
-        integrand, _form_breakpoints(profile), _QUAD_REL_TOL)
+    integrals = adaptive_quadrature(integrand, _form_breakpoints(profile))
     return [_angular_constant(w.angular_mode) * float(q)
             for w, q in zip(members, integrals)]
 
@@ -289,13 +283,9 @@ def transform_solution(profile: RadialProfile, beta: float) -> RadialProfile:
     return new
 
 
-def verify_form_comparison(
-    profile_alpha: RadialProfile,
-    betas,
-    battery: list[TestFunction] | None = None,
-) -> list[dict]:
-    """Check Q_beta(w_kappa) <= kappa * Q_alpha(w) over a battery, for
-    every beta in ``betas``.
+def verify_form_comparison(profile_alpha: RadialProfile, betas) -> list[dict]:
+    """Check Q_beta(w_kappa) <= kappa * Q_alpha(w) over the 16 members of
+    ``default_battery``, for every beta in ``betas``.
 
     Every beta must be >= alpha.  One ``quadratic_forms`` call gives
     Q_alpha(w) for every battery member on the input profile; the profile
@@ -316,8 +306,7 @@ def verify_form_comparison(
         if beta < alpha - 1e-12:
             raise UsageError(
                 f"the comparison requires beta >= alpha, got beta={beta}, alpha={alpha}")
-    if battery is None:
-        battery = default_battery()
+    battery = default_battery()
     q_alpha = quadratic_forms(profile_alpha, battery)
 
     rows = []

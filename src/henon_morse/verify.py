@@ -78,7 +78,6 @@ _FORM_N = 2
 _SCALING_ALPHAS = (2.0, 4.0)
 _SUP_ERROR_TOL = 1e-6
 _SCALING_RTOL = 1e-4
-_PROBE_PS = (10.0, 20.0, 50.0)
 _PROBE_EXPECTED_GAP = 10
 
 _SQUARE_WELL_EXACT = (-4.0, -1.0)
@@ -382,8 +381,7 @@ def _section_square_well(settings) -> SectionResult:
 
 def _section_probe(settings) -> SectionResult:
     rows = []
-    for row in large_exponent_probe(_PROBE_PS, alpha=0.0, n=2,
-                                    settings=settings):
+    for row in large_exponent_probe(settings):
         rep = row["report"]
         decided = rep is not None  # a -k^2 tie leaves no gap to assert
         gap = rep.m_total - rep.m_rad if decided else None

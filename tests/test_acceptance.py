@@ -15,9 +15,11 @@ decomposition is decided) and logs the computed gaps next to the expected
 large-exponent value without failing on the comparison.  A p refused at a
 -k^2 tie is logged as undecided and asserts no gap.
 
-One more test holds the battery's integers against the frozen behaviour
-oracle (tests/data/point_oracle.json); it reads the same session battery,
-so it adds no solve.
+Two more tests read the same session battery, so they add no solve. One
+holds the battery's integers against the frozen behaviour oracle
+(tests/data/point_oracle.json); the other checks that the battery document
+carries every field the benchmark's checker (perfbench/workloads.py)
+reads.
 """
 
 import json
@@ -26,6 +28,7 @@ import time
 
 import pytest
 
+from henon_morse.io import dumps_canonical
 from henon_morse.verify import run_battery
 
 RUNTIME_BUDGET_SECONDS = 300.0
@@ -156,3 +159,21 @@ def test_battery_integers_match_the_frozen_oracle(battery):
               for e in doc["default_grid_m_total"]}
     assert {(r["alpha"], r["p"], r["n"]): r["m_total"]
             for r in summary.section("two_route").rows} == frozen
+
+
+def test_battery_document_has_the_fields_the_benchmark_reads(battery):
+    """The keys ``perfbench/workloads.py`` reads from a ``verify``
+    document; a renamed key fails here, not in the benchmark."""
+    summary, _ = battery
+    doc = json.loads(dumps_canonical(summary.to_dict()))
+    assert isinstance(doc["pass"], bool)
+    sections = {s["name"]: s["rows"] for s in doc["sections"]}
+    for row in sections["radial_identity"]:
+        assert {"m_rad", "n"} <= row.keys()
+    for row in sections["monotonicity"]:
+        assert isinstance(row["m_totals"], list)
+    for row in sections["two_route"]:
+        assert {"route_b_total", "m_total"} <= row.keys()
+    well = {r["check"]: r for r in sections["square_well"]}
+    assert isinstance(well["negative_eigenvalue_count"]["actual"], int)
+    assert isinstance(well["extrapolated_values"]["errors"], list)

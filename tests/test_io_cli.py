@@ -119,7 +119,7 @@ class TestProfileRoundTrip:
         loaded = load_profile(path)
         for field in ("grid", "u", "du", "nodal_radii"):
             assert np.array(loaded[field]).tobytes() == doc[field].tobytes()
-        assert loaded["d"] == profile_031.d
+        assert loaded["d"] == profile_031.amp
         # saving the loaded profile reproduces the original file exactly
         path2 = tmp_path / "profile2.json"
         save_json(loaded, path2)

@@ -35,6 +35,7 @@ from henon_morse import (
     sweep_from_reports,
 )
 from henon_morse.config import DEFAULT
+from henon_morse.io import dumps_canonical, morse_document
 from henon_morse.spectrum import RadialSpectrum, build_schrodinger
 
 
@@ -90,6 +91,18 @@ class TestAssembly:
         assert payload["angular_counts"] == [[1, 2, 3], []]
         assert payload["route_b_total"] == 8
         assert payload["n"] == 2
+
+    def test_morse_document_has_the_fields_the_benchmark_reads(self, report_232):
+        """The keys ``perfbench/workloads.py`` reads from a ``morse``
+        document; a renamed key fails here, not in the benchmark."""
+        doc = json.loads(dumps_canonical(
+            morse_document(report_232, check_lower_bounds(report_232))))
+        assert (doc["alpha"], doc["p"], doc["n"]) == (2.0, 3.0, 2)
+        for key in ("m_rad", "m_total", "route_b_total"):
+            assert isinstance(doc[key], int), key
+        assert len(doc["lambdas"]) == doc["m_rad"]
+        assert doc["bounds"] and all(isinstance(b["pass"], bool)
+                                     for b in doc["bounds"])
 
     @pytest.mark.parametrize("wave,count", [(0.0, 2), (2.0, 1), (4.5, 1)])
     def test_a_miscounted_wave_raises(self, monkeypatch, wave, count):
@@ -384,8 +397,9 @@ class TestSweepAndProbe:
         with pytest.raises(UsageError):
             sweep_from_reports([report_032])
 
-    def test_probe_is_cross_checked_and_consistent(self):
-        rows = large_exponent_probe([5.0, 15.0], alpha=0.0, n=2)
+    def test_probe_is_cross_checked_and_consistent(self, monkeypatch):
+        monkeypatch.setattr(morse_mod, "_PROBE_PS", (5.0, 15.0))
+        rows = large_exponent_probe()
         assert [row["report"].m_total for row in rows] == [10, 10]
         for p, row in zip([5.0, 15.0], rows):
             assert row.keys() == {"p", "report"}
@@ -407,7 +421,8 @@ class TestSweepAndProbe:
             return real(alpha, p, n, settings)
 
         monkeypatch.setattr(morse_mod, "solve_point", tied_at_15)
-        rows = large_exponent_probe([15.0, 5.0], alpha=0.0, n=2)
+        monkeypatch.setattr(morse_mod, "_PROBE_PS", (15.0, 5.0))
+        rows = large_exponent_probe()
         assert rows[0] == {"p": 15.0, "report": None, "refusal": tie}
         assert rows[1]["report"].m_total == 10
 
@@ -415,5 +430,6 @@ class TestSweepAndProbe:
             raise NonConvergenceError("not a tie", {})
 
         monkeypatch.setattr(morse_mod, "solve_point", failing)
+        monkeypatch.setattr(morse_mod, "_PROBE_PS", (5.0,))
         with pytest.raises(NonConvergenceError, match="not a tie"):
-            large_exponent_probe([5.0], alpha=0.0, n=2)
+            large_exponent_probe()

@@ -179,7 +179,7 @@ def zero_profile(alpha=0.0, p=3.0):
     zero-potential plumbing of the oscillation counts."""
     return RadialProfile(
         params=HenonParams(alpha=alpha, p=p, n_nodal=1),
-        trajectory=integrate_ivp(alpha, p, 1.0, 4.0, stop_after=1),
+        trajectory=integrate_ivp(alpha, p, 1),
         amp=1e-200,
         mu=1.0,
         kappa=1.0,
@@ -517,36 +517,44 @@ def test_refinement_never_changes_the_count(wells, M, drifts, decades, edit):
     assert fd_negative_eigenvalues(problem, M, guess).size == bisected.size
 
 
+def base_mesh(prob):
+    """The base mesh of a problem and its potential sampled there."""
+    grid_t = spectrum._fd_mesh(prob.T, prob.M, prob.corners)
+    return grid_t, np.asarray(prob.potential(grid_t), dtype=float)
+
+
 class TestPotentialConstruction:
     def test_grid_values_match_formula(self, profile_032):
         prob = build_schrodinger(profile_032)
+        grid_t, V = base_mesh(prob)
         alpha, p = profile_032.params.alpha, profile_032.params.p
-        r = np.exp(prob.grid_t)
+        r = np.exp(grid_t)
         u, _ = evaluate_profile(profile_032, np.minimum(r, 1.0))
-        expected = -p * np.exp((alpha + 2.0) * prob.grid_t) * np.abs(u) ** (p - 1.0)
-        assert np.allclose(prob.V, expected, rtol=0.0, atol=1e-14)
+        expected = -p * np.exp((alpha + 2.0) * grid_t) * np.abs(u) ** (p - 1.0)
+        assert np.allclose(V, expected, rtol=0.0, atol=1e-14)
 
     def test_potential_tiny_at_both_ends(self, profile_032):
-        prob = build_schrodinger(profile_032)
-        assert abs(prob.V[0]) <= DEFAULT.eig_tol / 100
-        assert abs(prob.V[-1]) <= 1e-8
+        _, V = base_mesh(build_schrodinger(profile_032))
+        assert abs(V[0]) <= DEFAULT.eig_tol / 100
+        assert abs(V[-1]) <= 1e-8
 
     def test_cut_follows_eig_tol(self, profile_032):
         cuts = []
         for eig_tol in (1e-6, DEFAULT.eig_tol, 1e-11):
             prob = build_schrodinger(profile_032, replace(DEFAULT, eig_tol=eig_tol))
-            assert abs(prob.V[0]) <= eig_tol / 100
+            assert abs(base_mesh(prob)[1][0]) <= eig_tol / 100
             cuts.append(prob.T)
         assert cuts[0] < cuts[1] < cuts[2]
 
     def test_nodal_corners_are_mesh_nodes(self, profile_032):
         prob = build_schrodinger(profile_032)
+        grid_t, _ = base_mesh(prob)
         assert len(prob.corners) == 1
         expected = math.log(profile_032.nodal_radii[0])
         assert prob.corners[0] == pytest.approx(expected, rel=1e-12)
-        assert np.any(prob.grid_t == prob.corners[0])
-        assert prob.grid_t.size == prob.M + 1
-        assert np.all(np.diff(prob.grid_t) > 0.0)
+        assert np.any(grid_t == prob.corners[0])
+        assert grid_t.size == prob.M + 1
+        assert np.all(np.diff(grid_t) > 0.0)
 
     def test_from_potential_validation(self):
         zero = lambda t: np.zeros_like(np.asarray(t, float))
@@ -554,9 +562,24 @@ class TestPotentialConstruction:
             SchrodingerProblem.from_potential(-1.0, 64, zero)
         with pytest.raises(UsageError):
             SchrodingerProblem.from_potential(1.0, 2, zero)
+        # a positive potential is refused at the first level that reads it
         with pytest.raises(UsageError):
-            SchrodingerProblem.from_potential(
-                1.0, 64, lambda t: np.ones_like(np.asarray(t, float)))
+            negative_spectrum(SchrodingerProblem.from_potential(
+                1.0, 64, lambda t: np.ones_like(np.asarray(t, float))))
+
+    def test_positive_potential_between_base_nodes_is_refused(self):
+        """V = -5 + 6 sin^2(pi M (t + T) / T) is -5 on the M-cell base nodes
+        and +1 at every midpoint, which level 2M reads."""
+        T, M = math.pi, 64
+
+        def potential(t):
+            return -5.0 + 6.0 * np.sin(np.pi * M * (np.asarray(t, float) + T) / T) ** 2
+
+        prob = SchrodingerProblem.from_potential(T, M, potential)
+        assert np.max(base_mesh(prob)[1]) <= -5.0 + 1e-12
+        with pytest.raises(UsageError, match="nonpositive") as err:
+            negative_spectrum(prob)
+        assert err.value.context["max_V"] == pytest.approx(1.0)
 
 
 class TestSpectrumStability:
