@@ -30,7 +30,12 @@ index of its alpha = 0 companion, which the lower bounds need, comes
 from the point's own spectrum through the power map and is cross-checked
 by the point's own oscillation solve.  ``--jobs N`` (``sweep``,
 ``verify``) needs N >= 1 and starts no more worker processes than there
-are tasks.
+are tasks; ``morse`` solves its one point in process.
+
+Every artifact flag (``--out``, ``--csv``) given ``-`` writes to stdout,
+as an omitted ``--out`` of ``solve``, ``spectrum`` or ``morse`` does;
+``verify --out -`` then prints its summary lines to stderr.  ``sweep``
+refuses an ``--out`` and ``--csv`` that name the same path.
 """
 
 from __future__ import annotations
@@ -40,20 +45,16 @@ from dataclasses import fields, replace
 import functools
 import json
 import math
+import os
 import sys
 from typing import get_type_hints
 
 from .config import DEFAULT, Settings
-from .errors import (
-    HenonMorseError,
-    UsageError,
-    VerificationError,
-)
+from .errors import HenonMorseError, UsageError, VerificationError
 from .io import (
     dumps_canonical,
     morse_document,
     profile_document,
-    save_json,
     spectrum_document,
     sweep_csv_text,
 )
@@ -105,11 +106,14 @@ def _add_point_flags(parser: argparse.ArgumentParser) -> None:
                         help="number of nodal sets n >= 1")
 
 
-def _emit(doc, out: str | None) -> None:
+def _write(text: str, out: str | None) -> None:
+    """Every artifact's one writer: stdout for ``-`` or None, else the file
+    ``out``, opened only once the text that goes into it is built."""
     if out is None or out == "-":
-        sys.stdout.write(dumps_canonical(doc) + "\n")
-    else:
-        save_json(doc, out)
+        sys.stdout.write(text)
+        return
+    with open(out, "w", encoding="utf-8", newline="") as fp:
+        fp.write(text)
 
 
 def _parse_alphas(spec: str) -> list:
@@ -150,7 +154,7 @@ def _cmd_solve(args) -> int:
     settings = _settings_from(args)
     profile = solve_nodal(
         HenonParams(alpha=args.alpha, p=args.p, n_nodal=args.nodes), settings)
-    _emit(profile_document(profile), args.out)
+    _write(dumps_canonical(profile_document(profile)) + "\n", args.out)
     return 0
 
 
@@ -159,7 +163,7 @@ def _cmd_spectrum(args) -> int:
     profile = solve_nodal(
         HenonParams(alpha=args.alpha, p=args.p, n_nodal=args.nodes), settings)
     spectrum = negative_spectrum(build_schrodinger(profile, settings), settings)
-    _emit(spectrum_document(spectrum), args.out)
+    _write(dumps_canonical(spectrum_document(spectrum)) + "\n", args.out)
     return 0
 
 
@@ -173,25 +177,10 @@ def _report_or_error(task):
         return exc
 
 
-def _bounded_reports(alphas, p, n, settings, jobs=None):
-    """Reports at ``alphas`` with their lower-bound checks, and the errors
-    of the points that raised, in alpha order.  Each report carries the
-    index of its own alpha = 0 companion, so a point's bounds depend on no
-    other point."""
-    results = _run_tasks(_report_or_error,
-                         [(a, p, n, settings) for a in alphas], jobs)
-    errors = [r for r in results if isinstance(r, HenonMorseError)]
-    reports = [r for r in results if not isinstance(r, HenonMorseError)]
-    return reports, [check_lower_bounds(r) for r in reports], errors
-
-
 def _cmd_morse(args) -> int:
-    reports, checks, errors = _bounded_reports(
-        [args.alpha], args.p, args.nodes, _settings_from(args))
-    if errors:
-        raise errors[0]
-    bounds = checks[0]
-    _emit(morse_document(reports[0], bounds), args.out)
+    _, report = solve_point(args.alpha, args.p, args.nodes, _settings_from(args))
+    bounds = check_lower_bounds(report)
+    _write(dumps_canonical(morse_document(report, bounds)) + "\n", args.out)
     if not all(b.satisfied for b in bounds):
         raise VerificationError(
             "a proved lower bound fails on the computed index",
@@ -206,25 +195,28 @@ def _cmd_sweep(args) -> int:
     if len(alphas) < 2:
         raise UsageError("a sweep needs at least two alpha values",
                          {"alphas": alphas})
-    reports, bounds, errors = _bounded_reports(
-        alphas, args.p, args.nodes, settings, args.jobs)
+    if args.out and os.path.realpath(args.out) == os.path.realpath(args.csv):
+        raise UsageError("--out and --csv name the same path",
+                         {"csv": args.csv, "out": args.out})
+    results = _run_tasks(_report_or_error, [(a, args.p, args.nodes, settings)
+                                            for a in alphas], args.jobs)
+    errors = [r for r in results if isinstance(r, HenonMorseError)]
+    reports = [r for r in results if not isinstance(r, HenonMorseError)]
     rows = [{
         "alpha": report.params.alpha, "p": args.p, "n": args.nodes,
         "m_rad": report.m_rad, "m_total": report.m_total,
         "lambdas": report.lambdas,
-        "bounds_pass": all(b.satisfied for b in checks),
-    } for report, checks in zip(reports, bounds)]
+        "bounds_pass": all(b.satisfied for b in check_lower_bounds(report)),
+    } for report in reports]
 
     # Artifacts land on disk before any gating verdict is raised; a failed
     # point leaves the rows of the points that finished, and rows that
     # cannot be written leave an existing file as it was.
     if rows:
-        text = sweep_csv_text(rows)
-        with open(args.csv, "w", encoding="utf-8", newline="") as fp:
-            fp.write(text)
+        _write(sweep_csv_text(rows), args.csv)
     sweep = sweep_from_reports(reports) if len(reports) >= 2 else None
     if args.out is not None and sweep is not None:
-        save_json(sweep.to_dict(), args.out)
+        _write(dumps_canonical(sweep.to_dict()) + "\n", args.out)
 
     if errors:
         raise errors[0]
@@ -245,13 +237,15 @@ def _cmd_verify(args) -> int:
     settings = _settings_from(args)
     summary = run_battery(args.grid, settings, jobs=args.jobs)
     if args.out is not None:
-        save_json(summary.to_dict(), args.out)
+        _write(dumps_canonical(summary.to_dict()) + "\n", args.out)
+    log = sys.stderr if args.out == "-" else sys.stdout
     for s in summary.sections:
         tag = "gate" if s.gating else "info"
         verdict = "PASS" if s.passed else "FAIL"
-        print(f"[{tag}] criterion {s.criterion} {s.name}: {verdict} - {s.summary}")
+        print(f"[{tag}] criterion {s.criterion} {s.name}: {verdict} - {s.summary}",
+              file=log)
     print(f"battery: {'PASS' if summary.passed else 'FAIL'} "
-          f"({summary.elapsed_seconds:.1f} s, grid={summary.grid_name})")
+          f"({summary.elapsed_seconds:.1f} s, grid={summary.grid_name})", file=log)
     if not summary.passed:
         raise VerificationError(
             "the verification battery failed",
@@ -273,7 +267,7 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("solve", help="compute a nodal profile")
     _add_point_flags(sp)
     sp.add_argument("--out", default=None, metavar="FILE",
-                    help="output JSON path (default: stdout)")
+                    help="output JSON path, - for stdout (the default)")
     _add_settings_flags(sp, hints)
     sp.set_defaults(func=_cmd_solve)
 
@@ -298,9 +292,9 @@ def _build_parser() -> _Parser:
                     help="comma list '0,0.5,1' or inclusive range "
                          "'start:stop:step'")
     sp.add_argument("--csv", required=True, metavar="FILE",
-                    help="CSV artifact path")
+                    help="CSV artifact path, - for stdout")
     sp.add_argument("--out", default=None, metavar="FILE",
-                    help="optional JSON artifact with full reports")
+                    help="optional JSON artifact with full reports (- for stdout)")
     sp.add_argument("--jobs", type=int, default=None, metavar="N",
                     help="parallel worker processes, N >= 1, at most one "
                          "per point (output is identical for any N)")
@@ -310,7 +304,7 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("verify", help="run the verification battery")
     sp.add_argument("--grid", choices=sorted(GRIDS), default="default")
     sp.add_argument("--out", default=None, metavar="FILE",
-                    help="write the battery summary JSON here")
+                    help="write the battery summary JSON here (- for stdout)")
     sp.add_argument("--jobs", type=int, default=None, metavar="N",
                     help="parallel worker processes, N >= 1, at most one "
                          "per task (output is identical for any N)")

@@ -121,13 +121,12 @@ class MorseReport:
 
 @dataclass(frozen=True)
 class BoundCheck:
-    """One named integer inequality m-side >= bound-side, with its margin."""
+    """One named integer inequality m-side >= bound-side."""
 
     name: str
     value: int
     required: int
     satisfied: bool
-    margin: int
 
 
 def _tie_distance(lambdas: np.ndarray, k_max: int) -> float:
@@ -301,8 +300,7 @@ def check_lower_bounds(report: MorseReport) -> list:
     def add(name: str, value: int, required: int) -> None:
         checks.append(BoundCheck(name=name, value=int(value),
                                  required=int(required),
-                                 satisfied=bool(value >= required),
-                                 margin=int(value - required)))
+                                 satisfied=bool(value >= required)))
 
     add("radial_count", report.m_rad, n)
     add("nodal_gap", m, n + (n - 1) * (2 * half_alpha + 2))

@@ -82,14 +82,9 @@ _GRID_GEO_RMIN = 1e-12
 _GRID_GEO_STEP = 0.1
 
 
-def gauss_legendre_01(points: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the ``points``-point Gauss-Legendre rule on
-    [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(points)
-    return 0.5 * (1.0 + x), 0.5 * w
-
-
-_GAUSS_X, _GAUSS_W = gauss_legendre_01(5)
+# Nodes and weights of the 5-point Gauss-Legendre rule on [0, 1].
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(5)
+_GAUSS_X, _GAUSS_W = 0.5 * (1.0 + _GAUSS_X), 0.5 * _GAUSS_W
 
 
 def _floats(a) -> tuple:

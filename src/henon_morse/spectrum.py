@@ -328,10 +328,11 @@ def negative_spectrum(problem: SchrodingerProblem, settings: Settings = DEFAULT)
 
     Solves the FD problem at M, 2M, 4M, ...; successive pairs give
     Richardson extrapolants (the FD error is h^2-regular), and the loop
-    stops when two consecutive extrapolants agree to
-    eig_tol * (1 + |lambda|) elementwise with identical counts.  The first
-    level is bisected; each finer level is refined from a guess: lambda(M)
-    on level 2M, then the h^2 prediction lambda(2M) + (lambda(2M) -
+    stops when two consecutive extrapolants with identical counts have a
+    discrepancy max |rich - rich_prev| / (1 + |rich|) <= eig_tol, the one
+    rule by which the tie guard also reuses a spectrum.  The first level
+    is bisected; each finer level is refined from a guess: lambda(M) on
+    level 2M, then the h^2 prediction lambda(2M) + (lambda(2M) -
     lambda(M)) / 4, and no guess on the level after a count change.  A
     count that keeps changing, or failure to meet the tolerance within the
     level budget, raises NonConvergenceError rather than returning a guess;
@@ -356,7 +357,7 @@ def negative_spectrum(problem: SchrodingerProblem, settings: Settings = DEFAULT)
         if rich_prev is not None and rich.size == rich_prev.size:
             gap = np.abs(rich - rich_prev)
             discrepancy = float(np.max(gap / (1.0 + np.abs(rich)), initial=0.0))
-            if np.all(gap <= eig_tol * (1.0 + np.abs(rich))):
+            if discrepancy <= eig_tol:
                 return RadialSpectrum(lambdas=rich, T=problem.T, M=M,
                                       eig_tol=eig_tol, discrepancy=discrepancy)
         lam_prev, rich_prev = lam, rich

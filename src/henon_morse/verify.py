@@ -168,7 +168,6 @@ def _point_task(args):
         "report": report,
         "sup_rel_error": sup_rel,
         "transform_reports_identical": identical,
-        "transformed_m_total": report_t.m_total,
     }
 
 

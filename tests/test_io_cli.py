@@ -304,8 +304,7 @@ class TestCliExitCodes:
         # force a failing bound: the report must still be written first
         def failing_bounds(report):
             return [BoundCheck(name="radial_count", value=report.m_total,
-                               required=report.m_total + 1, satisfied=False,
-                               margin=-1)]
+                               required=report.m_total + 1, satisfied=False)]
 
         monkeypatch.setattr(cli, "check_lower_bounds", failing_bounds)
         out = tmp_path / "m.json"
@@ -408,7 +407,8 @@ class TestCliExitCodes:
 
 class TestCliMorseWork:
     """The solves one ``morse`` point costs: its own, whatever alpha; the
-    alpha = 0 companion's index comes from the point's own spectrum."""
+    alpha = 0 companion's index comes from the point's own spectrum.  The
+    point is solved in process, never through the sweep's task runner."""
 
     @pytest.fixture
     def solved_alphas(self, monkeypatch):
@@ -421,6 +421,16 @@ class TestCliMorseWork:
 
         monkeypatch.setattr(morse_mod, "solve_nodal", spy)
         return alphas
+
+    def test_point_runs_no_task_runner(self, solved_alphas, capsys,
+                                       monkeypatch):
+        def no_runner(*args):
+            raise AssertionError("morse went through _run_tasks")
+
+        monkeypatch.setattr(cli, "_run_tasks", no_runner)
+        assert cli.main(["morse", "--alpha", "1", "--p", "3",
+                         "--nodes", "1"]) == 0
+        assert solved_alphas == [1.0]
 
     def test_unweighted_point_is_its_own_companion(self, solved_alphas, capsys):
         assert cli.main(["morse", "--alpha", "0", "--p", "3",
@@ -520,6 +530,35 @@ class TestCliSweep:
         assert doc["monotone"] is True
         assert [t["nondecreasing"] for t in doc["transitions"]] == [True, True]
 
+    def test_dash_sends_either_artifact_to_stdout(self, tmp_path, capsys,
+                                                  monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = ["sweep", "--p", "3", "--nodes", "1", "--alphas", "0,1"]
+        assert cli.main(argv + ["--csv", "s.csv", "--out", "s.json"]) == 0
+        capsys.readouterr()
+        assert cli.main(argv + ["--csv", "-"]) == 0
+        assert capsys.readouterr().out == (tmp_path / "s.csv").read_text()
+        assert cli.main(argv + ["--csv", "t.csv", "--out", "-"]) == 0
+        assert capsys.readouterr().out == (tmp_path / "s.json").read_text()
+        assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "s.csv").read_bytes()
+        assert not (tmp_path / "-").exists()
+
+    @pytest.mark.parametrize("csv,out", [("x", "x"), ("x", "./x"), ("-", "-")],
+                             ids=["same-name", "same-file", "both-stdout"])
+    def test_out_on_the_csv_path_is_usage_before_any_solve(
+            self, tmp_path, capsys, monkeypatch, csv, out):
+        def no_solve(*args):
+            raise AssertionError("a solve started")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "solve_point", no_solve)
+        assert cli.main(["sweep", "--p", "3", "--nodes", "1", "--alphas",
+                         "0,1", "--csv", csv, "--out", out]) == 3
+        captured = capsys.readouterr()
+        assert json.loads(captured.err)["error"] == "UsageError"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_single_alpha_is_usage_error(self, tmp_path, capsys):
         code = cli.main(["sweep", "--p", "3", "--nodes", "1",
                          "--alphas", "1", "--csv", str(tmp_path / "s.csv")])
@@ -529,7 +568,7 @@ class TestCliSweep:
                                             monkeypatch):
         def failing_bounds(report):
             return [BoundCheck(name="radial_count", value=0, required=1,
-                               satisfied=False, margin=-1)]
+                               satisfied=False)]
 
         monkeypatch.setattr(cli, "check_lower_bounds", failing_bounds)
         csv = tmp_path / "s.csv"
@@ -635,6 +674,25 @@ class TestCliVerify:
         doc2 = load_json(out2)
         del doc["elapsed_seconds"], doc2["elapsed_seconds"]
         assert dumps_canonical(doc2) == dumps_canonical(doc)
+
+    def test_dash_puts_only_the_document_on_stdout(self, tmp_path, capsys,
+                                                   monkeypatch):
+        summary = verify_mod.BatterySummary(
+            grid_name="quick", elapsed_seconds=0.5, sections=(
+                verify_mod.SectionResult(
+                    name="radial_identity", criterion=1, gating=True,
+                    summary="stub", rows=({"pass": True},)),))
+        monkeypatch.setattr(cli, "run_battery", lambda *a, **k: summary)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["verify", "--grid", "quick", "--out", "b.json"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].startswith("battery: PASS")
+        assert cli.main(["verify", "--grid", "quick", "--out", "-"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == (tmp_path / "b.json").read_text()
+        assert captured.err.splitlines() == [
+            "[gate] criterion 1 radial_identity: PASS - stub",
+            "battery: PASS (0.5 s, grid=quick)"]
+        assert not (tmp_path / "-").exists()
 
     def test_unknown_grid_is_usage(self, capsys):
         assert cli.main(["verify", "--grid", "bogus"]) == 3

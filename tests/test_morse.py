@@ -329,7 +329,6 @@ class TestLowerBounds:
             "even_weight_superlinear",
         ]
         assert all(c.satisfied for c in checks)
-        assert all(c.margin == c.value - c.required for c in checks)
         by_name = {c.name: c for c in checks}
         # alpha=2, n=2: floor(alpha/2) = 1, so the nodal gap requires
         # n + (n-1)(2*1+2) = 6 and the companion gap n + 6*(1+1) = 14.

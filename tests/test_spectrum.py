@@ -245,6 +245,21 @@ class TestSquareWell:
         assert context["last_counts"] == 2
         assert 1e-15 < context["last_discrepancy"] < 1e-6
 
+    def test_a_pair_is_accepted_on_its_discrepancy(self, well, monkeypatch):
+        """The ladder accepts on discrepancy <= eig_tol, the test the tie
+        guard reuses a spectrum by.  On this ladder the extrapolant pair's
+        discrepancy is eig_tol itself, while the elementwise product
+        eig_tol * (1 + |rich|) rounds below the gap."""
+        levels = iter([np.array([-1.0776683114342298]),
+                       np.array([-1.0770553081331768]),
+                       np.array([-1.0769019167312834])])
+        monkeypatch.setattr(spectrum, "fd_negative_eigenvalues",
+                            lambda problem, M, guess=None: next(levels))
+        tol = 9.024986694030702e-08
+        spec = negative_spectrum(well, replace(DEFAULT, eig_tol=tol))
+        assert spec.M == 4 * well.M
+        assert spec.discrepancy == tol
+
     def test_zero_potential_has_empty_spectrum(self):
         prob = SchrodingerProblem.from_potential(
             5.0, 64, lambda t: np.zeros_like(np.asarray(t, float)))
