@@ -35,7 +35,10 @@ are tasks; ``morse`` solves its one point in process.
 Every artifact flag (``--out``, ``--csv``) given ``-`` writes to stdout,
 as an omitted ``--out`` of ``solve``, ``spectrum`` or ``morse`` does;
 ``verify --out -`` then prints its summary lines to stderr.  ``sweep``
-refuses an ``--out`` and ``--csv`` that name the same path.
+refuses an ``--out`` and ``--csv`` that name the same path.  An artifact
+file in a directory that does not exist is bad usage, refused before any
+solve; a file that cannot be written is bad usage too, with the path and
+the reason in the diagnostic.
 """
 
 from __future__ import annotations
@@ -108,12 +111,30 @@ def _add_point_flags(parser: argparse.ArgumentParser) -> None:
 
 def _write(text: str, out: str | None) -> None:
     """Every artifact's one writer: stdout for ``-`` or None, else the file
-    ``out``, opened only once the text that goes into it is built."""
+    ``out``, opened only once the text that goes into it is built.  A file
+    that cannot be opened or written is bad usage."""
     if out is None or out == "-":
         sys.stdout.write(text)
         return
-    with open(out, "w", encoding="utf-8", newline="") as fp:
-        fp.write(text)
+    try:
+        with open(out, "w", encoding="utf-8", newline="") as fp:
+            fp.write(text)
+    except OSError as exc:
+        raise _unwritable(out, exc.strerror or str(exc)) from exc
+
+
+def _unwritable(path, reason: str) -> UsageError:
+    return UsageError("cannot write the artifact",
+                      {"path": os.fspath(path), "reason": reason})
+
+
+def _check_artifact_dirs(args: argparse.Namespace) -> None:
+    """Refuse an ``--out`` or ``--csv`` file whose directory does not
+    exist, before any solve."""
+    for path in (getattr(args, "out", None), getattr(args, "csv", None)):
+        if path not in (None, "-") and not os.path.isdir(
+                os.path.dirname(path) or "."):
+            raise _unwritable(path, "no such directory")
 
 
 def _parse_alphas(spec: str) -> list:
@@ -328,6 +349,7 @@ def _diagnostic(exc: HenonMorseError) -> str:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        _check_artifact_dirs(args)
         return args.func(args)
     except UsageError as exc:
         print(_diagnostic(exc), file=sys.stderr)

@@ -1,7 +1,7 @@
 """Serialization: canonical JSON and CSV for every result object.
 
 All numbers are written with 17 significant digits, which round-trips IEEE
-doubles exactly, so save -> load reproduces every field bit for bit.  The
+doubles exactly, so dump -> load reproduces every field bit for bit.  The
 emitter is deliberately hand-rolled and deterministic (fixed key order as
 given by the documents, fixed separators, trailing newline): two runs with
 identical inputs produce byte-identical files, regardless of how much
@@ -40,7 +40,6 @@ from .spectrum import RadialSpectrum
 
 __all__ = [
     "dumps_canonical",
-    "save_json",
     "load_json",
     "profile_document",
     "load_profile",
@@ -105,14 +104,6 @@ def _emit(obj, out) -> None:
     else:
         raise SchemaError("value is not JSON-serializable",
                           {"type": type(obj).__name__})
-
-
-def save_json(obj, path) -> None:
-    """Write ``obj`` as canonical JSON; an object that cannot be
-    serialized leaves an existing file as it was."""
-    text = dumps_canonical(obj) + "\n"
-    with open(path, "w", encoding="utf-8") as fp:
-        fp.write(text)
 
 
 def load_json(path) -> dict:

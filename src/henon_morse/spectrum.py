@@ -17,11 +17,13 @@ of the negative eigenvalues.  This module computes:
 
 * ``negative_spectrum``: all negative eigenvalues lambda_1 < ... < lambda_J
   of the truncated problem, by three-point finite differences and
-  Richardson extrapolation in the mesh.  LAPACK bisection locates them on
-  the first level; each finer level refines the coarser levels' values by
-  inverse iteration and keeps the Rayleigh quotients only when a Sturm
-  count and the Kato-Temple bound certify them to bisection's accuracy
-  (certified Rayleigh-quotient refinement), and bisects otherwise;
+  Richardson extrapolation in the mesh, M = 2048, 4096, ... up to 262144.
+  LAPACK bisection locates them on the first, coarsest level; each finer
+  level refines the coarser levels' values by inverse iteration and keeps
+  the Rayleigh quotients only when a Sturm count and the Kato-Temple bound
+  certify them to bisection's accuracy (certified Rayleigh-quotient
+  refinement), and bisects otherwise.  The ladder stops at the first pair
+  of extrapolants that agree, so most points stop at M = 8192;
 
 * ``oscillation_counts``: #{j : lambda_j < -w^2} for any set of wave
   numbers w at once, by Sturm oscillation: the Prufer angle of the
@@ -62,10 +64,14 @@ __all__ = [
 ]
 
 # Base number M of mesh cells of the log-variable problem; route A doubles
-# it from there.
-_BASE_INTERVALS = 8192
-# Eigenvalue extrapolation may double M at most this many times.
-_MAX_EIG_LEVELS = 5
+# it from there.  The base is the one bisected level, so it is kept coarse:
+# the ladder's earliest stop is at 4 * 2048 = 8192, where the default
+# eig_tol is met at most points, and a finer base would over-resolve them.
+_BASE_INTERVALS = 2048
+# Eigenvalue extrapolation may double M at most this many times, so the
+# finest mesh the ladder can reach is 2048 * 2^7 = 262144: low-p points
+# such as (0, 1.8, 2) converge at 131072, one doubling short of it.
+_MAX_EIG_LEVELS = 7
 # DOP853 step budget of one oscillation-count segment; the default grid's
 # segments take 57-140 steps, those of (0, 50, 3) up to 238.
 _MAX_OSCILLATION_STEPS = 20000
@@ -114,7 +120,9 @@ def build_schrodinger(profile: RadialProfile, settings: Settings = DEFAULT) -> S
     T is chosen from the bound |V(t)| <= p d^(p-1) e^((alpha+2)t) so that
     |V(-T)| <= eig_tol / 100, then verified on the actual potential and
     enlarged if needed: the cut-off follows the eigenvalue target, and T
-    grows as eig_tol is tightened.  The mesh has ``_BASE_INTERVALS`` cells.
+    grows as eig_tol is tightened.  The base mesh has ``_BASE_INTERVALS``
+    cells, the coarsest rung of ``negative_spectrum``'s ladder and the only
+    one it bisects.
     """
     alpha = profile.params.alpha
     p = profile.params.p
@@ -326,11 +334,15 @@ class RadialSpectrum:
 def negative_spectrum(problem: SchrodingerProblem, settings: Settings = DEFAULT) -> RadialSpectrum:
     """All negative eigenvalues, extrapolated until mesh-converged.
 
-    Solves the FD problem at M, 2M, 4M, ...; successive pairs give
-    Richardson extrapolants (the FD error is h^2-regular), and the loop
-    stops when two consecutive extrapolants with identical counts have a
-    discrepancy max |rich - rich_prev| / (1 + |rich|) <= eig_tol, the one
-    rule by which the tie guard also reuses a spectrum.  The first level
+    Solves the FD problem at M, 2M, 4M, ... up to M 2^_MAX_EIG_LEVELS;
+    successive pairs give Richardson extrapolants (the FD error is
+    h^2-regular), and the loop stops when two consecutive extrapolants
+    with identical counts have a discrepancy
+    max |rich - rich_prev| / (1 + |rich|) <= eig_tol, the one rule by
+    which the tie guard also reuses a spectrum.  So the earliest stop is at
+    4M; starting from a coarse M lets a point stop as soon as its
+    extrapolants agree, before the finer rungs' roundoff floor (about 1e-9
+    at M >= 65536) is reached.  The first level
     is bisected; each finer level is refined from a guess: lambda(M) on
     level 2M, then the h^2 prediction lambda(2M) + (lambda(2M) -
     lambda(M)) / 4, and no guess on the level after a count change.  A

@@ -7,6 +7,7 @@ tests exercise every exit code: 0 success, 1 failed mathematical assertion,
 2 non-convergence, 3 bad usage.
 """
 
+import errno
 import json
 import os
 import subprocess
@@ -43,10 +44,14 @@ from henon_morse.io import (
     load_spectrum,
     morse_document,
     profile_document,
-    save_json,
     spectrum_document,
     sweep_csv_text,
 )
+
+
+def save(doc, path):
+    """Write a document as the command line writes every artifact."""
+    cli._write(dumps_canonical(doc) + "\n", path)
 
 
 @pytest.fixture(scope="module")
@@ -100,10 +105,10 @@ class TestCanonicalJson:
 
     def test_failed_save_keeps_the_old_file(self, tmp_path):
         path = tmp_path / "doc.json"
-        save_json({"x": 1.0}, path)
+        save({"x": 1.0}, path)
         old = path.read_bytes()
         with pytest.raises(SchemaError):
-            save_json({"x": float("nan")}, path)
+            save({"x": float("nan")}, path)
         assert path.read_bytes() == old
 
     def test_unsupported_type_rejected(self):
@@ -115,21 +120,21 @@ class TestProfileRoundTrip:
     def test_bit_for_bit(self, profile_031, tmp_path):
         path = tmp_path / "profile.json"
         doc = profile_document(profile_031)
-        save_json(doc, path)
+        save(doc, path)
         loaded = load_profile(path)
         for field in ("grid", "u", "du", "nodal_radii"):
             assert np.array(loaded[field]).tobytes() == doc[field].tobytes()
         assert loaded["d"] == profile_031.amp
         # saving the loaded profile reproduces the original file exactly
         path2 = tmp_path / "profile2.json"
-        save_json(loaded, path2)
+        save(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
 
     def test_missing_field_is_named(self, profile_031, tmp_path):
         doc = profile_document(profile_031)
         doc.pop("nodal_radii")
         path = tmp_path / "bad.json"
-        save_json(doc, path)
+        save(doc, path)
         with pytest.raises(SchemaError, match="nodal_radii"):
             load_profile(path)
 
@@ -137,7 +142,7 @@ class TestProfileRoundTrip:
         doc = profile_document(profile_031)
         doc["u"] = list(doc["u"])[:-1]
         path = tmp_path / "bad.json"
-        save_json(doc, path)
+        save(doc, path)
         with pytest.raises(SchemaError):
             load_profile(path)
 
@@ -145,7 +150,7 @@ class TestProfileRoundTrip:
         doc = profile_document(profile_031)
         doc["n"] = 2
         path = tmp_path / "bad.json"
-        save_json(doc, path)
+        save(doc, path)
         with pytest.raises(SchemaError):
             load_profile(path)
 
@@ -156,7 +161,7 @@ class TestSpectrumRoundTrip:
         doc = spectrum_document(spectrum)
         assert list(doc) == ["lambdas", "T", "M", "eig_tol"]
         path = tmp_path / "spectrum.json"
-        save_json(doc, path)
+        save(doc, path)
         loaded = load_spectrum(path)
         assert loaded.lambdas.tobytes() == spectrum.lambdas.tobytes()
         assert (loaded.T, loaded.M, loaded.eig_tol) == (
@@ -172,11 +177,11 @@ class TestMorseRoundTrip:
         assert doc["angular_counts"] == [[1, 2, 3], []]
         assert all(row["pass"] for row in doc["bounds"])
         path = tmp_path / "morse.json"
-        save_json(doc, path)
+        save(doc, path)
         loaded = load_morse(path)
         assert loaded["m_total"] == 8
         path2 = tmp_path / "morse2.json"
-        save_json(loaded, path2)
+        save(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
 
     def test_inconsistent_total_rejected(self, profile_032, tmp_path):
@@ -184,7 +189,7 @@ class TestMorseRoundTrip:
         doc = morse_document(report, check_lower_bounds(report))
         doc["m_total"] = doc["m_total"] + 1
         path = tmp_path / "bad.json"
-        save_json(doc, path)
+        save(doc, path)
         with pytest.raises(SchemaError):
             load_morse(path)
 
@@ -277,6 +282,26 @@ class TestCliExitCodes:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["n"] == 1 and doc["alpha"] == 0.0
+
+    def test_out_in_a_missing_directory_is_usage(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        code = cli.main(["solve", "--alpha", "0", "--p", "3", "--nodes", "1",
+                         "--out", str(out)])
+        assert code == 3
+        diag = json.loads(capsys.readouterr().err)
+        assert diag["error"] == "UsageError"
+        assert diag["context"] == {"path": str(out),
+                                   "reason": "no such directory"}
+
+    def test_unopenable_out_is_usage(self, tmp_path, capsys):
+        # the directory itself: its parent exists, but open() refuses it
+        code = cli.main(["solve", "--alpha", "0", "--p", "3", "--nodes", "1",
+                         "--out", str(tmp_path)])
+        assert code == 3
+        diag = json.loads(capsys.readouterr().err)
+        assert diag["error"] == "UsageError"
+        assert diag["context"] == {"path": str(tmp_path),
+                                   "reason": os.strerror(errno.EISDIR)}
 
     def test_missing_argument_is_usage(self, capsys):
         code = cli.main(["solve", "--alpha", "0", "--p", "3"])
@@ -431,6 +456,20 @@ class TestCliMorseWork:
         assert cli.main(["morse", "--alpha", "1", "--p", "3",
                          "--nodes", "1"]) == 0
         assert solved_alphas == [1.0]
+
+    def test_out_in_a_missing_directory_is_usage_before_the_solve(
+            self, tmp_path, capsys, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("a solve started")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "solve_point", no_solve)
+        for flag_value in ("missing/x.json", str(tmp_path / "missing" / "x.json")):
+            assert cli.main(["morse", "--alpha", "1", "--p", "3", "--nodes",
+                             "1", "--out", flag_value]) == 3
+            diag = json.loads(capsys.readouterr().err)
+            assert diag["error"] == "UsageError"
+            assert diag["context"]["path"] == flag_value
 
     def test_unweighted_point_is_its_own_companion(self, solved_alphas, capsys):
         assert cli.main(["morse", "--alpha", "0", "--p", "3",

@@ -293,6 +293,13 @@ class TestAssembly:
         assert report.m_total == report.route_b_total == 8
         assert report.tolerances["spectrum_M"] == 131072
 
+    def test_tighter_eig_tol_converges(self):
+        """The ladder's finest rungs sit on a roundoff floor of about 1e-9
+        (M >= 65536); from M = 2048, two extrapolants agree to 1e-9 here
+        on coarser rungs, before the ladder reaches that floor."""
+        _, report = solve_point(4.0, 3.0, 2, replace(DEFAULT, eig_tol=1e-9))
+        assert report.m_total == report.route_b_total == 28
+
     @pytest.mark.parametrize("alpha,p,n", [
         (2.0, 3.0, 2), (0.5, 5.0, 3), (6.0, 2.0, 1)])
     def test_companion_total_equals_a_direct_solve(self, alpha, p, n):

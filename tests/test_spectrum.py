@@ -222,7 +222,9 @@ class TestSquareWell:
             assert np.all(ratio > 3.6) and np.all(ratio < 4.4)
 
     def test_raw_accuracy_at_default_mesh(self, well):
-        got = fd_negative_eigenvalues(well, spectrum._BASE_INTERVALS)
+        """M = 8192 is the mesh criterion 8 checks, a rung every ladder
+        from the base mesh visits; the bound does not follow the base."""
+        got = fd_negative_eigenvalues(well, 8192)
         assert np.all(np.abs(got - np.array([-4.0, -1.0])) <= 1e-6)
 
     def test_sturm_count_matches_located_eigenvalues(self, well):
@@ -241,7 +243,7 @@ class TestSquareWell:
         with pytest.raises(NonConvergenceError) as err:
             negative_spectrum(well, replace(DEFAULT, eig_tol=1e-15))
         context = err.value.context
-        assert context["finest_M"] == 512 * 2**5
+        assert context["finest_M"] == 512 * 2**spectrum._MAX_EIG_LEVELS
         assert context["last_counts"] == 2
         assert 1e-15 < context["last_discrepancy"] < 1e-6
 
