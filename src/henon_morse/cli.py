@@ -36,15 +36,17 @@ Every artifact flag (``--out``, ``--csv``) given ``-`` writes to stdout,
 as an omitted ``--out`` of ``solve``, ``spectrum`` or ``morse`` does;
 ``verify --out -`` then prints its summary lines to stderr.  ``sweep``
 refuses an ``--out`` and ``--csv`` that name the same path.  An artifact
-file in a directory that does not exist is bad usage, refused before any
-solve; a file that cannot be written is bad usage too, with the path and
-the reason in the diagnostic.
+file in a directory that does not exist, an empty artifact path and one
+that names a directory are bad usage, refused before any solve; a file
+that cannot be written is bad usage too, with the path and the reason in
+the diagnostic.
 """
 
 from __future__ import annotations
 
 import argparse
 from dataclasses import fields, replace
+import errno
 import functools
 import json
 import math
@@ -129,12 +131,18 @@ def _unwritable(path, reason: str) -> UsageError:
 
 
 def _check_artifact_dirs(args: argparse.Namespace) -> None:
-    """Refuse an ``--out`` or ``--csv`` file whose directory does not
-    exist, before any solve."""
+    """Refuse, before any solve, an ``--out`` or ``--csv`` file whose
+    directory does not exist, an empty path and an existing directory; the
+    last two give the reason ``open`` would give."""
     for path in (getattr(args, "out", None), getattr(args, "csv", None)):
-        if path not in (None, "-") and not os.path.isdir(
-                os.path.dirname(path) or "."):
+        if path in (None, "-"):
+            continue
+        if not os.path.isdir(os.path.dirname(path) or "."):
             raise _unwritable(path, "no such directory")
+        if path == "":
+            raise _unwritable(path, os.strerror(errno.ENOENT))
+        if os.path.isdir(path):
+            raise _unwritable(path, os.strerror(errno.EISDIR))
 
 
 def _parse_alphas(spec: str) -> list:

@@ -55,7 +55,7 @@ class UsageError(HenonMorseError):
 
 
 class SchemaError(UsageError):
-    """A file does not match the expected JSON layout.
+    """A value that cannot be written as canonical JSON or CSV.
 
-    The message names the offending field and the expectation it violated.
+    The message names the value or field and the expectation it violated.
     """

@@ -1,11 +1,11 @@
 """Serialization: canonical JSON and CSV for every result object.
 
 All numbers are written with 17 significant digits, which round-trips IEEE
-doubles exactly, so dump -> load reproduces every field bit for bit.  The
-emitter is deliberately hand-rolled and deterministic (fixed key order as
-given by the documents, fixed separators, trailing newline): two runs with
-identical inputs produce byte-identical files, regardless of how much
-parallelism produced the underlying numbers.
+doubles exactly, so ``json.loads`` of the text recovers every double bit for
+bit.  The emitter is deliberately hand-rolled and deterministic (fixed key
+order as given by the documents, fixed separators, trailing newline): two
+runs with identical inputs produce byte-identical files, regardless of how
+much parallelism produced the underlying numbers.
 
 Document shapes:
 
@@ -20,8 +20,7 @@ Document shapes:
 
 Two documents are built outside this module and only emitted here: the
 sweep JSON (``morse.SweepResult.to_dict``) and the verification battery
-(``verify.BatterySummary.to_dict``).  ``load_profile`` and ``load_morse``
-return the checked documents as dicts.
+(``verify.BatterySummary.to_dict``).
 """
 
 from __future__ import annotations
@@ -34,19 +33,15 @@ import math
 import numpy as np
 
 from .errors import SchemaError
-from .morse import BoundCheck, MorseReport
+from .morse import MorseReport
 from .radial import RadialProfile, evaluate_profile, output_grid
 from .spectrum import RadialSpectrum
 
 __all__ = [
     "dumps_canonical",
-    "load_json",
     "profile_document",
-    "load_profile",
     "spectrum_document",
-    "load_spectrum",
     "morse_document",
-    "load_morse",
     "sweep_csv_text",
 ]
 
@@ -106,35 +101,6 @@ def _emit(obj, out) -> None:
                           {"type": type(obj).__name__})
 
 
-def load_json(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fp:
-        return json.load(fp)
-
-
-def _require(doc: dict, field: str, kinds, where: str):
-    if field not in doc:
-        raise SchemaError(f"missing field '{field}' in {where} document",
-                          {"field": field})
-    value = doc[field]
-    if not isinstance(value, kinds) or isinstance(value, bool):
-        raise SchemaError(
-            f"field '{field}' in {where} document has the wrong type",
-            {"field": field, "type": type(value).__name__},
-        )
-    return value
-
-
-def _float_array(doc: dict, field: str, where: str) -> np.ndarray:
-    raw = _require(doc, field, list, where)
-    for item in raw:
-        if not isinstance(item, (int, float)) or isinstance(item, bool):
-            raise SchemaError(
-                f"field '{field}' in {where} document must hold numbers",
-                {"field": field},
-            )
-    return np.asarray(raw, dtype=float)
-
-
 # ---------------------------------------------------------------------------
 # profile
 
@@ -156,27 +122,6 @@ def profile_document(profile: RadialProfile) -> dict:
     }
 
 
-def load_profile(path) -> dict:
-    """The profile document at ``path``, checked field by field."""
-    doc = load_json(path)
-    where = "profile"
-    for field, kinds in (("alpha", (int, float)), ("p", (int, float)),
-                         ("n", int), ("d", (int, float))):
-        _require(doc, field, kinds, where)
-    grid, u, du, nodal = (_float_array(doc, field, where)
-                          for field in ("grid", "u", "du", "nodal_radii"))
-    _require(doc, "tolerances", dict, where)
-    if not (grid.size == u.size == du.size):
-        raise SchemaError("grid, u, du must have equal lengths",
-                          {"field": "grid",
-                           "lengths": [int(grid.size), int(u.size), int(du.size)]})
-    if nodal.size != doc["n"]:
-        raise SchemaError("nodal_radii length must equal n",
-                          {"field": "nodal_radii",
-                           "length": int(nodal.size), "n": int(doc["n"])})
-    return doc
-
-
 # ---------------------------------------------------------------------------
 # spectrum
 
@@ -190,16 +135,6 @@ def spectrum_document(spectrum: RadialSpectrum) -> dict:
     }
 
 
-def load_spectrum(path) -> RadialSpectrum:
-    doc = load_json(path)
-    where = "spectrum"
-    lambdas = _float_array(doc, "lambdas", where)
-    T = float(_require(doc, "T", (int, float), where))
-    M = _require(doc, "M", int, where)
-    eig_tol = float(_require(doc, "eig_tol", (int, float), where))
-    return RadialSpectrum(lambdas=lambdas, T=T, M=M, eig_tol=eig_tol)
-
-
 # ---------------------------------------------------------------------------
 # morse
 
@@ -211,33 +146,6 @@ def morse_document(report: MorseReport, bounds) -> dict:
          "pass": b.satisfied}
         for b in bounds
     ]
-    return doc
-
-
-def load_morse(path) -> dict:
-    doc = load_json(path)
-    where = "morse"
-    for field, kinds in (("alpha", (int, float)), ("p", (int, float)),
-                         ("n", int), ("m_rad", int), ("m_total", int)):
-        _require(doc, field, kinds, where)
-    _float_array(doc, "lambdas", where)
-    modes = _require(doc, "angular_counts", list, where)
-    for entry in modes:
-        if not isinstance(entry, list):
-            raise SchemaError("angular_counts must be a list of lists of k",
-                              {"field": "angular_counts"})
-    expected = doc["m_rad"] + 2 * sum(len(entry) for entry in modes)
-    if doc["m_total"] != expected:
-        raise SchemaError(
-            "m_total does not equal m_rad + 2 * (number of angular modes)",
-            {"field": "m_total", "stored": doc["m_total"],
-             "recomputed": expected})
-    bounds = _require(doc, "bounds", list, where)
-    for row in bounds:
-        if not isinstance(row, dict) or not {"name", "required", "actual",
-                                             "pass"} <= set(row):
-            raise SchemaError("bounds rows need name/required/actual/pass",
-                              {"field": "bounds"})
     return doc
 
 

@@ -180,10 +180,8 @@ def assemble_morse(profile: RadialProfile,
     s = (profile.params.alpha + 2.0) / 2.0
     spectrum = None
     for eig_tol in (settings.eig_tol, settings.eig_tol / 10.0):
-        if (spectrum is not None and spectrum.discrepancy is not None
-                and spectrum.discrepancy <= eig_tol):
-            spectrum = replace(spectrum, eig_tol=eig_tol)
-        else:
+        if (spectrum is None or spectrum.discrepancy is None
+                or spectrum.discrepancy > eig_tol):
             spectrum = negative_spectrum(problem, replace(settings, eig_tol=eig_tol))
         lambdas = spectrum.lambdas
         if lambdas.size == 0:
