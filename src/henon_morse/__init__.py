@@ -11,9 +11,7 @@ from .errors import (
     VerificationError,
 )
 from .morse import (
-    BoundCheck,
     MorseReport,
-    SweepResult,
     assemble_morse,
     check_lower_bounds,
     large_exponent_probe,
@@ -46,6 +44,6 @@ from .transform import (
     transform_solution,
     verify_form_comparison,
 )
-from .verify import GRIDS, BatterySummary, SectionResult, run_battery
+from .verify import GRIDS, run_battery
 
 __version__ = "0.1.0"

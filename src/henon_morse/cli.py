@@ -210,11 +210,12 @@ def _cmd_morse(args) -> int:
     _, report = solve_point(args.alpha, args.p, args.nodes, _settings_from(args))
     bounds = check_lower_bounds(report)
     _write(dumps_canonical(morse_document(report, bounds)) + "\n", args.out)
-    if not all(b.satisfied for b in bounds):
+    failing = [b["name"] for b in bounds if not b["pass"]]
+    if failing:
         raise VerificationError(
             "a proved lower bound fails on the computed index",
             {"alpha": args.alpha, "p": args.p, "n": args.nodes,
-             "failing": [b.name for b in bounds if not b.satisfied]})
+             "failing": failing})
     return 0
 
 
@@ -235,7 +236,7 @@ def _cmd_sweep(args) -> int:
         "alpha": report.params.alpha, "p": args.p, "n": args.nodes,
         "m_rad": report.m_rad, "m_total": report.m_total,
         "lambdas": report.lambdas,
-        "bounds_pass": all(b.satisfied for b in check_lower_bounds(report)),
+        "bounds_pass": all(b["pass"] for b in check_lower_bounds(report)),
     } for report in reports]
 
     # Artifacts land on disk before any gating verdict is raised; a failed
@@ -245,15 +246,15 @@ def _cmd_sweep(args) -> int:
         _write(sweep_csv_text(rows), args.csv)
     sweep = sweep_from_reports(reports) if len(reports) >= 2 else None
     if args.out is not None and sweep is not None:
-        _write(dumps_canonical(sweep.to_dict()) + "\n", args.out)
+        _write(dumps_canonical(sweep) + "\n", args.out)
 
     if errors:
         raise errors[0]
-    if not sweep.monotone:
+    if not sweep["monotone"]:
         raise VerificationError(
             "m_total is not nondecreasing along the alpha sweep",
             {"p": args.p, "n": args.nodes,
-             "transitions": [list(t) for t in sweep.transitions]})
+             "transitions": [list(t.values()) for t in sweep["transitions"]]})
     bad = [r["alpha"] for r in rows if not r["bounds_pass"]]
     if bad:
         raise VerificationError(
@@ -264,23 +265,24 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify(args) -> int:
     settings = _settings_from(args)
-    summary = run_battery(args.grid, settings, jobs=args.jobs)
+    battery = run_battery(args.grid, settings, jobs=args.jobs)
     if args.out is not None:
-        _write(dumps_canonical(summary.to_dict()) + "\n", args.out)
+        _write(dumps_canonical(battery) + "\n", args.out)
     log = sys.stderr if args.out == "-" else sys.stdout
-    for s in summary.sections:
-        tag = "gate" if s.gating else "info"
-        verdict = "PASS" if s.passed else "FAIL"
-        print(f"[{tag}] criterion {s.criterion} {s.name}: {verdict} - {s.summary}",
-              file=log)
-    print(f"battery: {'PASS' if summary.passed else 'FAIL'} "
-          f"({summary.elapsed_seconds:.1f} s, grid={summary.grid_name})", file=log)
-    if not summary.passed:
+    for s in battery["sections"]:
+        tag = "gate" if s["gating"] else "info"
+        verdict = "PASS" if s["pass"] else "FAIL"
+        print(f"[{tag}] criterion {s['criterion']} {s['name']}: {verdict} "
+              f"- {s['summary']}", file=log)
+    print(f"battery: {'PASS' if battery['pass'] else 'FAIL'} "
+          f"({battery['elapsed_seconds']:.1f} s, grid={battery['grid']})",
+          file=log)
+    if not battery["pass"]:
         raise VerificationError(
             "the verification battery failed",
             {"grid": args.grid,
-             "failing": [s.name for s in summary.sections
-                         if s.gating and not s.passed]})
+             "failing": [s["name"] for s in battery["sections"]
+                         if s["gating"] and not s["pass"]]})
     return 0
 
 

@@ -19,8 +19,8 @@ Document shapes:
 * sweep CSV:  alpha, p, n, m_rad, m_total, lambda_1..lambda_J, bounds_pass
 
 Two documents are built outside this module and only emitted here: the
-sweep JSON (``morse.SweepResult.to_dict``) and the verification battery
-(``verify.BatterySummary.to_dict``).
+sweep JSON (``morse.sweep_from_reports``) and the verification battery
+(``verify.run_battery``).
 """
 
 from __future__ import annotations
@@ -139,14 +139,9 @@ def spectrum_document(spectrum: RadialSpectrum) -> dict:
 # morse
 
 
-def morse_document(report: MorseReport, bounds) -> dict:
-    doc = report.to_dict()
-    doc["bounds"] = [
-        {"name": b.name, "required": b.required, "actual": b.value,
-         "pass": b.satisfied}
-        for b in bounds
-    ]
-    return doc
+def morse_document(report: MorseReport, bounds: list) -> dict:
+    """The report's document with the ``check_lower_bounds`` rows last."""
+    return {**report.to_dict(), "bounds": bounds}
 
 
 # ---------------------------------------------------------------------------

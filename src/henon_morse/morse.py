@@ -55,8 +55,6 @@ from .spectrum import (_fd_mesh, build_schrodinger, negative_spectrum,
 
 __all__ = [
     "MorseReport",
-    "BoundCheck",
-    "SweepResult",
     "assemble_morse",
     "solve_point",
     "check_lower_bounds",
@@ -117,16 +115,6 @@ class MorseReport:
                 "tolerances": dict(self.tolerances),
             },
         }
-
-
-@dataclass(frozen=True)
-class BoundCheck:
-    """One named integer inequality m-side >= bound-side."""
-
-    name: str
-    value: int
-    required: int
-    satisfied: bool
 
 
 def _tie_distance(lambdas: np.ndarray, k_max: int) -> float:
@@ -284,8 +272,10 @@ def check_lower_bounds(report: MorseReport) -> list:
     (alpha = 0) with the same p and n from one source,
     ``report.companion_total``, decided from the report's own spectrum;
     the power map keeps the radial index, so the companion's is
-    ``report.m_rad``.  Returns a list of BoundCheck rows; nothing raises
-    here, the caller decides what a violated bound means.
+    ``report.m_rad``.  Returns the rows ``{"name", "required", "actual",
+    "pass"}`` of the inequalities actual >= required, as the ``morse``
+    document prints them; nothing raises here, the caller decides what a
+    violated bound means.
     """
     n = report.params.n_nodal
     alpha = report.params.alpha
@@ -295,10 +285,9 @@ def check_lower_bounds(report: MorseReport) -> list:
     half_alpha = math.floor(alpha / 2.0)
     checks = []
 
-    def add(name: str, value: int, required: int) -> None:
-        checks.append(BoundCheck(name=name, value=int(value),
-                                 required=int(required),
-                                 satisfied=bool(value >= required)))
+    def add(name: str, actual: int, required: int) -> None:
+        checks.append({"name": name, "required": int(required),
+                       "actual": int(actual), "pass": bool(actual >= required)})
 
     add("radial_count", report.m_rad, n)
     add("nodal_gap", m, n + (n - 1) * (2 * half_alpha + 2))
@@ -313,44 +302,24 @@ def check_lower_bounds(report: MorseReport) -> list:
     return checks
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    """Reports along an alpha sweep at fixed p and n, plus the pairwise
-    monotonicity verdicts for consecutive alphas."""
-
-    reports: tuple
-    transitions: tuple  # rows: (alpha_lo, alpha_hi, m_lo, m_hi, nondecreasing)
-
-    @property
-    def monotone(self) -> bool:
-        return all(row[4] for row in self.transitions)
-
-    def to_dict(self) -> dict:
-        return {
-            "reports": [r.to_dict() for r in self.reports],
-            "transitions": [
-                {"alpha_lo": a, "alpha_hi": b, "m_lo": ma, "m_hi": mb,
-                 "nondecreasing": ok}
-                for (a, b, ma, mb, ok) in self.transitions
-            ],
-            "monotone": self.monotone,
-        }
-
-
-def sweep_from_reports(reports) -> SweepResult:
-    """Build a :class:`SweepResult` from reports already computed along
-    increasing alpha."""
+def sweep_from_reports(reports) -> dict:
+    """The sweep document of reports already computed along increasing
+    alpha: ``{"reports", "transitions", "monotone"}``, one transition
+    ``{"alpha_lo", "alpha_hi", "m_lo", "m_hi", "nondecreasing"}`` per pair
+    of consecutive alphas."""
     reports = tuple(reports)
     if len(reports) < 2:
         raise UsageError("a sweep needs at least two alpha values",
                          {"count": len(reports)})
-    transitions = tuple(
-        (reports[i].params.alpha, reports[i + 1].params.alpha,
-         reports[i].m_total, reports[i + 1].m_total,
-         reports[i + 1].m_total >= reports[i].m_total)
-        for i in range(len(reports) - 1)
-    )
-    return SweepResult(reports=reports, transitions=transitions)
+    transitions = [
+        {"alpha_lo": lo.params.alpha, "alpha_hi": hi.params.alpha,
+         "m_lo": lo.m_total, "m_hi": hi.m_total,
+         "nondecreasing": hi.m_total >= lo.m_total}
+        for lo, hi in zip(reports, reports[1:])
+    ]
+    return {"reports": [r.to_dict() for r in reports],
+            "transitions": transitions,
+            "monotone": all(t["nondecreasing"] for t in transitions)}
 
 
 # The growing exponents of the probe, each solved at alpha = 0 and n = 2.

@@ -29,7 +29,9 @@ of the negative eigenvalues.  This module computes:
   numbers w at once, by Sturm oscillation: the Prufer angle of the
   solution at energy -w^2, integrated by an adaptive ODE solver across
   [-T, 0], counts its zeros.  ``radial_morse_index`` (k = 0) and
-  ``mode_negative_count`` (one k >= 1) are its library entry points.
+  ``mode_negative_count`` (one k >= 1) are one-line wrappers over it that
+  no production code calls; they remain only as span targets of
+  ``perfbench/spans.py``.
 
 The oscillation count reads the same potential as the eigenvalue route but
 shares no mesh, matrix or extrapolation with it, which is what makes the
@@ -69,8 +71,10 @@ __all__ = [
 # eig_tol is met at most points, and a finer base would over-resolve them.
 _BASE_INTERVALS = 2048
 # Eigenvalue extrapolation may double M at most this many times, so the
-# finest mesh the ladder can reach is 2048 * 2^7 = 262144: low-p points
-# such as (0, 1.8, 2) converge at 131072, one doubling short of it.
+# finest mesh the ladder can reach is 2048 * 2^7 = 262144.  Low-p points
+# such as (0, 1.8, 2) stop at 131072 inside the roundoff floor: the pairs
+# before and after the accepted one differ by 3.3e-8 against eig_tol 1e-8,
+# so that stop is a lucky draw, not convergence.
 _MAX_EIG_LEVELS = 7
 # DOP853 step budget of one oscillation-count segment; the default grid's
 # segments take 57-140 steps, those of (0, 50, 3) up to 238.
@@ -341,8 +345,9 @@ def negative_spectrum(problem: SchrodingerProblem, settings: Settings = DEFAULT)
     max |rich - rich_prev| / (1 + |rich|) <= eig_tol, the one rule by
     which the tie guard also reuses a spectrum.  So the earliest stop is at
     4M; starting from a coarse M lets a point stop as soon as its
-    extrapolants agree, before the finer rungs' roundoff floor (about 1e-9
-    at M >= 65536) is reached.  The first level
+    extrapolants agree, before the finer rungs' roundoff floor is reached:
+    a three-point matrix carries about 4 eps / h^2, which for T = 13 is
+    3.5e-10 at M = 8192 and 2.2e-8 at M = 65536.  The first level
     is bisected; each finer level is refined from a guess: lambda(M) on
     level 2M, then the h^2 prediction lambda(2M) + (lambda(2M) -
     lambda(M)) / 4, and no guess on the level after a count change.  A
@@ -366,7 +371,7 @@ def negative_spectrum(problem: SchrodingerProblem, settings: Settings = DEFAULT)
             continue
         guess = lam + (lam - lam_prev) / 4.0
         rich = (4.0 * lam - lam_prev) / 3.0
-        if rich_prev is not None and rich.size == rich_prev.size:
+        if rich_prev is not None:
             gap = np.abs(rich - rich_prev)
             discrepancy = float(np.max(gap / (1.0 + np.abs(rich)), initial=0.0))
             if discrepancy <= eig_tol:

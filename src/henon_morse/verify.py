@@ -42,7 +42,6 @@ test suite, so the two never drift apart.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 import math
 import time
 
@@ -61,7 +60,7 @@ from .radial import evaluate_u
 from .spectrum import SchrodingerProblem, fd_negative_eigenvalues, negative_spectrum
 from .transform import transform_solution, verify_form_comparison
 
-__all__ = ["GRIDS", "SectionResult", "BatterySummary", "run_battery"]
+__all__ = ["GRIDS", "run_battery"]
 
 # grid name -> (alphas, ps, ns)
 GRIDS = {
@@ -84,52 +83,12 @@ _SQUARE_WELL_EXACT = (-4.0, -1.0)
 _SQUARE_WELL_RAW_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class SectionResult:
-    name: str
-    criterion: int
-    gating: bool
-    summary: str
-    rows: tuple
-
-    @property
-    def passed(self) -> bool:
-        return all(row["pass"] for row in self.rows)
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "criterion": self.criterion,
-            "gating": self.gating,
-            "pass": self.passed,
-            "summary": self.summary,
-            "rows": list(self.rows),
-        }
-
-
-@dataclass(frozen=True)
-class BatterySummary:
-    grid_name: str
-    sections: tuple
-    elapsed_seconds: float
-
-    @property
-    def passed(self) -> bool:
-        return all(s.passed for s in self.sections if s.gating)
-
-    def section(self, name: str) -> SectionResult:
-        for s in self.sections:
-            if s.name == name:
-                return s
-        raise KeyError(name)
-
-    def to_dict(self) -> dict:
-        return {
-            "grid": self.grid_name,
-            "pass": self.passed,
-            "elapsed_seconds": self.elapsed_seconds,
-            "sections": [s.to_dict() for s in self.sections],
-        }
+def _section(name: str, criterion: int, summary: str, rows: list,
+             gating: bool = True) -> dict:
+    """One section of the battery document; it passes when every row does."""
+    return {"name": name, "criterion": criterion, "gating": gating,
+            "pass": all(row["pass"] for row in rows), "summary": summary,
+            "rows": rows}
 
 
 def _companion_task(args):
@@ -185,8 +144,10 @@ def _run_tasks(fn, tasks, jobs):
 
 
 def run_battery(grid: str = "default", settings: Settings = DEFAULT,
-                jobs: int | None = None) -> BatterySummary:
-    """Run every section on the named grid and return the summary."""
+                jobs: int | None = None) -> dict:
+    """Run every section on the named grid and return the battery document
+    ``{"grid", "pass", "elapsed_seconds", "sections"}``; it passes when
+    every gating section does."""
     if grid not in GRIDS:
         raise UsageError(f"unknown grid '{grid}'",
                          {"grid": grid, "known": sorted(GRIDS)})
@@ -202,7 +163,7 @@ def run_battery(grid: str = "default", settings: Settings = DEFAULT,
                    for a in alphas for p in ps for n in ns]
     points = dict(_run_tasks(_point_task, point_tasks, jobs))
 
-    sections = (
+    sections = [
         _section_radial_identity(points),
         _section_monotonicity(points, alphas, ps, ns),
         _section_two_route(points),
@@ -212,40 +173,40 @@ def run_battery(grid: str = "default", settings: Settings = DEFAULT,
         _section_lower_bounds(points),
         _section_square_well(settings),
         _section_probe(settings),
-    )
-    elapsed = time.perf_counter() - started
-    return BatterySummary(grid_name=grid, sections=sections,
-                          elapsed_seconds=elapsed)
+    ]
+    return {"grid": grid,
+            "pass": all(s["pass"] for s in sections if s["gating"]),
+            "elapsed_seconds": time.perf_counter() - started,
+            "sections": sections}
 
 
-def _section_radial_identity(points) -> SectionResult:
+def _section_radial_identity(points) -> dict:
     rows = []
     for (alpha, p, n), data in sorted(points.items()):
         m_rad = data["report"].m_rad
         rows.append({"alpha": alpha, "p": p, "n": n, "m_rad": m_rad,
                      "pass": m_rad == n})
-    return SectionResult(
-        name="radial_identity", criterion=1, gating=True,
-        summary=f"m_rad == n at {sum(r['pass'] for r in rows)}/{len(rows)} grid points",
-        rows=tuple(rows))
+    return _section(
+        "radial_identity", 1,
+        f"m_rad == n at {sum(r['pass'] for r in rows)}/{len(rows)} grid points",
+        rows)
 
 
-def _section_monotonicity(points, alphas, ps, ns) -> SectionResult:
+def _section_monotonicity(points, alphas, ps, ns) -> dict:
     rows = []
     for p in ps:
         for n in ns:
-            sweep = sweep_from_reports(points[(a, p, n)]["report"]
-                                       for a in alphas)
+            reports = [points[(a, p, n)]["report"] for a in alphas]
             rows.append({"p": p, "n": n, "alphas": list(alphas),
-                         "m_totals": [r.m_total for r in sweep.reports],
-                         "pass": sweep.monotone})
-    return SectionResult(
-        name="monotonicity", criterion=2, gating=True,
-        summary=f"alpha -> m_total nondecreasing for {sum(r['pass'] for r in rows)}/{len(rows)} (p, n) pairs",
-        rows=tuple(rows))
+                         "m_totals": [r.m_total for r in reports],
+                         "pass": sweep_from_reports(reports)["monotone"]})
+    return _section(
+        "monotonicity", 2,
+        f"alpha -> m_total nondecreasing for {sum(r['pass'] for r in rows)}/{len(rows)} (p, n) pairs",
+        rows)
 
 
-def _section_two_route(points) -> SectionResult:
+def _section_two_route(points) -> dict:
     rows = []
     for (alpha, p, n), data in sorted(points.items()):
         rep = data["report"]
@@ -254,13 +215,13 @@ def _section_two_route(points) -> SectionResult:
                      "route_b_total": rep.route_b_total, "pass": ok})
     # "FEM" names the finite-element cross-route this check once ran; the
     # summary is part of the battery document and is kept unchanged.
-    return SectionResult(
-        name="two_route", criterion=3, gating=True,
-        summary=f"decomposition == FEM total at {sum(r['pass'] for r in rows)}/{len(rows)} grid points",
-        rows=tuple(rows))
+    return _section(
+        "two_route", 3,
+        f"decomposition == FEM total at {sum(r['pass'] for r in rows)}/{len(rows)} grid points",
+        rows)
 
 
-def _section_transform(points) -> SectionResult:
+def _section_transform(points) -> dict:
     rows = []
     for (alpha, p, n), data in sorted(points.items()):
         ok = (data["sup_rel_error"] <= _SUP_ERROR_TOL
@@ -271,15 +232,15 @@ def _section_transform(points) -> SectionResult:
                      "pass": ok})
     # the summary names the tolerance; the errors, of size rtol, are in the
     # rows, where their digits cannot flip a string
-    return SectionResult(
-        name="transform_correspondence", criterion=4, gating=True,
-        summary=(f"mapped-vs-direct profiles agree at "
-                 f"{sum(r['pass'] for r in rows)}/{len(rows)} points "
-                 f"(sup-norm rel err <= {_SUP_ERROR_TOL:.0e})"),
-        rows=tuple(rows))
+    return _section(
+        "transform_correspondence", 4,
+        (f"mapped-vs-direct profiles agree at "
+         f"{sum(r['pass'] for r in rows)}/{len(rows)} points "
+         f"(sup-norm rel err <= {_SUP_ERROR_TOL:.0e})"),
+        rows)
 
 
-def _section_scaling(points, alphas, ps, ns) -> SectionResult:
+def _section_scaling(points, alphas, ps, ns) -> dict:
     rows = []
     for alpha in _SCALING_ALPHAS:
         if alpha not in alphas:
@@ -300,43 +261,42 @@ def _section_scaling(points, alphas, ps, ns) -> SectionResult:
                              "pass": rel <= _SCALING_RTOL})
     worst = max((r["max_rel_error"] for r in rows
                  if r["max_rel_error"] is not None), default=0.0)
-    return SectionResult(
-        name="eigenvalue_scaling", criterion=5, gating=True,
-        summary=(f"lambda scaling holds at {sum(r['pass'] for r in rows)}/"
-                 f"{len(rows)} even-alpha points (worst rel err {worst:.2e})"),
-        rows=tuple(rows))
+    return _section(
+        "eigenvalue_scaling", 5,
+        (f"lambda scaling holds at {sum(r['pass'] for r in rows)}/"
+         f"{len(rows)} even-alpha points (worst rel err {worst:.2e})"),
+        rows)
 
 
-def _section_forms(points, alphas) -> SectionResult:
+def _section_forms(points, alphas) -> dict:
     form_alphas = [a for a in _FORM_ALPHAS if a in alphas]
     rows = []
     for a in form_alphas:
         rows.extend(verify_form_comparison(
             points[(a, _FORM_P, _FORM_N)]["profile"],
             [b for b in form_alphas if b >= a]))
-    return SectionResult(
-        name="form_comparison", criterion=6, gating=True,
-        summary=(f"quadratic-form comparison holds for "
-                 f"{sum(r['pass'] for r in rows)}/{len(rows)} "
-                 f"(pair, test function) combinations at p={_FORM_P:g}, n={_FORM_N}"),
-        rows=tuple(rows))
+    return _section(
+        "form_comparison", 6,
+        (f"quadratic-form comparison holds for "
+         f"{sum(r['pass'] for r in rows)}/{len(rows)} "
+         f"(pair, test function) combinations at p={_FORM_P:g}, n={_FORM_N}"),
+        rows)
 
 
-def _section_lower_bounds(points) -> SectionResult:
+def _section_lower_bounds(points) -> dict:
     rows = []
     for (alpha, p, n), data in sorted(points.items()):
-        checks = check_lower_bounds(data["report"])
-        for c in checks:
-            rows.append({"alpha": alpha, "p": p, "n": n, "name": c.name,
-                         "actual": c.value, "required": c.required,
-                         "pass": c.satisfied})
-    return SectionResult(
-        name="lower_bounds", criterion=7, gating=True,
-        summary=f"{sum(r['pass'] for r in rows)}/{len(rows)} bound instances hold",
-        rows=tuple(rows))
+        for c in check_lower_bounds(data["report"]):
+            rows.append({"alpha": alpha, "p": p, "n": n, "name": c["name"],
+                         "actual": c["actual"], "required": c["required"],
+                         "pass": c["pass"]})
+    return _section(
+        "lower_bounds", 7,
+        f"{sum(r['pass'] for r in rows)}/{len(rows)} bound instances hold",
+        rows)
 
 
-def _section_square_well(settings) -> SectionResult:
+def _section_square_well(settings) -> dict:
     well = SchrodingerProblem.from_potential(
         math.pi, 512, lambda t: np.full_like(np.asarray(t, float), -5.0))
     exact = np.array(_SQUARE_WELL_EXACT)
@@ -372,13 +332,13 @@ def _section_square_well(settings) -> SectionResult:
                  "pass": raw_err is not None
                  and all(e <= _SQUARE_WELL_RAW_TOL for e in raw_err)})
 
-    return SectionResult(
-        name="square_well", criterion=8, gating=True,
-        summary=f"{sum(r['pass'] for r in rows)}/{len(rows)} square-well checks hold",
-        rows=tuple(rows))
+    return _section(
+        "square_well", 8,
+        f"{sum(r['pass'] for r in rows)}/{len(rows)} square-well checks hold",
+        rows)
 
 
-def _section_probe(settings) -> SectionResult:
+def _section_probe(settings) -> dict:
     rows = []
     for row in large_exponent_probe(settings):
         rep = row["report"]
@@ -403,8 +363,8 @@ def _section_probe(settings) -> SectionResult:
     observed = ", ".join(
         f"p={r['p']:g}: " + (f"gap={r['gap']}" if r["decided"] else "undecided")
         for r in rows)
-    return SectionResult(
-        name="large_exponent", criterion=9, gating=False,
-        summary=(f"observational gaps [{observed}] vs expected large-p gap "
-                 f"{_PROBE_EXPECTED_GAP} (logged, non-gating)"),
-        rows=tuple(rows))
+    return _section(
+        "large_exponent", 9,
+        (f"observational gaps [{observed}] vs expected large-p gap "
+         f"{_PROBE_EXPECTED_GAP} (logged, non-gating)"),
+        rows, gating=False)

@@ -23,7 +23,6 @@ import henon_morse.morse as morse_mod
 import henon_morse.verify as verify_mod
 from henon_morse import (
     DEFAULT,
-    BoundCheck,
     HenonParams,
     NonConvergenceError,
     SchemaError,
@@ -300,8 +299,8 @@ class TestCliExitCodes:
                                                   monkeypatch):
         # force a failing bound: the report must still be written first
         def failing_bounds(report):
-            return [BoundCheck(name="radial_count", value=report.m_total,
-                               required=report.m_total + 1, satisfied=False)]
+            return [{"name": "radial_count", "required": report.m_total + 1,
+                     "actual": report.m_total, "pass": False}]
 
         monkeypatch.setattr(cli, "check_lower_bounds", failing_bounds)
         out = tmp_path / "m.json"
@@ -605,8 +604,8 @@ class TestCliSweep:
     def test_failing_sweep_still_writes_csv(self, tmp_path, capsys,
                                             monkeypatch):
         def failing_bounds(report):
-            return [BoundCheck(name="radial_count", value=0, required=1,
-                               satisfied=False)]
+            return [{"name": "radial_count", "required": 1, "actual": 0,
+                     "pass": False}]
 
         monkeypatch.setattr(cli, "check_lower_bounds", failing_bounds)
         csv = tmp_path / "s.csv"
@@ -673,7 +672,7 @@ class TestCliSweep:
 
         def recording(report):
             checks = real_bounds(report)
-            names.append({c.name for c in checks})
+            names.append({c["name"] for c in checks})
             return checks
 
         monkeypatch.setattr(cli, "solve_point", failing_at_zero)
@@ -715,12 +714,11 @@ class TestCliVerify:
 
     def test_dash_puts_only_the_document_on_stdout(self, tmp_path, capsys,
                                                    monkeypatch):
-        summary = verify_mod.BatterySummary(
-            grid_name="quick", elapsed_seconds=0.5, sections=(
-                verify_mod.SectionResult(
-                    name="radial_identity", criterion=1, gating=True,
-                    summary="stub", rows=({"pass": True},)),))
-        monkeypatch.setattr(cli, "run_battery", lambda *a, **k: summary)
+        battery = {"grid": "quick", "pass": True, "elapsed_seconds": 0.5,
+                   "sections": [{"name": "radial_identity", "criterion": 1,
+                                 "gating": True, "pass": True,
+                                 "summary": "stub", "rows": [{"pass": True}]}]}
+        monkeypatch.setattr(cli, "run_battery", lambda *a, **k: battery)
         monkeypatch.chdir(tmp_path)
         assert cli.main(["verify", "--grid", "quick", "--out", "b.json"]) == 0
         assert capsys.readouterr().out.splitlines()[-1].startswith("battery: PASS")
@@ -769,7 +767,7 @@ class TestCliVerify:
         points = {(0.0, 3.0, 2): point(-20.0, -2.0),
                   (2.0, 3.0, 2): point(-80.0)}
         section = verify_mod._section_scaling(points, (0.0, 2.0), (3.0,), (2,))
-        doc = json.loads(dumps_canonical(section.to_dict()))
+        doc = json.loads(dumps_canonical(section))
         assert doc["pass"] is False
         assert doc["rows"] == [{"alpha": 2.0, "p": 3.0, "n": 2,
                                 "max_rel_error": None, "pass": False}]

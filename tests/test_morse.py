@@ -328,68 +328,88 @@ class TestAssembly:
 class TestLowerBounds:
     def test_all_bounds_hold_with_companion(self, report_232):
         checks = check_lower_bounds(report_232)
-        names = [c.name for c in checks]
+        names = [c["name"] for c in checks]
         assert names == [
             "radial_count", "nodal_gap", "autonomous_companion",
             "autonomous_gap", "sign_changing_minimum",
             "sign_changing_superlinear", "even_weight_minimum",
             "even_weight_superlinear",
         ]
-        assert all(c.satisfied for c in checks)
-        by_name = {c.name: c for c in checks}
+        assert all(c["pass"] for c in checks)
+        by_name = {c["name"]: c for c in checks}
         # alpha=2, n=2: floor(alpha/2) = 1, so the nodal gap requires
         # n + (n-1)(2*1+2) = 6 and the companion gap n + 6*(1+1) = 14.
-        assert by_name["nodal_gap"].required == 6
-        assert by_name["autonomous_companion"].required == 4
-        assert by_name["autonomous_gap"].required == 14
-        assert by_name["even_weight_minimum"].required == 5
-        assert by_name["even_weight_superlinear"].required == 6
+        assert by_name["nodal_gap"]["required"] == 6
+        assert by_name["autonomous_companion"]["required"] == 4
+        assert by_name["autonomous_gap"]["required"] == 14
+        assert by_name["even_weight_minimum"]["required"] == 5
+        assert by_name["even_weight_superlinear"]["required"] == 6
 
     def test_even_weight_bounds_round_alpha(self, report_232):
         """An alpha within 1e-12 of an even integer counts as that integer;
         the bounds use it rounded, not truncated."""
         near_four = replace(report_232, params=HenonParams(
             alpha=4.0 - 1e-13, p=3.0, n_nodal=2))
-        checks = {c.name: c for c in check_lower_bounds(near_four)}
-        assert checks["even_weight_minimum"].required == 7
-        assert checks["even_weight_superlinear"].required == 8
+        checks = {c["name"]: c for c in check_lower_bounds(near_four)}
+        assert checks["even_weight_minimum"]["required"] == 7
+        assert checks["even_weight_superlinear"]["required"] == 8
 
     def test_unweighted_report_is_own_companion(self, report_032):
-        checks = {c.name: c for c in check_lower_bounds(report_032)}
-        assert checks["autonomous_companion"].value == report_032.m_total
+        checks = {c["name"]: c for c in check_lower_bounds(report_032)}
+        assert checks["autonomous_companion"]["actual"] == report_032.m_total
         # alpha = 0: the companion gap bound collapses to m >= m_0, an equality
-        assert checks["autonomous_gap"].required == report_032.m_total
-        assert checks["autonomous_gap"].satisfied
+        assert checks["autonomous_gap"]["required"] == report_032.m_total
+        assert checks["autonomous_gap"]["pass"]
 
     def test_ground_state_bounds(self):
         report = assemble_morse(solve_nodal(HenonParams(alpha=0.0, p=3.0, n_nodal=1)))
         assert report.m_total == 1
-        checks = {c.name: c for c in check_lower_bounds(report)}
+        checks = {c["name"]: c for c in check_lower_bounds(report)}
         assert set(checks) == {"radial_count", "nodal_gap",
                                "autonomous_companion", "autonomous_gap"}
-        assert all(c.satisfied for c in checks.values())
+        assert all(c["pass"] for c in checks.values())
 
     def test_bounds_read_the_reports_own_companion(self, report_032,
                                                    report_232):
         """Without a companion report the bounds read the companion index
         the report decided from its own spectrum."""
         assert report_232.companion_total == report_032.m_total
-        checks = {c.name: c for c in check_lower_bounds(report_232)}
-        assert checks["autonomous_companion"].value == report_032.m_total
-        assert checks["autonomous_gap"].required == 14
-        assert checks == {c.name: c for c in
+        checks = {c["name"]: c for c in check_lower_bounds(report_232)}
+        assert checks["autonomous_companion"]["actual"] == report_032.m_total
+        assert checks["autonomous_gap"]["required"] == 14
+        assert checks == {c["name"]: c for c in
                           check_lower_bounds(report_232)}
+
+
+class TestRowKeyOrder:
+    """The rows these functions return are the rows the documents print,
+    key order included: canonical JSON writes keys in insertion order."""
+
+    def test_bounds_rows_are_the_morse_documents(self, report_232):
+        bounds = check_lower_bounds(report_232)
+        assert [list(b) for b in bounds] == (
+            [["name", "required", "actual", "pass"]] * len(bounds))
+        doc = json.loads(dumps_canonical(morse_document(report_232, bounds)))
+        assert doc["bounds"] == bounds
+        assert [list(b) for b in doc["bounds"]] == [list(b) for b in bounds]
+
+    def test_sweep_document(self, report_032, report_232):
+        doc = json.loads(dumps_canonical(
+            sweep_from_reports([report_032, report_232])))
+        assert list(doc) == ["reports", "transitions", "monotone"]
+        assert [list(t) for t in doc["transitions"]] == [
+            ["alpha_lo", "alpha_hi", "m_lo", "m_hi", "nondecreasing"]]
 
 
 class TestSweepAndProbe:
     def test_monotone_sweep(self, report_032, report_232):
         _, report_132 = solve_point(1.0, 3.0, 2)
         sweep = sweep_from_reports([report_032, report_132, report_232])
-        assert [r.m_total for r in sweep.reports] == [8, 14, 18]
-        assert sweep.monotone
-        assert len(sweep.transitions) == 2
-        assert all(row[4] for row in sweep.transitions)
-        payload = json.dumps(sweep.to_dict())
+        assert [r["m_total"] for r in sweep["reports"]] == [8, 14, 18]
+        assert sweep["monotone"]
+        assert len(sweep["transitions"]) == 2
+        assert all(t["nondecreasing"] for t in sweep["transitions"])
+        payload = json.dumps(sweep)
         assert json.loads(payload)["monotone"] is True
 
     def test_sweep_sorts_alphas(self, tmp_path, capsys):

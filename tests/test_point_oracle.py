@@ -61,7 +61,8 @@ def test_points_match_the_frozen_oracle():
 
 
 if __name__ == "__main__":
-    rows = run_battery("default").section("two_route").rows
+    rows = next(s["rows"] for s in run_battery("default")["sections"]
+                if s["name"] == "two_route")
     points = ",\n".join(json.dumps(_entry(a, p, n))
                         for a in ALPHAS for p in PS for n in NS)
     grid = ",\n".join(json.dumps({k: r[k] for k in ("alpha", "p", "n",
