@@ -18,6 +18,10 @@ of the negative eigenvalues.  This module computes:
 * ``negative_spectrum``: all negative eigenvalues lambda_1 < ... < lambda_J
   of the truncated problem, by three-point finite differences and
   Richardson extrapolation in the mesh, M = 2048, 4096, ... up to 262144.
+  The meshes are nested: uniform on each segment between the nodal
+  corners, each level bisecting every cell of the one before, and each
+  node carries the average of V over its hat function, so the h^2 error
+  constant is the same on every level.
   LAPACK bisection locates them on the first, coarsest level; each finer
   level refines the coarser levels' values by inverse iteration and keeps
   the Rayleigh quotients only when a Sturm count and the Kato-Temple bound
@@ -42,12 +46,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
 from scipy.integrate import ode
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dgtsv, dstebz
+from scipy.special import roots_jacobi
 
 from .config import DEFAULT, Settings
 from .errors import NonConvergenceError, UsageError
@@ -71,10 +78,10 @@ __all__ = [
 # eig_tol is met at most points, and a finer base would over-resolve them.
 _BASE_INTERVALS = 2048
 # Eigenvalue extrapolation may double M at most this many times, so the
-# finest mesh the ladder can reach is 2048 * 2^7 = 262144.  Low-p points
-# such as (0, 1.8, 2) stop at 131072 inside the roundoff floor: the pairs
-# before and after the accepted one differ by 3.3e-8 against eig_tol 1e-8,
-# so that stop is a lucky draw, not convergence.
+# finest mesh the ladder can reach is 2048 * 2^7 = 262144.  On the nested
+# corner mesh the 120 benchmark points stop at 8192 or 16384, (0, 1.8, 2)
+# among them, well before the roundoff floor of about 4 eps / h^2; a ladder
+# that climbs past 65536 reads that floor, not the discretization error.
 _MAX_EIG_LEVELS = 7
 # DOP853 step budget of one oscillation-count segment; the default grid's
 # segments take 57-140 steps, those of (0, 50, 3) up to 238.
@@ -89,33 +96,43 @@ class SchrodingerProblem:
     """Truncated log-variable eigenproblem on t in [-T, 0], Dirichlet ends,
     with a base mesh of M cells.
 
-    ``potential`` is the callable V, sampled on each mesh a level reads
-    (``_fd_matrix``), where a positive sample is refused.  ``corners``
-    lists t-locations where the potential is continuous but not smooth (for
-    a nodal profile, the logs of the interior nodal radii: |u|^(p-1) has a
-    kink wherever u crosses zero unless p-1 is an even integer).
-    Discretizations pin these points into the mesh; leaving a kink in a
-    cell interior makes the h^2 error constant depend on the kink's offset
-    within the cell, which defeats Richardson extrapolation.
-    ``from_potential`` validates T, M and the corners against the base
-    mesh, and samples nothing.
+    ``potential`` is the callable V, read at the nodes and cell midpoints
+    of each mesh a level builds (``_fd_matrix``), where a positive sample is
+    refused.  ``corners`` lists t-locations where the potential is
+    continuous but not smooth (for a nodal profile, the logs of the interior
+    nodal radii), and ``corner_power`` is the exponent kappa of its
+    behaviour |t - c|^kappa there: |u|^(p-1) vanishes like |t - c|^(p-1)
+    wherever u crosses zero.  The corners split [-T, 0] into segments, and
+    every level's mesh is uniform on each segment (``_fd_mesh``), so the
+    corners are nodes on every level and each level bisects the cells of
+    the one before.  ``from_potential`` validates T, M and the corners, and
+    samples nothing.
     """
 
     T: float
     M: int
     potential: Callable = field(repr=False)
     corners: tuple = ()
+    corner_power: float = 0.0
+    # (doublings, V at the nodes, V at the midpoints) of the last level
+    # built: its midpoints are the next level's new nodes
+    _samples: tuple | None = field(default=None, init=False, repr=False,
+                                   compare=False)
 
     @classmethod
     def from_potential(cls, T: float, M: int, potential: Callable,
-                       corners: tuple = ()) -> "SchrodingerProblem":
+                       corners: tuple = (),
+                       corner_power: float = 0.0) -> "SchrodingerProblem":
         if not (T > 0.0 and math.isfinite(T)):
             raise UsageError(f"T must be finite and > 0, got {T}")
         if M < 4:
             raise UsageError(f"M must be at least 4, got {M}")
         corners = tuple(sorted(float(c) for c in corners if -T < c < 0.0))
-        _fd_mesh(T, M, corners)
-        return cls(T=T, M=M, potential=potential, corners=corners)
+        if M < 2 * (len(corners) + 1):
+            raise UsageError("M must give each segment between corners two cells",
+                             {"M": int(M), "corners": len(corners)})
+        return cls(T=T, M=M, potential=potential, corners=corners,
+                   corner_power=float(corner_power))
 
 
 def build_schrodinger(profile: RadialProfile, settings: Settings = DEFAULT) -> SchrodingerProblem:
@@ -126,7 +143,8 @@ def build_schrodinger(profile: RadialProfile, settings: Settings = DEFAULT) -> S
     enlarged if needed: the cut-off follows the eigenvalue target, and T
     grows as eig_tol is tightened.  The base mesh has ``_BASE_INTERVALS``
     cells, the coarsest rung of ``negative_spectrum``'s ladder and the only
-    one it bisects.
+    one it bisects.  The corners are the logs of the interior nodal radii,
+    where V vanishes like |t - c|^(p-1).
     """
     alpha = profile.params.alpha
     p = profile.params.p
@@ -152,48 +170,71 @@ def build_schrodinger(profile: RadialProfile, settings: Settings = DEFAULT) -> S
         )
     corners = tuple(math.log(z) for z in profile.nodal_radii[:-1])
     return SchrodingerProblem.from_potential(
-        T, _BASE_INTERVALS, potential, corners=corners)
+        T, _BASE_INTERVALS, potential, corners=corners, corner_power=p - 1.0)
 
 
-def _fd_mesh(T: float, M: int, corners: tuple) -> np.ndarray:
-    """Uniform M-cell mesh on [-T, 0] with each corner swapped in for its
-    nearest interior node.  Node count stays M + 1 and cell widths stay
-    within a factor of 3/2 of uniform, so the assembly below keeps its
-    clean h^2 behaviour while the potential is smooth inside every cell."""
-    t = np.linspace(-T, 0.0, M + 1)
-    if not corners:
-        return t
-    h = T / M
-    idx = []
-    for c in corners:
-        i = int(round((c + T) / h))
-        i = min(max(i, 1), M - 1)
-        while i in idx:
-            i += 1
-        if i >= M:
-            raise UsageError("too many potential corners for this mesh",
-                             {"M": int(M), "corners": len(corners)})
-        idx.append(i)
-        t[i] = c
-    if np.any(np.diff(t) <= 0.0):
-        raise UsageError("potential corners too close together for this mesh",
-                         {"M": int(M), "corners": len(corners)})
-    return t
+def _segment_cells(T: float, M: int, corners: tuple) -> list:
+    """Cells of the M-cell base mesh on each segment [-T, c_1], ...,
+    [c_(n-1), 0], in proportion to the segment lengths, each at least 2.
+    A segment whose share falls below 2 gets 2, and the rest is shared again
+    among the others; the floors of the final shares are topped up by
+    largest remainder, so the counts sum to M."""
+    ends = (-T, *corners, 0.0)
+    lengths = [b - a for a, b in zip(ends, ends[1:])]
+    fixed = set()
+    while True:
+        free = sum(x for i, x in enumerate(lengths) if i not in fixed)
+        share = [(M - 2 * len(fixed)) * x / free for x in lengths]
+        short = {i for i, x in enumerate(share) if i not in fixed and x < 2.0}
+        if not short:
+            break
+        fixed |= short
+    cells = [2 if i in fixed else math.floor(x) for i, x in enumerate(share)]
+    by_remainder = sorted((i for i in range(len(cells)) if i not in fixed),
+                          key=lambda i: cells[i] - share[i])
+    for i in by_remainder[:M - sum(cells)]:
+        cells[i] += 1
+    return cells
+
+
+def _fd_mesh(T: float, M: int, corners: tuple, doublings: int = 0) -> np.ndarray:
+    """Nodes of the M-cell base mesh on [-T, 0], each cell bisected
+    ``doublings`` times: uniform on every segment between corners, so the
+    corners are nodes, and a level's nodes are every other node of the next
+    (``np.linspace`` places them bit for bit).  Without corners it is the
+    uniform mesh."""
+    ends = (-T, *corners, 0.0)
+    cells = _segment_cells(T, M, corners)
+    pieces = [np.linspace(a, b, (n << doublings) + 1)[:-1]
+              for a, b, n in zip(ends, ends[1:], cells)]
+    return np.concatenate(pieces + [[0.0]])
+
+
+@lru_cache(maxsize=16)
+def _gauss_jacobi(kappa: float) -> tuple[tuple, tuple]:
+    """Nodes s_q and weights w_q / s_q^kappa of the 4-point rule
+    sum_q w_q f(s_q) for the integral over [0, 1] of s^kappa f(s).  Cached:
+    every level of a ladder asks for the same kappa = p - 1, and
+    ``roots_jacobi`` costs about 0.1 ms a call."""
+    x, w = roots_jacobi(4, 0.0, kappa)
+    s = 0.5 * (1.0 + x)
+    return tuple(s.tolist()), tuple((w * 2.0 ** (-kappa - 1.0) / s ** kappa).tolist())
 
 
 def fd_negative_eigenvalues(problem: SchrodingerProblem, M: int,
                             guess: np.ndarray | None = None) -> np.ndarray:
     """Raw negative eigenvalues of the M-cell discretization (no
-    extrapolation).  The scheme is mass-lumped P1 on the corner-pinned mesh,
-    symmetrized by the lumped mass into a standard tridiagonal problem; on a
-    uniform mesh it is exactly the classical three-point stencil
-    (2/h^2 + V_i on the diagonal, -1/h^2 off).
+    extrapolation), M = problem.M 2^l.  The scheme is mass-lumped P1 on the
+    nested corner mesh, with the potential averaged over each node's hat
+    function, symmetrized by the lumped mass into a standard tridiagonal
+    problem; on a uniform mesh with a constant V it is exactly the classical
+    three-point stencil (2/h^2 + V on the diagonal, -1/h^2 off).
 
     With ``guess`` (approximations of all negative eigenvalues, from coarser
     levels), each is refined by a certified Rayleigh-quotient step
     (``_certified_refinement``).  Without a guess, or when the certificate
     fails, the eigenvalues are located by LAPACK Sturm-sequence bisection
-    (stebz) restricted to (lo, 0], where lo lies below min V; -Delta_h is
+    (stebz) restricted to (lo, 0], where lo lies below min v; -Delta_h is
     positive semidefinite, so no eigenvalue lies below lo and the bisection
     finds every negative one.  Both paths place each eigenvalue within
     bisection's stopping width 2^-52 ||T||_inf."""
@@ -211,21 +252,86 @@ def fd_negative_eigenvalues(problem: SchrodingerProblem, M: int,
 
 
 def _fd_matrix(problem: SchrodingerProblem, M: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Diagonal, off-diagonal and spectral lower end lo < min V of the
-    M-cell matrix.  Built apart from the solve, so the mesh arrays are freed
-    before the solve allocates its own.  Raises UsageError when V is
-    positive at an interior node."""
-    t = _fd_mesh(problem.T, M, problem.corners)
-    h = np.diff(t)
-    v = np.asarray(problem.potential(t[1:-1]), dtype=float)
-    if np.any(v > 1e-9):
-        raise UsageError("potential must be nonpositive",
-                         {"max_V": float(v.max())})
+    """Diagonal, off-diagonal and spectral lower end lo < min v of the
+    M-cell matrix, M = problem.M 2^l.  Built apart from the solve, so the
+    mesh arrays are freed before the solve allocates its own.
+
+    Node i carries v_i = (int V phi_i) / (int phi_i), phi_i its hat
+    function.  Simpson's rule on a cell [a, b] with midpoint m gives
+    h/6 (V_a + 2 V_m) to node a and h/6 (2 V_m + V_b) to node b; it is
+    summed as V_i plus the excess h/3 (V_m - V_i) of each cell over
+    V_i h/2, so a constant V is kept exactly.  The two cells at a corner c
+    take the 4-point Gauss-Jacobi rule with weight |t - c|^kappa on
+    V / |t - c|^kappa instead.  Raises UsageError when a sample of V is
+    positive."""
+    doublings = max(M // problem.M, 1).bit_length() - 1
+    if M != problem.M << doublings:
+        raise UsageError("M must be the base M times a power of 2",
+                         {"M": int(M), "base_M": int(problem.M)})
+    h, V, Vm = _level_samples(problem, doublings)
+    # each cell's excess for its left and for its right node
+    left = Vm - V[:-1]
+    left *= h
+    left /= 3.0
+    right = Vm - V[1:]
+    right *= h
+    right /= 3.0
+    highest = max(float(V.max()), float(Vm.max()))
+    if problem.corners:
+        # the cell after each corner and the cell before it take 4
+        # Gauss-Jacobi points at distances s h from the corner.  With x the
+        # point's place in its cell, int V phi = h sum_q w_q V(t_q) /
+        # s_q^kappa phi(x_q), where phi = 1 - x for the cell's left node and
+        # x for its right node.  A few corners: plain Python beats numpy.
+        s, w = _gauss_jacobi(problem.corner_power)
+        cells = []
+        for c, k in zip(problem.corners, accumulate(
+                n << doublings for n in _segment_cells(
+                    problem.T, problem.M, problem.corners))):
+            after, before = float(h[k]), float(h[k - 1])
+            cells.append((k, [c + q * after for q in s], s))
+            cells.append((k - 1, [c - q * before for q in s], [1.0 - q for q in s]))
+        g = np.asarray(problem.potential(np.array([t for _, ts, _ in cells for t in ts])),
+                       dtype=float).tolist()
+        highest = max(highest, max(g))
+        for i, (cell, _, x) in enumerate(cells):
+            gw = [a * b for a, b in zip(g[4 * i:4 * i + 4], w)]
+            left[cell] = h[cell] * (sum(a * (1.0 - b) for a, b in zip(gw, x))
+                                    - 0.5 * V[cell])
+            right[cell] = h[cell] * (sum(a * b for a, b in zip(gw, x))
+                                     - 0.5 * V[cell + 1])
+    if highest > 1e-9:
+        raise UsageError("potential must be nonpositive", {"max_V": highest})
     mass = 0.5 * (h[:-1] + h[1:])
+    v = left[1:]  # the interior nodes' excesses, summed in place
+    v += right[:-1]
+    v /= mass
+    v += V[1:-1]
     diag = (1.0 / h[:-1] + 1.0 / h[1:]) / mass + v
     off = (-1.0 / h[1:-1]) / np.sqrt(mass[:-1] * mass[1:])
     lo = min(float(v.min()), 0.0) - 1e-9 * (1.0 + abs(float(v.min())))
     return diag, off, lo
+
+
+def _level_samples(problem: SchrodingerProblem,
+                   doublings: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cell widths and V at the nodes and at the cell midpoints of the level
+    ``doublings`` bisections above the base.  The midpoints are the next
+    level's new nodes, so when the last samples taken are the previous
+    level's, V at the nodes is those samples interleaved and V is read at
+    the midpoints alone; the base level reads its nodes too.  The samples
+    are kept on the problem for the next level."""
+    fine = _fd_mesh(problem.T, problem.M, problem.corners, doublings + 1)
+    last, problem._samples = problem._samples, None
+    if last is not None and last[0] == doublings - 1:
+        V = np.empty(fine.size // 2 + 1)
+        V[::2], V[1::2] = last[1], last[2]
+    else:
+        V = np.asarray(problem.potential(fine[::2]), dtype=float)
+    last = None  # frees the previous level's samples before the next read
+    Vm = np.asarray(problem.potential(fine[1::2]), dtype=float)
+    problem._samples = (doublings, V, Vm)
+    return np.diff(fine[::2]), V, Vm
 
 
 def _certified_refinement(diag: np.ndarray, off: np.ndarray, lo: float,
@@ -359,25 +465,30 @@ def negative_spectrum(problem: SchrodingerProblem, settings: Settings = DEFAULT)
     """
     eig_tol = settings.eig_tol
     M = problem.M
-    lam_prev = fd_negative_eigenvalues(problem, M)
-    guess = lam_prev
-    rich_prev = None
-    discrepancy = None
-    for _ in range(_MAX_EIG_LEVELS):
-        M *= 2
-        lam = fd_negative_eigenvalues(problem, M, guess)
-        if lam.size != lam_prev.size:
-            lam_prev, rich_prev, guess = lam, None, None
-            continue
-        guess = lam + (lam - lam_prev) / 4.0
-        rich = (4.0 * lam - lam_prev) / 3.0
-        if rich_prev is not None:
-            gap = np.abs(rich - rich_prev)
-            discrepancy = float(np.max(gap / (1.0 + np.abs(rich)), initial=0.0))
-            if discrepancy <= eig_tol:
-                return RadialSpectrum(lambdas=rich, T=problem.T, M=M,
-                                      eig_tol=eig_tol, discrepancy=discrepancy)
-        lam_prev, rich_prev = lam, rich
+    try:
+        lam_prev = fd_negative_eigenvalues(problem, M)
+        guess = lam_prev
+        rich_prev = None
+        discrepancy = None
+        for _ in range(_MAX_EIG_LEVELS):
+            M *= 2
+            lam = fd_negative_eigenvalues(problem, M, guess)
+            if lam.size != lam_prev.size:
+                lam_prev, rich_prev, guess = lam, None, None
+                continue
+            guess = lam + (lam - lam_prev) / 4.0
+            rich = (4.0 * lam - lam_prev) / 3.0
+            if rich_prev is not None:
+                gap = np.abs(rich - rich_prev)
+                discrepancy = float(np.max(gap / (1.0 + np.abs(rich)), initial=0.0))
+                if discrepancy <= eig_tol:
+                    return RadialSpectrum(lambdas=rich, T=problem.T, M=M,
+                                          eig_tol=eig_tol, discrepancy=discrepancy)
+            lam_prev, rich_prev = lam, rich
+    finally:
+        # the samples serve one walk up the ladder; a problem that outlives
+        # it, in a caller or in a traceback, holds none
+        problem._samples = None
     raise NonConvergenceError(
         "negative eigenvalues did not stabilize under mesh refinement",
         {"T": problem.T, "finest_M": int(M),

@@ -198,8 +198,10 @@ class TestAssembly:
         assert report.tolerances["scaled_tie_distance"] == pytest.approx(2e-8)
 
     def test_real_tie_is_refused_after_one_ladder(self, monkeypatch):
-        """At (0, 20, 2) the first ladder already met eig_tol / 10, so the
-        refusal reads the lambdas that ladder gives at eig_tol / 10."""
+        """At (2, 30, 2) lambda_2 sits within 1e-12 of -4 = -2^2, and the
+        first ladder already met eig_tol / 10, so the refusal reads the
+        lambdas that ladder gives at eig_tol / 10.  With s = 2 it also
+        carries the companion's distance, that of lambda_j / 4 from -k^2."""
         calls = []
         real = morse_mod.negative_spectrum
 
@@ -209,15 +211,17 @@ class TestAssembly:
 
         monkeypatch.setattr(morse_mod, "negative_spectrum", counting)
         with pytest.raises(ThresholdTieError) as err:
-            solve_point(0.0, 20.0, 2)
+            solve_point(2.0, 30.0, 2)
         assert calls == [1e-8]
-        profile = solve_nodal(HenonParams(alpha=0.0, p=20.0, n_nodal=2))
+        profile = solve_nodal(HenonParams(alpha=2.0, p=30.0, n_nodal=2))
         tight = replace(DEFAULT, eig_tol=1e-9)
         lambdas = real(build_schrodinger(profile), tight).lambdas
         assert err.value.context == {
             "lambdas": lambdas.tolist(),
-            "scaled_tie_distance": morse_mod._tie_distance(lambdas, 5),
-            "eig_tol": 1e-9}
+            "scaled_tie_distance": morse_mod._tie_distance(lambdas, 10),
+            "eig_tol": 1e-9,
+            "companion_scaled_tie_distance": morse_mod._tie_distance(
+                lambdas / 4.0, 5)}
 
     def test_tie_retry_builds_the_problem_once(self, monkeypatch):
         """The tighter pass reruns the ladder on the first pass's problem:
@@ -285,13 +289,23 @@ class TestAssembly:
         assert report.route_b_total == report.m_total
 
     def test_fractional_p_below_two_converges(self):
-        """(0, 1.8, 2) used to exhaust the mesh budget: bisection's stopping
-        width, not the mesh, set the Richardson floor.  Refined levels
-        converge at M = 131072 and both routes give 8."""
+        """(0, 1.8, 2) used to climb to M = 131072 and stop there inside the
+        roundoff floor.  On the nested corner mesh with the hat-averaged
+        potential its ladder stops by M = 16384, and both routes give 8."""
         _, report = solve_point(0.0, 1.8, 2)
         assert report.m_rad == 2
         assert report.m_total == report.route_b_total == 8
-        assert report.tolerances["spectrum_M"] == 131072
+        assert report.tolerances["spectrum_M"] <= 16384
+
+    def test_fractional_p_three_nodes_matches_shooting(self):
+        """(0, 1.8, 3) did not stabilize on the corner-swapped mesh.  Now it
+        reports, and its eigenvalues agree with an independent shooting
+        solve to 1e-7."""
+        _, report = solve_point(0.0, 1.8, 3)
+        assert report.m_rad == 3
+        assert report.route_b_total == report.m_total == 19
+        shooting = [-34.15787409, -11.97515095, -0.76132417]
+        np.testing.assert_allclose(report.lambdas, shooting, rtol=1e-7)
 
     def test_tighter_eig_tol_converges(self):
         """The ladder's finest rungs sit on a roundoff floor of about 1e-9

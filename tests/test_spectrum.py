@@ -8,8 +8,9 @@ P1 finite-element eigensolve of
 
 assembled in r-coordinates on a geometric mesh and solved by bisection on
 the inertia of A - sigma B.  That route shares nothing with the production
-path (log-variable substitution, mass-lumped P1 on a corner-pinned mesh,
-Richardson extrapolation), so agreement pins down both.
+path (log-variable substitution, mass-lumped P1 on nested meshes with the
+nodal corners as nodes and a hat-averaged potential, Richardson
+extrapolation), so agreement pins down both.
 
 Frozen reference values for alpha=0, p=3, two nodal domains, computed by
 the oracle below with mesh ratios 1.01/1.005 plus Richardson extrapolation
@@ -586,7 +587,8 @@ class TestPotentialConstruction:
 
     def test_positive_potential_between_base_nodes_is_refused(self):
         """V = -5 + 6 sin^2(pi M (t + T) / T) is -5 on the M-cell base nodes
-        and +1 at every midpoint, which level 2M reads."""
+        and +1 at every midpoint, which the base level reads for its hat
+        averages."""
         T, M = math.pi, 64
 
         def potential(t):
@@ -599,11 +601,146 @@ class TestPotentialConstruction:
         assert err.value.context["max_V"] == pytest.approx(1.0)
 
 
+class TestNestedCornerMesh:
+    """Route A's meshes: uniform on each segment between corners, every
+    level a bisection of the one before, V averaged over each hat."""
+
+    def test_levels_are_nested_with_corners_as_nodes(self, profile_053):
+        prob = build_schrodinger(profile_053)
+        assert len(prob.corners) == 2
+        assert prob.corner_power == profile_053.params.p - 1.0
+        prev = None
+        for doublings in range(4):
+            mesh = spectrum._fd_mesh(prob.T, prob.M, prob.corners, doublings)
+            assert mesh.size == (prob.M << doublings) + 1
+            assert mesh[0] == -prob.T and mesh[-1] == 0.0
+            assert np.all(np.diff(mesh) > 0.0)
+            assert np.all(np.isin(prob.corners, mesh))
+            if prev is not None:
+                np.testing.assert_array_equal(mesh[::2], prev)
+            prev = mesh
+
+    def test_cells_split_by_length_with_two_at_least(self):
+        """Lengths 0.05, 4.95 and 5 share 20 cells: the first segment's
+        share 0.1 is raised to 2, the other two share 18 as 8.955 and
+        9.045, and the one cell left goes to the larger remainder."""
+        cells = spectrum._segment_cells(10.0, 20, (-9.95, -5.0))
+        assert cells == [2, 9, 9]
+        assert spectrum._segment_cells(math.pi, 512, ()) == [512]
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(lengths=st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=6),
+           extra=st.integers(0, 5000))
+    def test_cells_sum_to_M_and_follow_the_lengths(self, lengths, extra):
+        """Every segment gets two cells or more, the counts sum to M, and a
+        longer segment never gets fewer cells than a shorter one."""
+        ends = np.concatenate(([0.0], np.cumsum(lengths)))
+        T = float(ends[-1])
+        corners = tuple(float(c) for c in ends[1:-1] - T)
+        M = 2 * len(lengths) + extra
+        cells = spectrum._segment_cells(T, M, corners)
+        assert sum(cells) == M and min(cells) >= 2
+        seg = np.diff((-T, *corners, 0.0))
+        for i, j in zip(*np.nonzero(seg[:, None] > seg[None, :])):
+            assert cells[i] >= cells[j]
+
+    def test_too_few_cells_for_the_corners_is_refused(self):
+        zero = lambda t: np.zeros_like(np.asarray(t, float))
+        corners = (-0.75, -0.5, -0.25)
+        with pytest.raises(UsageError, match="two cells"):
+            SchrodingerProblem.from_potential(1.0, 7, zero, corners=corners)
+        SchrodingerProblem.from_potential(1.0, 8, zero, corners=corners)
+
+    @pytest.mark.parametrize("M", [256, 768, 1536])
+    def test_mesh_off_the_ladder_is_refused(self, well, M):
+        with pytest.raises(UsageError, match="power of 2"):
+            fd_negative_eigenvalues(well, M)
+
+    @pytest.mark.parametrize("kappa", [0.8, 2.0, 3.5])
+    def test_hat_average_at_a_corner_is_exact(self, kappa):
+        """For V = -|t - c|^kappa the Gauss-Jacobi rule is exact on both
+        cells at the corner: each gives h^(kappa+1) / ((kappa+1)(kappa+2))
+        to the corner's hat integral."""
+        c = -0.3
+        prob = SchrodingerProblem.from_potential(
+            1.0, 16, lambda t: -np.abs(np.asarray(t, float) - c) ** kappa,
+            corners=(c,), corner_power=kappa)
+        mesh = spectrum._fd_mesh(prob.T, prob.M, prob.corners)
+        i = int(np.flatnonzero(mesh == c)[0])
+        hl, hr = mesh[i] - mesh[i - 1], mesh[i + 1] - mesh[i]
+        mass = 0.5 * (hl + hr)
+        diag, _, _ = spectrum._fd_matrix(prob, prob.M)
+        v = diag[i - 1] - (1.0 / hl + 1.0 / hr) / mass
+        exact = -(hl ** (kappa + 1.0) + hr ** (kappa + 1.0)) / (
+            (kappa + 1.0) * (kappa + 2.0) * mass)
+        assert v == pytest.approx(exact, rel=1e-12)
+
+    def test_each_level_samples_only_its_midpoints(self, monkeypatch,
+                                                   profile_053):
+        """The base level reads V at its nodes and midpoints, every finer
+        level at its midpoints alone, and each level reads 4 Gauss-Jacobi
+        points in each of the two cells at every corner.  The matrices
+        equal those of standalone calls on a fresh problem."""
+        prob = build_schrodinger(profile_053)
+        real = prob.potential
+        sizes = []
+
+        def counting(t):
+            sizes.append(np.asarray(t).size)
+            return real(t)
+
+        prob.potential = counting
+        matrices = {}
+        real_matrix = spectrum._fd_matrix
+
+        def recording(problem, M):
+            matrices[M] = real_matrix(problem, M)
+            return matrices[M]
+
+        monkeypatch.setattr(spectrum, "_fd_matrix", recording)
+        negative_spectrum(prob)
+        gauss = 8 * len(prob.corners)
+        expected = sum(M + gauss for M in matrices) + prob.M + 1
+        assert len(matrices) >= 3 and sum(sizes) == expected
+        fresh = build_schrodinger(profile_053)
+        for M, (diag, off, lo) in sorted(matrices.items(), reverse=True):
+            d, o, l = real_matrix(fresh, M)
+            assert d.tobytes() == diag.tobytes() and o.tobytes() == off.tobytes()
+            assert l == lo
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_raw_differences_shrink_by_four(self, n):
+        """At (0, 1.8, n) the |t - c|^0.8 corners left the corner-swapped
+        mesh with difference ratios of -5.27 to 2.23; on the nested mesh
+        every lambda_j's successive raw differences shrink by about 4."""
+        prob = build_schrodinger(solve_nodal(HenonParams(alpha=0.0, p=1.8, n_nodal=n)))
+        lams = [fd_negative_eigenvalues(prob, M) for M in (2048, 4096, 8192, 16384)]
+        assert all(lam.size == n for lam in lams)
+        diffs = [b - a for a, b in zip(lams, lams[1:])]
+        for prev, cur in zip(diffs, diffs[1:]):
+            assert np.all((prev / cur >= 3.8) & (prev / cur <= 4.2))
+
+    def test_ladder_stops_before_the_roundoff_floor(self):
+        """(0, 1.8, 2) used to stop at M = 131072, inside the floor."""
+        prob = build_schrodinger(solve_nodal(HenonParams(alpha=0.0, p=1.8, n_nodal=2)))
+        assert negative_spectrum(prob).M <= 16384
+
+    def test_accepted_values_agree_across_eig_tol(self):
+        """At (2, 2.2, 2) the eig_tol 1e-8 and 1e-9 ladders used to accept
+        lambda_2 1.87 eig_tol (1 + |lambda|) apart."""
+        prob = build_schrodinger(solve_nodal(HenonParams(alpha=2.0, p=2.2, n_nodal=2)))
+        loose, tight = (negative_spectrum(prob, replace(DEFAULT, eig_tol=tol)).lambdas
+                        for tol in (1e-8, 1e-9))
+        assert loose.size == tight.size == 2
+        assert np.all(np.abs(loose - tight) <= 1e-8 * (1.0 + np.abs(tight)))
+
+
 class TestSpectrumStability:
     def test_stable_under_truncation_bump(self, profile_032, spectrum_032):
         prob = build_schrodinger(profile_032)
         bumped = SchrodingerProblem.from_potential(
-            prob.T + 5.0, prob.M, prob.potential, corners=prob.corners)
+            prob.T + 5.0, prob.M, prob.potential, corners=prob.corners,
+            corner_power=prob.corner_power)
         spec_b = negative_spectrum(bumped)
         assert spec_b.lambdas.size == spectrum_032.lambdas.size
         tol = 3.0 * spectrum_032.eig_tol * (1.0 + np.abs(spectrum_032.lambdas))
@@ -612,7 +749,8 @@ class TestSpectrumStability:
     def test_stable_under_mesh_doubling(self, profile_032, spectrum_032):
         prob = build_schrodinger(profile_032)
         doubled = SchrodingerProblem.from_potential(
-            prob.T, 2 * prob.M, prob.potential, corners=prob.corners)
+            prob.T, 2 * prob.M, prob.potential, corners=prob.corners,
+            corner_power=prob.corner_power)
         spec_d = negative_spectrum(doubled)
         assert spec_d.lambdas.size == spectrum_032.lambdas.size
         tol = 3.0 * spectrum_032.eig_tol * (1.0 + np.abs(spectrum_032.lambdas))
