@@ -24,7 +24,6 @@ from .radial import (
     ShootingTrajectory,
     evaluate_profile,
     integrate_ivp,
-    ode_residual,
     solve_nodal,
     validate_profile,
 )

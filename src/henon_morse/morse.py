@@ -50,8 +50,7 @@ import numpy as np
 from .config import DEFAULT, Settings
 from .errors import NonConvergenceError, ThresholdTieError, TwoRouteError, UsageError
 from .radial import HenonParams, RadialProfile, solve_nodal
-from .spectrum import (_fd_mesh, build_schrodinger, negative_spectrum,
-                       oscillation_counts)
+from .spectrum import build_schrodinger, negative_spectrum, oscillation_counts
 
 __all__ = [
     "MorseReport",
@@ -178,8 +177,7 @@ def assemble_morse(profile: RadialProfile,
                 {"alpha": profile.params.alpha, "p": profile.params.p,
                  "n_nodal": profile.params.n_nodal,
                  "spectrum_T": spectrum.T, "spectrum_M": spectrum.M,
-                 "min_V": float(problem.potential(_fd_mesh(
-                     problem.T, problem.M, problem.corners)).min()),
+                 "min_V": float(problem.potential(problem.mesh()).min()),
                  "oscillation_radial_count": oscillation_counts(
                      profile, problem, [0.0], settings)[0]})
         # lambda_j / s^2 carries at most eig_tol * (1 + |mu_j|), so the

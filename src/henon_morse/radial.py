@@ -65,7 +65,6 @@ __all__ = [
     "evaluate_u",
     "u_reader",
     "output_grid",
-    "ode_residual",
     "validate_profile",
 ]
 
@@ -147,7 +146,8 @@ class ShootingTrajectory:
 
     ``zeros`` are the n ordered roots of U found on the steps' dense
     output, and ``r_end`` is the last of them, where integration stopped.
-    ``_component`` evaluates U or U' anywhere in [0, r_end]: through the
+    ``_component`` evaluates U or U' anywhere in [0, r_end], which the
+    profile map x = mu r^kappa fills from r in [0, 1]: through the
     7th-order DOP853 interpolant of the step that holds each radius, all
     radii at once, and through the origin series below the series start
     radius.  The interpolants are held as two ``PPoly`` in power form,
@@ -156,7 +156,6 @@ class ShootingTrajectory:
     """
 
     alpha: float
-    p: float
     r_end: float
     zeros: np.ndarray
     _u: PPoly = field(repr=False)
@@ -165,11 +164,6 @@ class ShootingTrajectory:
 
     def _component(self, r: np.ndarray, j: int) -> np.ndarray:
         """Component j (0: U, 1: U') at the radii of an array."""
-        if r.size and (r.min() < 0.0 or r.max() > self.r_end * (1 + 1e-12)):
-            raise UsageError(
-                f"evaluation radius outside [0, {self.r_end}]",
-                {"r_min": float(r.min()), "r_max": float(r.max())},
-            )
         poly = self._du if j else self._u
         small = r < self._eps
         if not np.any(small):
@@ -285,7 +279,7 @@ def integrate_ivp(alpha: float, p: float, n: int,
     knots = np.asarray(knots)
     coef = np.reshape(coef, (-1, 2, 8))
     return ShootingTrajectory(
-        alpha=alpha, p=p, r_end=zeros[-1], zeros=np.asarray(zeros, dtype=float),
+        alpha=alpha, r_end=zeros[-1], zeros=np.asarray(zeros, dtype=float),
         _u=_power_form(knots, coef[:, 0]), _du=_power_form(knots, coef[:, 1]),
         _eps=eps,
     )
@@ -555,8 +549,9 @@ _BOUNDARY_TOL = 1e-9
 _RESIDUAL_TOL = 1e-6
 
 
-def validate_profile(profile: RadialProfile) -> None:
-    """Check the construction invariants of a nodal profile.
+def validate_profile(profile: RadialProfile) -> float:
+    """Check the construction invariants of a nodal profile and return the
+    ODE residual it audited.
 
     Raises :class:`NonConvergenceError` when any of these fail:
 
@@ -565,12 +560,16 @@ def validate_profile(profile: RadialProfile) -> None:
     * |u(1)| <= ``_BOUNDARY_TOL`` * max(1, max|u|);
     * u changes sign exactly n_nodal - 1 times on the output grid and the
       signs on consecutive nodal intervals alternate starting positive;
-    * the cell-averaged ODE residual on the output grid is at most
-      ``_RESIDUAL_TOL`` * max|u|^p.
+    * the cell-averaged ODE residual on the output grid
+      (``_cell_residual``) is at most ``_RESIDUAL_TOL`` * max|u|^p.
+
+    u and u' are read once on the output grid, for the boundary, sign and
+    residual checks alike.
     """
     pr = profile
     n = pr.params.n_nodal
-    u = evaluate_u(pr, output_grid(pr))
+    grid = output_grid(pr)
+    u, du = evaluate_profile(pr, grid)
     scale = float(np.max(np.abs(u)))
     problems: list[str] = []
 
@@ -596,7 +595,7 @@ def validate_profile(profile: RadialProfile) -> None:
     if np.any(np.sign(mid_u) != expected):
         problems.append("nodal interval signs do not alternate starting positive")
 
-    resid = ode_residual(pr)
+    resid = _cell_residual(pr, grid, du)
     limit = _RESIDUAL_TOL * scale**pr.params.p
     if resid > limit:
         problems.append(
@@ -606,12 +605,14 @@ def validate_profile(profile: RadialProfile) -> None:
         raise NonConvergenceError(
             "profile validation failed: " + "; ".join(problems),
             {"alpha": pr.params.alpha, "p": pr.params.p, "n_nodal": n,
-             "residual": float(resid), "boundary_value": float(u[-1])},
+             "residual": resid, "boundary_value": float(u[-1])},
         )
+    return resid
 
 
-def ode_residual(profile: RadialProfile) -> float:
-    """Cell-averaged residual of the radial ODE over the output grid.
+def _cell_residual(profile: RadialProfile, g: np.ndarray, du: np.ndarray) -> float:
+    """Cell-averaged residual of the radial ODE over the output grid g, with
+    du = u' at its nodes.
 
     Integrating the divergence form (r u')' = -r^(1+alpha) |u|^(p-1) u over
     a grid cell gives the exact balance
@@ -622,8 +623,9 @@ def ode_residual(profile: RadialProfile) -> float:
     The left side is evaluated from u' at the grid nodes (flux terms) and a
     5-point Gauss rule on u (cell integral), then divided by h_i * rbar_i
     to give the cell average of the pointwise residual.  The maximum is
-    taken over cells with left edge above a small radius, where for
-    fractional alpha the higher derivatives of u blow up.
+    taken over cells with left edge at or above ``_RESIDUAL_AUDIT_RMIN``,
+    where for fractional alpha the higher derivatives of u blow up; the
+    grid's uniform nodes always hold such cells.
 
     u and u' come from one trajectory through one map, so the residual
     checks the map itself: an amplitude that does not match mu and kappa
@@ -631,8 +633,6 @@ def ode_residual(profile: RadialProfile) -> float:
     """
     alpha = profile.params.alpha
     p = profile.params.p
-    g = output_grid(profile)
-    du = evaluate_profile(profile, g)[1]
     h = np.diff(g)
 
     # Gauss points in all cells at once: shape (ncells, 5).
@@ -646,6 +646,4 @@ def ode_residual(profile: RadialProfile) -> float:
     net = flux[1:] - flux[:-1] + cell_int
     rbar = 0.5 * (g[:-1] + g[1:])
     mask = g[:-1] >= _RESIDUAL_AUDIT_RMIN
-    if not np.any(mask):
-        mask = slice(len(h) // 2, None)
     return float(np.max(np.abs(net[mask]) / (h[mask] * rbar[mask])))

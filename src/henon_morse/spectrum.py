@@ -103,10 +103,12 @@ class SchrodingerProblem:
     nodal radii), and ``corner_power`` is the exponent kappa of its
     behaviour |t - c|^kappa there: |u|^(p-1) vanishes like |t - c|^(p-1)
     wherever u crosses zero.  The corners split [-T, 0] into segments, and
-    every level's mesh is uniform on each segment (``_fd_mesh``), so the
+    every level's mesh is uniform on each segment (``mesh``), so the
     corners are nodes on every level and each level bisects the cells of
     the one before.  ``from_potential`` validates T, M and the corners, and
-    samples nothing.
+    samples nothing; the problem splits the M base cells among the segments
+    once, when it is built (``_segment_cells``), and every level reads that
+    split.
     """
 
     T: float
@@ -114,6 +116,8 @@ class SchrodingerProblem:
     potential: Callable = field(repr=False)
     corners: tuple = ()
     corner_power: float = 0.0
+    # base cells of each segment between corners
+    _cells: tuple = field(init=False, repr=False, compare=False)
     # (doublings, V at the nodes, V at the midpoints) of the last level
     # built: its midpoints are the next level's new nodes
     _samples: tuple | None = field(default=None, init=False, repr=False,
@@ -133,6 +137,20 @@ class SchrodingerProblem:
                              {"M": int(M), "corners": len(corners)})
         return cls(T=T, M=M, potential=potential, corners=corners,
                    corner_power=float(corner_power))
+
+    def __post_init__(self):
+        self._cells = tuple(_segment_cells(self.T, self.M, self.corners))
+
+    def mesh(self, doublings: int = 0) -> np.ndarray:
+        """Nodes of the M-cell base mesh on [-T, 0], each cell bisected
+        ``doublings`` times: uniform on every segment between corners, so
+        the corners are nodes, and a level's nodes are every other node of
+        the next (``np.linspace`` places them bit for bit).  Without corners
+        it is the uniform mesh."""
+        ends = (-self.T, *self.corners, 0.0)
+        pieces = [np.linspace(a, b, (n << doublings) + 1)[:-1]
+                  for a, b, n in zip(ends, ends[1:], self._cells)]
+        return np.concatenate(pieces + [[0.0]])
 
 
 def build_schrodinger(profile: RadialProfile, settings: Settings = DEFAULT) -> SchrodingerProblem:
@@ -195,19 +213,6 @@ def _segment_cells(T: float, M: int, corners: tuple) -> list:
     for i in by_remainder[:M - sum(cells)]:
         cells[i] += 1
     return cells
-
-
-def _fd_mesh(T: float, M: int, corners: tuple, doublings: int = 0) -> np.ndarray:
-    """Nodes of the M-cell base mesh on [-T, 0], each cell bisected
-    ``doublings`` times: uniform on every segment between corners, so the
-    corners are nodes, and a level's nodes are every other node of the next
-    (``np.linspace`` places them bit for bit).  Without corners it is the
-    uniform mesh."""
-    ends = (-T, *corners, 0.0)
-    cells = _segment_cells(T, M, corners)
-    pieces = [np.linspace(a, b, (n << doublings) + 1)[:-1]
-              for a, b, n in zip(ends, ends[1:], cells)]
-    return np.concatenate(pieces + [[0.0]])
 
 
 @lru_cache(maxsize=16)
@@ -286,8 +291,7 @@ def _fd_matrix(problem: SchrodingerProblem, M: int) -> tuple[np.ndarray, np.ndar
         s, w = _gauss_jacobi(problem.corner_power)
         cells = []
         for c, k in zip(problem.corners, accumulate(
-                n << doublings for n in _segment_cells(
-                    problem.T, problem.M, problem.corners))):
+                n << doublings for n in problem._cells)):
             after, before = float(h[k]), float(h[k - 1])
             cells.append((k, [c + q * after for q in s], s))
             cells.append((k - 1, [c - q * before for q in s], [1.0 - q for q in s]))
@@ -321,7 +325,7 @@ def _level_samples(problem: SchrodingerProblem,
     level's, V at the nodes is those samples interleaved and V is read at
     the midpoints alone; the base level reads its nodes too.  The samples
     are kept on the problem for the next level."""
-    fine = _fd_mesh(problem.T, problem.M, problem.corners, doublings + 1)
+    fine = problem.mesh(doublings + 1)
     last, problem._samples = problem._samples, None
     if last is not None and last[0] == doublings - 1:
         V = np.empty(fine.size // 2 + 1)

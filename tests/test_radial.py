@@ -21,7 +21,6 @@ from henon_morse import (
     UsageError,
     evaluate_profile,
     integrate_ivp,
-    ode_residual,
     solve_nodal,
     validate_profile,
 )
@@ -131,14 +130,16 @@ def test_profile_invariants(alpha, p, n):
     mid_u, _ = evaluate_profile(prof, mids)
     assert np.all(np.sign(mid_u) == (-1.0) ** np.arange(n))
     # validated residual
-    assert ode_residual(prof) <= 1e-6 * scale**p
+    assert validate_profile(prof) <= 1e-6 * scale**p
 
 
 def test_residual_detects_broken_rescaling():
     # Scaling closure: v(r) = mu^((alpha+2)/(p-1)) U(mu r) solves the same
-    # equation for any mu; a wrong amplitude must trip the residual.
-    alpha, p, mu = 1.0, 3.0, 0.7
+    # equation for any mu; a wrong amplitude must trip the residual.  mu is
+    # U's zero, so the good amplitude passes the boundary check as well.
+    alpha, p = 1.0, 3.0
     traj = integrate_ivp(alpha, p, 1)
+    mu = traj.r_end
     amp = mu ** ((alpha + 2.0) / (p - 1.0))
 
     def profile(a):
@@ -147,8 +148,37 @@ def test_residual_detects_broken_rescaling():
             kappa=1.0, nodal_radii=np.array([1.0]), tolerances={})
 
     scale = np.max(np.abs(evaluate_u(profile(amp), output_grid(profile(amp)))))
-    assert ode_residual(profile(amp)) <= 1e-6 * scale**p
-    assert ode_residual(profile(amp * 1.001)) > 100 * 1e-6 * scale**p
+    assert validate_profile(profile(amp)) <= 1e-6 * scale**p
+    with pytest.raises(NonConvergenceError) as err:
+        validate_profile(profile(amp * 1.001))
+    assert err.value.context["residual"] > 100 * 1e-6 * scale**p
+
+
+def test_validate_profile_reads_one_grid(monkeypatch):
+    """One audit builds the output grid once and returns its residual."""
+    prof = solve_nodal(HenonParams(0.5, 5.0, 3))
+    calls = []
+    real = radial_mod.output_grid
+
+    def counting(profile):
+        calls.append(profile)
+        return real(profile)
+
+    monkeypatch.setattr(radial_mod, "output_grid", counting)
+    resid = validate_profile(prof)
+    assert calls == [prof]
+    assert type(resid) is float and 0.0 <= resid
+
+
+def test_loose_tolerance_cannot_loosen_the_audit_gate():
+    """rtol = 1e-3 integrates (0, 3, 2) too coarsely for the fixed residual
+    gate 1e-6 max|u|^p, max|u| = d close to the second zero; the solve is
+    refused with the audited values, not returned."""
+    with pytest.raises(NonConvergenceError) as err:
+        solve_nodal(HenonParams(0.0, 3.0, 2), replace(DEFAULT, rtol=1e-3))
+    assert err.value.message.startswith("profile validation failed")
+    assert err.value.context["residual"] > 100 * 1e-6 * ZERO2_A0_P3**3
+    assert "boundary_value" in err.value.context
 
 
 def test_evaluate_profile_matches_trajectory_between_nodes():
@@ -311,7 +341,8 @@ class TestDop853Kernel:
         assert traj._u.x.size == ref.t.size
 
     def test_value_on_step_ends_and_past_a_terminal_zero(self):
-        traj = integrate_ivp(0.0, 3.0, 2)
+        prof = solve_nodal(HenonParams(0.0, 3.0, 2))
+        traj = prof.trajectory
         ends = traj._u.x[1:-1]
         u, du = trajectory_value(traj, ends)
         # the interpolants of the steps on either side of an end meet there
@@ -321,8 +352,10 @@ class TestDop853Kernel:
         assert traj._u.x[-2] < traj.r_end <= traj._u.x[-1]
         assert abs(trajectory_value(traj, traj.r_end)[0][0]) <= 1e-12
         trajectory_value(traj, traj.r_end * (1 + 1e-13))
+        # a radius past the terminal zero is refused where radii enter: the
+        # profile map sends r = 1.01 to 1.01 r_end
         with pytest.raises(UsageError):
-            trajectory_value(traj, traj.r_end * 1.01)
+            evaluate_profile(prof, np.array([1.01]))
 
     def test_zero_on_a_step_end_is_reported_once(self, monkeypatch):
         # a sign change inside a step is located on its interpolant; F0 is

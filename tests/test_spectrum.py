@@ -537,7 +537,7 @@ def test_refinement_never_changes_the_count(wells, M, drifts, decades, edit):
 
 def base_mesh(prob):
     """The base mesh of a problem and its potential sampled there."""
-    grid_t = spectrum._fd_mesh(prob.T, prob.M, prob.corners)
+    grid_t = prob.mesh()
     return grid_t, np.asarray(prob.potential(grid_t), dtype=float)
 
 
@@ -611,7 +611,7 @@ class TestNestedCornerMesh:
         assert prob.corner_power == profile_053.params.p - 1.0
         prev = None
         for doublings in range(4):
-            mesh = spectrum._fd_mesh(prob.T, prob.M, prob.corners, doublings)
+            mesh = prob.mesh(doublings)
             assert mesh.size == (prob.M << doublings) + 1
             assert mesh[0] == -prob.T and mesh[-1] == 0.0
             assert np.all(np.diff(mesh) > 0.0)
@@ -665,7 +665,7 @@ class TestNestedCornerMesh:
         prob = SchrodingerProblem.from_potential(
             1.0, 16, lambda t: -np.abs(np.asarray(t, float) - c) ** kappa,
             corners=(c,), corner_power=kappa)
-        mesh = spectrum._fd_mesh(prob.T, prob.M, prob.corners)
+        mesh = prob.mesh()
         i = int(np.flatnonzero(mesh == c)[0])
         hl, hr = mesh[i] - mesh[i - 1], mesh[i + 1] - mesh[i]
         mass = 0.5 * (hl + hr)
@@ -707,6 +707,23 @@ class TestNestedCornerMesh:
             d, o, l = real_matrix(fresh, M)
             assert d.tobytes() == diag.tobytes() and o.tobytes() == off.tobytes()
             assert l == lo
+
+    def test_problem_splits_its_cells_once(self, monkeypatch, profile_053):
+        """Building a problem splits the base cells among its segments once;
+        a whole ladder reads that split and splits nothing again."""
+        calls = []
+        real = spectrum._segment_cells
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(spectrum, "_segment_cells", counting)
+        prob = build_schrodinger(profile_053)
+        assert len(calls) == 1
+        calls.clear()
+        spec = negative_spectrum(prob)
+        assert spec.M > prob.M and calls == []
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_raw_differences_shrink_by_four(self, n):
