@@ -143,10 +143,8 @@ def assemble_morse(profile: RadialProfile,
     wave numbers, and any column sum that differs raises TwoRouteError, from
     one place.  A |lambda_j + k^2| too small to call at the working
     tolerance triggers one more pass at 10x tighter tolerance before giving
-    up with ThresholdTieError.  That pass reads the same truncated problem,
-    built once at the working tolerance, and recomputes only when the first
-    ladder's accepted discrepancy did not already meet the tighter
-    tolerance.
+    up with ThresholdTieError.  That pass runs its own ladder on the same
+    truncated problem, built once at the working tolerance.
 
     The same spectrum decides the index of the alpha = 0 companion with the
     same p and n (``MorseReport.companion_total``).  The power map
@@ -160,16 +158,10 @@ def assemble_morse(profile: RadialProfile,
     # A sign decision lambda_j + k^2 <> 0 within 10x the eigenvalue accuracy
     # gets one more pass, tightened by one decade (more would chase the
     # eigensolver's own roundoff floor); the second pass must clear its guard.
-    # The ladder is deterministic and eig_tol only decides where it stops, so
-    # a first spectrum whose accepted discrepancy already meets the tighter
-    # tolerance is what the second pass would compute: it is reused.
     problem = build_schrodinger(profile, settings)
     s = (profile.params.alpha + 2.0) / 2.0
-    spectrum = None
     for eig_tol in (settings.eig_tol, settings.eig_tol / 10.0):
-        if (spectrum is None or spectrum.discrepancy is None
-                or spectrum.discrepancy > eig_tol):
-            spectrum = negative_spectrum(problem, replace(settings, eig_tol=eig_tol))
+        spectrum = negative_spectrum(problem, replace(settings, eig_tol=eig_tol))
         lambdas = spectrum.lambdas
         if lambdas.size == 0:
             raise NonConvergenceError(

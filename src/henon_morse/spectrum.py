@@ -105,10 +105,10 @@ class SchrodingerProblem:
     wherever u crosses zero.  The corners split [-T, 0] into segments, and
     every level's mesh is uniform on each segment (``mesh``), so the
     corners are nodes on every level and each level bisects the cells of
-    the one before.  ``from_potential`` validates T, M and the corners, and
-    samples nothing; the problem splits the M base cells among the segments
-    once, when it is built (``_segment_cells``), and every level reads that
-    split.
+    the one before.  Building a problem validates T, M and the corners
+    (``UsageError``), keeps the corners inside (-T, 0) in order, and samples
+    nothing; it splits the M base cells among the segments once
+    (``_segment_cells``), and every level reads that split.
     """
 
     T: float
@@ -123,23 +123,18 @@ class SchrodingerProblem:
     _samples: tuple | None = field(default=None, init=False, repr=False,
                                    compare=False)
 
-    @classmethod
-    def from_potential(cls, T: float, M: int, potential: Callable,
-                       corners: tuple = (),
-                       corner_power: float = 0.0) -> "SchrodingerProblem":
+    def __post_init__(self):
+        T, M = self.T, self.M
         if not (T > 0.0 and math.isfinite(T)):
             raise UsageError(f"T must be finite and > 0, got {T}")
         if M < 4:
             raise UsageError(f"M must be at least 4, got {M}")
-        corners = tuple(sorted(float(c) for c in corners if -T < c < 0.0))
-        if M < 2 * (len(corners) + 1):
+        self.corners = tuple(sorted(float(c) for c in self.corners if -T < c < 0.0))
+        if M < 2 * (len(self.corners) + 1):
             raise UsageError("M must give each segment between corners two cells",
-                             {"M": int(M), "corners": len(corners)})
-        return cls(T=T, M=M, potential=potential, corners=corners,
-                   corner_power=float(corner_power))
-
-    def __post_init__(self):
-        self._cells = tuple(_segment_cells(self.T, self.M, self.corners))
+                             {"M": int(M), "corners": len(self.corners)})
+        self.corner_power = float(self.corner_power)
+        self._cells = tuple(_segment_cells(T, M, self.corners))
 
     def mesh(self, doublings: int = 0) -> np.ndarray:
         """Nodes of the M-cell base mesh on [-T, 0], each cell bisected
@@ -187,8 +182,8 @@ def build_schrodinger(profile: RadialProfile, settings: Settings = DEFAULT) -> S
             {"T": T, "V_at_minus_T": float(potential(np.array([-T]))[0])},
         )
     corners = tuple(math.log(z) for z in profile.nodal_radii[:-1])
-    return SchrodingerProblem.from_potential(
-        T, _BASE_INTERVALS, potential, corners=corners, corner_power=p - 1.0)
+    return SchrodingerProblem(T, _BASE_INTERVALS, potential, corners=corners,
+                              corner_power=p - 1.0)
 
 
 def _segment_cells(T: float, M: int, corners: tuple) -> list:
@@ -429,14 +424,14 @@ class RadialSpectrum:
     ``lambdas`` are Richardson-extrapolated to the accuracy target
     eig_tol * (1 + |lambda|); ``M`` records the finest mesh used.
     ``discrepancy`` is max |rich - rich_prev| / (1 + |rich|) of the
-    extrapolant pair that was accepted (None when unknown).
+    extrapolant pair that was accepted.
     """
 
     lambdas: np.ndarray
     T: float
     M: int
     eig_tol: float
-    discrepancy: float | None = None
+    discrepancy: float
 
     def __post_init__(self):
         lam = np.asarray(self.lambdas, dtype=float)
@@ -452,15 +447,15 @@ def negative_spectrum(problem: SchrodingerProblem, settings: Settings = DEFAULT)
     successive pairs give Richardson extrapolants (the FD error is
     h^2-regular), and the loop stops when two consecutive extrapolants
     with identical counts have a discrepancy
-    max |rich - rich_prev| / (1 + |rich|) <= eig_tol, the one rule by
-    which the tie guard also reuses a spectrum.  So the earliest stop is at
-    4M; starting from a coarse M lets a point stop as soon as its
-    extrapolants agree, before the finer rungs' roundoff floor is reached:
-    a three-point matrix carries about 4 eps / h^2, which for T = 13 is
-    3.5e-10 at M = 8192 and 2.2e-8 at M = 65536.  The first level
-    is bisected; each finer level is refined from a guess: lambda(M) on
-    level 2M, then the h^2 prediction lambda(2M) + (lambda(2M) -
-    lambda(M)) / 4, and no guess on the level after a count change.  A
+    max |rich - rich_prev| / (1 + |rich|) <= eig_tol, which the spectrum
+    records.  So the earliest stop is at 4M; starting from a coarse M lets
+    a point stop as soon as its extrapolants agree, before the finer rungs'
+    roundoff floor is reached: a three-point matrix carries about
+    4 eps / h^2, which for T = 13 is 3.5e-10 at M = 8192 and 2.2e-8 at
+    M = 65536.  The first level is bisected; each finer level is refined
+    from a guess: lambda(M) on level 2M, then the h^2 prediction
+    lambda(2M) + (lambda(2M) - lambda(M)) / 4, and no guess on the level
+    after a count change.  A
     count that keeps changing, or failure to meet the tolerance within the
     level budget, raises NonConvergenceError rather than returning a guess;
     its context carries ``last_discrepancy``, the largest

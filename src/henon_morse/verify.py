@@ -297,7 +297,7 @@ def _section_lower_bounds(points) -> dict:
 
 
 def _section_square_well(settings) -> dict:
-    well = SchrodingerProblem.from_potential(
+    well = SchrodingerProblem(
         math.pi, 512, lambda t: np.full_like(np.asarray(t, float), -5.0))
     exact = np.array(_SQUARE_WELL_EXACT)
     rows = []

@@ -139,7 +139,7 @@ class TestAssembly:
             eig_tol = settings.eig_tol if settings is not None else 1e-8
             return RadialSpectrum(
                 lambdas=np.array([-4.0 - 1e-12, -1.5]),
-                T=problem.T, M=problem.M, eig_tol=eig_tol)
+                T=problem.T, M=problem.M, eig_tol=eig_tol, discrepancy=eig_tol)
 
         monkeypatch.setattr(morse_mod, "negative_spectrum", fake_spectrum)
         with pytest.raises(ThresholdTieError) as err:
@@ -159,7 +159,8 @@ class TestAssembly:
             seen.append(settings.eig_tol)
             lam = -4.0 - (1e-12 if len(seen) == 1 else 1e-3)
             return RadialSpectrum(lambdas=np.array([lam]), T=problem.T,
-                                  M=problem.M, eig_tol=settings.eig_tol)
+                                  M=problem.M, eig_tol=settings.eig_tol,
+                                  discrepancy=settings.eig_tol)
 
         monkeypatch.setattr(morse_mod, "negative_spectrum", fake_spectrum)
         monkeypatch.setattr(morse_mod, "oscillation_counts",
@@ -171,13 +172,13 @@ class TestAssembly:
         assert report.mode_counts_per_k == (1, 1, 0)
 
     @pytest.mark.parametrize("discrepancy,passes", [
-        (5e-10, [1e-8]), (1e-9, [1e-8]), (5e-9, [1e-8, 1e-9]),
+        (5e-10, [1e-8, 1e-9]), (1e-9, [1e-8, 1e-9]), (5e-9, [1e-8, 1e-9]),
         (1e-8, [1e-8, 1e-9])])
     def test_tie_retry_reuses_a_ladder_already_tight(self, monkeypatch,
                                                      discrepancy, passes):
-        """The tighter pass reruns the ladder only when the first one was
-        accepted with a discrepancy above eig_tol / 10; otherwise it would
-        stop at the same level with the same lambdas."""
+        """No ladder is reused, however tight: the tighter pass always runs
+        the ladder at eig_tol / 10, whatever discrepancy the first ladder
+        was accepted with."""
         profile = solve_nodal(HenonParams(alpha=0.0, p=3.0, n_nodal=1))
         seen = []
         lam = -4.0 - 1e-7  # tie distance 2e-8: a tie at 1e-8, none at 1e-9
@@ -197,11 +198,12 @@ class TestAssembly:
         assert report.lambdas.tolist() == [lam]
         assert report.tolerances["scaled_tie_distance"] == pytest.approx(2e-8)
 
-    def test_real_tie_is_refused_after_one_ladder(self, monkeypatch):
-        """At (2, 30, 2) lambda_2 sits within 1e-12 of -4 = -2^2, and the
-        first ladder already met eig_tol / 10, so the refusal reads the
-        lambdas that ladder gives at eig_tol / 10.  With s = 2 it also
-        carries the companion's distance, that of lambda_j / 4 from -k^2."""
+    def test_real_tie_is_refused_after_the_tighter_ladder(self, monkeypatch):
+        """At (2, 30, 2) lambda_2 sits within 1e-12 of -4 = -2^2, so the
+        tighter pass runs the ladder again at eig_tol / 10, and the refusal
+        carries, bit for bit, the lambdas of that ladder on the problem
+        built at the working tolerance.  With s = 2 it also carries the
+        companion's distance, that of lambda_j / 4 from -k^2."""
         calls = []
         real = morse_mod.negative_spectrum
 
@@ -212,10 +214,11 @@ class TestAssembly:
         monkeypatch.setattr(morse_mod, "negative_spectrum", counting)
         with pytest.raises(ThresholdTieError) as err:
             solve_point(2.0, 30.0, 2)
-        assert calls == [1e-8]
+        assert calls == [1e-8, 1e-9]
         profile = solve_nodal(HenonParams(alpha=2.0, p=30.0, n_nodal=2))
         tight = replace(DEFAULT, eig_tol=1e-9)
         lambdas = real(build_schrodinger(profile), tight).lambdas
+        assert err.value.context["lambdas"] == lambdas.tolist()
         assert err.value.context == {
             "lambdas": lambdas.tolist(),
             "scaled_tie_distance": morse_mod._tie_distance(lambdas, 10),
@@ -238,7 +241,8 @@ class TestAssembly:
             problems.append(problem)
             lam = -4.0 - (1e-12 if len(problems) == 1 else 1e-3)
             return RadialSpectrum(lambdas=np.array([lam]), T=problem.T,
-                                  M=problem.M, eig_tol=settings.eig_tol)
+                                  M=problem.M, eig_tol=settings.eig_tol,
+                                  discrepancy=settings.eig_tol)
 
         monkeypatch.setattr(morse_mod, "build_schrodinger", counting_build)
         monkeypatch.setattr(morse_mod, "negative_spectrum", fake_spectrum)
@@ -256,7 +260,8 @@ class TestAssembly:
             passes.append(settings.eig_tol)
             lambdas = [-4.0 - 1e-12] if len(passes) == 1 else []
             return RadialSpectrum(lambdas=np.array(lambdas), T=problem.T,
-                                  M=problem.M, eig_tol=settings.eig_tol)
+                                  M=problem.M, eig_tol=settings.eig_tol,
+                                  discrepancy=settings.eig_tol)
 
         monkeypatch.setattr(morse_mod, "negative_spectrum", fake_spectrum)
         with pytest.raises(NonConvergenceError) as err:

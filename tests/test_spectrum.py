@@ -170,7 +170,7 @@ def profile_053():
 
 @pytest.fixture(scope="module")
 def well():
-    return SchrodingerProblem.from_potential(
+    return SchrodingerProblem(
         math.pi, 512, lambda t: np.full_like(np.asarray(t, float), -5.0))
 
 
@@ -249,10 +249,10 @@ class TestSquareWell:
         assert 1e-15 < context["last_discrepancy"] < 1e-6
 
     def test_a_pair_is_accepted_on_its_discrepancy(self, well, monkeypatch):
-        """The ladder accepts on discrepancy <= eig_tol, the test the tie
-        guard reuses a spectrum by.  On this ladder the extrapolant pair's
-        discrepancy is eig_tol itself, while the elementwise product
-        eig_tol * (1 + |rich|) rounds below the gap."""
+        """The ladder accepts on discrepancy <= eig_tol and records that
+        discrepancy.  On this ladder the extrapolant pair's discrepancy is
+        eig_tol itself, while the elementwise product eig_tol * (1 + |rich|)
+        rounds below the gap."""
         levels = iter([np.array([-1.0776683114342298]),
                        np.array([-1.0770553081331768]),
                        np.array([-1.0769019167312834])])
@@ -264,7 +264,7 @@ class TestSquareWell:
         assert spec.discrepancy == tol
 
     def test_zero_potential_has_empty_spectrum(self):
-        prob = SchrodingerProblem.from_potential(
+        prob = SchrodingerProblem(
             5.0, 64, lambda t: np.zeros_like(np.asarray(t, float)))
         spec = negative_spectrum(prob)
         assert spec.lambdas.size == 0
@@ -524,7 +524,7 @@ def test_refinement_never_changes_the_count(wells, M, drifts, decades, edit):
         x = 1.0 + np.asarray(t, dtype=float) / T
         return -sum(depth * np.exp(-((x - c) / w) ** 2) for depth, c, w in wells)
 
-    problem = SchrodingerProblem.from_potential(T, M, potential)
+    problem = SchrodingerProblem(T, M, potential)
     bisected = fd_negative_eigenvalues(problem, M)
     drift = 10.0**decades * np.resize(np.array(drifts), bisected.size)
     guess = bisected * (1.0 + drift)
@@ -575,15 +575,31 @@ class TestPotentialConstruction:
         assert np.all(np.diff(grid_t) > 0.0)
 
     def test_from_potential_validation(self):
+        """The constructor refuses a T or an M it cannot mesh."""
         zero = lambda t: np.zeros_like(np.asarray(t, float))
         with pytest.raises(UsageError):
-            SchrodingerProblem.from_potential(-1.0, 64, zero)
+            SchrodingerProblem(-1.0, 64, zero)
         with pytest.raises(UsageError):
-            SchrodingerProblem.from_potential(1.0, 2, zero)
+            SchrodingerProblem(1.0, 2, zero)
         # a positive potential is refused at the first level that reads it
         with pytest.raises(UsageError):
-            negative_spectrum(SchrodingerProblem.from_potential(
+            negative_spectrum(SchrodingerProblem(
                 1.0, 64, lambda t: np.ones_like(np.asarray(t, float))))
+
+    def test_direct_construction_is_validated(self):
+        """A problem built directly gets every check: a negative T, and
+        too few cells for three corners, are refused with UsageError."""
+        zero = lambda t: np.zeros_like(np.asarray(t, float))
+        with pytest.raises(UsageError, match="T must be"):
+            SchrodingerProblem(-1.0, 64, zero)
+        with pytest.raises(UsageError, match="two cells"):
+            SchrodingerProblem(1.0, 7, zero, corners=(-0.75, -0.5, -0.25))
+
+    def test_corners_are_sorted_and_clipped_to_the_interval(self):
+        zero = lambda t: np.zeros_like(np.asarray(t, float))
+        prob = SchrodingerProblem(1.0, 16, zero, corners=(-0.25, 0.0, -1.0, -0.5, 2))
+        assert prob.corners == (-0.5, -0.25)
+        assert prob.mesh()[0] == -1.0 and np.all(np.isin(prob.corners, prob.mesh()))
 
     def test_positive_potential_between_base_nodes_is_refused(self):
         """V = -5 + 6 sin^2(pi M (t + T) / T) is -5 on the M-cell base nodes
@@ -594,7 +610,7 @@ class TestPotentialConstruction:
         def potential(t):
             return -5.0 + 6.0 * np.sin(np.pi * M * (np.asarray(t, float) + T) / T) ** 2
 
-        prob = SchrodingerProblem.from_potential(T, M, potential)
+        prob = SchrodingerProblem(T, M, potential)
         assert np.max(base_mesh(prob)[1]) <= -5.0 + 1e-12
         with pytest.raises(UsageError, match="nonpositive") as err:
             negative_spectrum(prob)
@@ -648,8 +664,8 @@ class TestNestedCornerMesh:
         zero = lambda t: np.zeros_like(np.asarray(t, float))
         corners = (-0.75, -0.5, -0.25)
         with pytest.raises(UsageError, match="two cells"):
-            SchrodingerProblem.from_potential(1.0, 7, zero, corners=corners)
-        SchrodingerProblem.from_potential(1.0, 8, zero, corners=corners)
+            SchrodingerProblem(1.0, 7, zero, corners=corners)
+        SchrodingerProblem(1.0, 8, zero, corners=corners)
 
     @pytest.mark.parametrize("M", [256, 768, 1536])
     def test_mesh_off_the_ladder_is_refused(self, well, M):
@@ -662,7 +678,7 @@ class TestNestedCornerMesh:
         cells at the corner: each gives h^(kappa+1) / ((kappa+1)(kappa+2))
         to the corner's hat integral."""
         c = -0.3
-        prob = SchrodingerProblem.from_potential(
+        prob = SchrodingerProblem(
             1.0, 16, lambda t: -np.abs(np.asarray(t, float) - c) ** kappa,
             corners=(c,), corner_power=kappa)
         mesh = prob.mesh()
@@ -755,7 +771,7 @@ class TestNestedCornerMesh:
 class TestSpectrumStability:
     def test_stable_under_truncation_bump(self, profile_032, spectrum_032):
         prob = build_schrodinger(profile_032)
-        bumped = SchrodingerProblem.from_potential(
+        bumped = SchrodingerProblem(
             prob.T + 5.0, prob.M, prob.potential, corners=prob.corners,
             corner_power=prob.corner_power)
         spec_b = negative_spectrum(bumped)
@@ -765,13 +781,25 @@ class TestSpectrumStability:
 
     def test_stable_under_mesh_doubling(self, profile_032, spectrum_032):
         prob = build_schrodinger(profile_032)
-        doubled = SchrodingerProblem.from_potential(
+        doubled = SchrodingerProblem(
             prob.T, 2 * prob.M, prob.potential, corners=prob.corners,
             corner_power=prob.corner_power)
         spec_d = negative_spectrum(doubled)
         assert spec_d.lambdas.size == spectrum_032.lambdas.size
         tol = 3.0 * spectrum_032.eig_tol * (1.0 + np.abs(spectrum_032.lambdas))
         assert np.all(np.abs(spec_d.lambdas - spectrum_032.lambdas) <= tol)
+
+    def test_ladder_at_its_own_discrepancy_stops_on_the_same_rung(
+            self, profile_032, spectrum_032):
+        """The ladder is deterministic and eig_tol only picks the rung where
+        it stops, so a rerun at eig_tol = the accepted discrepancy returns
+        the same spectrum bit for bit."""
+        assert 0.0 < spectrum_032.discrepancy <= spectrum_032.eig_tol
+        rerun = negative_spectrum(
+            build_schrodinger(profile_032),
+            replace(DEFAULT, eig_tol=spectrum_032.discrepancy))
+        assert rerun.M == spectrum_032.M
+        assert rerun.lambdas.tolist() == spectrum_032.lambdas.tolist()
 
     def test_lambdas_strictly_increasing_and_negative(self, spectrum_032):
         lam = spectrum_032.lambdas
