@@ -13,8 +13,10 @@ reads every integer off one table, lambda_j < -w^2 over a set of wave
 numbers w, and cross-checks its column sums against an independent route:
 the Sturm oscillation counts #{j : lambda_j < -w^2}
 (``spectrum.oscillation_counts``), an adaptive ODE solve that shares no
-mesh or matrix with the eigenvalue solver.  Disagreement raises
-``TwoRouteError`` rather than returning a number.  The wave numbers are the
+mesh or matrix with the eigenvalue solver, run at 100 times the working
+tolerances unless a count is close to call.  Disagreement is counted again
+at the working tolerances, and if it stands it raises ``TwoRouteError``
+rather than returning a number.  The wave numbers are the
 point's k = 0..k_max and, for the alpha = 0 companion, whose eigenvalues
 the power map r -> r^((alpha+2)/2) scales by (2/(alpha+2))^2, the
 s k with s = (alpha+2)/2; so the same table and the same solve decide and
@@ -50,7 +52,7 @@ import numpy as np
 from .config import DEFAULT, Settings
 from .errors import NonConvergenceError, ThresholdTieError, TwoRouteError, UsageError
 from .radial import HenonParams, RadialProfile, solve_nodal
-from .spectrum import build_schrodinger, negative_spectrum, oscillation_counts
+from .spectrum import _COARSE, build_schrodinger, negative_spectrum, oscillation_counts
 
 __all__ = [
     "MorseReport",
@@ -140,8 +142,12 @@ def assemble_morse(profile: RadialProfile,
     the radial index) and the companion's s k below.  Every integer of the
     report is read off that table.  The cross-check, which every call runs:
     one oscillation solve counts the eigenvalues below -w^2 at the same
-    wave numbers, and any column sum that differs raises TwoRouteError, from
-    one place.  A |lambda_j + k^2| too small to call at the working
+    wave numbers, at the tolerance a count needs (``oscillation_counts``).
+    Counts that differ from the table's column sums are taken again
+    ``_COARSE`` times tighter, so that the recount's first pass is the one
+    at ``settings.rtol`` and ``settings.atol``; a column that still differs
+    raises TwoRouteError, from one place, with the recount's margin and
+    rtol in its evidence.  A |lambda_j + k^2| too small to call at the working
     tolerance triggers one more pass at 10x tighter tolerance before giving
     up with ThresholdTieError.  That pass runs its own ladder on the same
     truncated problem, built once at the working tolerance.
@@ -201,7 +207,14 @@ def assemble_morse(profile: RadialProfile,
         return_inverse=True)
     negative = lambdas[:, None] < -waves ** 2
     decomposition = negative.sum(axis=0)
-    osc = np.array(oscillation_counts(profile, problem, waves, settings))
+    counts = oscillation_counts(profile, problem, waves, settings)
+    if not np.array_equal(decomposition, counts):
+        # counts that disagree are taken again _COARSE times tighter, so the
+        # recount's first pass is the one at the working tolerances
+        counts = oscillation_counts(profile, problem, waves, replace(
+            settings, rtol=settings.rtol / _COARSE,
+            atol=settings.atol / _COARSE))
+    osc = np.array(counts)
     if not np.array_equal(decomposition, osc):
         raise TwoRouteError(
             "eigenvalue counts below -w^2 mismatch between the eigenvalue "
@@ -209,6 +222,8 @@ def assemble_morse(profile: RadialProfile,
             {"wave_numbers": [float(w) for w in waves],
              "decomposition": decomposition.tolist(),
              "oscillation_route": osc.tolist(), "s": s,
+             "oscillation_margin": counts.margin,
+             "oscillation_rtol": counts.rtol,
              "lambdas": [float(x) for x in lambdas],
              "alpha": profile.params.alpha, "p": profile.params.p,
              "n_nodal": profile.params.n_nodal},

@@ -21,6 +21,7 @@ import pytest
 
 import henon_morse.cli as cli
 import henon_morse.morse as morse_mod
+import henon_morse.spectrum as spectrum_mod
 from henon_morse import (
     HenonParams,
     NonConvergenceError,
@@ -36,7 +37,7 @@ from henon_morse import (
 )
 from henon_morse.config import DEFAULT
 from henon_morse.io import dumps_canonical, morse_document
-from henon_morse.spectrum import RadialSpectrum, build_schrodinger
+from henon_morse.spectrum import OscillationCounts, RadialSpectrum, build_schrodinger
 
 
 def _counts_agreeing_with(lambdas):
@@ -118,19 +119,70 @@ class TestAssembly:
         def miscounting(prof, problem, waves, settings):
             seen.append(list(waves))
             counts = real(prof, problem, waves, settings)
-            return tuple(c + (w == wave) for c, w in zip(counts, waves))
+            return OscillationCounts(
+                (c + (w == wave) for c, w in zip(counts, waves)),
+                counts.margin, counts.rtol)
 
         monkeypatch.setattr(morse_mod, "oscillation_counts", miscounting)
         with pytest.raises(TwoRouteError) as err:
             assemble_morse(profile)
         assert "Sturm oscillation counts" in str(err.value)
-        assert seen == [[0.0, 1.0, 1.5, 2.0, 3.0, 4.0, 4.5, 5.0, 6.0]]
+        assert seen and all(
+            waves == [0.0, 1.0, 1.5, 2.0, 3.0, 4.0, 4.5, 5.0, 6.0]
+            for waves in seen)
         context = err.value.context
         assert context["wave_numbers"] == seen[0]
         differing = [(w, a, b) for w, a, b in zip(
             context["wave_numbers"], context["decomposition"],
             context["oscillation_route"]) if a != b]
         assert differing == [(wave, count, count + 1)]
+
+    @staticmethod
+    def _miscount_at_two(monkeypatch, miscounts):
+        """Route C's angles, with theta_2 one turn too far on the passes
+        whose rtol ``miscounts`` accepts; returns the rtols of the passes."""
+        rtols = []
+        real = spectrum_mod._prufer_angles
+
+        def angles(prof, problem, ws, rtol, atol):
+            rtols.append(rtol)
+            theta = real(prof, problem, ws, rtol, atol)
+            return theta + math.pi * ((ws == 2.0) & miscounts(rtol))
+
+        monkeypatch.setattr(spectrum_mod, "_prufer_angles", angles)
+        return rtols
+
+    def test_a_coarse_miscount_is_recounted(self, monkeypatch):
+        """A count that only the coarse pass gets wrong is counted again,
+        its first pass at the working rtol, and the point reports as if
+        route C had been right at once."""
+        profile = solve_nodal(HenonParams(alpha=1.0, p=3.0, n_nodal=2))
+        expected = assemble_morse(profile).to_dict()
+        rtols = self._miscount_at_two(
+            monkeypatch, lambda rtol: rtol == 100.0 * DEFAULT.rtol)
+        assert assemble_morse(profile).to_dict() == expected
+        assert rtols == [100.0 * DEFAULT.rtol, DEFAULT.rtol]
+
+    def test_a_recounted_miscount_carries_the_recount(self, monkeypatch):
+        """A count wrong on every pass is refused after the recount, with
+        the recount's counts, its margin and the rtol that decided them."""
+        profile = solve_nodal(HenonParams(alpha=1.0, p=3.0, n_nodal=2))
+        waves = np.array([0.0, 1.0, 1.5, 2.0, 3.0, 4.0, 4.5, 5.0, 6.0])
+        theta = spectrum_mod._prufer_angles(
+            profile, build_schrodinger(profile), waves, DEFAULT.rtol,
+            DEFAULT.atol)
+        turns = theta / math.pi
+        margin = math.pi * np.min(np.abs(turns - np.round(turns)))
+        rtols = self._miscount_at_two(monkeypatch, lambda rtol: True)
+        with pytest.raises(TwoRouteError) as err:
+            assemble_morse(profile)
+        assert rtols == [100.0 * DEFAULT.rtol, DEFAULT.rtol]
+        context = err.value.context
+        assert context["oscillation_route"] == (
+            np.floor(turns) + (waves == 2.0)).astype(int).tolist()
+        assert context["oscillation_rtol"] == DEFAULT.rtol
+        assert context["oscillation_margin"] == pytest.approx(margin, abs=1e-12)
+        assert context["oscillation_margin"] >= 1e-3
 
     def test_threshold_tie_raises(self, monkeypatch):
         profile = solve_nodal(HenonParams(alpha=0.0, p=3.0, n_nodal=1))

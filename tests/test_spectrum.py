@@ -22,6 +22,7 @@ the oracle below with mesh ratios 1.01/1.005 plus Richardson extrapolation
 
 import gc
 import math
+import pickle
 import tracemalloc
 from dataclasses import replace
 
@@ -881,6 +882,66 @@ class TestCountIdentities:
             mode_negative_count(profile_032, 0)
         with pytest.raises(UsageError):
             mode_negative_count(profile_032, -1)
+
+
+class TestCoarseCounts:
+    """The oscillation count integrates at _COARSE times rtol and atol,
+    keeps those counts only on a margin of at least _MIN_MARGIN, and else
+    counts again at rtol and atol."""
+
+    # (1, 3, 2): s = 3/2, the point's k = 0..6 and the companion's s k
+    WAVES = [0.0, 1.0, 1.5, 2.0, 3.0, 4.0, 4.5, 5.0, 6.0]
+
+    @pytest.fixture(scope="class")
+    def case_132(self):
+        profile = solve_nodal(HenonParams(alpha=1.0, p=3.0, n_nodal=2))
+        return profile, build_schrodinger(profile)
+
+    def test_small_margin_recounts_at_the_working_tolerance(
+            self, monkeypatch, case_132):
+        """No margin reaches pi/2, so every call falls back: the counts are
+        those of the coarse pass, read again at settings.rtol."""
+        profile, problem = case_132
+        coarse = oscillation_counts(profile, problem, self.WAVES)
+        assert coarse.rtol == 100.0 * DEFAULT.rtol
+        assert coarse.margin >= 1e-3
+        rtols = []
+        real = spectrum._prufer_angles
+
+        def spy(prof, prob, ws, rtol, atol):
+            rtols.append((rtol, atol))
+            return real(prof, prob, ws, rtol, atol)
+
+        monkeypatch.setattr(spectrum, "_prufer_angles", spy)
+        monkeypatch.setattr(spectrum, "_MIN_MARGIN", 2.0)
+        full = oscillation_counts(profile, problem, self.WAVES)
+        assert full == coarse
+        assert rtols == [(100.0 * DEFAULT.rtol, 100.0 * DEFAULT.atol),
+                         (DEFAULT.rtol, DEFAULT.atol)]
+        assert full.rtol == DEFAULT.rtol
+        assert 1e-3 <= full.margin <= math.pi / 2.0
+        copied = pickle.loads(pickle.dumps(full))
+        assert (copied, copied.margin, copied.rtol) == (full, full.margin, full.rtol)
+
+    def test_accepted_coarse_pass_saves_a_quarter_of_the_calls(
+            self, monkeypatch, case_132):
+        """The right-hand side calls of the accepted coarse pass, against
+        those of one pass at the working tolerance."""
+        profile, problem = case_132
+        calls = [0]
+        real = spectrum._prufer_rate
+
+        def counting(*args):
+            calls[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(spectrum, "_prufer_rate", counting)
+        counts = oscillation_counts(profile, problem, self.WAVES)
+        coarse_calls, calls[0] = calls[0], 0
+        spectrum._prufer_angles(profile, problem, np.array(self.WAVES),
+                                DEFAULT.rtol, DEFAULT.atol)
+        assert counts.rtol == 100.0 * DEFAULT.rtol
+        assert coarse_calls <= 0.75 * calls[0]
 
 
 class TestWeightScaling:
