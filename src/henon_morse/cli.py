@@ -66,7 +66,7 @@ from .io import (
 from .morse import check_lower_bounds, solve_point, sweep_from_reports
 from .radial import HenonParams, solve_nodal
 from .spectrum import build_schrodinger, negative_spectrum
-from .verify import GRIDS, _run_tasks, run_battery
+from .verify import GRIDS, run_battery, run_tasks
 
 __all__ = ["main"]
 
@@ -228,7 +228,7 @@ def _cmd_sweep(args) -> int:
     if args.out and os.path.realpath(args.out) == os.path.realpath(args.csv):
         raise UsageError("--out and --csv name the same path",
                          {"csv": args.csv, "out": args.out})
-    results = _run_tasks(_report_or_error, [(a, args.p, args.nodes, settings)
+    results = run_tasks(_report_or_error, [(a, args.p, args.nodes, settings)
                                             for a in alphas], args.jobs)
     errors = [r for r in results if isinstance(r, HenonMorseError)]
     reports = [r for r in results if not isinstance(r, HenonMorseError)]

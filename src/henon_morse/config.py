@@ -30,13 +30,12 @@ class Settings:
     ----------
     rtol, atol:
         Relative / absolute tolerance of the adaptive ODE integrators: the
-        profile's initial value problem, and the oscillation counts where
-        a count is close to call.  Those counts are first integrated at
-        100 times rtol and atol and are read again at rtol and atol only
-        when some Prufer angle lies within 1e-3 rad of a multiple of pi,
-        or when they disagree with the eigenvalue route.  atol also sets
-        the radius where the profile's integration leaves the origin
-        series.
+        profile's initial value problem, and the oscillation counts, whose
+        ladder in ``morse.assemble_morse`` runs at 100 times, 1 times and
+        1/100 of rtol and atol and stops at the first pass that agrees
+        with the eigenvalue route, every Prufer angle at least 1e-3 rad
+        from a multiple of pi.  atol also sets the radius where the
+        profile's integration leaves the origin series.
     eig_tol:
         Target accuracy of negative eigenvalues: values are accepted when
         successive Richardson extrapolants agree within

@@ -12,8 +12,11 @@ regular Schrodinger eigenproblem on a half-line,
     -psi_tt + V(t) psi = lambda psi,      V(t) = -p e^((alpha+2) t) |u(e^t)|^(p-1),
 
 with V <= 0 decaying like e^((alpha+2)t) as t -> -infinity.  Truncating at
-t = -T with Dirichlet conditions costs an exponentially small perturbation
-of the negative eigenvalues.  This module computes:
+t = -T with Dirichlet conditions moves a negative eigenvalue lambda by about
+exp(-2 sqrt(|lambda|) T), which is small only for a deep lambda: it is
+3.2e-6 for lambda_1 = -0.285 of (0, 2, 1) at T = 12.9, far above eig_tol,
+and at p = 1.05 a shallow lambda's decay length 1/sqrt(|lambda|) nears T,
+so the cut-off sets most of its value.  This module computes:
 
 * ``negative_spectrum``: all negative eigenvalues lambda_1 < ... < lambda_J
   of the truncated problem, by three-point finite differences and
@@ -32,12 +35,11 @@ of the negative eigenvalues.  This module computes:
 * ``oscillation_counts``: #{j : lambda_j < -w^2} for any set of wave
   numbers w at once, by Sturm oscillation: the Prufer angle of the
   solution at energy -w^2, integrated by an adaptive ODE solver across
-  [-T, 0], counts its zeros; the solver runs at 100 times the working
-  tolerances and again at them only when an angle ends within 1e-3 rad of
-  a multiple of pi.  ``radial_morse_index`` (k = 0) and
-  ``mode_negative_count`` (one k >= 1) are one-line wrappers over it that
-  no production code calls; they remain only as span targets of
-  ``perfbench/spans.py``.
+  [-T, 0] in one pass at the tolerances it is given, counts its zeros
+  (``morse.assemble_morse`` chooses those tolerances).
+  ``radial_morse_index`` (k = 0) and ``mode_negative_count`` (one k >= 1)
+  are one-line wrappers over it that no production code calls; they
+  remain only as span targets of ``perfbench/spans.py``.
 
 The oscillation count reads the same potential as the eigenvalue route but
 shares no mesh, matrix or extrapolation with it, which is what makes the
@@ -89,16 +91,6 @@ _MAX_EIG_LEVELS = 7
 # DOP853 step budget of one oscillation-count segment; the default grid's
 # segments take 57-140 steps, those of (0, 50, 3) up to 238.
 _MAX_OSCILLATION_STEPS = 20000
-# The oscillation count first integrates at this multiple of rtol and atol:
-# a count needs only the side of a multiple of pi that an angle lies on.  At
-# 100x the default tolerances the angle error is at most 1.1e-4 rad over the
-# 120 benchmark tuples and the 87 reporting tuples of the low-p scan, whose
-# smallest margin is 2.9e-3 rad, and the pass makes 0.65x the RHS calls.
-_COARSE = 100.0
-# The coarse counts are kept only when every angle lies at least this far
-# from a multiple of pi, 9x that worst error; otherwise the count integrates
-# again at rtol and atol.
-_MIN_MARGIN = 1e-3
 
 _TINY = float(np.finfo(float).tiny)
 _ULP = float(np.finfo(float).eps)  # 2^-52, LAPACK's dlamch("P")
@@ -543,19 +535,18 @@ def tridiagonal_negative_inertia(diag: np.ndarray, off: np.ndarray) -> int:
 
 class OscillationCounts(tuple):
     """The counts of ``oscillation_counts``, a tuple of ints in the order
-    of its wave numbers, with the evidence that decided them: ``margin``,
-    the smallest distance in radians of a theta_w(0) from a multiple of pi,
-    and ``rtol``, the relative tolerance of the pass they were read from."""
+    of its wave numbers, with ``margin``, the smallest distance in radians
+    of a theta_w(0) from a multiple of pi: how close the pass came to
+    calling a count the other way."""
 
-    def __new__(cls, counts, margin: float, rtol: float):
+    def __new__(cls, counts, margin: float):
         self = super().__new__(cls, counts)
         self.margin = margin
-        self.rtol = rtol
         return self
 
     def __getnewargs__(self):
         # what pickle and copy pass back to __new__
-        return tuple(self), self.margin, self.rtol
+        return tuple(self), self.margin
 
 
 def oscillation_counts(profile: RadialProfile, problem: SchrodingerProblem,
@@ -578,42 +569,28 @@ def oscillation_counts(profile: RadialProfile, problem: SchrodingerProblem,
     at t = -T from the solution that stays bounded toward -infinity, where
     V is negligible: psi = e^(w t), so tan theta_w = s_w / w (theta = pi/4
     for w >= 1, pi/2 for w = 0).  With Dirichlet at t = 0 the count of
-    eigenvalues below E_w is floor(theta_w(0) / pi).
+    eigenvalues below E_w is floor(theta_w(0) / pi).  The result carries
+    the margin of the pass (``OscillationCounts``); which tolerance a count
+    needs is the caller's decision (``assemble_morse``).
 
-    A count needs only the side of a multiple of pi that theta_w(0) lies
-    on, so the angles are first integrated at ``_COARSE`` times
-    ``settings.rtol`` and ``settings.atol``.  Those counts are kept when
-    the margin, the smallest distance of a theta_w(0) from a multiple of
-    pi, is at least ``_MIN_MARGIN`` radians; otherwise the angles are
-    integrated again at ``settings.rtol`` and ``settings.atol``, and that
-    pass decides.  The result carries the margin and the rtol of the pass
-    it was read from (``OscillationCounts``).
-
-    Each pass integrates all w as one vector ODE by DOP853, restarted at
-    each corner of ``problem``.  u is read one radius at a time from the
-    trajectory's dense output (``radial.u_reader``), the polynomials route
-    A samples, with no mesh and no matrix.  A segment that the solver
-    cannot finish within ``_MAX_OSCILLATION_STEPS`` steps raises
-    NonConvergenceError.
+    One pass integrates all w as one vector ODE by DOP853 at
+    ``settings.rtol`` and ``settings.atol``, restarted at each corner of
+    ``problem``.  u is read one radius at a time from the trajectory's
+    dense output (``radial.u_reader``), the polynomials route A samples,
+    with no mesh and no matrix.  An empty list of wave numbers, or one
+    that is negative or not finite, is a UsageError before any solve.  A
+    segment that the solver cannot finish within ``_MAX_OSCILLATION_STEPS``
+    steps raises NonConvergenceError.
     """
     ws = np.asarray(wave_numbers, dtype=float)
-    for rtol, atol in ((_COARSE * settings.rtol, _COARSE * settings.atol),
-                       (settings.rtol, settings.atol)):
-        turns = _prufer_angles(profile, problem, ws, rtol, atol) / math.pi
-        margin = math.pi * float(np.min(np.abs(turns - np.round(turns))))
-        if margin >= _MIN_MARGIN:
-            break
-    return OscillationCounts((int(c) for c in np.floor(turns)), margin, rtol)
-
-
-def _prufer_angles(profile: RadialProfile, problem: SchrodingerProblem,
-                   ws: np.ndarray, rtol: float, atol: float) -> np.ndarray:
-    """theta_w(0) of ``oscillation_counts`` for the wave numbers ``ws``,
-    integrated across [-T, 0] by DOP853 at ``rtol`` and ``atol``."""
+    if ws.ndim != 1 or ws.size == 0 or not np.all(np.isfinite(ws) & (ws >= 0.0)):
+        raise UsageError("wave numbers must be a non-empty list of finite "
+                         "values >= 0", {"wave_numbers": ws.tolist()})
     alpha, p = profile.params.alpha, profile.params.p
     s = np.maximum(ws, 1.0)
     solver = ode(_prufer_rate).set_integrator(
-        "dop853", rtol=rtol, atol=atol, nsteps=_MAX_OSCILLATION_STEPS)
+        "dop853", rtol=settings.rtol, atol=settings.atol,
+        nsteps=_MAX_OSCILLATION_STEPS)
     solver.set_f_params(u_reader(profile), alpha, p, s, 1.0 / s,
                         -ws * ws / s - s)
     theta = np.arctan2(s, ws)
@@ -628,7 +605,9 @@ def _prufer_angles(profile: RadialProfile, problem: SchrodingerProblem,
                  "max_wave_number": float(ws.max()), "alpha": alpha, "p": p,
                  "n_nodal": profile.params.n_nodal},
             )
-    return theta
+    turns = theta / math.pi
+    margin = math.pi * float(np.min(np.abs(turns - np.round(turns))))
+    return OscillationCounts((int(c) for c in np.floor(turns)), margin)
 
 
 def _prufer_rate(t, theta, u, alpha, p, s, inv_s, shift):

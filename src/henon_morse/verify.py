@@ -60,7 +60,7 @@ from .radial import evaluate_u
 from .spectrum import SchrodingerProblem, fd_negative_eigenvalues, negative_spectrum
 from .transform import transform_solution, verify_form_comparison
 
-__all__ = ["GRIDS", "run_battery"]
+__all__ = ["GRIDS", "run_battery", "run_tasks"]
 
 # grid name -> (alphas, ps, ns)
 GRIDS = {
@@ -130,7 +130,7 @@ def _point_task(args):
     }
 
 
-def _run_tasks(fn, tasks, jobs):
+def run_tasks(fn, tasks, jobs):
     """``[fn(task) for task in tasks]``, in order, on up to ``jobs`` worker
     processes (None: serial).  No more workers start than there are
     tasks."""
@@ -154,14 +154,14 @@ def run_battery(grid: str = "default", settings: Settings = DEFAULT,
     alphas, ps, ns = GRIDS[grid]
     started = time.perf_counter()
 
-    companion_results = _run_tasks(
+    companion_results = run_tasks(
         _companion_task, [((p, n), settings) for p in ps for n in ns], jobs)
     companions = {key: (prof, rep) for key, prof, rep in companion_results}
 
     point_tasks = [((a, p, n), companions[(p, n)][0], companions[(p, n)][1],
                     settings)
                    for a in alphas for p in ps for n in ns]
-    points = dict(_run_tasks(_point_task, point_tasks, jobs))
+    points = dict(run_tasks(_point_task, point_tasks, jobs))
 
     sections = [
         _section_radial_identity(points),

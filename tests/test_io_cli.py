@@ -421,9 +421,9 @@ class TestCliMorseWork:
     def test_point_runs_no_task_runner(self, solved_alphas, capsys,
                                        monkeypatch):
         def no_runner(*args):
-            raise AssertionError("morse went through _run_tasks")
+            raise AssertionError("morse went through run_tasks")
 
-        monkeypatch.setattr(cli, "_run_tasks", no_runner)
+        monkeypatch.setattr(cli, "run_tasks", no_runner)
         assert cli.main(["morse", "--alpha", "1", "--p", "3",
                          "--nodes", "1"]) == 0
         assert solved_alphas == [1.0]
@@ -507,14 +507,14 @@ class TestWorkerPool:
         return sizes
 
     def test_workers_capped_at_task_count(self, pools):
-        assert verify_mod._run_tasks(abs, [-1, -2, -3, -4], 64) == [1, 2, 3, 4]
-        assert verify_mod._run_tasks(abs, [-1, -2, -3, -4], 2) == [1, 2, 3, 4]
+        assert verify_mod.run_tasks(abs, [-1, -2, -3, -4], 64) == [1, 2, 3, 4]
+        assert verify_mod.run_tasks(abs, [-1, -2, -3, -4], 2) == [1, 2, 3, 4]
         assert pools == [4, 2]
 
     def test_one_worker_or_one_task_runs_in_process(self, pools):
-        assert verify_mod._run_tasks(abs, [-1, -2], None) == [1, 2]
-        assert verify_mod._run_tasks(abs, [-1, -2], 1) == [1, 2]
-        assert verify_mod._run_tasks(abs, [-1], 8) == [1]
+        assert verify_mod.run_tasks(abs, [-1, -2], None) == [1, 2]
+        assert verify_mod.run_tasks(abs, [-1, -2], 1) == [1, 2]
+        assert verify_mod.run_tasks(abs, [-1], 8) == [1]
         assert pools == []
 
     def test_sweep_jobs_capped_at_point_count(self, pools, tmp_path, capsys):
@@ -589,7 +589,7 @@ class TestCliSweep:
         def no_tasks(*args):
             raise AssertionError("the sweep started its points")
 
-        monkeypatch.setattr(cli, "_run_tasks", no_tasks)
+        monkeypatch.setattr(cli, "run_tasks", no_tasks)
         assert cli.main(["sweep", "--p", "3", "--nodes", "2", "--alphas",
                          "0,1", "--csv", ""]) == 3
         diag = json.loads(capsys.readouterr().err)

@@ -42,10 +42,49 @@ from henon_morse.spectrum import OscillationCounts, RadialSpectrum, build_schrod
 
 def _counts_agreeing_with(lambdas):
     """A stand-in for ``oscillation_counts`` that agrees with route A on
-    the given eigenvalues: #{j : lambda_j < -w^2} for each wave number w."""
+    the given eigenvalues: #{j : lambda_j < -w^2} for each wave number w,
+    every angle pi/2 from a multiple of pi."""
     lam = np.asarray(lambdas)
-    return lambda prof, problem, waves, settings=None: tuple(
-        int(np.sum(lam < -w * w)) for w in waves)
+    return lambda prof, problem, waves, settings=None: OscillationCounts(
+        (int(np.sum(lam < -w * w)) for w in waves), math.pi / 2.0)
+
+
+def _spy_route_c(monkeypatch, edit=lambda rtol, waves, counts: counts):
+    """Wraps route C as ``morse`` calls it: records the (rtol, atol) of
+    every pass, and returns what ``edit`` makes of the pass's counts."""
+    passes = []
+    real = morse_mod.oscillation_counts
+
+    def spy(prof, problem, waves, settings):
+        passes.append((settings.rtol, settings.atol))
+        return edit(settings.rtol, waves, real(prof, problem, waves, settings))
+
+    monkeypatch.setattr(morse_mod, "oscillation_counts", spy)
+    return passes
+
+
+def _miscounting_two_at(rtols):
+    """An ``edit`` of ``_spy_route_c`` that counts w = 2 one too many on
+    the passes whose rtol is in ``rtols``."""
+    def edit(rtol, waves, counts):
+        if rtol not in rtols:
+            return counts
+        return OscillationCounts(
+            (c + (w == 2.0) for c, w in zip(counts, waves)), counts.margin)
+    return edit
+
+
+# The passes of route C's ladder at the default tolerances.
+COARSE, WORKING, FINE = ((100.0 * DEFAULT.rtol, 100.0 * DEFAULT.atol),
+                         (DEFAULT.rtol, DEFAULT.atol),
+                         (DEFAULT.rtol / 100.0, DEFAULT.atol / 100.0))
+
+
+@pytest.fixture(scope="module")
+def case_132():
+    """(1, 3, 2), s = 3/2: the profile and its report's document."""
+    profile = solve_nodal(HenonParams(alpha=1.0, p=3.0, n_nodal=2))
+    return profile, assemble_morse(profile).to_dict()
 
 
 @pytest.fixture(scope="module")
@@ -121,7 +160,7 @@ class TestAssembly:
             counts = real(prof, problem, waves, settings)
             return OscillationCounts(
                 (c + (w == wave) for c, w in zip(counts, waves)),
-                counts.margin, counts.rtol)
+                counts.margin)
 
         monkeypatch.setattr(morse_mod, "oscillation_counts", miscounting)
         with pytest.raises(TwoRouteError) as err:
@@ -137,51 +176,34 @@ class TestAssembly:
             context["oscillation_route"]) if a != b]
         assert differing == [(wave, count, count + 1)]
 
-    @staticmethod
-    def _miscount_at_two(monkeypatch, miscounts):
-        """Route C's angles, with theta_2 one turn too far on the passes
-        whose rtol ``miscounts`` accepts; returns the rtols of the passes."""
-        rtols = []
-        real = spectrum_mod._prufer_angles
-
-        def angles(prof, problem, ws, rtol, atol):
-            rtols.append(rtol)
-            theta = real(prof, problem, ws, rtol, atol)
-            return theta + math.pi * ((ws == 2.0) & miscounts(rtol))
-
-        monkeypatch.setattr(spectrum_mod, "_prufer_angles", angles)
-        return rtols
-
-    def test_a_coarse_miscount_is_recounted(self, monkeypatch):
-        """A count that only the coarse pass gets wrong is counted again,
-        its first pass at the working rtol, and the point reports as if
-        route C had been right at once."""
-        profile = solve_nodal(HenonParams(alpha=1.0, p=3.0, n_nodal=2))
-        expected = assemble_morse(profile).to_dict()
-        rtols = self._miscount_at_two(
-            monkeypatch, lambda rtol: rtol == 100.0 * DEFAULT.rtol)
+    def test_a_coarse_miscount_is_recounted(self, monkeypatch, case_132):
+        """A count that only the coarse pass gets wrong is counted again at
+        the working rtol, and the point reports as if route C had been
+        right at once."""
+        profile, expected = case_132
+        passes = _spy_route_c(monkeypatch, _miscounting_two_at({COARSE[0]}))
         assert assemble_morse(profile).to_dict() == expected
-        assert rtols == [100.0 * DEFAULT.rtol, DEFAULT.rtol]
+        assert passes == [COARSE, WORKING]
 
-    def test_a_recounted_miscount_carries_the_recount(self, monkeypatch):
-        """A count wrong on every pass is refused after the recount, with
-        the recount's counts, its margin and the rtol that decided them."""
-        profile = solve_nodal(HenonParams(alpha=1.0, p=3.0, n_nodal=2))
-        waves = np.array([0.0, 1.0, 1.5, 2.0, 3.0, 4.0, 4.5, 5.0, 6.0])
-        theta = spectrum_mod._prufer_angles(
-            profile, build_schrodinger(profile), waves, DEFAULT.rtol,
-            DEFAULT.atol)
-        turns = theta / math.pi
-        margin = math.pi * np.min(np.abs(turns - np.round(turns)))
-        rtols = self._miscount_at_two(monkeypatch, lambda rtol: True)
+    def test_a_recounted_miscount_carries_the_recount(self, monkeypatch,
+                                                      case_132):
+        """A count wrong on every pass is refused after the last pass, at
+        rtol / 100, with that pass's counts, margin and rtol."""
+        profile, _ = case_132
+        waves = [0.0, 1.0, 1.5, 2.0, 3.0, 4.0, 4.5, 5.0, 6.0]
+        fine = spectrum_mod.oscillation_counts(
+            profile, build_schrodinger(profile), waves,
+            replace(DEFAULT, rtol=FINE[0], atol=FINE[1]))
+        passes = _spy_route_c(monkeypatch, _miscounting_two_at(
+            {COARSE[0], WORKING[0], FINE[0]}))
         with pytest.raises(TwoRouteError) as err:
             assemble_morse(profile)
-        assert rtols == [100.0 * DEFAULT.rtol, DEFAULT.rtol]
+        assert passes == [COARSE, WORKING, FINE]
         context = err.value.context
-        assert context["oscillation_route"] == (
-            np.floor(turns) + (waves == 2.0)).astype(int).tolist()
-        assert context["oscillation_rtol"] == DEFAULT.rtol
-        assert context["oscillation_margin"] == pytest.approx(margin, abs=1e-12)
+        assert context["oscillation_route"] == [
+            c + (w == 2.0) for c, w in zip(fine, waves)]
+        assert context["oscillation_rtol"] == 1e-12
+        assert context["oscillation_margin"] == fine.margin
         assert context["oscillation_margin"] >= 1e-3
 
     def test_threshold_tie_raises(self, monkeypatch):
@@ -394,6 +416,60 @@ class TestAssembly:
         report = assemble_morse(profile)
         assert seen == [[0.0, 1.0, 2.0, 3.0, 4.0]]
         assert report.companion_total == report.m_total == 8
+
+
+class TestOscillationLadder:
+    """Route C runs at 100 times rtol and atol, at them and at a hundredth
+    of them, and stops at the first pass that agrees with route A with
+    every angle at least ``morse._MIN_MARGIN`` from a multiple of pi."""
+
+    def test_small_margin_climbs_the_whole_ladder(self, monkeypatch,
+                                                  case_132):
+        """No margin reaches 2 rad, so every pass runs, each once, and the
+        last one's agreeing counts make the same report."""
+        profile, expected = case_132
+        passes = _spy_route_c(monkeypatch)
+        monkeypatch.setattr(morse_mod, "_MIN_MARGIN", 2.0)
+        assert assemble_morse(profile).to_dict() == expected
+        assert passes == [(1e-8, 1e-10), (1e-10, 1e-12), (1e-12, 1e-14)]
+
+    def test_a_small_coarse_margin_then_a_miscount_runs_each_pass_once(
+            self, monkeypatch, case_132):
+        """A coarse pass too close to call, then a miscount at the working
+        rtol: the ladder goes on to rtol / 100 without repeating the
+        working pass, and that pass's agreeing counts make the report."""
+        profile, expected = case_132
+
+        def edit(rtol, waves, counts):
+            if rtol == COARSE[0]:
+                return OscillationCounts(counts, 1e-4)
+            return _miscounting_two_at({WORKING[0]})(rtol, waves, counts)
+
+        passes = _spy_route_c(monkeypatch, edit)
+        assert assemble_morse(profile).to_dict() == expected
+        assert passes == [COARSE, WORKING, FINE]
+
+    def test_accepted_coarse_pass_saves_a_quarter_of_the_calls(
+            self, monkeypatch, case_132):
+        """The right-hand side calls of an assembly whose coarse pass
+        stands, against those of one pass at the working tolerance."""
+        profile, expected = case_132
+        waves = [0.0, 1.0, 1.5, 2.0, 3.0, 4.0, 4.5, 5.0, 6.0]
+        calls = [0]
+        real = spectrum_mod._prufer_rate
+
+        def counting(*args):
+            calls[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(spectrum_mod, "_prufer_rate", counting)
+        passes = _spy_route_c(monkeypatch)
+        assert assemble_morse(profile).to_dict() == expected
+        assert passes == [COARSE]
+        coarse_calls, calls[0] = calls[0], 0
+        spectrum_mod.oscillation_counts(profile, build_schrodinger(profile),
+                                        waves)
+        assert coarse_calls <= 0.75 * calls[0]
 
 
 class TestLowerBounds:

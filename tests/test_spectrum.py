@@ -883,65 +883,41 @@ class TestCountIdentities:
         with pytest.raises(UsageError):
             mode_negative_count(profile_032, -1)
 
+    def test_one_call_is_one_pass(self, monkeypatch, profile_032):
+        """A call integrates once, by DOP853 at the tolerances it is given;
+        which tolerance a count needs is the assembly's ladder."""
+        passes = []
 
-class TestCoarseCounts:
-    """The oscillation count integrates at _COARSE times rtol and atol,
-    keeps those counts only on a margin of at least _MIN_MARGIN, and else
-    counts again at rtol and atol."""
+        class Spy(spectrum.ode):
+            def set_integrator(self, name, **params):
+                passes.append((name, params["rtol"], params["atol"]))
+                return super().set_integrator(name, **params)
 
-    # (1, 3, 2): s = 3/2, the point's k = 0..6 and the companion's s k
-    WAVES = [0.0, 1.0, 1.5, 2.0, 3.0, 4.0, 4.5, 5.0, 6.0]
+        monkeypatch.setattr(spectrum, "ode", Spy)
+        counts = oscillation_counts(profile_032, build_schrodinger(profile_032),
+                                    range(5))
+        assert passes == [("dop853", DEFAULT.rtol, DEFAULT.atol)]
+        assert counts == (2, 1, 1, 1, 0)
+        assert 0.0 < counts.margin <= math.pi / 2.0
+        copied = pickle.loads(pickle.dumps(counts))
+        assert (copied, copied.margin) == (counts, counts.margin)
 
-    @pytest.fixture(scope="class")
-    def case_132(self):
-        profile = solve_nodal(HenonParams(alpha=1.0, p=3.0, n_nodal=2))
-        return profile, build_schrodinger(profile)
+    @pytest.mark.parametrize("waves", [[], [math.nan], [-1.0]],
+                             ids=["empty", "nan", "negative"])
+    def test_bad_wave_numbers_are_refused_before_any_solve(
+            self, monkeypatch, waves):
+        """No list of wave numbers that is empty, or holds a negative or a
+        non-finite value, reaches the solver: at (0, 3, 1) a w = -1 would
+        start theta on the growing solution and count 1."""
+        profile = solve_nodal(HenonParams(alpha=0.0, p=3.0, n_nodal=1))
+        problem = build_schrodinger(profile)
 
-    def test_small_margin_recounts_at_the_working_tolerance(
-            self, monkeypatch, case_132):
-        """No margin reaches pi/2, so every call falls back: the counts are
-        those of the coarse pass, read again at settings.rtol."""
-        profile, problem = case_132
-        coarse = oscillation_counts(profile, problem, self.WAVES)
-        assert coarse.rtol == 100.0 * DEFAULT.rtol
-        assert coarse.margin >= 1e-3
-        rtols = []
-        real = spectrum._prufer_angles
+        def no_solve(*args):
+            raise AssertionError("oscillation_counts started a solve")
 
-        def spy(prof, prob, ws, rtol, atol):
-            rtols.append((rtol, atol))
-            return real(prof, prob, ws, rtol, atol)
-
-        monkeypatch.setattr(spectrum, "_prufer_angles", spy)
-        monkeypatch.setattr(spectrum, "_MIN_MARGIN", 2.0)
-        full = oscillation_counts(profile, problem, self.WAVES)
-        assert full == coarse
-        assert rtols == [(100.0 * DEFAULT.rtol, 100.0 * DEFAULT.atol),
-                         (DEFAULT.rtol, DEFAULT.atol)]
-        assert full.rtol == DEFAULT.rtol
-        assert 1e-3 <= full.margin <= math.pi / 2.0
-        copied = pickle.loads(pickle.dumps(full))
-        assert (copied, copied.margin, copied.rtol) == (full, full.margin, full.rtol)
-
-    def test_accepted_coarse_pass_saves_a_quarter_of_the_calls(
-            self, monkeypatch, case_132):
-        """The right-hand side calls of the accepted coarse pass, against
-        those of one pass at the working tolerance."""
-        profile, problem = case_132
-        calls = [0]
-        real = spectrum._prufer_rate
-
-        def counting(*args):
-            calls[0] += 1
-            return real(*args)
-
-        monkeypatch.setattr(spectrum, "_prufer_rate", counting)
-        counts = oscillation_counts(profile, problem, self.WAVES)
-        coarse_calls, calls[0] = calls[0], 0
-        spectrum._prufer_angles(profile, problem, np.array(self.WAVES),
-                                DEFAULT.rtol, DEFAULT.atol)
-        assert counts.rtol == 100.0 * DEFAULT.rtol
-        assert coarse_calls <= 0.75 * calls[0]
+        monkeypatch.setattr(spectrum, "ode", no_solve)
+        with pytest.raises(UsageError, match="wave numbers"):
+            oscillation_counts(profile, problem, waves)
 
 
 class TestWeightScaling:
