@@ -14,10 +14,10 @@ numbers w, and cross-checks its column sums against an independent route:
 the Sturm oscillation counts #{j : lambda_j < -w^2}
 (``spectrum.oscillation_counts``), an adaptive ODE solve that shares no
 mesh or matrix with the eigenvalue solver.  The counts run on a ladder of
-passes at 100, 1 and 1/100 times the working tolerances, which stops at the
-first pass that agrees with clear margin; counts that still disagree after
-the last pass raise ``TwoRouteError`` rather than return a number.  The
-wave numbers are the
+passes at 1000, 1 and 1/100 times the working tolerances, none looser than
+the first pass at the defaults, which stops at the first pass that agrees
+with clear margin; counts that still disagree after the last pass raise
+``TwoRouteError`` rather than return a number.  The wave numbers are the
 point's k = 0..k_max and, for the alpha = 0 companion, whose eigenvalues
 the power map r -> r^((alpha+2)/2) scales by (2/(alpha+2))^2, the
 s k with s = (alpha+2)/2; so the same table and the same solve decide and
@@ -65,16 +65,21 @@ __all__ = [
 ]
 
 # Route C's ladder: a count needs only the side of a multiple of pi that a
-# Prufer angle ends on, so it is first integrated at 100 times rtol and atol.
-# There the angle error is at most 1.1e-4 rad over the 120 benchmark tuples
-# and the 87 reporting tuples of the low-p scan, whose smallest margin is
-# 2.9e-3 rad, and the pass makes 0.65x the RHS calls of one at rtol.  A pass
-# stands when its counts equal route A's and every angle lies at least
+# Prufer angle ends on, so it is first integrated at 1000 times rtol and
+# atol.  There, against a pass at rtol 1e-13, the angle error is at most
+# 2.2e-4 rad, at (0, 3, 6), over the reporting tuples measured: the 120
+# benchmark tuples, the 63 of the default grid, 87 of the low-p scan and 8
+# more.  Their smallest margin is 2.9e-3 rad, and the pass makes 0.59x the
+# RHS calls of DOP853 at 100 times rtol, whose worst error was 1.1e-4 rad.  A
+# pass stands when its counts equal route A's and every angle lies at least
 # _MIN_MARGIN (9x that worst error) from a multiple of pi; otherwise the next
 # pass runs at rtol, then at rtol / 100, after which the counts either match
-# or are refused.
-_COARSE = 100.0
-_MIN_MARGIN = 1e-3
+# or are refused.  No rung is looser than _LOOSEST, the coarse rung at the
+# defaults (about 1e-7 and 1e-9), since no looser pair's error was measured;
+# it is that product itself, so the cap leaves the default ladder as it is.
+_COARSE = 1000.0
+_MIN_MARGIN = 2e-3
+_LOOSEST = (_COARSE * DEFAULT.rtol, _COARSE * DEFAULT.atol)
 
 
 @dataclass(frozen=True)
@@ -156,15 +161,17 @@ def assemble_morse(profile: RadialProfile,
     report is read off that table.  The cross-check, which every call runs:
     route C counts the eigenvalues below -w^2 at the same wave numbers
     (``oscillation_counts``), on one ladder of passes at ``_COARSE`` times
-    ``settings.rtol`` and ``settings.atol``, at them, and ``_COARSE`` times
-    under them.  It stops at the first pass whose counts equal the table's
-    column sums with every angle at least ``_MIN_MARGIN`` radians from a
-    multiple of pi; no pass is repeated.  Counts that differ after the last
-    pass raise TwoRouteError, with that pass's margin and rtol in its
-    evidence.  A |lambda_j + k^2| too small to call at the working
-    tolerance triggers one more pass at 10x tighter tolerance before giving
-    up with ThresholdTieError.  That pass runs its own ladder on the same
-    truncated problem, built once at the working tolerance.
+    ``settings.rtol`` and ``settings.atol``, at them, and at a hundredth of
+    them, each capped at ``_LOOSEST``; a rung the cap leaves no tighter
+    than the one before is skipped.  It stops at the first pass whose
+    counts equal the table's column sums with every angle at least
+    ``_MIN_MARGIN`` radians from a multiple of pi; no pass is repeated.
+    Counts that differ after the last pass raise TwoRouteError, with that
+    pass's margin and rtol in its evidence.  A |lambda_j + k^2| too small
+    to call at the working tolerance triggers one more pass at 10x tighter
+    tolerance before giving up with ThresholdTieError.  That pass runs its
+    own ladder on the same truncated problem, built once at the working
+    tolerance.
 
     The same spectrum decides the index of the alpha = 0 companion with the
     same p and n (``MorseReport.companion_total``).  The power map
@@ -221,9 +228,11 @@ def assemble_morse(profile: RadialProfile,
         return_inverse=True)
     negative = lambdas[:, None] < -waves ** 2
     decomposition = negative.sum(axis=0)
-    for rtol, atol in ((_COARSE * settings.rtol, _COARSE * settings.atol),
-                       (settings.rtol, settings.atol),
-                       (settings.rtol / _COARSE, settings.atol / _COARSE)):
+    rungs = dict.fromkeys(
+        (min(scale * settings.rtol, _LOOSEST[0]),
+         min(scale * settings.atol, _LOOSEST[1]))
+        for scale in (_COARSE, 1.0, 0.01))
+    for rtol, atol in rungs:
         counts = oscillation_counts(profile, problem, waves,
                                     replace(settings, rtol=rtol, atol=atol))
         osc = np.array(counts)

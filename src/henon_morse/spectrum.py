@@ -34,9 +34,9 @@ so the cut-off sets most of its value.  This module computes:
 
 * ``oscillation_counts``: #{j : lambda_j < -w^2} for any set of wave
   numbers w at once, by Sturm oscillation: the Prufer angle of the
-  solution at energy -w^2, integrated by an adaptive ODE solver across
-  [-T, 0] in one pass at the tolerances it is given, counts its zeros
-  (``morse.assemble_morse`` chooses those tolerances).
+  solution at energy -w^2, integrated by the Dormand-Prince 5(4) pair
+  across [-T, 0] in one pass at the tolerances it is given, counts its
+  zeros (``morse.assemble_morse`` chooses those tolerances).
   ``radial_morse_index`` (k = 0) and ``mode_negative_count`` (one k >= 1)
   are one-line wrappers over it that no production code calls; they
   remain only as span targets of ``perfbench/spans.py``.
@@ -88,8 +88,10 @@ _BASE_INTERVALS = 2048
 # among them, well before the roundoff floor of about 4 eps / h^2; a ladder
 # that climbs past 65536 reads that floor, not the discretization error.
 _MAX_EIG_LEVELS = 7
-# DOP853 step budget of one oscillation-count segment; the default grid's
-# segments take 57-140 steps, those of (0, 50, 3) up to 238.
+# DOPRI5 step budget of one oscillation-count segment.  At the default
+# ladder's rungs, rtol 1e-7, 1e-10 and 1e-12, the default grid's segments
+# take 43-115, 134-309 and 327-721 steps, those of (0, 50, 3) up to 195, 488
+# and 1144, and 4468 at rtol 1e-15.
 _MAX_OSCILLATION_STEPS = 20000
 
 _TINY = float(np.finfo(float).tiny)
@@ -573,11 +575,12 @@ def oscillation_counts(profile: RadialProfile, problem: SchrodingerProblem,
     the margin of the pass (``OscillationCounts``); which tolerance a count
     needs is the caller's decision (``assemble_morse``).
 
-    One pass integrates all w as one vector ODE by DOP853 at
-    ``settings.rtol`` and ``settings.atol``, restarted at each corner of
-    ``problem``.  u is read one radius at a time from the trajectory's
-    dense output (``radial.u_reader``), the polynomials route A samples,
-    with no mesh and no matrix.  An empty list of wave numbers, or one
+    One pass integrates all w as one vector ODE by the Dormand-Prince 5(4)
+    pair (scipy's ``dopri5``; a count needs far less accuracy than the
+    order-8 DOP853 is made for) at ``settings.rtol`` and ``settings.atol``,
+    restarted at each corner of ``problem``.  u is read one radius at a
+    time from the trajectory's dense output (``radial.u_reader``), the
+    polynomials route A samples, with no mesh and no matrix.  An empty list of wave numbers, or one
     that is negative or not finite, is a UsageError before any solve.  A
     segment that the solver cannot finish within ``_MAX_OSCILLATION_STEPS``
     steps raises NonConvergenceError.
@@ -589,7 +592,7 @@ def oscillation_counts(profile: RadialProfile, problem: SchrodingerProblem,
     alpha, p = profile.params.alpha, profile.params.p
     s = np.maximum(ws, 1.0)
     solver = ode(_prufer_rate).set_integrator(
-        "dop853", rtol=settings.rtol, atol=settings.atol,
+        "dopri5", rtol=settings.rtol, atol=settings.atol,
         nsteps=_MAX_OSCILLATION_STEPS)
     solver.set_f_params(u_reader(profile), alpha, p, s, 1.0 / s,
                         -ws * ws / s - s)
@@ -614,7 +617,7 @@ def _prufer_rate(t, theta, u, alpha, p, s, inv_s, shift):
     """theta' = s + ((E_w - V) / s - s) sin^2 theta of ``oscillation_counts``,
     where shift = E_w / s - s and -V = p r^(alpha+2) |u(r)|^(p-1) at r = e^t.
     It lives at module level and takes its data, the reader u among it, as
-    arguments: scipy's DOP853 keeps a reference to its callback after every
+    arguments: scipy's dopri5 keeps a reference to its callback after every
     solve but releases the arguments, so a closure callback would keep its
     data alive."""
     r = math.exp(t)

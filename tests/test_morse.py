@@ -75,7 +75,7 @@ def _miscounting_two_at(rtols):
 
 
 # The passes of route C's ladder at the default tolerances.
-COARSE, WORKING, FINE = ((100.0 * DEFAULT.rtol, 100.0 * DEFAULT.atol),
+COARSE, WORKING, FINE = ((1000.0 * DEFAULT.rtol, 1000.0 * DEFAULT.atol),
                          (DEFAULT.rtol, DEFAULT.atol),
                          (DEFAULT.rtol / 100.0, DEFAULT.atol / 100.0))
 
@@ -419,9 +419,10 @@ class TestAssembly:
 
 
 class TestOscillationLadder:
-    """Route C runs at 100 times rtol and atol, at them and at a hundredth
-    of them, and stops at the first pass that agrees with route A with
-    every angle at least ``morse._MIN_MARGIN`` from a multiple of pi."""
+    """Route C runs at 1000 times rtol and atol, at them and at a
+    hundredth of them, each capped at the coarse rung of the defaults, and
+    stops at the first pass that agrees with route A with every angle at
+    least ``morse._MIN_MARGIN`` from a multiple of pi."""
 
     def test_small_margin_climbs_the_whole_ladder(self, monkeypatch,
                                                   case_132):
@@ -431,7 +432,20 @@ class TestOscillationLadder:
         passes = _spy_route_c(monkeypatch)
         monkeypatch.setattr(morse_mod, "_MIN_MARGIN", 2.0)
         assert assemble_morse(profile).to_dict() == expected
-        assert passes == [(1e-8, 1e-10), (1e-10, 1e-12), (1e-12, 1e-14)]
+        assert passes == [COARSE, WORKING, FINE]
+
+    def test_loose_tolerances_are_capped_at_the_measured_rung(
+            self, monkeypatch, case_132):
+        """At rtol 1e-6 the rungs 1e-3 and 1e-6 are both capped at the
+        default coarse rung, about (1e-7, 1e-9), where the angle error was
+        measured; that pass runs once, then the rtol / 100 pass."""
+        profile, expected = case_132
+        passes = _spy_route_c(monkeypatch)
+        monkeypatch.setattr(morse_mod, "_MIN_MARGIN", 2.0)
+        loose = replace(DEFAULT, rtol=1e-6, atol=1e-8)
+        assert assemble_morse(profile, loose).to_dict() == expected
+        assert passes == [(pytest.approx(1e-7, rel=1e-12),
+                           pytest.approx(1e-9, rel=1e-12)), (1e-8, 1e-10)]
 
     def test_a_small_coarse_margin_then_a_miscount_runs_each_pass_once(
             self, monkeypatch, case_132):
@@ -470,6 +484,38 @@ class TestOscillationLadder:
         spectrum_mod.oscillation_counts(profile, build_schrodinger(profile),
                                         waves)
         assert coarse_calls <= 0.75 * calls[0]
+
+    @pytest.mark.parametrize("alpha,p,n,waves", [
+        (0.0, 3.0, 6, [float(k) for k in range(18)]),
+        (1.0, 1.05, 3, [0.0, 1.0, 1.5, 2.0, 3.0, 4.0, 4.5, 5.0, 6.0, 7.0,
+                        7.5, 8.0]),
+    ])
+    def test_coarse_rung_error_is_a_ninth_of_the_margin(
+            self, monkeypatch, alpha, p, n, waves):
+        """At the two reporting tuples with the largest coarse-rung angle
+        error, (0, 3, 6) and (1, 1.05, 3), every theta_w(0) of the coarse
+        pass lies within _MIN_MARGIN / 9 of a pass at rtol 1e-13.  The wave
+        numbers are the ones the assembly counts there."""
+        profile = solve_nodal(HenonParams(alpha=alpha, p=p, n_nodal=n))
+        problem = build_schrodinger(profile)
+        ends = []
+
+        class Spy(spectrum_mod.ode):
+            def integrate(self, t, *args, **kwargs):
+                theta = super().integrate(t, *args, **kwargs)
+                ends.append((id(self), np.array(theta)))
+                return theta
+
+        monkeypatch.setattr(spectrum_mod, "ode", Spy)
+        thetas = []
+        for rtol, atol in (COARSE, (1e-13, 1e-15)):
+            ends.clear()
+            spectrum_mod.oscillation_counts(
+                profile, problem, waves, replace(DEFAULT, rtol=rtol, atol=atol))
+            assert len({owner for owner, _ in ends}) == 1
+            thetas.append(ends[-1][1])
+        coarse, reference = thetas
+        assert 9.0 * np.max(np.abs(coarse - reference)) <= morse_mod._MIN_MARGIN
 
 
 class TestLowerBounds:

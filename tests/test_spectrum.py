@@ -853,8 +853,8 @@ class TestCountIdentities:
         assert mode_negative_count(profile, 1) == 0
 
     def test_solves_keep_no_memory(self, profile_032):
-        """DOP853 keeps a reference to its callback after every solve, so
-        the callback must not hold the profile data of a call."""
+        """scipy's dopri5 keeps a reference to its callback after every
+        solve, so the callback must not hold the profile data of a call."""
         problem = build_schrodinger(profile_032)
         oscillation_counts(profile_032, problem, range(5))
         tracemalloc.start()
@@ -874,7 +874,7 @@ class TestCountIdentities:
                 pytest.raises(NonConvergenceError) as err:
             radial_morse_index(profile_032)
         context = err.value.context
-        assert context["return_code"] == -2  # DOP853: larger nsteps needed
+        assert context["return_code"] == -2  # dopri5: larger nsteps needed
         assert context["segment"][0] <= context["t_reached"] < context["segment"][1]
 
     def test_mode_count_validates_k(self, profile_032):
@@ -884,7 +884,7 @@ class TestCountIdentities:
             mode_negative_count(profile_032, -1)
 
     def test_one_call_is_one_pass(self, monkeypatch, profile_032):
-        """A call integrates once, by DOP853 at the tolerances it is given;
+        """A call integrates once, by DOPRI5 at the tolerances it is given;
         which tolerance a count needs is the assembly's ladder."""
         passes = []
 
@@ -896,7 +896,7 @@ class TestCountIdentities:
         monkeypatch.setattr(spectrum, "ode", Spy)
         counts = oscillation_counts(profile_032, build_schrodinger(profile_032),
                                     range(5))
-        assert passes == [("dop853", DEFAULT.rtol, DEFAULT.atol)]
+        assert passes == [("dopri5", DEFAULT.rtol, DEFAULT.atol)]
         assert counts == (2, 1, 1, 1, 0)
         assert 0.0 < counts.margin <= math.pi / 2.0
         copied = pickle.loads(pickle.dumps(counts))
