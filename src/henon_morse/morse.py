@@ -69,12 +69,10 @@ __all__ = [
 # atol.  There, against a pass at rtol 1e-13, the angle error is at most
 # 2.2e-4 rad, at (0, 3, 6), over the reporting tuples measured: the 120
 # benchmark tuples, the 63 of the default grid, 87 of the low-p scan and 8
-# more.  Their smallest margin is 2.9e-3 rad, and the pass makes 0.59x the
-# RHS calls of DOP853 at 100 times rtol, whose worst error was 1.1e-4 rad.  A
-# pass stands when its counts equal route A's and every angle lies at least
-# _MIN_MARGIN (9x that worst error) from a multiple of pi; otherwise the next
-# pass runs at rtol, then at rtol / 100, after which the counts either match
-# or are refused.  No rung is looser than _LOOSEST, the coarse rung at the
+# more, whose smallest margin is 2.9e-3 rad.  A pass stands when its counts
+# equal route A's and every angle lies at least _MIN_MARGIN (9x that worst
+# error) from a multiple of pi; otherwise the next pass runs at rtol, then at
+# rtol / 100, after which the counts either match or are refused.  No rung is looser than _LOOSEST, the coarse rung at the
 # defaults (about 1e-7 and 1e-9), since no looser pair's error was measured;
 # it is that product itself, so the cap leaves the default ladder as it is.
 _COARSE = 1000.0
@@ -228,6 +226,7 @@ def assemble_morse(profile: RadialProfile,
         return_inverse=True)
     negative = lambdas[:, None] < -waves ** 2
     decomposition = negative.sum(axis=0)
+    # capped rungs can only tie the rung before, and dict.fromkeys drops a tie
     rungs = dict.fromkeys(
         (min(scale * settings.rtol, _LOOSEST[0]),
          min(scale * settings.atol, _LOOSEST[1]))
