@@ -31,8 +31,8 @@ class Settings:
     rtol, atol:
         Relative / absolute tolerance of the adaptive ODE integrators: the
         profile's initial value problem, and the oscillation counts, whose
-        ladder in ``morse.assemble_morse`` runs at 1000 times, 1 times and
-        1/100 of rtol and atol, none looser than about (1e-7, 1e-9), and
+        ladder in ``spectrum.confirm_counts`` runs at 1000 times, 1 times
+        and 1/100 of rtol and atol, none looser than about (1e-7, 1e-9), and
         stops at the first pass that agrees with the eigenvalue route,
         every Prufer angle at least 2e-3 rad from a multiple of pi.  atol
         also sets the radius where the profile's integration leaves the

@@ -11,13 +11,11 @@ variable by ``spectrum.negative_spectrum``), the Morse index is
 with m_rad = J the index of the k = 0 (radial) block.  ``assemble_morse``
 reads every integer off one table, lambda_j < -w^2 over a set of wave
 numbers w, and cross-checks its column sums against an independent route:
-the Sturm oscillation counts #{j : lambda_j < -w^2}
-(``spectrum.oscillation_counts``), an adaptive ODE solve that shares no
-mesh or matrix with the eigenvalue solver.  The counts run on a ladder of
-passes at 1000, 1 and 1/100 times the working tolerances, none looser than
-the first pass at the defaults, which stops at the first pass that agrees
-with clear margin; counts that still disagree after the last pass raise
-``TwoRouteError`` rather than return a number.  The wave numbers are the
+the Sturm oscillation counts #{j : lambda_j < -w^2}, an adaptive ODE
+solve that shares no mesh or matrix with the eigenvalue solver.
+``spectrum.confirm_counts`` runs them on its ladder of tolerances; counts
+that still disagree after its last pass raise ``TwoRouteError`` rather
+than return a number.  The wave numbers are the
 point's k = 0..k_max and, for the alpha = 0 companion, whose eigenvalues
 the power map r -> r^((alpha+2)/2) scales by (2/(alpha+2))^2, the
 s k with s = (alpha+2)/2; so the same table and the same solve decide and
@@ -53,7 +51,7 @@ import numpy as np
 from .config import DEFAULT, Settings
 from .errors import NonConvergenceError, ThresholdTieError, TwoRouteError, UsageError
 from .radial import HenonParams, RadialProfile, solve_nodal
-from .spectrum import build_schrodinger, negative_spectrum, oscillation_counts
+from .spectrum import build_schrodinger, confirm_counts, negative_spectrum, oscillation_counts
 
 __all__ = [
     "MorseReport",
@@ -63,22 +61,6 @@ __all__ = [
     "sweep_from_reports",
     "large_exponent_probe",
 ]
-
-# Route C's ladder: a count needs only the side of a multiple of pi that a
-# Prufer angle ends on, so it is first integrated at 1000 times rtol and
-# atol.  There, against a pass at rtol 1e-13, the angle error is at most
-# 2.2e-4 rad, at (0, 3, 6), over the reporting tuples measured: the 120
-# benchmark tuples, the 63 of the default grid, 87 of the low-p scan and 8
-# more, whose smallest margin is 2.9e-3 rad.  A pass stands when its counts
-# equal route A's and every angle lies at least _MIN_MARGIN (9x that worst
-# error) from a multiple of pi; otherwise the next pass runs at rtol, then at
-# rtol / 100, after which the counts either match or are refused.  No rung is looser than _LOOSEST, the coarse rung at the
-# defaults (about 1e-7 and 1e-9), since no looser pair's error was measured;
-# it is that product itself, so the cap leaves the default ladder as it is.
-_COARSE = 1000.0
-_MIN_MARGIN = 2e-3
-_LOOSEST = (_COARSE * DEFAULT.rtol, _COARSE * DEFAULT.atol)
-
 
 @dataclass(frozen=True)
 class MorseReport:
@@ -157,14 +139,9 @@ def assemble_morse(profile: RadialProfile,
     table lambda_j < -w^2 over the wave numbers w = 0..k_max (w = 0 gives
     the radial index) and the companion's s k below.  Every integer of the
     report is read off that table.  The cross-check, which every call runs:
-    route C counts the eigenvalues below -w^2 at the same wave numbers
-    (``oscillation_counts``), on one ladder of passes at ``_COARSE`` times
-    ``settings.rtol`` and ``settings.atol``, at them, and at a hundredth of
-    them, each capped at ``_LOOSEST``; a rung the cap leaves no tighter
-    than the one before is skipped.  It stops at the first pass whose
-    counts equal the table's column sums with every angle at least
-    ``_MIN_MARGIN`` radians from a multiple of pi; no pass is repeated.
-    Counts that differ after the last pass raise TwoRouteError, with that
+    route C counts the eigenvalues below -w^2 at the same wave numbers on
+    the ladder of ``spectrum.confirm_counts``.  Counts that differ from the
+    table's column sums after its last pass raise TwoRouteError, with that
     pass's margin and rtol in its evidence.  A |lambda_j + k^2| too small
     to call at the working tolerance triggers one more pass at 10x tighter
     tolerance before giving up with ThresholdTieError.  That pass runs its
@@ -195,8 +172,8 @@ def assemble_morse(profile: RadialProfile,
                  "n_nodal": profile.params.n_nodal,
                  "spectrum_T": spectrum.T, "spectrum_M": spectrum.M,
                  "min_V": float(problem.potential(problem.mesh()).min()),
-                 "oscillation_radial_count": oscillation_counts(
-                     profile, problem, [0.0], settings)[0]})
+                 "oscillation_radial_count": int(oscillation_counts(
+                     profile, problem, [0.0], settings)[0][0])})
         # lambda_j / s^2 carries at most eig_tol * (1 + |mu_j|), so the
         # companion's table is guarded in the same units as the point's
         mus = lambdas / (s * s)
@@ -226,26 +203,16 @@ def assemble_morse(profile: RadialProfile,
         return_inverse=True)
     negative = lambdas[:, None] < -waves ** 2
     decomposition = negative.sum(axis=0)
-    # capped rungs can only tie the rung before, and dict.fromkeys drops a tie
-    rungs = dict.fromkeys(
-        (min(scale * settings.rtol, _LOOSEST[0]),
-         min(scale * settings.atol, _LOOSEST[1]))
-        for scale in (_COARSE, 1.0, 0.01))
-    for rtol, atol in rungs:
-        counts = oscillation_counts(profile, problem, waves,
-                                    replace(settings, rtol=rtol, atol=atol))
-        osc = np.array(counts)
-        agree = np.array_equal(decomposition, osc)
-        if agree and counts.margin >= _MIN_MARGIN:
-            break
-    if not agree:
+    osc, margin, rtol = confirm_counts(profile, problem, waves, decomposition,
+                                       settings)
+    if not np.array_equal(decomposition, osc):
         raise TwoRouteError(
             "eigenvalue counts below -w^2 mismatch between the eigenvalue "
             "decomposition and the Sturm oscillation counts",
             {"wave_numbers": [float(w) for w in waves],
              "decomposition": decomposition.tolist(),
              "oscillation_route": osc.tolist(), "s": s,
-             "oscillation_margin": counts.margin,
+             "oscillation_margin": margin,
              "oscillation_rtol": rtol,
              "lambdas": [float(x) for x in lambdas],
              "alpha": profile.params.alpha, "p": profile.params.p,

@@ -43,6 +43,7 @@ the audit of ``validate_profile``.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from operator import mul
@@ -66,6 +67,7 @@ __all__ = [
     "u_reader",
     "output_grid",
     "validate_profile",
+    "central_value",
 ]
 
 # Cells whose left edge lies below this radius are excluded from the
@@ -135,8 +137,11 @@ class HenonParams:
             raise UsageError(f"alpha must be finite and >= 0, got {self.alpha}")
         if not (self.p > 1.0 and math.isfinite(self.p)):
             raise UsageError(f"p must be finite and > 1, got {self.p}")
-        if not (isinstance(self.n_nodal, int) and self.n_nodal >= 1):
-            raise UsageError(f"n_nodal must be an integer >= 1, got {self.n_nodal}")
+        n = self.n_nodal
+        if not (isinstance(n, numbers.Integral) and not isinstance(n, bool)
+                and n >= 1):
+            raise UsageError(f"n_nodal must be an integer >= 1, got {n!r}")
+        object.__setattr__(self, "n_nodal", int(n))
 
 
 @dataclass
@@ -533,7 +538,7 @@ def solve_nodal(params: HenonParams, settings: Settings = DEFAULT) -> RadialProf
     profile = RadialProfile(
         params=params,
         trajectory=traj,
-        amp=mu ** ((params.alpha + 2.0) / (params.p - 1.0)),
+        amp=central_value(params, mu, (params.alpha + 2.0) / (params.p - 1.0)),
         mu=mu,
         kappa=1.0,
         nodal_radii=nodal,
@@ -547,6 +552,22 @@ def solve_nodal(params: HenonParams, settings: Settings = DEFAULT) -> RadialProf
 # and the cell-averaged ODE residual relative to max|u|^p.
 _BOUNDARY_TOL = 1e-9
 _RESIDUAL_TOL = 1e-6
+_LOG_MAX = math.log(np.finfo(float).max)
+
+
+def central_value(params: HenonParams, base: float, exponent: float,
+                  factor: float = 1.0) -> float:
+    """d = base^exponent * factor, the central value u(0) of a profile with
+    ``params``.  A d whose d^p, the scale of the residual gate of
+    ``validate_profile``, leaves the float64 range, as it does when p -> 1,
+    is refused with NonConvergenceError before it is formed."""
+    log_d = exponent * math.log(base) + math.log(factor)
+    if params.p * log_d > _LOG_MAX:
+        raise NonConvergenceError(
+            "the central value d = u(0) is too large: d^p overflows float64",
+            {"alpha": params.alpha, "p": params.p, "n_nodal": params.n_nodal,
+             "log10_d": log_d / math.log(10.0)})
+    return base ** exponent * factor
 
 
 def validate_profile(profile: RadialProfile) -> float:
@@ -555,7 +576,7 @@ def validate_profile(profile: RadialProfile) -> float:
 
     Raises :class:`NonConvergenceError` when any of these fail:
 
-    * u(0) = d = amp > 0;
+    * u(0) = d = amp > 0, and d^p is a finite float (``central_value``);
     * the nodal radii are n increasing values, the last equal to 1;
     * |u(1)| <= ``_BOUNDARY_TOL`` * max(1, max|u|);
     * u changes sign exactly n_nodal - 1 times on the output grid and the
@@ -595,6 +616,9 @@ def validate_profile(profile: RadialProfile) -> float:
     if np.any(np.sign(mid_u) != expected):
         problems.append("nodal interval signs do not alternate starting positive")
 
+    # refuse a max|u| whose p-th power overflows (a zero u failed d > 0 above)
+    if scale > 0.0:
+        central_value(pr.params, scale, 1.0)
     resid = _cell_residual(pr, grid, du)
     limit = _RESIDUAL_TOL * scale**pr.params.p
     if resid > limit:

@@ -35,11 +35,12 @@ so the cut-off sets most of its value.  This module computes:
 * ``oscillation_counts``: #{j : lambda_j < -w^2} for any set of wave
   numbers w at once, by Sturm oscillation: the Prufer angle of the
   solution at energy -w^2, integrated by the Dormand-Prince 5(4) pair
-  across [-T, 0] in one pass at the tolerances it is given, counts its
-  zeros (``morse.assemble_morse`` chooses those tolerances).
-  ``radial_morse_index`` (k = 0) and ``mode_negative_count`` (one k >= 1)
-  are one-line wrappers over it that no production code calls; they
-  remain only as span targets of ``perfbench/spans.py``.
+  across [-T, 0] in one pass, none looser than ``_LOOSEST``, counts its
+  zeros; ``confirm_counts`` runs it on route C's ladder of tolerances,
+  whose measured accuracy lives here too.  ``radial_morse_index`` (k = 0)
+  and ``mode_negative_count`` (one k >= 1) are one-line wrappers over it
+  that no production code calls, kept as span targets of
+  ``perfbench/spans.py``.
 
 The oscillation count reads the same potential as the eigenvalue route but
 shares no mesh, matrix or extrapolation with it, which is what makes the
@@ -49,7 +50,7 @@ cross-validation in the Morse assembly meaningful.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import accumulate
 from typing import Callable
@@ -71,7 +72,7 @@ __all__ = [
     "negative_spectrum",
     "fd_negative_eigenvalues",
     "oscillation_counts",
-    "OscillationCounts",
+    "confirm_counts",
     "radial_morse_index",
     "mode_negative_count",
     "tridiagonal_negative_inertia",
@@ -93,6 +94,21 @@ _MAX_EIG_LEVELS = 7
 # take 43-115, 134-309 and 327-721 steps, those of (0, 50, 3) up to 195, 488
 # and 1144, and 4468 at rtol 1e-15.
 _MAX_OSCILLATION_STEPS = 20000
+# Route C's ladder: a count needs only the side of a multiple of pi that a
+# Prufer angle ends on, so it is first integrated at 1000 times rtol and
+# atol.  There, against a pass at rtol 1e-13, the angle error is at most
+# 2.2e-4 rad, at (0, 3, 6), over the reporting tuples measured: the 120
+# benchmark tuples, the 63 of the default grid, 87 of the low-p scan and 8
+# more, whose smallest margin is 2.9e-3 rad.  A pass stands when its counts
+# equal route A's and every angle lies at least _MIN_MARGIN (9x that worst
+# error) from a multiple of pi; otherwise the next pass runs at rtol, then at
+# rtol / 100, after which the counts either match or are refused.  No pass
+# is looser than _LOOSEST, the coarse rung at the defaults (about 1e-7 and
+# 1e-9), since no looser pair's error was measured; it is that product
+# itself, so the cap leaves the default ladder as it is.
+_COARSE = 1000.0
+_MIN_MARGIN = 2e-3
+_LOOSEST = (_COARSE * DEFAULT.rtol, _COARSE * DEFAULT.atol)
 
 _TINY = float(np.finfo(float).tiny)
 _ULP = float(np.finfo(float).eps)  # 2^-52, LAPACK's dlamch("P")
@@ -535,24 +551,8 @@ def tridiagonal_negative_inertia(diag: np.ndarray, off: np.ndarray) -> int:
     return int(m)
 
 
-class OscillationCounts(tuple):
-    """The counts of ``oscillation_counts``, a tuple of ints in the order
-    of its wave numbers, with ``margin``, the smallest distance in radians
-    of a theta_w(0) from a multiple of pi: how close the pass came to
-    calling a count the other way."""
-
-    def __new__(cls, counts, margin: float):
-        self = super().__new__(cls, counts)
-        self.margin = margin
-        return self
-
-    def __getnewargs__(self):
-        # what pickle and copy pass back to __new__
-        return tuple(self), self.margin
-
-
 def oscillation_counts(profile: RadialProfile, problem: SchrodingerProblem,
-                       wave_numbers, settings: Settings = DEFAULT) -> OscillationCounts:
+                       wave_numbers, settings: Settings = DEFAULT) -> tuple:
     """#{j : lambda_j < -w^2} for each wave number w >= 0 of
     ``wave_numbers``, in their order, by Sturm oscillation.
 
@@ -571,20 +571,21 @@ def oscillation_counts(profile: RadialProfile, problem: SchrodingerProblem,
     at t = -T from the solution that stays bounded toward -infinity, where
     V is negligible: psi = e^(w t), so tan theta_w = s_w / w (theta = pi/4
     for w >= 1, pi/2 for w = 0).  With Dirichlet at t = 0 the count of
-    eigenvalues below E_w is floor(theta_w(0) / pi).  The result carries
-    the margin of the pass (``OscillationCounts``); which tolerance a count
-    needs is the caller's decision (``assemble_morse``).
+    eigenvalues below E_w is floor(theta_w(0) / pi).  Returns the pair
+    ``(counts, margin)``: an integer array, and the smallest distance in
+    radians of a theta_w(0) from a multiple of pi, how close the pass came
+    to calling a count the other way (``confirm_counts`` judges it).
 
     One pass integrates all w as one vector ODE by the Dormand-Prince 5(4)
     pair (scipy's ``dopri5``) at ``settings.rtol`` and ``settings.atol``,
-    restarted at each corner of ``problem``; at the accuracy a count needs
-    it makes 0.59x the RHS calls of the order-8 DOP853.  u is read one
-    radius at a time from the trajectory's dense output
-    (``radial.u_reader``), the polynomials route A samples, with no mesh
-    and no matrix.  An empty list of wave numbers, or one that is negative
-    or not finite, is a UsageError before any solve.  A
-    segment that the solver cannot finish within ``_MAX_OSCILLATION_STEPS``
-    steps raises NonConvergenceError.
+    capped at ``_LOOSEST``, restarted at each corner of ``problem``; at the
+    accuracy a count needs it makes 0.59x the RHS calls of the order-8
+    DOP853.  u is read one radius at a time from the trajectory's dense
+    output (``radial.u_reader``), the polynomials route A samples, with no
+    mesh and no matrix.  An empty list of wave numbers, or one that is
+    negative or not finite, is a UsageError before any solve.  A segment
+    that the solver cannot finish within ``_MAX_OSCILLATION_STEPS`` steps
+    raises NonConvergenceError.
     """
     ws = np.asarray(wave_numbers, dtype=float)
     if ws.ndim != 1 or ws.size == 0 or not np.all(np.isfinite(ws) & (ws >= 0.0)):
@@ -593,8 +594,8 @@ def oscillation_counts(profile: RadialProfile, problem: SchrodingerProblem,
     alpha, p = profile.params.alpha, profile.params.p
     s = np.maximum(ws, 1.0)
     solver = ode(_prufer_rate).set_integrator(
-        "dopri5", rtol=settings.rtol, atol=settings.atol,
-        nsteps=_MAX_OSCILLATION_STEPS)
+        "dopri5", rtol=min(settings.rtol, _LOOSEST[0]),
+        atol=min(settings.atol, _LOOSEST[1]), nsteps=_MAX_OSCILLATION_STEPS)
     solver.set_f_params(u_reader(profile), alpha, p, s, 1.0 / s,
                         -ws * ws / s - s)
     theta = np.arctan2(s, ws)
@@ -611,7 +612,31 @@ def oscillation_counts(profile: RadialProfile, problem: SchrodingerProblem,
             )
     turns = theta / math.pi
     margin = math.pi * float(np.min(np.abs(turns - np.round(turns))))
-    return OscillationCounts((int(c) for c in np.floor(turns)), margin)
+    return np.floor(turns).astype(np.int64), margin
+
+
+def confirm_counts(profile: RadialProfile, problem: SchrodingerProblem,
+                   wave_numbers, expected, settings: Settings = DEFAULT) -> tuple:
+    """Route C's check of the counts ``expected`` at ``wave_numbers``: the
+    ``oscillation_counts`` of a ladder of passes at ``_COARSE`` times
+    ``settings.rtol`` and ``settings.atol``, at them, and at a hundredth of
+    them, each capped at ``_LOOSEST``; no pass is repeated.  It stops at the
+    first pass whose counts equal ``expected`` with every angle at least
+    ``_MIN_MARGIN`` radians from a multiple of pi, and returns that pass's
+    ``(counts, margin, rtol)``, or the last pass's.
+    """
+    # capped rungs can only tie the rung before, and dict.fromkeys drops a tie
+    rungs = dict.fromkeys(
+        (min(scale * settings.rtol, _LOOSEST[0]),
+         min(scale * settings.atol, _LOOSEST[1]))
+        for scale in (_COARSE, 1.0, 0.01))
+    for rtol, atol in rungs:
+        counts, margin = oscillation_counts(
+            profile, problem, wave_numbers,
+            replace(settings, rtol=rtol, atol=atol))
+        if margin >= _MIN_MARGIN and np.array_equal(counts, expected):
+            break
+    return counts, margin, rtol
 
 
 def _prufer_rate(t, theta, u, alpha, p, s, inv_s, shift):
@@ -634,7 +659,7 @@ def _prufer_rate(t, theta, u, alpha, p, s, inv_s, shift):
 def radial_morse_index(profile: RadialProfile, settings: Settings = DEFAULT) -> int:
     """Negative-eigenvalue count of the regular radial linearized operator:
     the k = 0 count of ``oscillation_counts``."""
-    return oscillation_counts(profile, build_schrodinger(profile, settings), [0.0], settings)[0]
+    return int(oscillation_counts(profile, build_schrodinger(profile, settings), [0.0], settings)[0][0])
 
 
 def mode_negative_count(profile: RadialProfile, k: int, settings: Settings = DEFAULT) -> int:
@@ -642,4 +667,4 @@ def mode_negative_count(profile: RadialProfile, k: int, settings: Settings = DEF
     radial operator plus k^2/r^2): the k count of ``oscillation_counts``."""
     if not (isinstance(k, int) and k >= 1):
         raise UsageError(f"k must be an integer >= 1, got {k}")
-    return oscillation_counts(profile, build_schrodinger(profile, settings), [float(k)], settings)[0]
+    return int(oscillation_counts(profile, build_schrodinger(profile, settings), [float(k)], settings)[0][0])

@@ -41,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NonConvergenceError, UsageError
-from .radial import HenonParams, RadialProfile, evaluate_u, validate_profile
+from .radial import HenonParams, RadialProfile, central_value, evaluate_u, validate_profile
 
 __all__ = [
     "TestFunction",
@@ -260,20 +260,22 @@ def transform_solution(profile: RadialProfile, beta: float) -> RadialProfile:
     nodal radii map as z -> z^(1/kappa), and the nodal count is preserved.
     The result reads the same trajectory as ``profile``: its amplitude is
     multiplied by kappa^(2/(p-1)) and its exponent kappa by kappa, with no
-    resampling.  It passes the same fixed gates as any computed profile.
+    resampling.  It passes the same fixed gates as any computed profile,
+    ``radial.central_value`` first.
     """
     if not (beta >= 0.0 and math.isfinite(beta)):
         raise UsageError(f"beta must be finite and >= 0, got {beta}")
     alpha = profile.params.alpha
     p = profile.params.p
     kappa = (beta + 2.0) / (alpha + 2.0)
+    params = HenonParams(beta, p, profile.params.n_nodal)
 
     nodal = profile.nodal_radii ** (1.0 / kappa)
     nodal[-1] = 1.0
     new = RadialProfile(
-        params=HenonParams(beta, p, profile.params.n_nodal),
+        params=params,
         trajectory=profile.trajectory,
-        amp=kappa ** (2.0 / (p - 1.0)) * profile.amp,
+        amp=central_value(params, kappa, 2.0 / (p - 1.0), profile.amp),
         mu=profile.mu,
         kappa=kappa * profile.kappa,
         nodal_radii=nodal,

@@ -254,6 +254,16 @@ class TestCliExitCodes:
         doc = json.loads(capsys.readouterr().out)
         assert doc["n"] == 1 and doc["alpha"] == 0.0
 
+    def test_overflowing_amplitude_is_non_convergence(self, capsys):
+        """Near p = 1 the central value overflows: a refusal (exit 2) with
+        its evidence, not a traceback under the assertion code 1."""
+        code = cli.main(["morse", "--alpha", "0", "--p", "1.001",
+                         "--nodes", "1"])
+        assert code == 2
+        diag = json.loads(capsys.readouterr().err)
+        assert diag["error"] == "NonConvergenceError"
+        assert diag["context"]["log10_d"] > 308.0
+
     def test_out_in_a_missing_directory_is_usage(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.json"
         code = cli.main(["solve", "--alpha", "0", "--p", "3", "--nodes", "1",

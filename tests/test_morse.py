@@ -37,7 +37,7 @@ from henon_morse import (
 )
 from henon_morse.config import DEFAULT
 from henon_morse.io import dumps_canonical, morse_document
-from henon_morse.spectrum import OscillationCounts, RadialSpectrum, build_schrodinger
+from henon_morse.spectrum import RadialSpectrum, build_schrodinger
 
 
 def _counts_agreeing_with(lambdas):
@@ -45,21 +45,22 @@ def _counts_agreeing_with(lambdas):
     the given eigenvalues: #{j : lambda_j < -w^2} for each wave number w,
     every angle pi/2 from a multiple of pi."""
     lam = np.asarray(lambdas)
-    return lambda prof, problem, waves, settings=None: OscillationCounts(
-        (int(np.sum(lam < -w * w)) for w in waves), math.pi / 2.0)
+    return lambda prof, problem, waves, settings=None: (
+        np.array([np.sum(lam < -w * w) for w in waves]), math.pi / 2.0)
 
 
 def _spy_route_c(monkeypatch, edit=lambda rtol, waves, counts: counts):
-    """Wraps route C as ``morse`` calls it: records the (rtol, atol) of
-    every pass, and returns what ``edit`` makes of the pass's counts."""
+    """Wraps route C as ``spectrum.confirm_counts`` calls it: records the
+    (rtol, atol) of every pass, and returns what ``edit`` makes of the
+    pass's ``(counts, margin)`` pair."""
     passes = []
-    real = morse_mod.oscillation_counts
+    real = spectrum_mod.oscillation_counts
 
     def spy(prof, problem, waves, settings):
         passes.append((settings.rtol, settings.atol))
         return edit(settings.rtol, waves, real(prof, problem, waves, settings))
 
-    monkeypatch.setattr(morse_mod, "oscillation_counts", spy)
+    monkeypatch.setattr(spectrum_mod, "oscillation_counts", spy)
     return passes
 
 
@@ -69,8 +70,7 @@ def _miscounting_two_at(rtols):
     def edit(rtol, waves, counts):
         if rtol not in rtols:
             return counts
-        return OscillationCounts(
-            (c + (w == 2.0) for c, w in zip(counts, waves)), counts.margin)
+        return counts[0] + (np.asarray(waves) == 2.0), counts[1]
     return edit
 
 
@@ -152,17 +152,15 @@ class TestAssembly:
         k = 2, or 4.5, which only the companion reads) is a two-route
         failure naming that wave and both counts."""
         profile = solve_nodal(HenonParams(alpha=1.0, p=3.0, n_nodal=2))
-        real = morse_mod.oscillation_counts
+        real = spectrum_mod.oscillation_counts
         seen = []
 
         def miscounting(prof, problem, waves, settings):
             seen.append(list(waves))
-            counts = real(prof, problem, waves, settings)
-            return OscillationCounts(
-                (c + (w == wave) for c, w in zip(counts, waves)),
-                counts.margin)
+            counts, margin = real(prof, problem, waves, settings)
+            return counts + (np.asarray(waves) == wave), margin
 
-        monkeypatch.setattr(morse_mod, "oscillation_counts", miscounting)
+        monkeypatch.setattr(spectrum_mod, "oscillation_counts", miscounting)
         with pytest.raises(TwoRouteError) as err:
             assemble_morse(profile)
         assert "Sturm oscillation counts" in str(err.value)
@@ -191,7 +189,7 @@ class TestAssembly:
         rtol / 100, with that pass's counts, margin and rtol."""
         profile, _ = case_132
         waves = [0.0, 1.0, 1.5, 2.0, 3.0, 4.0, 4.5, 5.0, 6.0]
-        fine = spectrum_mod.oscillation_counts(
+        fine, fine_margin = spectrum_mod.oscillation_counts(
             profile, build_schrodinger(profile), waves,
             replace(DEFAULT, rtol=FINE[0], atol=FINE[1]))
         passes = _spy_route_c(monkeypatch, _miscounting_two_at(
@@ -203,7 +201,7 @@ class TestAssembly:
         assert context["oscillation_route"] == [
             c + (w == 2.0) for c, w in zip(fine, waves)]
         assert context["oscillation_rtol"] == 1e-12
-        assert context["oscillation_margin"] == fine.margin
+        assert context["oscillation_margin"] == fine_margin
         assert context["oscillation_margin"] >= 1e-3
 
     def test_threshold_tie_raises(self, monkeypatch):
@@ -237,7 +235,7 @@ class TestAssembly:
                                   discrepancy=settings.eig_tol)
 
         monkeypatch.setattr(morse_mod, "negative_spectrum", fake_spectrum)
-        monkeypatch.setattr(morse_mod, "oscillation_counts",
+        monkeypatch.setattr(spectrum_mod, "oscillation_counts",
                             _counts_agreeing_with([-4.0 - 1e-3]))
         report = assemble_morse(profile)
         assert seen == [1e-8, 1e-9]
@@ -264,7 +262,7 @@ class TestAssembly:
                                   discrepancy=discrepancy)
 
         monkeypatch.setattr(morse_mod, "negative_spectrum", fake_spectrum)
-        monkeypatch.setattr(morse_mod, "oscillation_counts",
+        monkeypatch.setattr(spectrum_mod, "oscillation_counts",
                             _counts_agreeing_with([lam]))
         report = assemble_morse(profile)
         assert seen == passes
@@ -320,7 +318,7 @@ class TestAssembly:
 
         monkeypatch.setattr(morse_mod, "build_schrodinger", counting_build)
         monkeypatch.setattr(morse_mod, "negative_spectrum", fake_spectrum)
-        monkeypatch.setattr(morse_mod, "oscillation_counts",
+        monkeypatch.setattr(spectrum_mod, "oscillation_counts",
                             _counts_agreeing_with([-4.0 - 1e-3]))
         assemble_morse(profile)
         assert builds == [1e-8]
@@ -405,14 +403,14 @@ class TestAssembly:
         """At alpha = 0 the companion is the point: the solve sees exactly
         the wave numbers 0..k_max."""
         profile = solve_nodal(HenonParams(alpha=0.0, p=3.0, n_nodal=2))
-        real = morse_mod.oscillation_counts
+        real = spectrum_mod.oscillation_counts
         seen = []
 
         def spy(prof, problem, waves, settings):
             seen.append(list(waves))
             return real(prof, problem, waves, settings)
 
-        monkeypatch.setattr(morse_mod, "oscillation_counts", spy)
+        monkeypatch.setattr(spectrum_mod, "oscillation_counts", spy)
         report = assemble_morse(profile)
         assert seen == [[0.0, 1.0, 2.0, 3.0, 4.0]]
         assert report.companion_total == report.m_total == 8
@@ -422,7 +420,7 @@ class TestOscillationLadder:
     """Route C runs at 1000 times rtol and atol, at them and at a
     hundredth of them, each capped at the coarse rung of the defaults, and
     stops at the first pass that agrees with route A with every angle at
-    least ``morse._MIN_MARGIN`` from a multiple of pi."""
+    least ``spectrum._MIN_MARGIN`` from a multiple of pi."""
 
     def test_small_margin_climbs_the_whole_ladder(self, monkeypatch,
                                                   case_132):
@@ -430,7 +428,7 @@ class TestOscillationLadder:
         last one's agreeing counts make the same report."""
         profile, expected = case_132
         passes = _spy_route_c(monkeypatch)
-        monkeypatch.setattr(morse_mod, "_MIN_MARGIN", 2.0)
+        monkeypatch.setattr(spectrum_mod, "_MIN_MARGIN", 2.0)
         assert assemble_morse(profile).to_dict() == expected
         assert passes == [COARSE, WORKING, FINE]
 
@@ -441,7 +439,7 @@ class TestOscillationLadder:
         measured; that pass runs once, then the rtol / 100 pass."""
         profile, expected = case_132
         passes = _spy_route_c(monkeypatch)
-        monkeypatch.setattr(morse_mod, "_MIN_MARGIN", 2.0)
+        monkeypatch.setattr(spectrum_mod, "_MIN_MARGIN", 2.0)
         loose = replace(DEFAULT, rtol=1e-6, atol=1e-8)
         assert assemble_morse(profile, loose).to_dict() == expected
         assert passes == [(pytest.approx(1e-7, rel=1e-12),
@@ -456,7 +454,7 @@ class TestOscillationLadder:
 
         def edit(rtol, waves, counts):
             if rtol == COARSE[0]:
-                return OscillationCounts(counts, 1e-4)
+                return counts[0], 1e-4
             return _miscounting_two_at({WORKING[0]})(rtol, waves, counts)
 
         passes = _spy_route_c(monkeypatch, edit)
@@ -477,12 +475,12 @@ class TestOscillationLadder:
             return real(*args)
 
         monkeypatch.setattr(spectrum_mod, "_prufer_rate", counting)
+        one_pass = spectrum_mod.oscillation_counts
         passes = _spy_route_c(monkeypatch)
         assert assemble_morse(profile).to_dict() == expected
         assert passes == [COARSE]
         coarse_calls, calls[0] = calls[0], 0
-        spectrum_mod.oscillation_counts(profile, build_schrodinger(profile),
-                                        waves)
+        one_pass(profile, build_schrodinger(profile), waves)
         assert coarse_calls <= 0.75 * calls[0]
 
     @pytest.mark.parametrize("alpha,p,n,waves", [
@@ -494,7 +492,7 @@ class TestOscillationLadder:
             self, monkeypatch, alpha, p, n, waves):
         """At the two reporting tuples with the largest coarse-rung angle
         error, (0, 3, 6) and (1, 1.05, 3), every theta_w(0) of a pass at
-        ``morse._LOOSEST``, the loosest rung the ladder runs, lies within
+        ``spectrum._LOOSEST``, the loosest rung the ladder runs, lies within
         _MIN_MARGIN / 9 of a pass at rtol 1e-13.  The wave numbers are the
         ones the assembly counts there."""
         profile = solve_nodal(HenonParams(alpha=alpha, p=p, n_nodal=n))
@@ -509,12 +507,12 @@ class TestOscillationLadder:
 
         monkeypatch.setattr(spectrum_mod, "ode", Spy)
         thetas = []
-        for rtol, atol in (morse_mod._LOOSEST, (1e-13, 1e-15)):
+        for rtol, atol in (spectrum_mod._LOOSEST, (1e-13, 1e-15)):
             spectrum_mod.oscillation_counts(
                 profile, problem, waves, replace(DEFAULT, rtol=rtol, atol=atol))
             thetas.append(ends[-1])  # the pass's last segment ends at t = 0
         coarse, reference = thetas
-        assert 9.0 * np.max(np.abs(coarse - reference)) <= morse_mod._MIN_MARGIN
+        assert 9.0 * np.max(np.abs(coarse - reference)) <= spectrum_mod._MIN_MARGIN
 
 
 class TestLowerBounds:

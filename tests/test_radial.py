@@ -226,6 +226,36 @@ def test_parameter_validation():
         HenonParams(0.0, 3.0, 0)
 
 
+def test_nodal_count_is_any_integer_but_a_bool():
+    """A numpy integer is a nodal count, stored as an int; a bool is not."""
+    params = HenonParams(0.0, 3.0, np.int64(2))
+    assert type(params.n_nodal) is int and params.n_nodal == 2
+    with pytest.raises(UsageError):
+        HenonParams(0.0, 3.0, True)
+
+
+@pytest.mark.parametrize("alpha,p,n", [
+    (0.0, 1.001, 1), (20.0, 1.01, 3), (0.0, 1.002475, 1)])
+def test_overflowing_amplitude_is_refused(alpha, p, n):
+    """As p -> 1 the central value d = zeta^((alpha+2)/(p-1)) leaves the
+    float64 range, and at (0, 1.002475, 1) d is finite but d^p, the scale
+    of the residual gate, is not: each is refused with log10 d."""
+    with pytest.raises(NonConvergenceError) as err:
+        solve_nodal(HenonParams(alpha, p, n))
+    context = err.value.context
+    assert (context["alpha"], context["p"], context["n_nodal"]) == (alpha, p, n)
+    assert p * context["log10_d"] * math.log(10.0) > math.log(np.finfo(float).max)
+
+
+def test_validate_profile_refuses_an_overflowing_scale():
+    """A profile whose max|u| is finite but whose max|u|^p is not is
+    refused before the residual gate forms that power."""
+    profile = replace(solve_nodal(HenonParams(0.0, 3.0, 1)), amp=1e300)
+    with pytest.raises(NonConvergenceError) as err:
+        validate_profile(profile)
+    assert err.value.context["log10_d"] == pytest.approx(300.0)
+
+
 def test_trajectory_value_below_series_start():
     traj = integrate_ivp(0.0, 3.0, 1)
     u, du = trajectory_value(traj, 0.0)

@@ -22,7 +22,6 @@ the oracle below with mesh ratios 1.01/1.005 plus Richardson extrapolation
 
 import gc
 import math
-import pickle
 import tracemalloc
 from dataclasses import replace
 
@@ -843,9 +842,9 @@ class TestCountIdentities:
         lam = spectrum_032.lambdas
         waves = [0.0, 0.5, 0.95, 0.96, 2.5, 3.8, 3.9]
         counts = oscillation_counts(profile_032, build_schrodinger(profile_032),
-                                    waves)
-        assert counts == tuple(int(np.sum(lam < -w * w)) for w in waves)
-        assert counts == (2, 2, 2, 1, 1, 1, 0)
+                                    waves)[0].tolist()
+        assert counts == [int(np.sum(lam < -w * w)) for w in waves]
+        assert counts == [2, 2, 2, 1, 1, 1, 0]
 
     def test_zero_potential_gives_zero_counts(self):
         profile = zero_profile()
@@ -885,7 +884,7 @@ class TestCountIdentities:
 
     def test_one_call_is_one_pass(self, monkeypatch, profile_032):
         """A call integrates once, by DOPRI5 at the tolerances it is given;
-        which tolerance a count needs is the assembly's ladder."""
+        which tolerance a count needs is the ladder of ``confirm_counts``."""
         passes = []
 
         class Spy(spectrum.ode):
@@ -894,13 +893,24 @@ class TestCountIdentities:
                 return super().set_integrator(name, **params)
 
         monkeypatch.setattr(spectrum, "ode", Spy)
-        counts = oscillation_counts(profile_032, build_schrodinger(profile_032),
-                                    range(5))
+        counts, margin = oscillation_counts(
+            profile_032, build_schrodinger(profile_032), range(5))
         assert passes == [("dopri5", DEFAULT.rtol, DEFAULT.atol)]
-        assert counts == (2, 1, 1, 1, 0)
-        assert 0.0 < counts.margin <= math.pi / 2.0
-        copied = pickle.loads(pickle.dumps(counts))
-        assert (copied, copied.margin) == (counts, counts.margin)
+        assert counts.tolist() == [2, 1, 1, 1, 0]
+        assert 0.0 < margin <= math.pi / 2.0
+
+    @pytest.mark.parametrize("rtol", [1e-2, 1e-3])
+    def test_a_loose_pass_is_capped_at_the_measured_rung(self, rtol):
+        """No caller gets a pass looser than ``_LOOSEST``, the rung whose
+        angle error was measured: at (0, 3, 6) an uncapped pass at rtol 1e-3
+        counts w = 1 one too many, and one at 1e-2 miscounts every w."""
+        profile = solve_nodal(HenonParams(alpha=0.0, p=3.0, n_nodal=6))
+        loose = replace(DEFAULT, rtol=rtol, atol=rtol / 100.0)
+        counts, margin = oscillation_counts(
+            profile, build_schrodinger(profile), [0, 1, 2, 3, 5], loose)
+        assert counts.tolist() == [6, 5, 5, 5, 4]
+        assert margin >= spectrum._MIN_MARGIN
+        assert radial_morse_index(profile, replace(DEFAULT, rtol=rtol)) == 6
 
     @pytest.mark.parametrize("waves", [[], [math.nan], [-1.0]],
                              ids=["empty", "nan", "negative"])

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from henon_morse import HenonParams, UsageError, evaluate_profile, solve_nodal
+from henon_morse import (HenonParams, NonConvergenceError, UsageError,
+                         evaluate_profile, solve_nodal)
 from henon_morse import transform
 from henon_morse.radial import evaluate_u, output_grid
 from henon_morse.transform import (
@@ -99,6 +100,18 @@ def test_transform_round_trip(profile_032):
     u_b, u_0 = evaluate_u(back, grid), evaluate_u(profile_032, grid)
     scale = np.max(np.abs(u_0))
     assert np.max(np.abs(u_b - u_0)) / scale <= 1e-9
+
+
+def test_transform_refuses_an_overflowing_amplitude():
+    """The factor kappa^(2/(p-1)) grows without bound as p -> 1: at
+    p = 1.01 the image at beta = 100 has a d^p beyond the float64 range,
+    and is refused before the factor is formed."""
+    profile = solve_nodal(HenonParams(0.0, 1.01, 1))
+    with pytest.raises(NonConvergenceError) as err:
+        transform_solution(profile, 100.0)
+    context = err.value.context
+    assert (context["alpha"], context["p"], context["n_nodal"]) == (100.0, 1.01, 1)
+    assert context["log10_d"] > 308.0
 
 
 def test_default_battery_structure():
