@@ -8,6 +8,8 @@ JSON friendly.
 
 from __future__ import annotations
 
+import numbers
+
 
 class HenonMorseError(Exception):
     """Base class for all errors raised by this package."""
@@ -59,3 +61,13 @@ class SchemaError(UsageError):
 
     The message names the value or field and the expectation it violated.
     """
+
+
+def integer_at_least(value, lowest: int, name: str) -> int:
+    """``value`` as an int, when it is an integer (any ``numbers.Integral``
+    but a bool, so numpy integers pass and True does not) at least
+    ``lowest``; UsageError otherwise."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= lowest):
+        raise UsageError(f"{name} must be an integer >= {lowest}, got {value!r}")
+    return int(value)

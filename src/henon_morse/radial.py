@@ -43,7 +43,6 @@ the audit of ``validate_profile``.
 from __future__ import annotations
 
 import math
-import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from operator import mul
@@ -54,7 +53,7 @@ from scipy.interpolate import PPoly
 from scipy.optimize import brentq
 
 from .config import DEFAULT, Settings
-from .errors import NonConvergenceError, UsageError
+from .errors import NonConvergenceError, UsageError, integer_at_least
 
 __all__ = [
     "HenonParams",
@@ -137,11 +136,7 @@ class HenonParams:
             raise UsageError(f"alpha must be finite and >= 0, got {self.alpha}")
         if not (self.p > 1.0 and math.isfinite(self.p)):
             raise UsageError(f"p must be finite and > 1, got {self.p}")
-        n = self.n_nodal
-        if not (isinstance(n, numbers.Integral) and not isinstance(n, bool)
-                and n >= 1):
-            raise UsageError(f"n_nodal must be an integer >= 1, got {n!r}")
-        object.__setattr__(self, "n_nodal", int(n))
+        object.__setattr__(self, "n_nodal", integer_at_least(self.n_nodal, 1, "n_nodal"))
 
 
 @dataclass

@@ -20,17 +20,18 @@ so the cut-off sets most of its value.  This module computes:
 
 * ``negative_spectrum``: all negative eigenvalues lambda_1 < ... < lambda_J
   of the truncated problem, by three-point finite differences and
-  Richardson extrapolation in the mesh, M = 2048, 4096, ... up to 262144.
-  The meshes are nested: uniform on each segment between the nodal
-  corners, each level bisecting every cell of the one before, and each
-  node carries the average of V over its hat function, so the h^2 error
-  constant is the same on every level.
+  Richardson extrapolation in the mesh, M = 1024, 2048, ... up to 262144.
+  The meshes are nested: the nodal corners are nodes, the first segment
+  [-T, c_1] is graded, finest at c_1 and coarsest at -T where V and psi^2
+  are exponentially small, the others are uniform, each level bisects every
+  cell of the one before, and each node carries the average of V over its
+  hat function, so the h^2 error constant is the same on every level.
   LAPACK bisection locates them on the first, coarsest level; each finer
   level refines the coarser levels' values by inverse iteration and keeps
   the Rayleigh quotients only when a Sturm count and the Kato-Temple bound
   certify them to bisection's accuracy (certified Rayleigh-quotient
   refinement), and bisects otherwise.  The ladder stops at the first pair
-  of extrapolants that agree, so most points stop at M = 8192;
+  of extrapolants that agree, so most points stop at M = 4096;
 
 * ``oscillation_counts``: #{j : lambda_j < -w^2} for any set of wave
   numbers w at once, by Sturm oscillation: the Prufer angle of the
@@ -62,7 +63,7 @@ from scipy.linalg.lapack import dgtsv, dstebz
 from scipy.special import roots_jacobi
 
 from .config import DEFAULT, Settings
-from .errors import NonConvergenceError, UsageError
+from .errors import NonConvergenceError, UsageError, integer_at_least
 from .radial import RadialProfile, evaluate_u, u_reader
 
 __all__ = [
@@ -80,15 +81,28 @@ __all__ = [
 
 # Base number M of mesh cells of the log-variable problem; route A doubles
 # it from there.  The base is the one bisected level, so it is kept coarse:
-# the ladder's earliest stop is at 4 * 2048 = 8192, where the default
-# eig_tol is met at most points, and a finer base would over-resolve them.
-_BASE_INTERVALS = 2048
+# the ladder's earliest stop is at 4 * 1024 = 4096, where the default
+# eig_tol is met at 105 of the 120 benchmark points (the rest stop at 8192).
+# A graded base of 512 cells is slower than 1024, and a uniform 1024 alone
+# saved only 0.75 ms a point (2-core x86-64 machine).
+_BASE_INTERVALS = 1024
 # Eigenvalue extrapolation may double M at most this many times, so the
-# finest mesh the ladder can reach is 2048 * 2^7 = 262144.  On the nested
-# corner mesh the 120 benchmark points stop at 8192 or 16384, (0, 1.8, 2)
-# among them, well before the roundoff floor of about 4 eps / h^2; a ladder
-# that climbs past 65536 reads that floor, not the discretization error.
-_MAX_EIG_LEVELS = 7
+# finest mesh the ladder can reach is 1024 * 2^8 = 262144.  The 120
+# benchmark points stop at 4096 or 8192, (0, 1.8, 2) among them, before the
+# roundoff floor of about 4 eps / h^2 at the finest cell h; at 32768 that
+# floor is 3.0e-8 for T = 13, above the default eig_tol, so a ladder that
+# climbs that far reads the floor, not the discretization error.
+_MAX_EIG_LEVELS = 8
+# Stretch gamma of route A's first segment, [-T, c_1]: its nodes are uniform
+# in xi under t = c_1 - (c_1 + T) expm1(gamma xi) / expm1(gamma), so its
+# cells widen e^gamma = 4.5-fold from c_1 to -T, where V ~ e^((alpha+2) t)
+# and psi^2 are exponentially small.  Measured on the 120 benchmark points
+# (2-core x86-64 machine), route A's time per point at gamma = 1, 1.5, 2 and
+# 2.5 is 3.3, 2.8, 2.5 and 2.5 ms, with the same integers; but gamma = 2
+# makes the finest cell at a stop finer, raising the floor 4 eps / h^2 to
+# 1.8e-9 (1 + |lambda|), where 1.5 keeps it at 1.1e-9 (1.0e-9 on the
+# uniform mesh).
+_GRADING = 1.5
 # DOPRI5 step budget of one oscillation-count segment.  At the default
 # ladder's rungs, rtol 1e-7, 1e-10 and 1e-12, the default grid's segments
 # take 43-115, 134-309 and 327-721 steps, those of (0, 50, 3) up to 195, 488
@@ -119,16 +133,17 @@ class SchrodingerProblem:
     """Truncated log-variable eigenproblem on t in [-T, 0], Dirichlet ends,
     with a base mesh of M cells.
 
-    ``potential`` is the callable V, read at the nodes and cell midpoints
-    of each mesh a level builds (``_fd_matrix``), where a positive sample is
-    refused.  ``corners`` lists t-locations where the potential is
-    continuous but not smooth (for a nodal profile, the logs of the interior
-    nodal radii), and ``corner_power`` is the exponent kappa of its
-    behaviour |t - c|^kappa there: |u|^(p-1) vanishes like |t - c|^(p-1)
-    wherever u crosses zero.  The corners split [-T, 0] into segments, and
-    every level's mesh is uniform on each segment (``mesh``), so the
-    corners are nodes on every level and each level bisects the cells of
-    the one before.  Building a problem validates T, M and the corners
+    ``potential`` is the callable V, read at the nodes of each mesh a
+    level builds and at the next level's new node inside each cell
+    (``_fd_matrix``), where a positive sample is refused.  ``corners``
+    lists t-locations where the potential is continuous but not smooth (for
+    a nodal profile, the logs of the interior nodal radii), and
+    ``corner_power`` is the exponent kappa of its behaviour |t - c|^kappa
+    there: |u|^(p-1) vanishes like |t - c|^(p-1) wherever u crosses zero.  The corners split [-T, 0] into segments;
+    every level's mesh (``mesh``) grades the first, [-T, c_1] or all of
+    [-T, 0] without corners, and is uniform on the others, so the corners
+    are nodes on every level and each level bisects the cells of the one
+    before.  Building a problem validates T, M and the corners
     (``UsageError``), keeps the corners inside (-T, 0) in order, and samples
     nothing; it splits the M base cells among the segments once
     (``_segment_cells``), and every level reads that split.
@@ -141,8 +156,8 @@ class SchrodingerProblem:
     corner_power: float = 0.0
     # base cells of each segment between corners
     _cells: tuple = field(init=False, repr=False, compare=False)
-    # (doublings, V at the nodes, V at the midpoints) of the last level
-    # built: its midpoints are the next level's new nodes
+    # (doublings, V at the nodes, V at the new nodes) of the last level
+    # built: one new node inside each cell, the next level's odd nodes
     _samples: tuple | None = field(default=None, init=False, repr=False,
                                    compare=False)
 
@@ -161,14 +176,24 @@ class SchrodingerProblem:
 
     def mesh(self, doublings: int = 0) -> np.ndarray:
         """Nodes of the M-cell base mesh on [-T, 0], each cell bisected
-        ``doublings`` times: uniform on every segment between corners, so
-        the corners are nodes, and a level's nodes are every other node of
-        the next (``np.linspace`` places them bit for bit).  Without corners
-        it is the uniform mesh."""
+        ``doublings`` times.  The first segment, [-T, c_1] (all of [-T, 0]
+        without corners), is uniform in xi in [0, 1] under
+        t = c_1 - (c_1 + T) expm1(gamma xi) / expm1(gamma), gamma =
+        ``_GRADING``: finest at c_1, where its cells match the next
+        segment's, and coarsest at -T, where V is negligible.  The other
+        segments are uniform.  The corners are nodes, and a level's nodes
+        are every other node of the next, bit for bit: xi = i / n is a
+        correctly rounded quotient, so 2i / 2n is the same float, and
+        ``np.linspace`` places the uniform segments."""
         ends = (-self.T, *self.corners, 0.0)
-        pieces = [np.linspace(a, b, (n << doublings) + 1)[:-1]
-                  for a, b, n in zip(ends, ends[1:], self._cells)]
-        return np.concatenate(pieces + [[0.0]])
+        n = self._cells[0] << doublings
+        stretch = np.expm1(_GRADING * (np.arange(n, 0, -1) / n))
+        stretch *= (ends[1] + self.T) / math.expm1(_GRADING)
+        first = ends[1] - stretch
+        first[0] = -self.T
+        pieces = [np.linspace(a, b, (k << doublings) + 1)[:-1]
+                  for a, b, k in zip(ends[1:], ends[2:], self._cells[1:])]
+        return np.concatenate([first, *pieces, [0.0]])
 
 
 def build_schrodinger(profile: RadialProfile, settings: Settings = DEFAULT) -> SchrodingerProblem:
@@ -179,8 +204,9 @@ def build_schrodinger(profile: RadialProfile, settings: Settings = DEFAULT) -> S
     enlarged if needed: the cut-off follows the eigenvalue target, and T
     grows as eig_tol is tightened.  The base mesh has ``_BASE_INTERVALS``
     cells, the coarsest rung of ``negative_spectrum``'s ladder and the only
-    one it bisects.  The corners are the logs of the interior nodal radii,
-    where V vanishes like |t - c|^(p-1).
+    one it bisects; its first segment is graded, so most of its cells sit
+    where V is not negligible.  The corners are the logs of the interior
+    nodal radii, where V vanishes like |t - c|^(p-1).
     """
     alpha = profile.params.alpha
     p = profile.params.p
@@ -212,11 +238,15 @@ def build_schrodinger(profile: RadialProfile, settings: Settings = DEFAULT) -> S
 def _segment_cells(T: float, M: int, corners: tuple) -> list:
     """Cells of the M-cell base mesh on each segment [-T, c_1], ...,
     [c_(n-1), 0], in proportion to the segment lengths, each at least 2.
-    A segment whose share falls below 2 gets 2, and the rest is shared again
-    among the others; the floors of the final shares are topped up by
+    The graded first segment counts by its effective length
+    L gamma / expm1(gamma), the length its cells would cover at the width
+    of its finest one, so that cell matches those of the segments beside
+    it.  A segment whose share falls below 2 gets 2, and the rest is shared
+    again among the others; the floors of the final shares are topped up by
     largest remainder, so the counts sum to M."""
     ends = (-T, *corners, 0.0)
     lengths = [b - a for a, b in zip(ends, ends[1:])]
+    lengths[0] *= _GRADING / math.expm1(_GRADING)
     fixed = set()
     while True:
         free = sum(x for i, x in enumerate(lengths) if i not in fixed)
@@ -248,10 +278,11 @@ def fd_negative_eigenvalues(problem: SchrodingerProblem, M: int,
                             guess: np.ndarray | None = None) -> np.ndarray:
     """Raw negative eigenvalues of the M-cell discretization (no
     extrapolation), M = problem.M 2^l.  The scheme is mass-lumped P1 on the
-    nested corner mesh, with the potential averaged over each node's hat
-    function, symmetrized by the lumped mass into a standard tridiagonal
-    problem; on a uniform mesh with a constant V it is exactly the classical
-    three-point stencil (2/h^2 + V on the diagonal, -1/h^2 off).
+    nested corner mesh, graded on its first segment, with the potential
+    averaged over each node's hat function, symmetrized by the lumped mass
+    into a standard tridiagonal problem; on a uniform mesh with a constant V
+    it is exactly the classical three-point stencil (2/h^2 + V on the
+    diagonal, -1/h^2 off).
 
     With ``guess`` (approximations of all negative eigenvalues, from coarser
     levels), each is refined by a certified Rayleigh-quotient step
@@ -280,25 +311,31 @@ def _fd_matrix(problem: SchrodingerProblem, M: int) -> tuple[np.ndarray, np.ndar
     mesh arrays are freed before the solve allocates its own.
 
     Node i carries v_i = (int V phi_i) / (int phi_i), phi_i its hat
-    function.  Simpson's rule on a cell [a, b] with midpoint m gives
-    h/6 (V_a + 2 V_m) to node a and h/6 (2 V_m + V_b) to node b; it is
-    summed as V_i plus the excess h/3 (V_m - V_i) of each cell over
-    V_i h/2, so a constant V is kept exactly.  The two cells at a corner c
-    take the 4-point Gauss-Jacobi rule with weight |t - c|^kappa on
+    function.  A cell [a, b] of width h is read at its ends and at the next
+    level's new node m inside it, the midpoint on a uniform segment and
+    off-centre on the graded one.  It gives node a the integral
+    V_a h/2 + h^2 / (6 (m - a)) (V_m - V_a) and node b
+    V_b h/2 + h^2 / (6 (b - m)) (V_m - V_b), which is exact for a constant
+    and a linear V and is Simpson's rule when m is the midpoint; v_i sums
+    V_i and those excesses over V_i h/2.  The two cells at a corner c take
+    the 4-point Gauss-Jacobi rule with weight |t - c|^kappa on
     V / |t - c|^kappa instead.  Raises UsageError when a sample of V is
     positive."""
     doublings = max(M // problem.M, 1).bit_length() - 1
     if M != problem.M << doublings:
         raise UsageError("M must be the base M times a power of 2",
                          {"M": int(M), "base_M": int(problem.M)})
-    h, V, Vm = _level_samples(problem, doublings)
+    fine, V, Vm = _level_samples(problem, doublings)
+    h = np.diff(fine[::2])
     # each cell's excess for its left and for its right node
     left = Vm - V[:-1]
     left *= h
-    left /= 3.0
+    left *= h
+    left /= 6.0 * (fine[1::2] - fine[:-1:2])
     right = Vm - V[1:]
     right *= h
-    right /= 3.0
+    right *= h
+    right /= 6.0 * (fine[2::2] - fine[1::2])
     highest = max(float(V.max()), float(Vm.max()))
     if problem.corners:
         # the cell after each corner and the cell before it take 4
@@ -337,12 +374,13 @@ def _fd_matrix(problem: SchrodingerProblem, M: int) -> tuple[np.ndarray, np.ndar
 
 def _level_samples(problem: SchrodingerProblem,
                    doublings: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cell widths and V at the nodes and at the cell midpoints of the level
-    ``doublings`` bisections above the base.  The midpoints are the next
-    level's new nodes, so when the last samples taken are the previous
-    level's, V at the nodes is those samples interleaved and V is read at
-    the midpoints alone; the base level reads its nodes too.  The samples
-    are kept on the problem for the next level."""
+    """The next level's mesh and V at the nodes and at the new nodes of
+    the level ``doublings`` bisections above the base: that mesh's even
+    nodes are this level's, and its odd ones the new nodes, one inside each
+    cell.  So when the last samples taken are the previous level's, V at
+    the nodes is those samples interleaved and V is read at the new nodes
+    alone; the base level reads its nodes too.  The samples are kept on the
+    problem for the next level."""
     fine = problem.mesh(doublings + 1)
     last, problem._samples = problem._samples, None
     if last is not None and last[0] == doublings - 1:
@@ -353,7 +391,7 @@ def _level_samples(problem: SchrodingerProblem,
     last = None  # frees the previous level's samples before the next read
     Vm = np.asarray(problem.potential(fine[1::2]), dtype=float)
     problem._samples = (doublings, V, Vm)
-    return np.diff(fine[::2]), V, Vm
+    return fine, V, Vm
 
 
 def _certified_refinement(diag: np.ndarray, off: np.ndarray, lo: float,
@@ -474,13 +512,14 @@ def negative_spectrum(problem: SchrodingerProblem, settings: Settings = DEFAULT)
     records.  So the earliest stop is at 4M; starting from a coarse M lets
     a point stop as soon as its extrapolants agree, before the finer rungs'
     roundoff floor is reached: a three-point matrix carries about
-    4 eps / h^2, which for T = 13 is 3.5e-10 at M = 8192 and 2.2e-8 at
-    M = 65536.  The first level is bisected; each finer level is refined
-    from a guess: lambda(M) on level 2M, then the h^2 prediction
-    lambda(2M) + (lambda(2M) - lambda(M)) / 4, and no guess on the level
-    after a count change.  A
-    count that keeps changing, or failure to meet the tolerance within the
-    level budget, raises NonConvergenceError rather than returning a guess;
+    4 eps / h^2 at its finest cell h.  For T = 13 without corners,
+    h = 13 gamma / (expm1(gamma) M), and that is 4.8e-10 at M = 4096,
+    1.9e-9 at 8192 and 3.0e-8 at 32768.  The first level is bisected; each
+    finer level is refined from a guess: lambda(M) on level 2M, then the
+    h^2 prediction lambda(2M) + (lambda(2M) - lambda(M)) / 4, and no guess
+    on the level after a count change.  A count that keeps changing, or
+    failure to meet the tolerance within the level budget, raises
+    NonConvergenceError rather than returning a guess;
     its context carries ``last_discrepancy``, the largest
     |rich - rich_prev| / (1 + |rich|) of the last extrapolant pair compared
     (None if no two consecutive levels had equal counts).
@@ -665,6 +704,5 @@ def radial_morse_index(profile: RadialProfile, settings: Settings = DEFAULT) -> 
 def mode_negative_count(profile: RadialProfile, k: int, settings: Settings = DEFAULT) -> int:
     """Negative-eigenvalue count of the angular-mode-k radial operator (the
     radial operator plus k^2/r^2): the k count of ``oscillation_counts``."""
-    if not (isinstance(k, int) and k >= 1):
-        raise UsageError(f"k must be an integer >= 1, got {k}")
+    k = integer_at_least(k, 1, "k")
     return int(oscillation_counts(profile, build_schrodinger(profile, settings), [float(k)], settings)[0][0])

@@ -40,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonConvergenceError, UsageError
+from .errors import NonConvergenceError, UsageError, integer_at_least
 from .radial import HenonParams, RadialProfile, central_value, evaluate_u, validate_profile
 
 __all__ = [
@@ -83,8 +83,8 @@ class TestFunction:
     dg: Callable = field(compare=False)
 
     def __post_init__(self):
-        if not (isinstance(self.angular_mode, int) and self.angular_mode >= 0):
-            raise UsageError(f"angular_mode must be an integer >= 0, got {self.angular_mode}")
+        object.__setattr__(self, "angular_mode",
+                           integer_at_least(self.angular_mode, 0, "angular_mode"))
 
     def compose_radial(self, kappa: float) -> "TestFunction":
         """Radial composition with the power map: g(r) becomes g(r^kappa)."""

@@ -344,14 +344,20 @@ class TestAssembly:
     def test_refused_empty_spectrum_carries_its_evidence(self):
         """At (0, 1.05, 1) route A finds no negative eigenvalue, while the
         oscillation count gives the radial index 1 a positive solution must
-        have.  The refusal reports both, with the mesh and the depth of V."""
+        have.  The refusal reports both, with the mesh and the depth of V.
+        The mesh is at least the ladder's earliest stop, and its finest cell
+        is no wider than the uniform M = 8192 cell, T / 8192."""
         profile = solve_nodal(HenonParams(alpha=0.0, p=1.05, n_nodal=1))
         with pytest.raises(NonConvergenceError) as err:
             assemble_morse(profile)
         assert "no negative radial eigenvalues" in str(err.value)
         context = err.value.context
         assert context["oscillation_radial_count"] == 1
-        assert context["spectrum_M"] >= 8192
+        problem = build_schrodinger(profile)
+        M = context["spectrum_M"]
+        assert M >= 4 * problem.M
+        finest = np.diff(problem.mesh((M // problem.M).bit_length() - 1)).min()
+        assert finest <= context["spectrum_T"] / 8192
         assert context["spectrum_T"] > 0.0
         assert context["min_V"] < 0.0
 
@@ -386,7 +392,7 @@ class TestAssembly:
 
     def test_tighter_eig_tol_converges(self):
         """The ladder's finest rungs sit on a roundoff floor of about 1e-9
-        (M >= 65536); from M = 2048, two extrapolants agree to 1e-9 here
+        (M >= 32768); from M = 1024, two extrapolants agree to 1e-9 here
         on coarser rungs, before the ladder reaches that floor."""
         _, report = solve_point(4.0, 3.0, 2, replace(DEFAULT, eig_tol=1e-9))
         assert report.m_total == report.route_b_total == 28

@@ -602,13 +602,18 @@ class TestPotentialConstruction:
         assert prob.mesh()[0] == -1.0 and np.all(np.isin(prob.corners, prob.mesh()))
 
     def test_positive_potential_between_base_nodes_is_refused(self):
-        """V = -5 + 6 sin^2(pi M (t + T) / T) is -5 on the M-cell base nodes
-        and +1 at every midpoint, which the base level reads for its hat
-        averages."""
+        """V = -5 + 6 sin^2(pi M xi(t)) is -5 on the M-cell base nodes and
+        +1 at every new node between them, which the base level reads for
+        its hat averages.  Without corners all of [-T, 0] is graded, and
+        xi(t) = log1p(-t expm1(gamma) / T) / gamma inverts the grading, so
+        the base nodes lie at xi = i / M and the new nodes halfway between
+        in xi."""
         T, M = math.pi, 64
+        gamma = spectrum._GRADING
 
         def potential(t):
-            return -5.0 + 6.0 * np.sin(np.pi * M * (np.asarray(t, float) + T) / T) ** 2
+            xi = np.log1p(-np.asarray(t, float) * math.expm1(gamma) / T) / gamma
+            return -5.0 + 6.0 * np.sin(np.pi * M * xi) ** 2
 
         prob = SchrodingerProblem(T, M, potential)
         assert np.max(base_mesh(prob)[1]) <= -5.0 + 1e-12
@@ -618,8 +623,9 @@ class TestPotentialConstruction:
 
 
 class TestNestedCornerMesh:
-    """Route A's meshes: uniform on each segment between corners, every
-    level a bisection of the one before, V averaged over each hat."""
+    """Route A's meshes: graded on the first segment, uniform on the others
+    between corners, every level a bisection of the one before, V averaged
+    over each hat."""
 
     def test_levels_are_nested_with_corners_as_nodes(self, profile_053):
         prob = build_schrodinger(profile_053)
@@ -649,7 +655,8 @@ class TestNestedCornerMesh:
            extra=st.integers(0, 5000))
     def test_cells_sum_to_M_and_follow_the_lengths(self, lengths, extra):
         """Every segment gets two cells or more, the counts sum to M, and a
-        longer segment never gets fewer cells than a shorter one."""
+        longer segment never gets fewer cells than a shorter one, the graded
+        first segment counting by its effective length L gamma / expm1(gamma)."""
         ends = np.concatenate(([0.0], np.cumsum(lengths)))
         T = float(ends[-1])
         corners = tuple(float(c) for c in ends[1:-1] - T)
@@ -657,6 +664,7 @@ class TestNestedCornerMesh:
         cells = spectrum._segment_cells(T, M, corners)
         assert sum(cells) == M and min(cells) >= 2
         seg = np.diff((-T, *corners, 0.0))
+        seg[0] *= spectrum._GRADING / math.expm1(spectrum._GRADING)
         for i, j in zip(*np.nonzero(seg[:, None] > seg[None, :])):
             assert cells[i] >= cells[j]
 
@@ -691,10 +699,37 @@ class TestNestedCornerMesh:
             (kappa + 1.0) * (kappa + 2.0) * mass)
         assert v == pytest.approx(exact, rel=1e-12)
 
+    @pytest.mark.parametrize("slope", [0.0, 1.5])
+    def test_graded_hat_average_is_exact_for_a_linear_potential(self, slope):
+        """Without corners all of [-T, 0] is graded: its cells widen e^gamma
+        fold toward -T and the new node inside each cell lies off its
+        centre.  For V = -3 + slope t the hat average of node i is exactly
+        V(t_i) + slope (h_right - h_left) / 3 on every level."""
+        T = 2.0
+        prob = SchrodingerProblem(
+            T, 16, lambda t: -3.0 + slope * np.asarray(t, float))
+        for doublings in range(3):
+            M = prob.M << doublings
+            fine = prob.mesh(doublings + 1)
+            mesh = fine[::2]
+            h = np.diff(mesh)
+            assert h[0] / h[-1] == pytest.approx(math.exp(spectrum._GRADING), rel=0.2)
+            off_centre = (fine[1::2] - mesh[:-1]) / h - 0.5
+            assert np.max(np.abs(off_centre)) > 1e-3
+            hl, hr = h[:-1], h[1:]
+            mass = 0.5 * (hl + hr)
+            diag, _, _ = spectrum._fd_matrix(prob, M)
+            v = diag - (1.0 / hl + 1.0 / hr) / mass
+            exact = -3.0 + slope * mesh[1:-1] + slope * (hr - hl) / 3.0
+            # v is diag less the stiffness, about 4 / h^2: it keeps that
+            # sum's rounding
+            np.testing.assert_allclose(v, exact, rtol=0.0,
+                                       atol=16.0 * 2.0**-52 / h.min() ** 2)
+
     def test_each_level_samples_only_its_midpoints(self, monkeypatch,
                                                    profile_053):
-        """The base level reads V at its nodes and midpoints, every finer
-        level at its midpoints alone, and each level reads 4 Gauss-Jacobi
+        """The base level reads V at its nodes and new nodes, every finer
+        level at its new nodes alone, and each level reads 4 Gauss-Jacobi
         points in each of the two cells at every corner.  The matrices
         equal those of standalone calls on a fresh problem."""
         prob = build_schrodinger(profile_053)
@@ -752,6 +787,18 @@ class TestNestedCornerMesh:
         diffs = [b - a for a, b in zip(lams, lams[1:])]
         for prev, cur in zip(diffs, diffs[1:]):
             assert np.all((prev / cur >= 3.8) & (prev / cur <= 4.2))
+
+    @pytest.mark.parametrize("alpha,p,n", [(0.0, 3.0, 1), (2.0, 3.0, 2)])
+    def test_graded_ladder_is_h2_regular(self, alpha, p, n):
+        """Richardson needs the FD error to be h^2-regular: on the graded
+        mesh every lambda_j's successive raw differences from the base level
+        up shrink by 3.9 to 4.1."""
+        prob = build_schrodinger(solve_nodal(HenonParams(alpha=alpha, p=p, n_nodal=n)))
+        lams = [fd_negative_eigenvalues(prob, prob.M << k) for k in range(4)]
+        assert all(lam.size == n for lam in lams)
+        diffs = [b - a for a, b in zip(lams, lams[1:])]
+        for prev, cur in zip(diffs, diffs[1:]):
+            assert np.all((prev / cur >= 3.9) & (prev / cur <= 4.1))
 
     def test_ladder_stops_before_the_roundoff_floor(self):
         """(0, 1.8, 2) used to stop at M = 131072, inside the floor."""
@@ -881,6 +928,13 @@ class TestCountIdentities:
             mode_negative_count(profile_032, 0)
         with pytest.raises(UsageError):
             mode_negative_count(profile_032, -1)
+
+    def test_mode_is_any_integer_but_a_bool(self, profile_032):
+        """A numpy integer is a mode, counted as its int; True is not mode 1."""
+        assert mode_negative_count(profile_032, np.int64(1)) == \
+            mode_negative_count(profile_032, 1)
+        with pytest.raises(UsageError):
+            mode_negative_count(profile_032, True)
 
     def test_one_call_is_one_pass(self, monkeypatch, profile_032):
         """A call integrates once, by DOPRI5 at the tolerances it is given;

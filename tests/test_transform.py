@@ -193,6 +193,15 @@ def test_test_function_validation(profile_032):
                      g=lambda r: r, dg=lambda r: np.ones_like(r))
 
 
+def test_angular_mode_is_any_integer_but_a_bool():
+    """A numpy integer is an angular mode, stored as an int; a bool is not."""
+    g, dg = (lambda r: r * (1.0 - r)), (lambda r: 1.0 - 2.0 * r)
+    w = TestFunction(name="k1", angular_mode=np.int64(1), g=g, dg=dg)
+    assert type(w.angular_mode) is int and w.angular_mode == 1
+    with pytest.raises(UsageError):
+        TestFunction(name="true", angular_mode=True, g=g, dg=dg)
+
+
 def test_form_comparison_identity_at_equal_exponents(profile_032):
     rows = verify_form_comparison(profile_032, [0.0])
     assert all(row["pass"] for row in rows)
