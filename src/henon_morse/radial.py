@@ -31,8 +31,12 @@ whose truncation error is O(r^(2*alpha + 4)).
 From there the two-component system (U, U') is integrated by a DOP853
 stepper written for it in Python floats: scipy's Dormand-Prince 8(5,3)
 tableau, step-size control and 7th-order dense output, without the
-per-step array overhead of a general-purpose solver.  Zeros of U are found
-on the dense output of the step that brackets them.
+per-step array overhead of a general-purpose solver.  The arithmetic of a
+step, its stages, error sums and dense-output rows, is straight-line code
+generated at import from scipy's tableau: the coefficients are float
+literals, exact zeros are left out, and every sum adds its terms in the
+tableau's order.  Zeros of U are found on the dense output of the step
+that brackets them.
 
 A profile is that trajectory U plus the exact map u(r) = amp U(mu r^kappa)
 (kappa = 1 for a solve), and every reader of u and u' evaluates the dense
@@ -45,7 +49,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from operator import mul
 
 import numpy as np
 from scipy.integrate import DOP853
@@ -82,29 +85,90 @@ _GRID_GEO_RMIN = 1e-12
 _GRID_GEO_STEP = 0.1
 
 
+def _fixed_grid() -> np.ndarray:
+    """The nodes of the output grid that no profile moves: 0, the geometric
+    tail below three quarters of the uniform spacing, then the uniform
+    nodes."""
+    uniform = np.linspace(0.0, 1.0, _GRID_POINTS)
+    spacing = 1.0 / (_GRID_POINTS - 1)
+    n_geo = int(math.ceil(math.log(spacing / _GRID_GEO_RMIN) / _GRID_GEO_STEP))
+    geo = _GRID_GEO_RMIN * np.exp(_GRID_GEO_STEP * np.arange(n_geo))
+    return np.concatenate(([0.0], geo[geo < 0.75 * spacing], uniform[1:]))
+
+
+_GRID = _fixed_grid()
+_GRID.setflags(write=False)
+
+
 # Nodes and weights of the 5-point Gauss-Legendre rule on [0, 1].
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(5)
 _GAUSS_X, _GAUSS_W = 0.5 * (1.0 + _GAUSS_X), 0.5 * _GAUSS_W
 
 
-def _floats(a) -> tuple:
-    return tuple(float(x) for x in a)
+def _dot(coefs, names) -> str:
+    """Source of the dot product of ``coefs`` with the variables ``names``
+    without its exact-zero coefficients.  The other products are added left
+    to right, as an uncompensated dot product over the whole row adds them;
+    a zero product leaves a nonzero partial sum as it is, so both round
+    alike."""
+    return " + ".join(f"{c!r} * {x}" for c, x in zip(coefs, names) if c) or "0.0"
 
 
-# The DOP853 tableau, as Python floats.  Row s of ``_A`` holds the s weights
-# of stage s on the stages before it; each ``_A_EXTRA`` row likewise, for
-# the three stages the dense output adds after the step's 13 (12 plus the
-# derivative at the new point).
-_C = _floats(DOP853.C)
-_A = tuple(_floats(row[:s]) for s, row in enumerate(DOP853.A))
-_B = _floats(DOP853.B)
-_E3 = _floats(DOP853.E3)
-_E5 = _floats(DOP853.E5)
-_C_EXTRA = _floats(DOP853.C_EXTRA)
-_A_EXTRA = tuple(_floats(row[:s]) for s, row in
-                 enumerate(DOP853.A_EXTRA, start=DOP853.n_stages + 1))
-_D = tuple(_floats(row) for row in DOP853.D)
-_STAGES = tuple(zip(_A[1:], _C[1:]))
+def _straight_line_step():
+    """The arithmetic of one DOP853 step of the radial system as two
+    straight-line functions, generated from scipy's tableau.
+
+    ``stages(r, u, v, fv, h, alpha, pm1)`` forms the 12 stages, the new
+    point (u12, v12) with its derivative f12, as stage 12 with the weights
+    B at c = 1, and returns u12, v12, f12, the E5 sums of the u and v
+    slopes, their E3 sums, and the slopes k = (v1..v12, f1..f12).
+    ``dense(r, u, v, fv, h, k, alpha, pm1)`` forms the three extra stages of
+    the dense output and returns h times the four D sums of the u slopes,
+    then of the v slopes.  The slopes of u are the stage values of v, and
+    each v slope is ``rate`` of ``_dop853``, in its operation order.
+    Constants are written as ``repr`` of the floats, which reads back
+    exactly.
+    """
+    ku, kv = ["v"], ["fv"]
+
+    def stage(s, a, c):
+        lines = (f"u{s} = u + ({_dot(a, ku)}) * h",
+                 f"v{s} = v + ({_dot(a, kv)}) * h",
+                 f"r{s} = r + {c!r} * h",
+                 f"f{s} = -v{s} / r{s} - r{s}**alpha * (abs(u{s}) ** pm1 * u{s})")
+        ku.append(f"v{s}")
+        kv.append(f"f{s}")
+        return lines
+
+    A, C = DOP853.A.tolist(), DOP853.C.tolist()
+    last = DOP853.n_stages
+    body = [line for s in range(1, last) for line in stage(s, A[s][:s], C[s])]
+    body += stage(last, DOP853.B.tolist(), 1.0)
+    slopes = ", ".join(ku[1:] + kv[1:])
+    sums = [_dot(E, k) for E in (DOP853.E5.tolist(), DOP853.E3.tolist())
+            for k in (ku, kv)]
+    stages = [
+        "def stages(r, u, v, fv, h, alpha, pm1):",
+        *(f"    {line}" for line in body),
+        f"    return u{last}, v{last}, f{last}, {', '.join(sums)}, ({slopes})",
+    ]
+    extra = [line for s, (a, c) in enumerate(
+                 zip(DOP853.A_EXTRA.tolist(), DOP853.C_EXTRA.tolist()), start=last + 1)
+             for line in stage(s, a[:s], c)]
+    rows = [f"h * ({_dot(row, k)})" for k in (ku, kv) for row in DOP853.D.tolist()]
+    dense = [
+        "def dense(r, u, v, fv, h, k, alpha, pm1):",
+        f"    {slopes} = k",
+        *(f"    {line}" for line in extra),
+        f"    return {', '.join(rows)}",
+    ]
+    namespace = {}
+    exec(compile("\n".join(stages + dense), f"<{__name__} DOP853 step>", "exec"),
+         namespace)
+    return namespace["stages"], namespace["dense"]
+
+
+_stages, _dense = _straight_line_step()
 
 # scipy's step-size control: safety factor, bounds on the change of the
 # step, and the exponent -1/(q+1) for the embedded estimate of order q = 7.
@@ -235,10 +299,14 @@ def integrate_ivp(alpha: float, p: float, n: int,
 
     The stepper is DOP853 as scipy implements it, specialised to the system
     u' = v, v' = -v/r - r^alpha |u|^(p-1) u and run in Python floats.  It
-    uses scipy's tableau (read from ``scipy.integrate.DOP853``), initial
-    step rule, error norm, step-size control and minimum step, and stores
-    every step's 7th-order dense output.  ``settings.rtol`` is used as
-    given, with no floor at 100 machine epsilons.
+    uses scipy's initial step rule, error norm, step-size control and
+    minimum step, and stores every step's 7th-order dense output.  Each
+    step's stages, error sums and dense-output rows run in two
+    straight-line functions that ``_straight_line_step`` generates at
+    import from scipy's tableau (``scipy.integrate.DOP853``); they skip its
+    exact-zero coefficients and add the other terms in the tableau's
+    order.  ``settings.rtol`` is used as given, with no floor at 100
+    machine epsilons.
 
     A zero of U is a sign change over a step or an exact zero at a step's
     end.  It is located by ``brentq`` on that step's interpolant at
@@ -337,23 +405,12 @@ def _dop853(alpha, p, r, u, v, r_bound, rtol, atol, n, context):
             r_new = min(r + h_abs, r_bound)
             h = r_new - r
             h_abs = h
-            ku, kv = [v], [fv]
             try:
-                for a, c in _STAGES:
-                    us = u + sum(map(mul, a, ku)) * h
-                    vs = v + sum(map(mul, a, kv)) * h
-                    ku.append(vs)
-                    kv.append(rate(r + c * h, us, vs))
-                u_new = u + h * sum(map(mul, _B, ku))
-                v_new = v + h * sum(map(mul, _B, kv))
-                ku.append(v_new)
-                kv.append(rate(r + h, u_new, v_new))
+                u_new, v_new, f_new, e5u, e5v, e3u, e3v, k = _stages(
+                    r, u, v, fv, h, alpha, pm1)
                 su = atol + max(abs(u), abs(u_new)) * rtol
                 sv = atol + max(abs(v), abs(v_new)) * rtol
-                e5u = sum(map(mul, _E5, ku)) / su
-                e5v = sum(map(mul, _E5, kv)) / sv
-                e3u = sum(map(mul, _E3, ku)) / su
-                e3v = sum(map(mul, _E3, kv)) / sv
+                e5u, e5v, e3u, e3v = e5u / su, e5v / sv, e3u / su, e3v / sv
                 err5 = e5u * e5u + e5v * e5v
                 err3 = e3u * e3u + e3v * e3v
                 if err5 == 0.0 and err3 == 0.0:
@@ -378,16 +435,10 @@ def _dop853(alpha, p, r, u, v, r_bound, rtol, atol, n, context):
             rejected = True
 
         # Dense output: three more stages, then F0..F6 for each component.
-        for a, c in zip(_A_EXTRA, _C_EXTRA):
-            us = u + sum(map(mul, a, ku)) * h
-            vs = v + sum(map(mul, a, kv)) * h
-            ku.append(vs)
-            kv.append(rate(r + c * h, us, vs))
+        d = _dense(r, u, v, fv, h, k, alpha, pm1)
         du, dv = u_new - u, v_new - v
-        Fu = (du, h * v - du, 2.0 * du - h * (v_new + v),
-              *(h * sum(map(mul, row, ku)) for row in _D))
-        Fv = (dv, h * fv - dv, 2.0 * dv - h * (kv[12] + fv),
-              *(h * sum(map(mul, row, kv)) for row in _D))
+        Fu = (du, h * v - du, 2.0 * du - h * (v_new + v), *d[:4])
+        Fv = (dv, h * fv - dv, 2.0 * dv - h * (f_new + fv), *d[4:])
         coef.append((u, *Fu))
         coef.append((v, *Fv))
         knots.append(r_new)
@@ -397,7 +448,7 @@ def _dop853(alpha, p, r, u, v, r_bound, rtol, atol, n, context):
             zeros.append(root)
             if len(zeros) == n:
                 break
-        r, u, v, fv = r_new, u_new, v_new, kv[12]
+        r, u, v, fv = r_new, u_new, v_new, f_new
     return knots, coef, zeros
 
 
@@ -488,18 +539,14 @@ def u_reader(profile: RadialProfile):
 
 def output_grid(profile: RadialProfile) -> np.ndarray:
     """Grid on [0, 1] of the ``solve`` artifact and of the audit in
-    ``validate_profile``: uniform nodes, a geometric tail near the origin,
-    and the interior nodal radii made exact grid nodes.
+    ``validate_profile``: the fixed nodes of ``_GRID``, with the interior
+    nodal radii made exact grid nodes, as a new array.
 
     A nodal radius closer to an interior node than a quarter of the local
     gap replaces that node, and is inserted otherwise, so spacing never
     degenerates.
     """
-    uniform = np.linspace(0.0, 1.0, _GRID_POINTS)
-    spacing = 1.0 / (_GRID_POINTS - 1)
-    n_geo = int(math.ceil(math.log(spacing / _GRID_GEO_RMIN) / _GRID_GEO_STEP))
-    geo = _GRID_GEO_RMIN * np.exp(_GRID_GEO_STEP * np.arange(n_geo))
-    pts = [0.0, *geo[geo < 0.75 * spacing], *uniform[1:]]
+    pts = _GRID.copy()
     for z in profile.nodal_radii[:-1]:  # the last one is 1.0
         z = float(z)
         if z <= pts[0] or z >= pts[-1]:
@@ -511,8 +558,8 @@ def output_grid(profile: RadialProfile) -> np.ndarray:
         elif pts[i] - z < 0.25 * gap and i < len(pts) - 1:
             pts[i] = z
         else:
-            pts.insert(i, z)
-    return np.asarray(pts)
+            pts = np.insert(pts, i, z)
+    return pts
 
 
 def solve_nodal(params: HenonParams, settings: Settings = DEFAULT) -> RadialProfile:

@@ -3,13 +3,22 @@
 The reference values frozen here were computed with the fixed-step RK4
 oracle below (steps h = 1e-4 and 5e-5 agree to ~5e-12; see
 ``rk4_zeros``), which shares no code with the production integrator.
+The loop-form DOP853 stepper ``loop_dop853`` and the list-built output
+grid ``list_output_grid`` are the references of the production stepper's
+generated straight-line stages and of its precomputed grid, which must
+reproduce them bit for bit.
 """
 
 import math
 from dataclasses import replace
+from functools import reduce
+from operator import add, mul
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import DOP853, solve_ivp
 
 import henon_morse.radial as radial_mod
@@ -30,6 +39,156 @@ from henon_morse.radial import evaluate_u, output_grid, u_reader
 ZERO1_A0_P3 = 3.5739009819    # first zero, alpha = 0, p = 3
 ZERO2_A0_P3 = 12.2870432098   # second zero, alpha = 0, p = 3
 ZERO1_A1_P2 = 2.6778135354    # first zero, alpha = 1, p = 2
+
+
+def _floats(a) -> tuple:
+    return tuple(float(x) for x in a)
+
+
+# The DOP853 tableau, as Python floats.  Row s of ``_A`` holds the s weights
+# of stage s on the stages before it; each ``_A_EXTRA`` row likewise, for
+# the three stages the dense output adds after the step's 13 (12 plus the
+# derivative at the new point).
+_C = _floats(DOP853.C)
+_A = tuple(_floats(row[:s]) for s, row in enumerate(DOP853.A))
+_B = _floats(DOP853.B)
+_E3 = _floats(DOP853.E3)
+_E5 = _floats(DOP853.E5)
+_C_EXTRA = _floats(DOP853.C_EXTRA)
+_A_EXTRA = tuple(_floats(row[:s]) for s, row in
+                 enumerate(DOP853.A_EXTRA, start=DOP853.n_stages + 1))
+_D = tuple(_floats(row) for row in DOP853.D)
+_STAGES = tuple(zip(_A[1:], _C[1:]))
+
+
+def dot(a, k):
+    """sum(map(mul, a, k)) as ``sum`` adds floats up to Python 3.11: from
+    the integer 0, left to right, uncompensated."""
+    return reduce(add, map(mul, a, k), 0)
+
+
+def loop_dop853(alpha, p, r, u, v, r_bound, rtol, atol, n, context):
+    """``radial._dop853`` with its step arithmetic written as loops: every
+    stage, error sum and dense-output row a dot product over a full tableau
+    row."""
+    pm1 = p - 1.0
+
+    def rate(r, u, v):
+        # v' for the state (u, v), in scipy's operation order
+        return -v / r - r**alpha * (abs(u) ** pm1 * u)
+
+    def rms(a, b):
+        return math.sqrt((a * a + b * b) / 2.0)
+
+    # scipy's initial step (Hairer-Norsett-Wanner II.4), at order q = 7.
+    fv = rate(r, u, v)
+    su, sv = atol + abs(u) * rtol, atol + abs(v) * rtol
+    d0, d1 = rms(u / su, v / sv), rms(v / su, fv / sv)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, r_bound - r)
+    v1 = v + h0 * fv
+    d2 = rms((v1 - v) / su, (rate(r + h0, u + h0 * v, v1) - fv) / sv) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0)
+    h_abs = min(100.0 * h0, h1, r_bound - r)
+
+    knots = [r]
+    coef = []
+    zeros = []
+    while r < r_bound:
+        if len(knots) > radial_mod._MAX_IVP_STEPS:
+            raise NonConvergenceError(
+                f"ODE integration took more than {radial_mod._MAX_IVP_STEPS} steps",
+                dict(context, r=r))
+        min_step = 10.0 * (math.nextafter(r, math.inf) - r)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if not h_abs >= min_step:
+                raise NonConvergenceError(
+                    "ODE integration failed: Required step size is less "
+                    "than spacing between numbers.",
+                    dict(context, r=r, min_step=min_step))
+            r_new = min(r + h_abs, r_bound)
+            h = r_new - r
+            h_abs = h
+            ku, kv = [v], [fv]
+            try:
+                for a, c in _STAGES:
+                    us = u + dot(a, ku) * h
+                    vs = v + dot(a, kv) * h
+                    ku.append(vs)
+                    kv.append(rate(r + c * h, us, vs))
+                u_new = u + h * dot(_B, ku)
+                v_new = v + h * dot(_B, kv)
+                ku.append(v_new)
+                kv.append(rate(r + h, u_new, v_new))
+                su = atol + max(abs(u), abs(u_new)) * rtol
+                sv = atol + max(abs(v), abs(v_new)) * rtol
+                e5u = dot(_E5, ku) / su
+                e5v = dot(_E5, kv) / sv
+                e3u = dot(_E3, ku) / su
+                e3v = dot(_E3, kv) / sv
+                err5 = e5u * e5u + e5v * e5v
+                err3 = e3u * e3u + e3v * e3v
+                if err5 == 0.0 and err3 == 0.0:
+                    error_norm = 0.0
+                else:
+                    error_norm = h * err5 / math.sqrt((err5 + 0.01 * err3) * 2.0)
+            except OverflowError:
+                error_norm = math.inf
+            if error_norm < 1.0:
+                if error_norm == 0.0:
+                    factor = radial_mod._MAX_FACTOR
+                else:
+                    factor = min(radial_mod._MAX_FACTOR, radial_mod._SAFETY
+                                 * error_norm**radial_mod._ERROR_EXPONENT)
+                if rejected:
+                    factor = min(1.0, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(radial_mod._MIN_FACTOR, radial_mod._SAFETY
+                         * error_norm**radial_mod._ERROR_EXPONENT)
+            rejected = True
+
+        for a, c in zip(_A_EXTRA, _C_EXTRA):
+            us = u + dot(a, ku) * h
+            vs = v + dot(a, kv) * h
+            ku.append(vs)
+            kv.append(rate(r + c * h, us, vs))
+        du, dv = u_new - u, v_new - v
+        Fu = (du, h * v - du, 2.0 * du - h * (v_new + v),
+              *(h * dot(row, ku) for row in _D))
+        Fv = (dv, h * fv - dv, 2.0 * dv - h * (kv[12] + fv),
+              *(h * dot(row, kv) for row in _D))
+        coef.append((u, *Fu))
+        coef.append((v, *Fv))
+        knots.append(r_new)
+
+        root = radial_mod._step_zero(r, r_new, u, u_new, Fu)
+        if root is not None:
+            zeros.append(root)
+            if len(zeros) == n:
+                break
+        r, u, v, fv = r_new, u_new, v_new, kv[12]
+    return knots, coef, zeros
+
+
+def ivp_outcome(alpha, p, n, stepper=None):
+    """The bytes of ``integrate_ivp``'s knots, power-form coefficients of U
+    and U' and zeros, or the message and context of its
+    NonConvergenceError; ``stepper`` replaces ``radial._dop853``."""
+    with pytest.MonkeyPatch.context() as mp:
+        if stepper is not None:
+            mp.setattr(radial_mod, "_dop853", stepper)
+        try:
+            traj = integrate_ivp(alpha, p, n)
+        except NonConvergenceError as err:
+            return str(err), err.context
+    return tuple(np.ascontiguousarray(a).tobytes()
+                 for a in (traj._u.x, traj._u.c, traj._du.c, traj.zeros))
 
 
 def trajectory_value(traj, r):
@@ -407,15 +566,25 @@ class TestDop853Kernel:
             assert root is None or (u_new == 0.0 and root == 3.0)
 
     def test_tableau_shape(self):
-        # the stepper reads these from scipy; a change of layout must fail
+        # the generator of the straight-line stages reads these from scipy;
+        # a change of layout must fail
         assert DOP853.n_stages == 12
         assert DOP853.A.shape == (12, 12) and DOP853.B.shape == (12,)
         assert DOP853.C.shape == (12,)
         assert DOP853.E3.shape == DOP853.E5.shape == (13,)
         assert DOP853.A_EXTRA.shape == (3, 16) and DOP853.C_EXTRA.shape == (3,)
         assert DOP853.D.shape == (4, 16)
-        assert [len(row) for row in radial_mod._A] == list(range(12))
-        assert [len(row) for row in radial_mod._A_EXTRA] == [13, 14, 15]
+        # stage s reads its row left of column s; what lies right of it
+        # must be zero, or the generated stages would drop a term
+        assert not np.triu(DOP853.A).any()
+        for s, row in enumerate(DOP853.A_EXTRA, start=13):
+            assert not row[s:].any()
+        # stages returns (u, v, v') at the new point, the four error sums
+        # and the 24 slopes of stages 1-12; dense returns the D rows' sums
+        step = radial_mod._stages(1.0, 1.0, -0.5, 0.5, 1e-3, 0.0, 2.0)
+        assert len(step) == 8 and len(step[-1]) == 24
+        dense = radial_mod._dense(1.0, 1.0, -0.5, 0.5, 1e-3, step[-1], 0.0, 2.0)
+        assert len(dense) == 2 * DOP853.D.shape[0]
 
     def test_step_size_underflow_raises_with_context(self):
         # rtol far below the arithmetic's precision; the tiny atol moves
@@ -463,6 +632,98 @@ class TestDop853Kernel:
             got = poly(knots[i] + (knots[i + 1] - knots[i]) * x)
             assert np.allclose(got, nested, rtol=0.0, atol=1e-13)
         assert np.array_equal(poly(knots[:-1]), coef[:, 0])
+
+
+# A spread of the benchmark's point tuples (alpha, p, n), and the tuples
+# with the longest zero hunt (0, 50, 3), an overflowing trial step
+# (20, 20, 6), p near 1 (0, 1.05, 2) and (2.05, 1.83, 3), and six zeros.
+STRAIGHT_LINE_TUPLES = [
+    (0.0, 2.0, 1), (0.5, 3.0, 2), (1.0, 4.0, 3), (1.5, 5.0, 1),
+    (2.5, 2.0, 2), (3.0, 5.0, 3), (4.0, 3.0, 1), (6.0, 2.0, 3),
+    (0.0, 50.0, 3), (20.0, 20.0, 6), (0.0, 1.05, 2), (2.05, 1.83, 3),
+    (0.0, 3.0, 6),
+]
+
+
+class TestStraightLineStep:
+    """The generated straight-line stages against the loop form: the
+    trajectories must be bit-identical, since the generated sums keep the
+    loop's left-to-right order and drop only exact-zero terms."""
+
+    @pytest.mark.parametrize("alpha, p, n", STRAIGHT_LINE_TUPLES)
+    def test_matches_the_loop_form_bit_for_bit(self, alpha, p, n):
+        got = ivp_outcome(alpha, p, n)
+        assert len(got) == 4  # a trajectory, not a refusal
+        assert got == ivp_outcome(alpha, p, n, loop_dop853)
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(alpha=st.floats(0.0, 20.0),
+           p=st.floats(1.0, 60.0, exclude_min=True),
+           n=st.integers(1, 6))
+    def test_matches_the_loop_form_across_the_envelope(self, alpha, p, n):
+        assert ivp_outcome(alpha, p, n) == ivp_outcome(alpha, p, n, loop_dop853)
+
+
+def list_output_grid(nodal_radii) -> np.ndarray:
+    """The output grid built node by node in a list, the reference of
+    ``output_grid``: uniform nodes, the geometric tail and then each
+    interior nodal radius replacing its left or right node or inserted."""
+    uniform = np.linspace(0.0, 1.0, radial_mod._GRID_POINTS)
+    spacing = 1.0 / (radial_mod._GRID_POINTS - 1)
+    n_geo = int(math.ceil(math.log(spacing / radial_mod._GRID_GEO_RMIN)
+                          / radial_mod._GRID_GEO_STEP))
+    geo = radial_mod._GRID_GEO_RMIN * np.exp(radial_mod._GRID_GEO_STEP
+                                             * np.arange(n_geo))
+    pts = [0.0, *geo[geo < 0.75 * spacing], *uniform[1:]]
+    for z in nodal_radii[:-1]:
+        z = float(z)
+        if z <= pts[0] or z >= pts[-1]:
+            continue
+        i = int(np.searchsorted(pts, z))
+        gap = pts[i] - pts[i - 1]
+        if z - pts[i - 1] < 0.25 * gap and i - 1 > 0:
+            pts[i - 1] = z
+        elif pts[i] - z < 0.25 * gap and i < len(pts) - 1:
+            pts[i] = z
+        else:
+            pts.insert(i, z)
+    return np.asarray(pts)
+
+
+class TestOutputGrid:
+    """``output_grid`` against the list construction, one branch at a time."""
+
+    SPACING = 1.0 / 2048
+    NODE = 1000 / 2048  # a uniform node
+    TAIL = float(radial_mod._GRID[100])  # a node of the geometric tail
+
+    @pytest.mark.parametrize("radii, added", [
+        ([NODE + 0.1 * SPACING], 0),   # replaces its left node
+        ([NODE - 0.1 * SPACING], 0),   # replaces its right node
+        ([NODE + 0.5 * SPACING], 1),   # inserted mid-cell
+        ([TAIL * 1.01], 0),            # in the geometric tail, replacing
+        ([TAIL * 1.05], 1),            # in the geometric tail, inserted
+        # the second radius replaces the first, inserted one cell before
+        ([NODE + 0.5 * SPACING, NODE + 0.55 * SPACING], 1),
+        ([2e-9, 0.25 + 0.3 * SPACING, 0.75 - 0.01 * SPACING], 1),
+        ([], 0),
+    ])
+    def test_matches_the_list_construction(self, radii, added):
+        nodal = np.array([*radii, 1.0])
+        grid = output_grid(SimpleNamespace(nodal_radii=nodal))
+        expected = list_output_grid(nodal)
+        assert grid.tobytes() == expected.tobytes()
+        assert grid.size == radial_mod._GRID.size + added
+        assert np.isin(nodal[-2:], grid).all()
+        assert np.all(np.diff(grid) > 0)
+
+    @pytest.mark.parametrize("radii", [[], [0.3, 0.6]])
+    def test_a_written_grid_leaves_the_next_one_alone(self, radii):
+        profile = SimpleNamespace(nodal_radii=np.array([*radii, 1.0]))
+        grid = output_grid(profile)
+        grid[:] = -1.0
+        assert output_grid(profile).tobytes() == \
+            list_output_grid(profile.nodal_radii).tobytes()
 
 
 def test_too_few_zeros_within_shoot_tmax(monkeypatch):
