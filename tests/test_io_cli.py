@@ -784,6 +784,74 @@ class TestCliVerify:
         assert "worst rel err 0.00e+00" in doc["summary"]
 
 
+def _point(command, alpha, p, n, *flags):
+    return [command, "--alpha", alpha, "--p", p, "--nodes", n, *flags]
+
+
+def _gate_view(doc):
+    """The members of a printed document the point gates read: its own,
+    a morse report's tolerances, and a profile's nodal radius count and
+    last radius."""
+    view = dict(doc)
+    if "details" in doc:
+        view.update(doc["details"]["tolerances"])
+    if "nodal_radii" in doc:
+        view.update(radii=len(doc["nodal_radii"]),
+                    last_radius=doc["nodal_radii"][-1])
+    return view
+
+
+@pytest.mark.parametrize("argv,code,expected", [
+    # at low p the potential is |t - c|^(p - 1) at each nodal corner c, so
+    # route A's ladder needs the corners as mesh nodes to stabilize
+    (_point("morse", "2", "1.5", "2"), 0,
+     {"m_rad": 2, "m_total": 14, "route_b_total": 14}),
+    # route A's graded first segment meets eig_tol on the extrapolants of
+    # 1024, 2048 and 4096 cells
+    (_point("morse", "1", "3", "2"), 0,
+     {"m_rad": 2, "m_total": 14, "route_b_total": 14, "spectrum_M": 4096}),
+    # a Pruefer angle ends 2.9e-3 rad from a multiple of pi, the smallest
+    # margin of the low-p scan, yet route C's coarse rung decides it
+    (_point("morse", "4", "1.5", "1"), 0,
+     {"m_rad": 1, "m_total": 1, "route_b_total": 1}),
+    # route C's coarse rung errs by 2.2e-4 rad, the most of any reporting
+    # point measured
+    (_point("morse", "0", "3", "6"), 0,
+     {"m_rad": 6, "m_total": 106, "route_b_total": 106}),
+    # the profile passes its audit at a loose rtol, and route C's rungs
+    # are capped at spectrum._LOOSEST
+    (_point("morse", "1", "3", "2", "--rtol", "1e-6", "--atol", "1e-8"), 0,
+     {"m_rad": 2, "m_total": 14, "route_b_total": 14}),
+    # the longest zero hunt of the measured points, then a trial step that
+    # overflows and is rejected
+    (_point("solve", "0", "50", "3"), 0,
+     {"n": 3, "radii": 3, "last_radius": 1.0}),
+    (_point("solve", "20", "20", "6"), 0,
+     {"n": 6, "radii": 6, "last_radius": 1.0}),
+    # refusals: a loose rtol fails the profile audit, a threshold tie
+    # survives the tighter ladder, and the central value overflows
+    (_point("solve", "0", "3", "2", "--rtol", "1e-3"), 2,
+     {"error": "NonConvergenceError"}),
+    (_point("morse", "2", "30", "2"), 2, {"error": "ThresholdTieError"}),
+    (_point("morse", "0", "1.001", "1"), 2, {"error": "NonConvergenceError"}),
+], ids=["low-p-2-1.5-2", "graded-stop-1-3-2", "closest-margin-4-1.5-1",
+        "coarse-rung-0-3-6", "loose-rtol-1-3-2", "solve-0-50-3",
+        "solve-20-20-6", "audit-refusal", "tie-refusal", "overflow-refusal"])
+def test_point_prints_its_gated_document(capsys, argv, code, expected):
+    """One point through the command line: a report prints its document on
+    stdout; a refusal exits 2, prints nothing on stdout and its diagnostic
+    on stderr."""
+    assert cli.main(argv) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        doc = json.loads(captured.out)
+    else:
+        assert captured.out == ""
+        doc = json.loads(captured.err)
+    view = _gate_view(doc)
+    assert {key: view[key] for key in expected} == expected
+
+
 def test_output_does_not_depend_on_blas_threads():
     """A run prints the same bytes whatever the BLAS thread count: route A
     and the residual audit reduce without multithreaded BLAS."""

@@ -246,8 +246,8 @@ class TestAssembly:
     @pytest.mark.parametrize("discrepancy,passes", [
         (5e-10, [1e-8, 1e-9]), (1e-9, [1e-8, 1e-9]), (5e-9, [1e-8, 1e-9]),
         (1e-8, [1e-8, 1e-9])])
-    def test_tie_retry_reuses_a_ladder_already_tight(self, monkeypatch,
-                                                     discrepancy, passes):
+    def test_tie_retry_always_reruns_the_ladder(self, monkeypatch,
+                                                discrepancy, passes):
         """No ladder is reused, however tight: the tighter pass always runs
         the ladder at eig_tol / 10, whatever discrepancy the first ladder
         was accepted with."""
@@ -382,11 +382,13 @@ class TestAssembly:
 
     def test_fractional_p_three_nodes_matches_shooting(self):
         """(0, 1.8, 3) did not stabilize on the corner-swapped mesh.  Now it
-        reports, and its eigenvalues agree with an independent shooting
-        solve to 1e-7."""
+        reports with every lower bound holding, as a ``morse`` run's exit 0
+        needs, and its eigenvalues agree with an independent shooting solve
+        to 1e-7."""
         _, report = solve_point(0.0, 1.8, 3)
         assert report.m_rad == 3
         assert report.route_b_total == report.m_total == 19
+        assert all(row["pass"] for row in check_lower_bounds(report))
         shooting = [-34.15787409, -11.97515095, -0.76132417]
         np.testing.assert_allclose(report.lambdas, shooting, rtol=1e-7)
 
@@ -398,12 +400,18 @@ class TestAssembly:
         assert report.m_total == report.route_b_total == 28
 
     @pytest.mark.parametrize("alpha,p,n", [
-        (2.0, 3.0, 2), (0.5, 5.0, 3), (6.0, 2.0, 1)])
+        (1.0, 3.0, 2), (2.0, 3.0, 2), (2.5, 3.0, 2), (0.5, 5.0, 3),
+        (6.0, 2.0, 1)])
     def test_companion_total_equals_a_direct_solve(self, alpha, p, n):
         """The power map's companion index equals the alpha = 0 point's own
-        m_total; (6, 2, 1) sits on the T >= 5 floor of the cut-off."""
+        m_total; (6, 2, 1) sits on the T >= 5 floor of the cut-off.  At
+        alpha = 2 (s = 2) every companion wave number s k is an integer and
+        merges with a point column; at alpha = 1 and 2.5 (s = 1.5 and 2.25)
+        the companion's columns are extra Pruefer components.  Every lower
+        bound holds, as a ``morse`` run's exit 0 needs."""
         _, report = solve_point(alpha, p, n)
         assert report.companion_total == solve_point(0.0, p, n)[1].m_total
+        assert all(row["pass"] for row in check_lower_bounds(report))
 
     def test_unweighted_point_counts_its_own_wave_numbers(self, monkeypatch):
         """At alpha = 0 the companion is the point: the solve sees exactly
