@@ -36,7 +36,7 @@ so the cut-off sets most of its value.  This module computes:
 * ``oscillation_counts``: #{j : lambda_j < -w^2} for any set of wave
   numbers w at once, by Sturm oscillation: the Prufer angle of the
   solution at energy -w^2, integrated by the Dormand-Prince 5(4) pair
-  across [-T, 0] in one pass, none looser than ``_LOOSEST``, counts its
+  up to t = 0 in one pass, none looser than ``_LOOSEST``, counts its
   zeros; ``confirm_counts`` runs it on route C's ladder of tolerances,
   whose measured accuracy lives here too.  ``radial_morse_index`` (k = 0)
   and ``mode_negative_count`` (one k >= 1) are one-line wrappers over it
@@ -105,22 +105,29 @@ _MAX_EIG_LEVELS = 8
 _GRADING = 1.5
 # DOPRI5 step budget of one oscillation-count segment.  At the default
 # ladder's rungs, rtol 1e-7, 1e-10 and 1e-12, the default grid's segments
-# take 43-115, 134-309 and 327-721 steps, those of (0, 50, 3) up to 195, 488
-# and 1144, and 4468 at rtol 1e-15.
+# take 28-99, 99-295 and 242-721 steps, those of (0, 50, 3) up to 185, 480
+# and 1148, and 4516 at rtol 1e-15.
 _MAX_OSCILLATION_STEPS = 20000
 # Route C's ladder: a count needs only the side of a multiple of pi that a
 # Prufer angle ends on, so it is first integrated at 1000 times rtol and
-# atol.  There, against a pass at rtol 1e-13, the angle error is at most
-# 2.2e-4 rad, at (0, 3, 6), over the reporting tuples measured: the 120
-# benchmark tuples, the 63 of the default grid, 87 of the low-p scan and 8
-# more, whose smallest margin is 2.9e-3 rad.  A pass stands when its counts
-# equal route A's and every angle lies at least _MIN_MARGIN (9x that worst
-# error) from a multiple of pi; otherwise the next pass runs at rtol, then at
-# rtol / 100, after which the counts either match or are refused.  No pass
-# is looser than _LOOSEST, the coarse rung at the defaults (about 1e-7 and
-# 1e-9), since no looser pair's error was measured; it is that product
-# itself, so the cap leaves the default ladder as it is.
+# atol.  A pass stands when its counts equal route A's and every angle lies
+# at least _MIN_MARGIN from a multiple of pi; otherwise the next pass runs
+# at rtol, then at rtol / 100, after which the counts either match or are
+# refused.  No pass is looser than _LOOSEST, the coarse rung at the defaults
+# (about 1e-7 and 1e-9), since no looser pair's error was measured; it is
+# that product itself, so the cap leaves the default ladder as it is.
 _COARSE = 1000.0
+# Worst angle error of each rung at the defaults, against a DOP853 pass at
+# rtol 1e-13 started at -T, on the wave numbers the assembly counts at the
+# reporting tuples measured: the 120 benchmark tuples, the default grid's
+# 118 route C calls, the 91 reports of the low-p scan, and (0, 3, 5),
+# (0, 3, 6), (0, 2, 6), (6, 3, 4), (0, 10, 2), (0, 10, 3) and (0, 20, 1):
+#   rtol 1e-7:  7.3e-4 rad at (0, 20, 1), at most 9.6e-5 elsewhere, at
+#               (1, 1.05, 3); the smallest margin there is 4.4e-3 rad;
+#   rtol 1e-10: 2.7e-7 at (0, 20, 1), at most 9.5e-8 elsewhere;
+#   rtol 1e-12: 1.4e-8 at (0, 20, 1), at most 4.7e-9 elsewhere.
+# _MIN_MARGIN is 21x the coarse rung's error but at (0, 20, 1), where it is
+# 2.7x; a pass that stands has a margin above its error, so its counts hold.
 _MIN_MARGIN = 2e-3
 _LOOSEST = (_COARSE * DEFAULT.rtol, _COARSE * DEFAULT.atol)
 
@@ -601,27 +608,38 @@ def oscillation_counts(profile: RadialProfile, problem: SchrodingerProblem,
     so its count below -k^2 is the count of lambda_j below -(s k)^2.
 
     The scaled Prufer angle theta_w of -psi'' + V psi = E_w psi,
-    E_w = -w^2, given by tan theta_w = s_w psi / psi' with s_w = max(w, 1),
-    obeys
+    E_w = -w^2, given by tan theta_w = s_w psi / psi', obeys
 
         theta_w' = s_w cos^2 theta_w + (E_w - V) / s_w sin^2 theta_w
 
-    and crosses each multiple of pi upward, once per zero of psi.  It starts
-    at t = -T from the solution that stays bounded toward -infinity, where
-    V is negligible: psi = e^(w t), so tan theta_w = s_w / w (theta = pi/4
-    for w >= 1, pi/2 for w = 0).  With Dirichlet at t = 0 the count of
-    eigenvalues below E_w is floor(theta_w(0) / pi).  Returns the pair
-    ``(counts, margin)``: an integer array, and the smallest distance in
-    radians of a theta_w(0) from a multiple of pi, how close the pass came
-    to calling a count the other way (``confirm_counts`` judges it).
+    and crosses each multiple of pi upward, once per zero of psi, whatever
+    the constant scale s_w > 0.  The scale sets how fast the angle turns,
+    between s_w and about |V| / s_w, so it is kept near the frequencies of
+    the call: s_w = max(w, w_max / 2, 1), w_max the largest wave number.
+    The angle starts from the solution that stays bounded toward -infinity
+    where V is negligible, psi = e^(w t), so tan theta_w = s_w / w (theta =
+    pi/2 for w = 0), at t_C, where the bound p d^(p-1) e^((alpha+2) t) on
+    |V| over the first nodal domain (0 < u <= d = u(0) there) reaches
+    ``settings.eig_tol``, clipped to [-T, c_1], c_1 the first corner (0
+    without corners).  Zeroing V before t_C moves each eigenvalue by at
+    most eig_tol (Weyl), below the assembly's tie guard; a profile whose
+    amplitude is not positive starts at -T.  With Dirichlet at t = 0 the
+    count of eigenvalues below E_w is floor(theta_w(0) / pi).
+
+    Returns the pair ``(counts, margin)``: an integer array, and the
+    smallest distance in radians of a theta_w(0) from a multiple of pi, how
+    close the pass came to calling a count the other way (``confirm_counts``
+    judges it).
 
     One pass integrates all w as one vector ODE by the Dormand-Prince 5(4)
     pair (scipy's ``dopri5``) at ``settings.rtol`` and ``settings.atol``,
-    capped at ``_LOOSEST``, restarted at each corner of ``problem``; at the
-    accuracy a count needs it makes 0.59x the RHS calls of the order-8
-    DOP853.  u is read one radius at a time from the trajectory's dense
-    output (``radial.u_reader``), the polynomials route A samples, with no
-    mesh and no matrix.  An empty list of wave numbers, or one that is
+    capped at ``_LOOSEST``, restarted at each corner of ``problem``; at
+    its coarse rung it makes 0.85x the RHS calls of the order-8 DOP853 at
+    rtol 1e-6 on the 120 benchmark tuples, whose worst angle error on the
+    low-p reports is about the same (8.8e-5 rad against 9.6e-5).
+    u is read one radius at a time from the trajectory's dense output
+    (``radial.u_reader``), the polynomials route A samples, with no mesh and
+    no matrix.  An empty list of wave numbers, or one that is
     negative or not finite, is a UsageError before any solve.  A segment
     that the solver cannot finish within ``_MAX_OSCILLATION_STEPS`` steps
     raises NonConvergenceError.
@@ -631,15 +649,23 @@ def oscillation_counts(profile: RadialProfile, problem: SchrodingerProblem,
         raise UsageError("wave numbers must be a non-empty list of finite "
                          "values >= 0", {"wave_numbers": ws.tolist()})
     alpha, p = profile.params.alpha, profile.params.p
-    s = np.maximum(ws, 1.0)
+    power = alpha + 2.0
+    s = np.maximum(ws, max(0.5 * float(ws.max()), 1.0))
     solver = ode(_prufer_rate).set_integrator(
         "dopri5", rtol=min(settings.rtol, _LOOSEST[0]),
         atol=min(settings.atol, _LOOSEST[1]), nsteps=_MAX_OSCILLATION_STEPS)
-    solver.set_f_params(u_reader(profile), alpha, p, s, 1.0 / s,
+    solver.set_f_params(u_reader(profile), power, p, s, 1.0 / s,
                         -ws * ws / s - s)
     theta = np.arctan2(s, ws)
-    ends = (-problem.T, *problem.corners, 0.0)
+    ends = [-problem.T, *problem.corners, 0.0]
+    if profile.amp > 0.0:
+        # |V| <= p d^(p-1) e^((alpha+2) t) <= eig_tol before t_C
+        t_c = (math.log(settings.eig_tol) - math.log(p)
+               - (p - 1.0) * math.log(profile.amp)) / power
+        ends[0] = min(max(ends[0], t_c), ends[1])
     for t0, t1 in zip(ends, ends[1:]):
+        if t0 == t1:
+            continue
         theta = solver.set_initial_value(theta, t0).integrate(t1)
         if not solver.successful():
             raise NonConvergenceError(
@@ -678,15 +704,14 @@ def confirm_counts(profile: RadialProfile, problem: SchrodingerProblem,
     return counts, margin, rtol
 
 
-def _prufer_rate(t, theta, u, alpha, p, s, inv_s, shift):
+def _prufer_rate(t, theta, u, power, p, s, inv_s, shift):
     """theta' = s + ((E_w - V) / s - s) sin^2 theta of ``oscillation_counts``,
-    where shift = E_w / s - s and -V = p r^(alpha+2) |u(r)|^(p-1) at r = e^t.
-    It lives at module level and takes its data, the reader u among it, as
-    arguments: scipy's dopri5 keeps a reference to its callback after every
-    solve but releases the arguments, so a closure callback would keep its
-    data alive."""
-    r = math.exp(t)
-    coef = inv_s * (p * r ** (alpha + 2.0) * abs(u(r)) ** (p - 1.0))
+    where shift = E_w / s - s and -V = p e^(power t) |u(e^t)|^(p-1), power =
+    alpha + 2.  It lives at module level and takes its data, the reader u
+    among it, as arguments: scipy's dopri5 keeps a reference to its callback
+    after every solve but releases the arguments, so a closure callback
+    would keep its data alive."""
+    coef = inv_s * (p * math.exp(power * t) * abs(u(math.exp(t))) ** (p - 1.0))
     coef += shift
     rate = np.sin(theta)
     rate *= rate

@@ -504,16 +504,23 @@ class TestOscillationLadder:
     ])
     def test_coarse_rung_error_is_a_ninth_of_the_margin(
             self, monkeypatch, alpha, p, n, waves):
-        """At the two reporting tuples with the largest coarse-rung angle
-        error, (0, 3, 6) and (1, 1.05, 3), every theta_w(0) of a pass at
+        """At (0, 3, 6) and (1, 1.05, 3), reporting tuples with large
+        coarse-rung angle errors, every theta_w(0) of a pass at
         ``spectrum._LOOSEST``, the loosest rung the ladder runs, lies within
-        _MIN_MARGIN / 9 of a pass at rtol 1e-13.  The wave numbers are the
-        ones the assembly counts there."""
+        _MIN_MARGIN / 9 of a pass at rtol 1e-13 that starts at -T: at
+        eig_tol = eps its start t_C clips to -T, so the bound covers the
+        rung's error and the truncation of the coarse pass's later start
+        together.  The wave numbers are the ones the assembly counts
+        there."""
         profile = solve_nodal(HenonParams(alpha=alpha, p=p, n_nodal=n))
         problem = build_schrodinger(profile)
-        ends = []
+        starts, ends = [], []
 
         class Spy(spectrum_mod.ode):
+            def set_initial_value(self, y, t=0.0):
+                starts.append(t)
+                return super().set_initial_value(y, t)
+
             def integrate(self, t, *args, **kwargs):
                 theta = super().integrate(t, *args, **kwargs)
                 ends.append(np.array(theta))
@@ -521,10 +528,14 @@ class TestOscillationLadder:
 
         monkeypatch.setattr(spectrum_mod, "ode", Spy)
         thetas = []
-        for rtol, atol in (spectrum_mod._LOOSEST, (1e-13, 1e-15)):
-            spectrum_mod.oscillation_counts(
-                profile, problem, waves, replace(DEFAULT, rtol=rtol, atol=atol))
+        for settings in (
+                replace(DEFAULT, rtol=spectrum_mod._LOOSEST[0],
+                        atol=spectrum_mod._LOOSEST[1]),
+                replace(DEFAULT, rtol=1e-13, atol=1e-15, eig_tol=math.ulp(1.0))):
+            starts.clear()
+            spectrum_mod.oscillation_counts(profile, problem, waves, settings)
             thetas.append(ends[-1])  # the pass's last segment ends at t = 0
+        assert starts[0] == -problem.T
         coarse, reference = thetas
         assert 9.0 * np.max(np.abs(coarse - reference)) <= spectrum_mod._MIN_MARGIN
 

@@ -189,6 +189,20 @@ def zero_profile(alpha=0.0, p=3.0):
     )
 
 
+def _spy_starts(monkeypatch) -> list:
+    """Records the start t of every segment ``oscillation_counts``
+    integrates."""
+    starts = []
+
+    class Spy(spectrum.ode):
+        def set_initial_value(self, y, t=0.0):
+            starts.append(t)
+            return super().set_initial_value(y, t)
+
+    monkeypatch.setattr(spectrum, "ode", Spy)
+    return starts
+
+
 class TestPencilOracle:
     def test_oracle_reproduces_frozen_values(self, profile_032):
         coarse = pencil_negative_eigenvalues(profile_032, 1.01)
@@ -892,6 +906,70 @@ class TestCountIdentities:
                                     waves)[0].tolist()
         assert counts == [int(np.sum(lam < -w * w)) for w in waves]
         assert counts == [2, 2, 2, 1, 1, 1, 0]
+
+    @pytest.mark.parametrize("alpha,p,n,waves", [
+        (6.0, 3.0, 3, [float(k) for k in range(29)]),
+        (1.0, 1.05, 3, [0.0, 1.0, 1.5, 2.0, 3.0, 4.0, 4.5, 5.0, 6.0, 7.0,
+                        7.5, 8.0]),
+    ])
+    def test_counts_do_not_depend_on_the_scale(self, monkeypatch, alpha, p,
+                                               n, waves):
+        """The Prufer scale s_w = max(w, w_max / 2, 1) sets how fast an
+        angle turns, not where it crosses a multiple of pi: at the coarse
+        rung, the counts of the wave numbers the assembly counts at these
+        tuples equal those of each wave number run alone, where w = 0 runs
+        at s = 1."""
+        profile = solve_nodal(HenonParams(alpha=alpha, p=p, n_nodal=n))
+        problem = build_schrodinger(profile)
+        coarse = replace(DEFAULT, rtol=spectrum._LOOSEST[0],
+                         atol=spectrum._LOOSEST[1])
+        scales = []
+
+        class Spy(spectrum.ode):
+            def set_f_params(self, u, power, p, s, *args):
+                scales.append(s.tolist())
+                return super().set_f_params(u, power, p, s, *args)
+
+        monkeypatch.setattr(spectrum, "ode", Spy)
+        together = oscillation_counts(profile, problem, waves, coarse)[0]
+        alone = [int(oscillation_counts(profile, problem, [w], coarse)[0][0])
+                 for w in waves]
+        assert together.tolist() == alone
+        assert scales[0] == [max(w, waves[-1] / 2.0) for w in waves]
+        assert scales[1] == [1.0]
+
+    @pytest.mark.parametrize("eig_tol,segments", [
+        (math.ulp(1.0), 2), (DEFAULT.eig_tol, 2), (1e3, 1)],
+        ids=["eps", "default", "huge"])
+    def test_start_lies_between_the_cut_off_and_the_first_corner(
+            self, monkeypatch, profile_032, eig_tol, segments):
+        """A pass starts at t_C, where the bound p d^(p-1) e^((alpha+2) t)
+        on |V| over the first nodal domain reaches eig_tol, clipped to
+        [-T, c_1]: at eig_tol = eps it starts at -T, and at a huge eig_tol
+        at the first corner, skipping the empty segment before it."""
+        problem = build_schrodinger(profile_032)
+        starts = _spy_starts(monkeypatch)
+        oscillation_counts(profile_032, problem, range(5),
+                           replace(DEFAULT, eig_tol=eig_tol))
+        t_c = (math.log(eig_tol / 3.0) - 2.0 * math.log(profile_032.amp)) / 2.0
+        assert -problem.T <= starts[0] <= problem.corners[0]
+        assert starts[0] == pytest.approx(
+            min(max(-problem.T, t_c), problem.corners[0]), rel=1e-12)
+        assert len(starts) == segments
+        assert starts[-1] == problem.corners[-1]
+
+    @pytest.mark.parametrize("amp", [0.0, -1e-200])
+    def test_amplitude_not_positive_starts_at_the_cut_off(self, monkeypatch,
+                                                          amp):
+        """A hand-made profile whose amplitude is not positive gives no
+        logarithm for t_C: its pass starts at -T."""
+        profile = zero_profile()
+        problem = build_schrodinger(profile)
+        starts = _spy_starts(monkeypatch)
+        counts, _ = oscillation_counts(replace(profile, amp=amp), problem,
+                                       [0.0, 1.0])
+        assert starts == [-problem.T]
+        assert counts.tolist() == [0, 0]
 
     def test_zero_potential_gives_zero_counts(self):
         profile = zero_profile()
