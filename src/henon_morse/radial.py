@@ -33,10 +33,11 @@ stepper written for it in Python floats: scipy's Dormand-Prince 8(5,3)
 tableau, step-size control and 7th-order dense output, without the
 per-step array overhead of a general-purpose solver.  The arithmetic of a
 step, its stages, error sums and dense-output rows, is straight-line code
-generated at import from scipy's tableau: the coefficients are float
-literals, exact zeros are left out, and every sum adds its terms in the
-tableau's order.  Zeros of U are found on the dense output of the step
-that brackets them.
+generated at import from scipy's tableau, which ``_dop853_tableau``
+holds as committed literals: the coefficients are float literals, exact
+zeros are left out, and every sum adds its terms in the tableau's order.
+Zeros of U are found on the dense output of the step that brackets them,
+by a port of scipy's Brent root finder.
 
 A profile is that trajectory U plus the exact map u(r) = amp U(mu r^kappa)
 (kappa = 1 for a solve), and every reader of u and u' evaluates the dense
@@ -51,10 +52,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import DOP853
-from scipy.interpolate import PPoly
-from scipy.optimize import brentq
 
+from ._dop853_tableau import A, A_EXTRA, B, C, C_EXTRA, D, E3, E5, N_STAGES
 from .config import DEFAULT, Settings
 from .errors import NonConvergenceError, UsageError, integer_at_least
 
@@ -116,7 +115,8 @@ def _dot(coefs, names) -> str:
 
 def _straight_line_step():
     """The arithmetic of one DOP853 step of the radial system as two
-    straight-line functions, generated from scipy's tableau.
+    straight-line functions, generated from scipy's tableau
+    (``_dop853_tableau``).
 
     ``stages(r, u, v, fv, h, alpha, pm1)`` forms the 12 stages, the new
     point (u12, v12) with its derivative f12, as stage 12 with the weights
@@ -140,22 +140,19 @@ def _straight_line_step():
         kv.append(f"f{s}")
         return lines
 
-    A, C = DOP853.A.tolist(), DOP853.C.tolist()
-    last = DOP853.n_stages
-    body = [line for s in range(1, last) for line in stage(s, A[s][:s], C[s])]
-    body += stage(last, DOP853.B.tolist(), 1.0)
+    last = N_STAGES
+    body = [line for s in range(1, last) for line in stage(s, A[s], C[s])]
+    body += stage(last, B, 1.0)
     slopes = ", ".join(ku[1:] + kv[1:])
-    sums = [_dot(E, k) for E in (DOP853.E5.tolist(), DOP853.E3.tolist())
-            for k in (ku, kv)]
+    sums = [_dot(E, k) for E in (E5, E3) for k in (ku, kv)]
     stages = [
         "def stages(r, u, v, fv, h, alpha, pm1):",
         *(f"    {line}" for line in body),
         f"    return u{last}, v{last}, f{last}, {', '.join(sums)}, ({slopes})",
     ]
-    extra = [line for s, (a, c) in enumerate(
-                 zip(DOP853.A_EXTRA.tolist(), DOP853.C_EXTRA.tolist()), start=last + 1)
-             for line in stage(s, a[:s], c)]
-    rows = [f"h * ({_dot(row, k)})" for k in (ku, kv) for row in DOP853.D.tolist()]
+    extra = [line for s, (a, c) in enumerate(zip(A_EXTRA, C_EXTRA), start=last + 1)
+             for line in stage(s, a, c)]
+    rows = [f"h * ({_dot(row, k)})" for k in (ku, kv) for row in D]
     dense = [
         "def dense(r, u, v, fv, h, k, alpha, pm1):",
         f"    {slopes} = k",
@@ -214,35 +211,59 @@ class ShootingTrajectory:
     profile map x = mu r^kappa fills from r in [0, 1]: through the
     7th-order DOP853 interpolant of the step that holds each radius, all
     radii at once, and through the origin series below the series start
-    radius.  The interpolants are held as two ``PPoly`` in power form,
-    ``_u`` and ``_du``, whose breakpoints are the step ends; the terminal
-    zero r_end can lie inside the last step.
+    radius.  The interpolants are held in power form: ``_knots`` are the
+    step ends, and ``_coef[j]`` holds the coefficients of component j
+    (0: U, 1: U') in powers of r - knots[i], highest first, one column per
+    step (``_power_sum``).  The terminal zero r_end can lie inside the last
+    step.
     """
 
     alpha: float
     r_end: float
     zeros: np.ndarray
-    _u: PPoly = field(repr=False)
-    _du: PPoly = field(repr=False)
+    _knots: np.ndarray = field(repr=False)
+    _coef: np.ndarray = field(repr=False)
     _eps: float = field(repr=False)
 
     def _component(self, r: np.ndarray, j: int) -> np.ndarray:
         """Component j (0: U, 1: U') at the radii of an array."""
-        poly = self._du if j else self._u
         small = r < self._eps
         if not np.any(small):
-            return poly(r)
+            return _power_sum(self._knots, self._coef[j], r)
         out = np.empty_like(r)
         out[small] = _origin_series(self.alpha, r[small])[j]
-        out[~small] = poly(r[~small])
+        out[~small] = _power_sum(self._knots, self._coef[j], r[~small])
         return out
 
 
-def _power_form(knots: np.ndarray, coef: np.ndarray) -> PPoly:
-    """The step interpolants of one component as a ``PPoly``: row i of
-    ``coef`` holds (y_old, F0, ..., F6) of step i, whose dense output in
-    x = (r - knots[i]) / h is y_old + x (F0 + (1-x) (F1 + x (F2 + ...))).
-    It is expanded into powers of x, lowest first, then of r - knots[i]."""
+def _power_sum(knots: np.ndarray, coef: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The piecewise polynomial with breakpoints ``knots`` and power-form
+    coefficients ``coef`` (highest power first, one column per piece) at
+    the points of an array.  It repeats scipy ``PPoly``'s evaluation: x
+    takes the piece i with knots[i] <= x < knots[i+1], the last piece at
+    and beyond the last knot and the first below the first, and the sum
+    c_0 + c_1 s + ... + c_7 s^7, s = x - knots[i], adds its terms from the
+    lowest power up to an initial 0.0, with s^k formed by repeated
+    products."""
+    i = np.searchsorted(knots[1:-1], x, side="right")
+    s = x - knots.take(i)
+    c = coef.take(i, axis=1)
+    out = c[-1] + 0.0
+    z = s.copy()
+    for k in range(c.shape[0] - 2, -1, -1):
+        c[k] *= z
+        out += c[k]
+        if k:
+            z *= s
+    return out
+
+
+def _power_form(knots: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """The power-form coefficients of the step interpolants of one
+    component, for ``_power_sum``: row i of ``coef`` holds (y_old, F0, ...,
+    F6) of step i, whose dense output in x = (r - knots[i]) / h is
+    y_old + x (F0 + (1-x) (F1 + x (F2 + ...))).  It is expanded into
+    powers of x, lowest first, then of r - knots[i]."""
     poly = np.zeros((8, coef.shape[0]))
     for i, f in enumerate(coef[:, :0:-1].T):  # F6 first
         poly[0] += f
@@ -253,7 +274,7 @@ def _power_form(knots: np.ndarray, coef: np.ndarray) -> PPoly:
     poly[0] += coef[:, 0]
     h = np.diff(knots)
     poly /= h ** np.arange(8)[:, None]
-    return PPoly(poly[::-1], knots)
+    return poly[::-1]
 
 
 def _origin_series(alpha: float, r):
@@ -269,8 +290,9 @@ def _step_zero(r: float, r_new: float, u: float, u_new: float, F) -> float | Non
 
     A step reports a sign change of u and an exact zero at its new end,
     never one at its old end: the step before reported that one.  A sign
-    change is located by ``brentq`` on the step's dense output of u, whose
-    coefficients are F = (F0, ..., F6), evaluated in scipy's nested form.
+    change is located by ``_brentq`` on the step's dense output of u,
+    whose coefficients are F = (F0, ..., F6), evaluated in scipy's nested
+    form.
     """
     if u_new == 0.0:
         return r_new
@@ -286,7 +308,62 @@ def _step_zero(r: float, r_new: float, u: float, u_new: float, F) -> float | Non
             y *= x if i % 2 == 0 else 1.0 - x
         return y + u
 
-    return brentq(interpolant, r, r_new, xtol=_ZERO_TOL, rtol=_ZERO_TOL)
+    return _brentq(interpolant, r, r_new, _ZERO_TOL, _ZERO_TOL)
+
+
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float,
+            maxiter: int = 100) -> float:
+    """A root of f in [xa, xb], where f changes sign, by Brent's method.
+
+    A port of the C ``brentq`` behind ``scipy.optimize.brentq``, in its
+    operation order: the same iterates, and so the same root, bit for bit.
+    It stops when f is 0 or the bracket's half-width is below
+    (xtol + rtol |x|) / 2.  Like scipy's, it raises ValueError when f has
+    the same sign at both ends and RuntimeError after ``maxiter``
+    iterations."""
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if (fpre != 0.0 and fcur != 0.0
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry  # a good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = f(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, "
+                       f"value is {xcur}")
 
 
 def integrate_ivp(alpha: float, p: float, n: int,
@@ -303,13 +380,13 @@ def integrate_ivp(alpha: float, p: float, n: int,
     minimum step, and stores every step's 7th-order dense output.  Each
     step's stages, error sums and dense-output rows run in two
     straight-line functions that ``_straight_line_step`` generates at
-    import from scipy's tableau (``scipy.integrate.DOP853``); they skip its
+    import from scipy's tableau (``_dop853_tableau``); they skip its
     exact-zero coefficients and add the other terms in the tableau's
     order.  ``settings.rtol`` is used as given, with no floor at 100
     machine epsilons.
 
     A zero of U is a sign change over a step or an exact zero at a step's
-    end.  It is located by ``brentq`` on that step's interpolant at
+    end.  It is located by ``_brentq`` on that step's interpolant at
     xtol = rtol = 4 eps and is reported once, also when it is a step end.
     Integration terminates at the n-th zero, which keeps the zero hunt
     cheap even for large powers p, whose zeros sit at exponentially large
@@ -348,7 +425,8 @@ def integrate_ivp(alpha: float, p: float, n: int,
     coef = np.reshape(coef, (-1, 2, 8))
     return ShootingTrajectory(
         alpha=alpha, r_end=zeros[-1], zeros=np.asarray(zeros, dtype=float),
-        _u=_power_form(knots, coef[:, 0]), _du=_power_form(knots, coef[:, 1]),
+        _knots=knots,
+        _coef=np.stack([_power_form(knots, coef[:, j]) for j in (0, 1)]),
         _eps=eps,
     )
 
@@ -515,10 +593,11 @@ def u_reader(profile: RadialProfile):
     """u as a function of one radius in [0, 1], in Python floats: the
     scalar twin of ``evaluate_u``, for callers where a numpy call per radius
     would cost more than the arithmetic.  It reads the trajectory's
-    ``PPoly`` as lists, by ``bisect`` and an 8-term Horner."""
+    power-form coefficients of U as lists, by ``bisect`` and an 8-term
+    Horner."""
     traj = profile.trajectory
-    breaks = traj._u.x.tolist()
-    pieces = traj._u.c.T.tolist()
+    breaks = traj._knots.tolist()
+    pieces = traj._coef[0].T.tolist()
     last = len(pieces) - 1
     amp, mu, kappa = profile.amp, profile.mu, profile.kappa
     eps, e = traj._eps, traj.alpha + 2.0

@@ -57,11 +57,8 @@ from itertools import accumulate
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import ode
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dgtsv, dstebz
-from scipy.special import roots_jacobi
 
+from ._compiled import dgtsv, dopri5, dsbevd, dstebz
 from .config import DEFAULT, Settings
 from .errors import NonConvergenceError, UsageError, integer_at_least
 from .radial import RadialProfile, evaluate_u, u_reader
@@ -274,11 +271,56 @@ def _segment_cells(T: float, M: int, corners: tuple) -> list:
 def _gauss_jacobi(kappa: float) -> tuple[tuple, tuple]:
     """Nodes s_q and weights w_q / s_q^kappa of the 4-point rule
     sum_q w_q f(s_q) for the integral over [0, 1] of s^kappa f(s).  Cached:
-    every level of a ladder asks for the same kappa = p - 1, and
-    ``roots_jacobi`` costs about 0.1 ms a call."""
-    x, w = roots_jacobi(4, 0.0, kappa)
+    every level of a ladder asks for the same kappa = p - 1.
+
+    The rule on [-1, 1] with weight (1 + x)^kappa is formed as scipy's
+    ``roots_jacobi(4, 0, kappa)`` forms it, in the same operations: the
+    eigenvalues of the Jacobi matrix (LAPACK dsbevd), one Newton step on
+    P_4 with the integer-degree recurrence of scipy's ``eval_jacobi``, and
+    weights 1 / (P_3 P_4') normalized to the integral of the weight,
+    mu0 = 2^(kappa+1) / (kappa + 1).  The nodes equal scipy's bit for bit.
+    scipy forms mu0 through Gamma, so the weights differ from its: by at
+    most 20 ulps for kappa <= 10, and by up to 257 ulps beyond, where its
+    Gamma is the less accurate (134 ulps off at kappa = 62.2)."""
+    n, b = 4, kappa  # the degree, and beta of P^(alpha, beta) with alpha = 0
+    k = np.arange(n, dtype=float)
+    band = np.zeros((2, n))  # upper band storage: super-diagonal, diagonal
+    t = 2.0 * k[1:] + b
+    band[0, 1:] = (2.0 / t * np.sqrt(k[1:] * (k[1:] + b) / (t + 1.0))
+                   * np.where(k[1:] == 1, 1.0, np.sqrt(k[1:] * (k[1:] + b) / (t - 1.0))))
+    band[1, 0] = b / (2.0 + b)
+    band[1, 1:] = b * b / (t * (t + 2.0))
+    x, _, info = dsbevd(band, compute_v=0)
+    if info != 0:
+        raise NonConvergenceError("LAPACK dsbevd failed on the Jacobi matrix",
+                                  {"info": int(info), "kappa": kappa})
+    dy = 0.5 * (n + b + 1.0) * _jacobi(n - 1, 1.0, b + 1.0, x)
+    x -= _jacobi(n, 0.0, b, x) / dy
+    fm = _jacobi(n - 1, 0.0, b, x)
+    # scale fm and dy to a geometric mean of 1 before their product
+    log_fm, log_dy = np.log(np.abs(fm)), np.log(np.abs(dy))
+    fm /= np.exp((log_fm.max() + log_fm.min()) / 2.0)
+    dy /= np.exp((log_dy.max() + log_dy.min()) / 2.0)
+    w = 1.0 / (fm * dy)
+    w *= 2.0 ** (b + 1.0) / (b + 1.0) / w.sum()
     s = 0.5 * (1.0 + x)
     return tuple(s.tolist()), tuple((w * 2.0 ** (-kappa - 1.0) / s ** kappa).tolist())
+
+
+def _jacobi(n: int, a: float, b: float, x: np.ndarray) -> np.ndarray:
+    """The Jacobi polynomial P_n^(a, b) at x for an integer degree n >= 2
+    and a in {0, 1}, by the recurrence of scipy's ``eval_jacobi`` in its
+    operation order; its factor binom(n + a, n) is then 1 or n + 1 exactly."""
+    d = (a + b + 2.0) * (x - 1.0) / (2.0 * (a + 1.0))
+    p = d + 1.0
+    for kk in range(n - 1):
+        k = kk + 1.0
+        t = 2.0 * k + a + b
+        d = ((t * (t + 1.0) * (t + 2.0)) * (x - 1.0) * p
+             + 2.0 * k * (k + b) * (t + 2.0) * d) / (
+                 2.0 * (k + a + 1.0) * (k + a + b + 1.0) * t)
+        p = d + p
+    return p * (n + 1.0) if a else p
 
 
 def fd_negative_eigenvalues(problem: SchrodingerProblem, M: int,
@@ -304,12 +346,23 @@ def fd_negative_eigenvalues(problem: SchrodingerProblem, M: int,
         w = _certified_refinement(diag, off, lo, np.asarray(guess, dtype=float))
         if w is not None:
             return w
-    w = eigh_tridiagonal(diag, off, eigvals_only=True, select="v",
-                         select_range=(lo, 0.0))
+    w = _bisection(diag, off, lo)
     w = w[w < 0.0]
     if w.size > 1 and np.any(np.diff(w) <= 0.0):
         raise NonConvergenceError("negative eigenvalues are not strictly increasing")
     return w
+
+
+def _bisection(diag: np.ndarray, off: np.ndarray, lo: float) -> np.ndarray:
+    """The eigenvalues in (lo, 0] of the symmetric tridiagonal matrix
+    (diag, off), ascending, by LAPACK Sturm-sequence bisection: ``dstebz``
+    in value-range mode at its default absolute tolerance, as scipy's
+    ``eigh_tridiagonal(select="v")`` calls it."""
+    m, w, _, _, info = dstebz(diag, off, 1, lo, 0.0, 0, 0, 0.0, "E")
+    if info != 0:
+        raise NonConvergenceError("LAPACK dstebz failed to locate eigenvalues",
+                                  {"info": int(info), "n": int(diag.size)})
+    return w[:m]
 
 
 def _fd_matrix(problem: SchrodingerProblem, M: int) -> tuple[np.ndarray, np.ndarray, float]:
@@ -632,17 +685,21 @@ def oscillation_counts(profile: RadialProfile, problem: SchrodingerProblem,
     judges it).
 
     One pass integrates all w as one vector ODE by the Dormand-Prince 5(4)
-    pair (scipy's ``dopri5``) at ``settings.rtol`` and ``settings.atol``,
-    capped at ``_LOOSEST``, restarted at each corner of ``problem``; at
-    its coarse rung it makes 0.85x the RHS calls of the order-8 DOP853 at
-    rtol 1e-6 on the 120 benchmark tuples, whose worst angle error on the
-    low-p reports is about the same (8.8e-5 rad against 9.6e-5).
+    pair at ``settings.rtol`` and ``settings.atol``, capped at
+    ``_LOOSEST``, restarted at each corner of ``problem``.  The solver is
+    scipy's compiled ``dopri5``, called directly (``_compiled``) with the
+    work arrays and settings that ``scipy.integrate.ode("dopri5")`` gives
+    it, so it returns ode's angles bit for bit; its status code idid
+    stands in for ode's ``successful()``.  At its coarse rung it makes
+    0.85x the RHS calls of the order-8 DOP853 at rtol 1e-6 on the 120
+    benchmark tuples, whose worst angle error on the low-p reports is about
+    the same (8.8e-5 rad against 9.6e-5).
     u is read one radius at a time from the trajectory's dense output
     (``radial.u_reader``), the polynomials route A samples, with no mesh and
     no matrix.  An empty list of wave numbers, or one that is
     negative or not finite, is a UsageError before any solve.  A segment
     that the solver cannot finish within ``_MAX_OSCILLATION_STEPS`` steps
-    raises NonConvergenceError.
+    raises NonConvergenceError carrying that code (-2).
     """
     ws = np.asarray(wave_numbers, dtype=float)
     if ws.ndim != 1 or ws.size == 0 or not np.all(np.isfinite(ws) & (ws >= 0.0)):
@@ -651,11 +708,8 @@ def oscillation_counts(profile: RadialProfile, problem: SchrodingerProblem,
     alpha, p = profile.params.alpha, profile.params.p
     power = alpha + 2.0
     s = np.maximum(ws, max(0.5 * float(ws.max()), 1.0))
-    solver = ode(_prufer_rate).set_integrator(
-        "dopri5", rtol=min(settings.rtol, _LOOSEST[0]),
-        atol=min(settings.atol, _LOOSEST[1]), nsteps=_MAX_OSCILLATION_STEPS)
-    solver.set_f_params(u_reader(profile), power, p, s, 1.0 / s,
-                        -ws * ws / s - s)
+    rtol, atol = min(settings.rtol, _LOOSEST[0]), min(settings.atol, _LOOSEST[1])
+    args = (u_reader(profile), power, p, s, 1.0 / s, -ws * ws / s - s)
     theta = np.arctan2(s, ws)
     ends = [-problem.T, *problem.corners, 0.0]
     if profile.amp > 0.0:
@@ -666,12 +720,19 @@ def oscillation_counts(profile: RadialProfile, problem: SchrodingerProblem,
     for t0, t1 in zip(ends, ends[1:]):
         if t0 == t1:
             continue
-        theta = solver.set_initial_value(theta, t0).integrate(t1)
-        if not solver.successful():
+        # work arrays as scipy's ode sets them up for every segment: safety
+        # 0.9, step factors 0.2 and 10, beta, maximal and first step 0
+        # (the solver's defaults), no dense output (iout 0), no messages
+        work = np.zeros(8 * theta.size + 21)
+        work[1:4] = 0.9, 0.2, 10.0
+        t_reached, theta, idid = dopri5(
+            _prufer_rate, t0, theta, t1, rtol, atol, None, 0, work,
+            np.zeros(21, dtype=np.int32), _MAX_OSCILLATION_STEPS, -1, args)
+        if idid < 0:
             raise NonConvergenceError(
                 "oscillation count stopped short of the end of its segment",
-                {"segment": [t0, t1], "t_reached": float(solver.t),
-                 "return_code": int(solver.get_return_code()),
+                {"segment": [t0, t1], "t_reached": float(t_reached),
+                 "return_code": int(idid),
                  "max_wave_number": float(ws.max()), "alpha": alpha, "p": p,
                  "n_nodal": profile.params.n_nodal},
             )

@@ -515,18 +515,15 @@ class TestOscillationLadder:
         profile = solve_nodal(HenonParams(alpha=alpha, p=p, n_nodal=n))
         problem = build_schrodinger(profile)
         starts, ends = [], []
+        real = spectrum_mod.dopri5
 
-        class Spy(spectrum_mod.ode):
-            def set_initial_value(self, y, t=0.0):
-                starts.append(t)
-                return super().set_initial_value(y, t)
+        def spy(rate, t0, *args):
+            starts.append(t0)
+            t, theta, idid = real(rate, t0, *args)
+            ends.append(np.array(theta))
+            return t, theta, idid
 
-            def integrate(self, t, *args, **kwargs):
-                theta = super().integrate(t, *args, **kwargs)
-                ends.append(np.array(theta))
-                return theta
-
-        monkeypatch.setattr(spectrum_mod, "ode", Spy)
+        monkeypatch.setattr(spectrum_mod, "dopri5", spy)
         thetas = []
         for settings in (
                 replace(DEFAULT, rtol=spectrum_mod._LOOSEST[0],

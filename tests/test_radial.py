@@ -188,7 +188,7 @@ def ivp_outcome(alpha, p, n, stepper=None):
         except NonConvergenceError as err:
             return str(err), err.context
     return tuple(np.ascontiguousarray(a).tobytes()
-                 for a in (traj._u.x, traj._u.c, traj._du.c, traj.zeros))
+                 for a in (traj._knots, traj._coef[0], traj._coef[1], traj.zeros))
 
 
 def trajectory_value(traj, r):
@@ -527,18 +527,18 @@ class TestDop853Kernel:
         ref = self.scipy_reference(20.0, 20.0, 6, r_max)
         traj = integrate_ivp(20.0, 20.0, 6)
         assert np.allclose(traj.zeros, ref.t_events[0], rtol=1e-9, atol=0.0)
-        assert traj._u.x.size == ref.t.size
+        assert traj._knots.size == ref.t.size
 
     def test_value_on_step_ends_and_past_a_terminal_zero(self):
         prof = solve_nodal(HenonParams(0.0, 3.0, 2))
         traj = prof.trajectory
-        ends = traj._u.x[1:-1]
+        ends = traj._knots[1:-1]
         u, du = trajectory_value(traj, ends)
         # the interpolants of the steps on either side of an end meet there
         u_left, _ = trajectory_value(traj, np.nextafter(ends, 0.0))
         assert np.max(np.abs(u - u_left)) <= 1e-12
         # the terminal zero lies inside the last step, not at its end
-        assert traj._u.x[-2] < traj.r_end <= traj._u.x[-1]
+        assert traj._knots[-2] < traj.r_end <= traj._knots[-1]
         assert abs(trajectory_value(traj, traj.r_end)[0][0]) <= 1e-12
         trajectory_value(traj, traj.r_end * (1 + 1e-13))
         # a radius past the terminal zero is refused where radii enter: the
@@ -556,7 +556,7 @@ class TestDop853Kernel:
         def no_brentq(*args, **kwargs):
             raise AssertionError("an exact zero needs no root search")
 
-        monkeypatch.setattr(radial_mod, "brentq", no_brentq)
+        monkeypatch.setattr(radial_mod, "_brentq", no_brentq)
         # a step that ends on an exact zero reports its end ...
         assert radial_mod._step_zero(1.0, 2.0, 1.0, 0.0, line) == 2.0
         assert radial_mod._step_zero(1.0, 2.0, -1.0, -0.0, line) == 2.0
@@ -566,7 +566,8 @@ class TestDop853Kernel:
             assert root is None or (u_new == 0.0 and root == 3.0)
 
     def test_tableau_shape(self):
-        # the generator of the straight-line stages reads these from scipy;
+        # the committed tableau that the straight-line stages are generated
+        # from is scipy's, cut as laid out here (tests/test_scipy_pins.py);
         # a change of layout must fail
         assert DOP853.n_stages == 12
         assert DOP853.A.shape == (12, 12) and DOP853.B.shape == (12,)
@@ -575,7 +576,7 @@ class TestDop853Kernel:
         assert DOP853.A_EXTRA.shape == (3, 16) and DOP853.C_EXTRA.shape == (3,)
         assert DOP853.D.shape == (4, 16)
         # stage s reads its row left of column s; what lies right of it
-        # must be zero, or the generated stages would drop a term
+        # must be zero, or the committed rows would drop a term
         assert not np.triu(DOP853.A).any()
         for s, row in enumerate(DOP853.A_EXTRA, start=13):
             assert not row[s:].any()
@@ -621,7 +622,11 @@ class TestDop853Kernel:
         on a step's start it returns y_old exactly."""
         knots = np.array([1.0, 1.5, 3.0])
         coef = np.random.default_rng(3).normal(size=(2, 8))
-        poly = radial_mod._power_form(knots, coef)
+        power = radial_mod._power_form(knots, coef)
+
+        def poly(r):
+            return radial_mod._power_sum(knots, power, r)
+
         x = np.linspace(0.0, 1.0, 11)[:-1]
         for i in range(2):
             nested = np.zeros_like(x)

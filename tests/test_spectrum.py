@@ -24,6 +24,7 @@ import gc
 import math
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -189,18 +190,20 @@ def zero_profile(alpha=0.0, p=3.0):
     )
 
 
-def _spy_starts(monkeypatch) -> list:
-    """Records the start t of every segment ``oscillation_counts``
-    integrates."""
-    starts = []
+def spy_segments(monkeypatch) -> list:
+    """Records every segment ``oscillation_counts`` hands to DOPRI5
+    (``spectrum.dopri5``): its ends t0 and t1, rtol and atol, and the
+    Prufer scales s among its arguments."""
+    segments = []
+    real = spectrum.dopri5
 
-    class Spy(spectrum.ode):
-        def set_initial_value(self, y, t=0.0):
-            starts.append(t)
-            return super().set_initial_value(y, t)
+    def spy(rate, t0, theta, t1, rtol, atol, *rest):
+        segments.append(SimpleNamespace(t0=t0, t1=t1, rtol=rtol, atol=atol,
+                                        scales=rest[-1][3].tolist()))
+        return real(rate, t0, theta, t1, rtol, atol, *rest)
 
-    monkeypatch.setattr(spectrum, "ode", Spy)
-    return starts
+    monkeypatch.setattr(spectrum, "dopri5", spy)
+    return segments
 
 
 class TestPencilOracle:
@@ -386,7 +389,7 @@ class TestInertiaCount:
     def test_route_a_matrices_of_profile_032(self, monkeypatch, profile_032):
         """Every level's matrix, bisected or refined, has as many negative
         eigenvalues as the level located."""
-        seen = record_calls(monkeypatch, "eigh_tridiagonal")
+        seen = record_calls(monkeypatch, "_bisection")
         record_calls(monkeypatch, "_certified_refinement", seen)
         located = {}
         real_fd = spectrum.fd_negative_eigenvalues
@@ -476,7 +479,7 @@ class TestCertifiedRefinement:
             "past_neighbour": lam[1] + np.array([0.1, 0.2]),
             "at_zero": np.array([lam[0], 0.0]),
         }[bad]
-        bisections = record_calls(monkeypatch, "eigh_tridiagonal")
+        bisections = record_calls(monkeypatch, "_bisection")
         got = fd_negative_eigenvalues(problem, M, guess)
         assert len(bisections) == 1
         assert got.tobytes() == lam.tobytes()
@@ -516,7 +519,7 @@ class TestCertifiedRefinement:
     def test_good_guess_is_not_bisected(self, monkeypatch, profile_032):
         problem = build_schrodinger(profile_032)
         guess = fd_negative_eigenvalues(problem, problem.M)
-        bisections = record_calls(monkeypatch, "eigh_tridiagonal")
+        bisections = record_calls(monkeypatch, "_bisection")
         got = fd_negative_eigenvalues(problem, 2 * problem.M, guess)
         assert bisections == [] and got.size == 2
 
@@ -923,20 +926,14 @@ class TestCountIdentities:
         problem = build_schrodinger(profile)
         coarse = replace(DEFAULT, rtol=spectrum._LOOSEST[0],
                          atol=spectrum._LOOSEST[1])
-        scales = []
-
-        class Spy(spectrum.ode):
-            def set_f_params(self, u, power, p, s, *args):
-                scales.append(s.tolist())
-                return super().set_f_params(u, power, p, s, *args)
-
-        monkeypatch.setattr(spectrum, "ode", Spy)
+        segments = spy_segments(monkeypatch)
         together = oscillation_counts(profile, problem, waves, coarse)[0]
+        first_alone = len(segments)
         alone = [int(oscillation_counts(profile, problem, [w], coarse)[0][0])
                  for w in waves]
         assert together.tolist() == alone
-        assert scales[0] == [max(w, waves[-1] / 2.0) for w in waves]
-        assert scales[1] == [1.0]
+        assert segments[0].scales == [max(w, waves[-1] / 2.0) for w in waves]
+        assert segments[first_alone].scales == [1.0]
 
     @pytest.mark.parametrize("eig_tol,segments", [
         (math.ulp(1.0), 2), (DEFAULT.eig_tol, 2), (1e3, 1)],
@@ -948,9 +945,10 @@ class TestCountIdentities:
         [-T, c_1]: at eig_tol = eps it starts at -T, and at a huge eig_tol
         at the first corner, skipping the empty segment before it."""
         problem = build_schrodinger(profile_032)
-        starts = _spy_starts(monkeypatch)
+        spied = spy_segments(monkeypatch)
         oscillation_counts(profile_032, problem, range(5),
                            replace(DEFAULT, eig_tol=eig_tol))
+        starts = [seg.t0 for seg in spied]
         t_c = (math.log(eig_tol / 3.0) - 2.0 * math.log(profile_032.amp)) / 2.0
         assert -problem.T <= starts[0] <= problem.corners[0]
         assert starts[0] == pytest.approx(
@@ -965,10 +963,10 @@ class TestCountIdentities:
         logarithm for t_C: its pass starts at -T."""
         profile = zero_profile()
         problem = build_schrodinger(profile)
-        starts = _spy_starts(monkeypatch)
+        segments = spy_segments(monkeypatch)
         counts, _ = oscillation_counts(replace(profile, amp=amp), problem,
                                        [0.0, 1.0])
-        assert starts == [-problem.T]
+        assert [seg.t0 for seg in segments] == [-problem.T]
         assert counts.tolist() == [0, 0]
 
     def test_zero_potential_gives_zero_counts(self):
@@ -994,8 +992,7 @@ class TestCountIdentities:
 
     def test_exhausted_step_budget_raises(self, monkeypatch, profile_032):
         monkeypatch.setattr(spectrum, "_MAX_OSCILLATION_STEPS", 5)
-        with pytest.warns(UserWarning, match="nsteps"), \
-                pytest.raises(NonConvergenceError) as err:
+        with pytest.raises(NonConvergenceError) as err:
             radial_morse_index(profile_032)
         context = err.value.context
         assert context["return_code"] == -2  # dopri5: larger nsteps needed
@@ -1015,19 +1012,17 @@ class TestCountIdentities:
             mode_negative_count(profile_032, True)
 
     def test_one_call_is_one_pass(self, monkeypatch, profile_032):
-        """A call integrates once, by DOPRI5 at the tolerances it is given;
-        which tolerance a count needs is the ladder of ``confirm_counts``."""
-        passes = []
-
-        class Spy(spectrum.ode):
-            def set_integrator(self, name, **params):
-                passes.append((name, params["rtol"], params["atol"]))
-                return super().set_integrator(name, **params)
-
-        monkeypatch.setattr(spectrum, "ode", Spy)
-        counts, margin = oscillation_counts(
-            profile_032, build_schrodinger(profile_032), range(5))
-        assert passes == [("dopri5", DEFAULT.rtol, DEFAULT.atol)]
+        """A call integrates once, by DOPRI5 at the tolerances it is given:
+        its segments join end to end up to t = 0, each at those
+        tolerances.  Which tolerance a count needs is the ladder of
+        ``confirm_counts``."""
+        segments = spy_segments(monkeypatch)
+        problem = build_schrodinger(profile_032)
+        counts, margin = oscillation_counts(profile_032, problem, range(5))
+        assert [seg.t0 for seg in segments[1:]] == list(problem.corners)
+        assert [seg.t1 for seg in segments] == [*problem.corners, 0.0]
+        assert {(seg.rtol, seg.atol) for seg in segments} == {
+            (DEFAULT.rtol, DEFAULT.atol)}
         assert counts.tolist() == [2, 1, 1, 1, 0]
         assert 0.0 < margin <= math.pi / 2.0
 
@@ -1057,7 +1052,7 @@ class TestCountIdentities:
         def no_solve(*args):
             raise AssertionError("oscillation_counts started a solve")
 
-        monkeypatch.setattr(spectrum, "ode", no_solve)
+        monkeypatch.setattr(spectrum, "dopri5", no_solve)
         with pytest.raises(UsageError, match="wave numbers"):
             oscillation_counts(profile, problem, waves)
 
