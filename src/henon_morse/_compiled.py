@@ -15,7 +15,7 @@ extension files by path, leaving ``sys.modules`` as it was.
 The module names and call signatures used here are private to scipy.  At
 load, the first docstring line of each routine must equal the signature
 pinned below, which is that of the supported scipy releases (``SUPPORTED``);
-otherwise the import fails with ImportError.  ``tests/test_compiled.py``
+otherwise the import fails with ImportError.  ``tests/test_scipy_pins.py``
 compares every routine with its public scipy wrapper on the same inputs.
 """
 

@@ -12,13 +12,13 @@ with m_rad = J the index of the k = 0 (radial) block.  ``assemble_morse``
 reads every integer off one table, lambda_j < -w^2 over a set of wave
 numbers w, and cross-checks its column sums against an independent route:
 the Sturm oscillation counts #{j : lambda_j < -w^2}, an adaptive ODE
-solve that shares no mesh or matrix with the eigenvalue solver.
-``spectrum.confirm_counts`` runs them on its ladder of tolerances; counts
-that still disagree after its last pass raise ``TwoRouteError`` rather
-than return a number.  The wave numbers are the
+solve on the profile alone that shares no truncation, mesh or matrix with
+the eigenvalue solver.  ``spectrum.confirm_counts`` runs them on its
+ladder of tolerances; counts that still disagree after its last pass raise
+``TwoRouteError`` rather than return a number.  The wave numbers are the
 point's k = 0..k_max and, for the alpha = 0 companion, whose eigenvalues
-the power map r -> r^((alpha+2)/2) scales by (2/(alpha+2))^2, the
-s k with s = (alpha+2)/2; so the same table and the same solve decide and
+the power map r -> r^((alpha+2)/2) scales by (2/(alpha+2))^2, the s k
+with s = (alpha+2)/2; so the same table and the same solve decide and
 certify the companion's index, and no second profile is solved for it.
 
 ``solve_point`` is the one point task of the command line, the battery and
@@ -139,14 +139,14 @@ def assemble_morse(profile: RadialProfile,
     table lambda_j < -w^2 over the wave numbers w = 0..k_max (w = 0 gives
     the radial index) and the companion's s k below.  Every integer of the
     report is read off that table.  The cross-check, which every call runs:
-    route C counts the eigenvalues below -w^2 at the same wave numbers on
-    the ladder of ``spectrum.confirm_counts``.  Counts that differ from the
-    table's column sums after its last pass raise TwoRouteError, with that
-    pass's margin and rtol in its evidence.  A |lambda_j + k^2| too small
-    to call at the working tolerance triggers one more pass at 10x tighter
-    tolerance before giving up with ThresholdTieError.  That pass runs its
-    own ladder on the same truncated problem, built once at the working
-    tolerance.
+    route C counts the eigenvalues below -w^2 at the same wave numbers,
+    from the profile alone, on the ladder of ``spectrum.confirm_counts``.
+    Counts that differ from the table's column sums after its last pass
+    raise TwoRouteError, with that pass's margin and rtol in its evidence.
+    A |lambda_j + k^2| too small to call at the working tolerance triggers
+    one more pass at 10x tighter tolerance before giving up with
+    ThresholdTieError.  That pass runs route A's own ladder on the same
+    truncated problem, built once at the working tolerance.
 
     The same spectrum decides the index of the alpha = 0 companion with the
     same p and n (``MorseReport.companion_total``).  The power map
@@ -173,7 +173,7 @@ def assemble_morse(profile: RadialProfile,
                  "spectrum_T": spectrum.T, "spectrum_M": spectrum.M,
                  "min_V": float(problem.potential(problem.mesh()).min()),
                  "oscillation_radial_count": int(oscillation_counts(
-                     profile, problem, [0.0], settings)[0][0])})
+                     profile, [0.0], settings)[0][0])})
         # lambda_j / s^2 carries at most eig_tol * (1 + |mu_j|), so the
         # companion's table is guarded in the same units as the point's
         mus = lambdas / (s * s)
@@ -203,8 +203,7 @@ def assemble_morse(profile: RadialProfile,
         return_inverse=True)
     negative = lambdas[:, None] < -waves ** 2
     decomposition = negative.sum(axis=0)
-    osc, margin, rtol = confirm_counts(profile, problem, waves, decomposition,
-                                       settings)
+    osc, margin, rtol = confirm_counts(profile, waves, decomposition, settings)
     if not np.array_equal(decomposition, osc):
         raise TwoRouteError(
             "eigenvalue counts below -w^2 mismatch between the eigenvalue "

@@ -99,9 +99,11 @@ _GRID = _fixed_grid()
 _GRID.setflags(write=False)
 
 
-# Nodes and weights of the 5-point Gauss-Legendre rule on [0, 1].
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(5)
-_GAUSS_X, _GAUSS_W = 0.5 * (1.0 + _GAUSS_X), 0.5 * _GAUSS_W
+# 5-point Gauss-Legendre rule on [0, 1]: numpy's leggauss(5), mapped, as literals.
+_GAUSS_X = np.array([0.04691007703066802, 0.23076534494715845, 0.5, 0.7692346550528415,
+                     0.9530899229693319])
+_GAUSS_W = np.array([0.11846344252809464, 0.23931433524968315, 0.28444444444444433,
+                     0.23931433524968315, 0.11846344252809464])
 
 
 def _dot(coefs, names) -> str:

@@ -39,13 +39,12 @@ so the cut-off sets most of its value.  This module computes:
   up to t = 0 in one pass, none looser than ``_LOOSEST``, counts its
   zeros; ``confirm_counts`` runs it on route C's ladder of tolerances,
   whose measured accuracy lives here too.  ``radial_morse_index`` (k = 0)
-  and ``mode_negative_count`` (one k >= 1) are one-line wrappers over it
-  that no production code calls, kept as span targets of
-  ``perfbench/spans.py``.
+  and ``mode_negative_count`` (one k >= 1), one-line wrappers over it that
+  no production code calls, are kept as span targets of ``perfbench/spans.py``.
 
-The oscillation count reads the same potential as the eigenvalue route but
-shares no mesh, matrix or extrapolation with it, which is what makes the
-cross-validation in the Morse assembly meaningful.
+The oscillation count reads the profile alone: it shares no truncation,
+mesh, matrix or extrapolation with the eigenvalue route, which is what
+makes the cross-validation in the Morse assembly meaningful.
 """
 
 from __future__ import annotations
@@ -650,8 +649,8 @@ def tridiagonal_negative_inertia(diag: np.ndarray, off: np.ndarray) -> int:
     return int(m)
 
 
-def oscillation_counts(profile: RadialProfile, problem: SchrodingerProblem,
-                       wave_numbers, settings: Settings = DEFAULT) -> tuple:
+def oscillation_counts(profile: RadialProfile, wave_numbers,
+                       settings: Settings = DEFAULT) -> tuple:
     """#{j : lambda_j < -w^2} for each wave number w >= 0 of
     ``wave_numbers``, in their order, by Sturm oscillation.
 
@@ -673,11 +672,12 @@ def oscillation_counts(profile: RadialProfile, problem: SchrodingerProblem,
     where V is negligible, psi = e^(w t), so tan theta_w = s_w / w (theta =
     pi/2 for w = 0), at t_C, where the bound p d^(p-1) e^((alpha+2) t) on
     |V| over the first nodal domain (0 < u <= d = u(0) there) reaches
-    ``settings.eig_tol``, clipped to [-T, c_1], c_1 the first corner (0
-    without corners).  Zeroing V before t_C moves each eigenvalue by at
-    most eig_tol (Weyl), below the assembly's tie guard; a profile whose
-    amplitude is not positive starts at -T.  With Dirichlet at t = 0 the
-    count of eigenvalues below E_w is floor(theta_w(0) / pi).
+    ``settings.eig_tol``, clipped to the first corner c_1 (0 without
+    corners).  Zeroing V before t_C moves each eigenvalue by at most
+    eig_tol (Weyl), below the assembly's tie guard; no -T enters, since at
+    the same eig_tol ``build_schrodinger``'s T >= (log p + (p - 1) log d
+    - log(eig_tol / 100)) / (alpha + 2) exceeds -t_C.  With Dirichlet at
+    t = 0 the count of eigenvalues below E_w is floor(theta_w(0) / pi).
 
     Returns the pair ``(counts, margin)``: an integer array, and the
     smallest distance in radians of a theta_w(0) from a multiple of pi, how
@@ -686,40 +686,38 @@ def oscillation_counts(profile: RadialProfile, problem: SchrodingerProblem,
 
     One pass integrates all w as one vector ODE by the Dormand-Prince 5(4)
     pair at ``settings.rtol`` and ``settings.atol``, capped at
-    ``_LOOSEST``, restarted at each corner of ``problem``.  The solver is
-    scipy's compiled ``dopri5``, called directly (``_compiled``) with the
+    ``_LOOSEST``, restarted at each corner: the log of each interior nodal
+    radius, the float ``build_schrodinger`` puts in ``corners``.  The solver
+    is scipy's compiled ``dopri5``, called directly (``_compiled``) with the
     work arrays and settings that ``scipy.integrate.ode("dopri5")`` gives
     it, so it returns ode's angles bit for bit; its status code idid
-    stands in for ode's ``successful()``.  At its coarse rung it makes
-    0.85x the RHS calls of the order-8 DOP853 at rtol 1e-6 on the 120
-    benchmark tuples, whose worst angle error on the low-p reports is about
-    the same (8.8e-5 rad against 9.6e-5).
-    u is read one radius at a time from the trajectory's dense output
-    (``radial.u_reader``), the polynomials route A samples, with no mesh and
-    no matrix.  An empty list of wave numbers, or one that is
-    negative or not finite, is a UsageError before any solve.  A segment
-    that the solver cannot finish within ``_MAX_OSCILLATION_STEPS`` steps
+    stands in for ode's ``successful()``.  u is read one radius at a time
+    from the trajectory's dense output (``radial.u_reader``), the
+    polynomials route A samples.  Wave numbers that are none, negative or
+    not finite, and an amplitude d <= 0, which ``validate_profile`` refuses
+    in every profile the package builds, are UsageErrors before any solve.
+    A segment the solver cannot finish in ``_MAX_OSCILLATION_STEPS`` steps
     raises NonConvergenceError carrying that code (-2).
     """
     ws = np.asarray(wave_numbers, dtype=float)
     if ws.ndim != 1 or ws.size == 0 or not np.all(np.isfinite(ws) & (ws >= 0.0)):
         raise UsageError("wave numbers must be a non-empty list of finite "
                          "values >= 0", {"wave_numbers": ws.tolist()})
+    if not profile.amp > 0.0:
+        raise UsageError("amplitude d = u(0) must be > 0", {"amp": float(profile.amp)})
     alpha, p = profile.params.alpha, profile.params.p
     power = alpha + 2.0
     s = np.maximum(ws, max(0.5 * float(ws.max()), 1.0))
     rtol, atol = min(settings.rtol, _LOOSEST[0]), min(settings.atol, _LOOSEST[1])
     args = (u_reader(profile), power, p, s, 1.0 / s, -ws * ws / s - s)
     theta = np.arctan2(s, ws)
-    ends = [-problem.T, *problem.corners, 0.0]
-    if profile.amp > 0.0:
-        # |V| <= p d^(p-1) e^((alpha+2) t) <= eig_tol before t_C
-        t_c = (math.log(settings.eig_tol) - math.log(p)
-               - (p - 1.0) * math.log(profile.amp)) / power
-        ends[0] = min(max(ends[0], t_c), ends[1])
+    # |V| <= p d^(p-1) e^((alpha+2) t) <= eig_tol before t_C
+    t_c = (math.log(settings.eig_tol) - math.log(p)
+           - (p - 1.0) * math.log(profile.amp)) / power
+    ends = [math.log(z) for z in profile.nodal_radii[:-1]] + [0.0]
+    if t_c < ends[0]:
+        ends.insert(0, t_c)
     for t0, t1 in zip(ends, ends[1:]):
-        if t0 == t1:
-            continue
         # work arrays as scipy's ode sets them up for every segment: safety
         # 0.9, step factors 0.2 and 10, beta, maximal and first step 0
         # (the solver's defaults), no dense output (iout 0), no messages
@@ -741,15 +739,16 @@ def oscillation_counts(profile: RadialProfile, problem: SchrodingerProblem,
     return np.floor(turns).astype(np.int64), margin
 
 
-def confirm_counts(profile: RadialProfile, problem: SchrodingerProblem,
-                   wave_numbers, expected, settings: Settings = DEFAULT) -> tuple:
+def confirm_counts(profile: RadialProfile, wave_numbers, expected,
+                   settings: Settings = DEFAULT) -> tuple:
     """Route C's check of the counts ``expected`` at ``wave_numbers``: the
-    ``oscillation_counts`` of a ladder of passes at ``_COARSE`` times
-    ``settings.rtol`` and ``settings.atol``, at them, and at a hundredth of
-    them, each capped at ``_LOOSEST``; no pass is repeated.  It stops at the
-    first pass whose counts equal ``expected`` with every angle at least
-    ``_MIN_MARGIN`` radians from a multiple of pi, and returns that pass's
-    ``(counts, margin, rtol)``, or the last pass's.
+    ``oscillation_counts`` of the profile on a ladder of passes at
+    ``_COARSE`` times ``settings.rtol`` and ``settings.atol``, at them, and
+    at a hundredth of them, each capped at ``_LOOSEST``; no pass is
+    repeated.  It stops at the first pass whose counts equal ``expected``
+    with every angle at least ``_MIN_MARGIN`` radians from a multiple of
+    pi, and returns that pass's ``(counts, margin, rtol)``, or the last
+    pass's.
     """
     # capped rungs can only tie the rung before, and dict.fromkeys drops a tie
     rungs = dict.fromkeys(
@@ -758,8 +757,7 @@ def confirm_counts(profile: RadialProfile, problem: SchrodingerProblem,
         for scale in (_COARSE, 1.0, 0.01))
     for rtol, atol in rungs:
         counts, margin = oscillation_counts(
-            profile, problem, wave_numbers,
-            replace(settings, rtol=rtol, atol=atol))
+            profile, wave_numbers, replace(settings, rtol=rtol, atol=atol))
         if margin >= _MIN_MARGIN and np.array_equal(counts, expected):
             break
     return counts, margin, rtol
@@ -784,11 +782,11 @@ def _prufer_rate(t, theta, u, power, p, s, inv_s, shift):
 def radial_morse_index(profile: RadialProfile, settings: Settings = DEFAULT) -> int:
     """Negative-eigenvalue count of the regular radial linearized operator:
     the k = 0 count of ``oscillation_counts``."""
-    return int(oscillation_counts(profile, build_schrodinger(profile, settings), [0.0], settings)[0][0])
+    return int(oscillation_counts(profile, [0.0], settings)[0][0])
 
 
 def mode_negative_count(profile: RadialProfile, k: int, settings: Settings = DEFAULT) -> int:
     """Negative-eigenvalue count of the angular-mode-k radial operator (the
     radial operator plus k^2/r^2): the k count of ``oscillation_counts``."""
     k = integer_at_least(k, 1, "k")
-    return int(oscillation_counts(profile, build_schrodinger(profile, settings), [float(k)], settings)[0][0])
+    return int(oscillation_counts(profile, [float(k)], settings)[0][0])

@@ -41,7 +41,6 @@ test suite, so the two never drift apart.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 import math
 import time
 
@@ -139,6 +138,7 @@ def run_tasks(fn, tasks, jobs):
     workers = min(jobs or 1, len(tasks))
     if workers <= 1:
         return [fn(task) for task in tasks]
+    from concurrent.futures import ProcessPoolExecutor  # only --jobs pays its import
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks))
 

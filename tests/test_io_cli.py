@@ -7,6 +7,7 @@ tests exercise every exit code: 0 success, 1 failed mathematical assertion,
 2 non-convergence, 3 bad usage.
 """
 
+import concurrent.futures
 import errno
 import json
 import os
@@ -513,7 +514,8 @@ class TestWorkerPool:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", FakeExecutor)
+        # run_tasks imports the executor when it starts a pool
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakeExecutor)
         return sizes
 
     def test_workers_capped_at_task_count(self, pools):

@@ -45,7 +45,7 @@ def _counts_agreeing_with(lambdas):
     the given eigenvalues: #{j : lambda_j < -w^2} for each wave number w,
     every angle pi/2 from a multiple of pi."""
     lam = np.asarray(lambdas)
-    return lambda prof, problem, waves, settings=None: (
+    return lambda prof, waves, settings=None: (
         np.array([np.sum(lam < -w * w) for w in waves]), math.pi / 2.0)
 
 
@@ -56,9 +56,9 @@ def _spy_route_c(monkeypatch, edit=lambda rtol, waves, counts: counts):
     passes = []
     real = spectrum_mod.oscillation_counts
 
-    def spy(prof, problem, waves, settings):
+    def spy(prof, waves, settings):
         passes.append((settings.rtol, settings.atol))
-        return edit(settings.rtol, waves, real(prof, problem, waves, settings))
+        return edit(settings.rtol, waves, real(prof, waves, settings))
 
     monkeypatch.setattr(spectrum_mod, "oscillation_counts", spy)
     return passes
@@ -155,9 +155,9 @@ class TestAssembly:
         real = spectrum_mod.oscillation_counts
         seen = []
 
-        def miscounting(prof, problem, waves, settings):
+        def miscounting(prof, waves, settings):
             seen.append(list(waves))
-            counts, margin = real(prof, problem, waves, settings)
+            counts, margin = real(prof, waves, settings)
             return counts + (np.asarray(waves) == wave), margin
 
         monkeypatch.setattr(spectrum_mod, "oscillation_counts", miscounting)
@@ -190,8 +190,7 @@ class TestAssembly:
         profile, _ = case_132
         waves = [0.0, 1.0, 1.5, 2.0, 3.0, 4.0, 4.5, 5.0, 6.0]
         fine, fine_margin = spectrum_mod.oscillation_counts(
-            profile, build_schrodinger(profile), waves,
-            replace(DEFAULT, rtol=FINE[0], atol=FINE[1]))
+            profile, waves, replace(DEFAULT, rtol=FINE[0], atol=FINE[1]))
         passes = _spy_route_c(monkeypatch, _miscounting_two_at(
             {COARSE[0], WORKING[0], FINE[0]}))
         with pytest.raises(TwoRouteError) as err:
@@ -420,9 +419,9 @@ class TestAssembly:
         real = spectrum_mod.oscillation_counts
         seen = []
 
-        def spy(prof, problem, waves, settings):
+        def spy(prof, waves, settings):
             seen.append(list(waves))
-            return real(prof, problem, waves, settings)
+            return real(prof, waves, settings)
 
         monkeypatch.setattr(spectrum_mod, "oscillation_counts", spy)
         report = assemble_morse(profile)
@@ -494,7 +493,7 @@ class TestOscillationLadder:
         assert assemble_morse(profile).to_dict() == expected
         assert passes == [COARSE]
         coarse_calls, calls[0] = calls[0], 0
-        one_pass(profile, build_schrodinger(profile), waves)
+        one_pass(profile, waves)
         assert coarse_calls <= 0.75 * calls[0]
 
     @pytest.mark.parametrize("alpha,p,n,waves", [
@@ -507,9 +506,9 @@ class TestOscillationLadder:
         """At (0, 3, 6) and (1, 1.05, 3), reporting tuples with large
         coarse-rung angle errors, every theta_w(0) of a pass at
         ``spectrum._LOOSEST``, the loosest rung the ladder runs, lies within
-        _MIN_MARGIN / 9 of a pass at rtol 1e-13 that starts at -T: at
-        eig_tol = eps its start t_C clips to -T, so the bound covers the
-        rung's error and the truncation of the coarse pass's later start
+        _MIN_MARGIN / 9 of a pass at rtol 1e-13 that starts at t_C for
+        eig_tol = eps, which lies below route A's -T, so the bound covers
+        the rung's error and the truncation of the coarse pass's later start
         together.  The wave numbers are the ones the assembly counts
         there."""
         profile = solve_nodal(HenonParams(alpha=alpha, p=p, n_nodal=n))
@@ -530,9 +529,11 @@ class TestOscillationLadder:
                         atol=spectrum_mod._LOOSEST[1]),
                 replace(DEFAULT, rtol=1e-13, atol=1e-15, eig_tol=math.ulp(1.0))):
             starts.clear()
-            spectrum_mod.oscillation_counts(profile, problem, waves, settings)
+            spectrum_mod.oscillation_counts(profile, waves, settings)
             thetas.append(ends[-1])  # the pass's last segment ends at t = 0
-        assert starts[0] == -problem.T
+        t_c = (math.log(math.ulp(1.0)) - math.log(p)
+               - (p - 1.0) * math.log(profile.amp)) / (alpha + 2.0)
+        assert starts[0] == t_c < -problem.T
         coarse, reference = thetas
         assert 9.0 * np.max(np.abs(coarse - reference)) <= spectrum_mod._MIN_MARGIN
 

@@ -329,6 +329,14 @@ def test_validate_profile_reads_one_grid(monkeypatch):
     assert type(resid) is float and 0.0 <= resid
 
 
+def test_audit_rule_is_numpys_gauss_legendre_rule():
+    """The audit's 5-point rule on [0, 1], held as literals, is numpy's
+    ``leggauss(5)`` mapped by (1 + x) / 2 and w / 2, bit for bit."""
+    x, w = np.polynomial.legendre.leggauss(5)
+    assert radial_mod._GAUSS_X.tobytes() == (0.5 * (1.0 + x)).tobytes()
+    assert radial_mod._GAUSS_W.tobytes() == (0.5 * w).tobytes()
+
+
 def test_loose_tolerance_cannot_loosen_the_audit_gate():
     """rtol = 1e-3 integrates (0, 3, 2) too coarsely for the fixed residual
     gate 1e-6 max|u|^p, max|u| = d close to the second zero; the solve is

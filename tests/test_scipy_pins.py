@@ -108,20 +108,27 @@ class TestLoading:
     def test_a_fresh_process_imports_no_scipy_package(self, tmp_path):
         """Importing the CLI and running the warm-up point of the benchmark
         leaves no scipy module in ``sys.modules``: the compiled routines
-        are loaded by path, and nothing imports a scipy package."""
+        are loaded by path, and nothing imports a scipy package.  Nor does
+        it import the worker pool's ``concurrent.futures.process`` and
+        ``multiprocessing``, which only ``--jobs`` uses, or
+        ``numpy.polynomial``, whose Gauss-Legendre rule ``radial`` holds as
+        literals."""
         script = textwrap.dedent("""
             import sys
             from henon_morse.cli import main
             code = main(["morse", "--alpha", "0.75", "--p", "3", "--nodes", "2",
                          "--out", "warm_up.json"])
             print(code, sorted(k for k in sys.modules
-                               if k == "scipy" or k.startswith("scipy.")))
+                               if k == "scipy" or k.startswith("scipy.")),
+                  sorted(k for k in ("concurrent.futures.process",
+                                     "multiprocessing", "numpy.polynomial")
+                         if k in sys.modules))
         """)
         done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
                               env={**os.environ, "PYTHONPATH": str(SRC)},
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.split(None, 1) == ["0", "[]\n"]
+        assert done.stdout.split(None, 1) == ["0", "[] []\n"]
         assert (tmp_path / "warm_up.json").is_file()
 
     def test_a_changed_signature_is_refused(self, monkeypatch):
@@ -148,7 +155,6 @@ class TestCompiledRoutines:
         the ladder, and a segment that runs out of steps: the direct call,
         as ``oscillation_counts`` makes it, returns ode("dopri5")'s t,
         angles and status bit for bit."""
-        problem = spectrum.build_schrodinger(profile_232)
         calls = []
         real = spectrum.dopri5
 
@@ -161,12 +167,12 @@ class TestCompiledRoutines:
         monkeypatch.setattr(spectrum, "dopri5", spy)
         for scale in (spectrum._COARSE, 1.0, 0.01):
             spectrum.oscillation_counts(
-                profile_232, problem, np.arange(9.0),
+                profile_232, np.arange(9.0),
                 replace(DEFAULT, rtol=scale * DEFAULT.rtol, atol=scale * DEFAULT.atol))
-        assert len(calls) == 3 * (1 + len(problem.corners))
+        assert len(calls) == 3 * len(profile_232.nodal_radii)  # a segment per nodal domain
         monkeypatch.setattr(spectrum, "_MAX_OSCILLATION_STEPS", 5)
         with pytest.raises(NonConvergenceError):
-            spectrum.oscillation_counts(profile_232, problem, np.arange(9.0))
+            spectrum.oscillation_counts(profile_232, np.arange(9.0))
         for (rate, t0, theta, t1, rtol, atol, nsteps, args), (t, y, idid) in calls:
             solver = ode(rate).set_integrator("dopri5", rtol=rtol, atol=atol,
                                               nsteps=nsteps)

@@ -905,8 +905,7 @@ class TestCountIdentities:
         thresholds at w = 0.953 and 3.843."""
         lam = spectrum_032.lambdas
         waves = [0.0, 0.5, 0.95, 0.96, 2.5, 3.8, 3.9]
-        counts = oscillation_counts(profile_032, build_schrodinger(profile_032),
-                                    waves)[0].tolist()
+        counts = oscillation_counts(profile_032, waves)[0].tolist()
         assert counts == [int(np.sum(lam < -w * w)) for w in waves]
         assert counts == [2, 2, 2, 1, 1, 1, 0]
 
@@ -923,13 +922,12 @@ class TestCountIdentities:
         tuples equal those of each wave number run alone, where w = 0 runs
         at s = 1."""
         profile = solve_nodal(HenonParams(alpha=alpha, p=p, n_nodal=n))
-        problem = build_schrodinger(profile)
         coarse = replace(DEFAULT, rtol=spectrum._LOOSEST[0],
                          atol=spectrum._LOOSEST[1])
         segments = spy_segments(monkeypatch)
-        together = oscillation_counts(profile, problem, waves, coarse)[0]
+        together = oscillation_counts(profile, waves, coarse)[0]
         first_alone = len(segments)
-        alone = [int(oscillation_counts(profile, problem, [w], coarse)[0][0])
+        alone = [int(oscillation_counts(profile, [w], coarse)[0][0])
                  for w in waves]
         assert together.tolist() == alone
         assert segments[0].scales == [max(w, waves[-1] / 2.0) for w in waves]
@@ -940,50 +938,62 @@ class TestCountIdentities:
         ids=["eps", "default", "huge"])
     def test_start_lies_between_the_cut_off_and_the_first_corner(
             self, monkeypatch, profile_032, eig_tol, segments):
-        """A pass starts at t_C, where the bound p d^(p-1) e^((alpha+2) t)
-        on |V| over the first nodal domain reaches eig_tol, clipped to
-        [-T, c_1]: at eig_tol = eps it starts at -T, and at a huge eig_tol
-        at the first corner, skipping the empty segment before it."""
-        problem = build_schrodinger(profile_032)
+        """A pass starts at the cut-off t_C, where the bound
+        p d^(p-1) e^((alpha+2) t) on |V| over the first nodal domain reaches
+        eig_tol, clipped only to the first corner c_1: route A's -T does not
+        floor it, so at eig_tol = eps it starts below the -T of the problem
+        built at the default eig_tol, and at a huge eig_tol at the first
+        corner, skipping the empty segment before it.  At the problem's own
+        eig_tol, t_C lies inside (-T, c_1]."""
+        problem = build_schrodinger(profile_032, replace(DEFAULT, eig_tol=eig_tol))
         spied = spy_segments(monkeypatch)
-        oscillation_counts(profile_032, problem, range(5),
+        oscillation_counts(profile_032, range(5),
                            replace(DEFAULT, eig_tol=eig_tol))
         starts = [seg.t0 for seg in spied]
         t_c = (math.log(eig_tol / 3.0) - 2.0 * math.log(profile_032.amp)) / 2.0
-        assert -problem.T <= starts[0] <= problem.corners[0]
-        assert starts[0] == pytest.approx(
-            min(max(-problem.T, t_c), problem.corners[0]), rel=1e-12)
+        assert -problem.T < starts[0] <= problem.corners[0]
+        assert starts[0] == pytest.approx(min(t_c, problem.corners[0]), rel=1e-12)
+        if eig_tol == math.ulp(1.0):
+            assert starts[0] < -build_schrodinger(profile_032).T
         assert len(starts) == segments
         assert starts[-1] == problem.corners[-1]
 
     @pytest.mark.parametrize("amp", [0.0, -1e-200])
-    def test_amplitude_not_positive_starts_at_the_cut_off(self, monkeypatch,
-                                                          amp):
+    def test_amplitude_not_positive_is_refused(self, monkeypatch, amp):
         """A hand-made profile whose amplitude is not positive gives no
-        logarithm for t_C: its pass starts at -T."""
-        profile = zero_profile()
-        problem = build_schrodinger(profile)
+        logarithm for t_C, and ``validate_profile`` refuses such a d in
+        every profile the package builds: it is a UsageError before any
+        solve."""
         segments = spy_segments(monkeypatch)
-        counts, _ = oscillation_counts(replace(profile, amp=amp), problem,
-                                       [0.0, 1.0])
-        assert [seg.t0 for seg in segments] == [-problem.T]
-        assert counts.tolist() == [0, 0]
+        with pytest.raises(UsageError, match="amplitude") as err:
+            oscillation_counts(replace(zero_profile(), amp=amp), [0.0, 1.0])
+        assert err.value.context == {"amp": amp}
+        assert segments == []
 
     def test_zero_potential_gives_zero_counts(self):
         profile = zero_profile()
         assert radial_morse_index(profile) == 0
         assert mode_negative_count(profile, 1) == 0
 
+    def test_wrappers_build_no_problem(self, monkeypatch, profile_032):
+        """The k = 0 and k >= 1 wrappers count from the profile alone:
+        neither builds route A's problem, whose T search they never read."""
+        def no_build(*args):
+            raise AssertionError("a route C wrapper built a SchrodingerProblem")
+
+        monkeypatch.setattr(spectrum, "build_schrodinger", no_build)
+        assert radial_morse_index(profile_032) == 2
+        assert [mode_negative_count(profile_032, k) for k in (1, 4)] == [1, 0]
+
     def test_solves_keep_no_memory(self, profile_032):
         """scipy's dopri5 keeps a reference to its callback after every
         solve, so the callback must not hold the profile data of a call."""
-        problem = build_schrodinger(profile_032)
-        oscillation_counts(profile_032, problem, range(5))
+        oscillation_counts(profile_032, range(5))
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             for _ in range(10):
-                oscillation_counts(profile_032, problem, range(5))
+                oscillation_counts(profile_032, range(5))
             gc.collect()
             grown = tracemalloc.get_traced_memory()[0] - before
         finally:
@@ -1014,13 +1024,15 @@ class TestCountIdentities:
     def test_one_call_is_one_pass(self, monkeypatch, profile_032):
         """A call integrates once, by DOPRI5 at the tolerances it is given:
         its segments join end to end up to t = 0, each at those
-        tolerances.  Which tolerance a count needs is the ladder of
-        ``confirm_counts``."""
+        tolerances.  Their ends are the logs of the profile's interior nodal
+        radii, then 0: bit for bit the corners of route A's problem, though
+        the pass never builds it.  Which tolerance a count needs is the
+        ladder of ``confirm_counts``."""
         segments = spy_segments(monkeypatch)
-        problem = build_schrodinger(profile_032)
-        counts, margin = oscillation_counts(profile_032, problem, range(5))
-        assert [seg.t0 for seg in segments[1:]] == list(problem.corners)
-        assert [seg.t1 for seg in segments] == [*problem.corners, 0.0]
+        counts, margin = oscillation_counts(profile_032, range(5))
+        ends = build_schrodinger(profile_032).corners + (0.0,)
+        assert [seg.t0 for seg in segments[1:]] == list(ends[:-1])
+        assert [seg.t1 for seg in segments] == list(ends)
         assert {(seg.rtol, seg.atol) for seg in segments} == {
             (DEFAULT.rtol, DEFAULT.atol)}
         assert counts.tolist() == [2, 1, 1, 1, 0]
@@ -1033,8 +1045,7 @@ class TestCountIdentities:
         counts w = 1 one too many, and one at 1e-2 miscounts every w."""
         profile = solve_nodal(HenonParams(alpha=0.0, p=3.0, n_nodal=6))
         loose = replace(DEFAULT, rtol=rtol, atol=rtol / 100.0)
-        counts, margin = oscillation_counts(
-            profile, build_schrodinger(profile), [0, 1, 2, 3, 5], loose)
+        counts, margin = oscillation_counts(profile, [0, 1, 2, 3, 5], loose)
         assert counts.tolist() == [6, 5, 5, 5, 4]
         assert margin >= spectrum._MIN_MARGIN
         assert radial_morse_index(profile, replace(DEFAULT, rtol=rtol)) == 6
@@ -1047,14 +1058,13 @@ class TestCountIdentities:
         non-finite value, reaches the solver: at (0, 3, 1) a w = -1 would
         start theta on the growing solution and count 1."""
         profile = solve_nodal(HenonParams(alpha=0.0, p=3.0, n_nodal=1))
-        problem = build_schrodinger(profile)
 
         def no_solve(*args):
             raise AssertionError("oscillation_counts started a solve")
 
         monkeypatch.setattr(spectrum, "dopri5", no_solve)
         with pytest.raises(UsageError, match="wave numbers"):
-            oscillation_counts(profile, problem, waves)
+            oscillation_counts(profile, waves)
 
 
 class TestWeightScaling:
